@@ -12,10 +12,6 @@ from .coherence import (
     StochasticMergeBackend,
     apply_diff,
     auto_merge,
-    detect_conflicts,
-    diffs_from_text,
-    diffs_to_text,
-    file_overlap,
     line_disjoint,
     merge_results,
     semantic_merge,

@@ -11,7 +11,6 @@ merged result.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Protocol, Sequence, TYPE_CHECKING
@@ -136,20 +135,21 @@ def diff_applies(base: Sequence[str], diff: Diff) -> bool:
         return False
 
 
-def file_overlap(delta_i: Iterable[str], delta_j: Iterable[str]) -> bool:
-    """True when the two file sets intersect. Symmetric."""
-    return bool(set(delta_i) & set(delta_j))
-
-
 def touched_files(diffs: Iterable[Diff]) -> frozenset[str]:
     return frozenset(d.file for d in diffs)
 
 
-def detect_conflicts(results: Sequence["ResumePackage"]) -> list[ConflictPair]:
-    """All child pairs (i < j) sharing at least one modified file,
-    in index order."""
-    entries = [(r.spawn_id, touched_files(r.result.code_diff)) for r in results]
-    return _detect_conflicts(entries)
+def combine_diffs(diffs: Iterable[Diff]) -> dict[str, Diff]:
+    """One diff per file holding all of ``diffs``' hunks on it, sorted,
+    in first-seen file order. Raises DiffError when hunks on one file
+    overlap."""
+    per_file: dict[str, list[Hunk]] = {}
+    for d in diffs:
+        per_file.setdefault(d.file, []).extend(d.hunks)
+    return {
+        path: Diff(file=path, hunks=tuple(sorted(hunks, key=Hunk.span)))
+        for path, hunks in per_file.items()
+    }
 
 
 def _detect_conflicts(entries: Sequence[tuple[str, frozenset[str]]]) -> list[ConflictPair]:
@@ -291,11 +291,7 @@ def merge_diff_sets(
 
     by_file: dict[str, list[tuple[int, Diff]]] = {}
     for idx, (_, diffs) in enumerate(entries):
-        per_file: dict[str, list[Hunk]] = {}
-        for d in diffs:
-            per_file.setdefault(d.file, []).extend(d.hunks)
-        for path, hunks in per_file.items():
-            combined = Diff(file=path, hunks=tuple(sorted(hunks, key=lambda h: h.span())))
+        for path, combined in combine_diffs(diffs).items():
             by_file.setdefault(path, []).append((idx, combined))
 
     # Fold each shared file's contributors in child order, recording the
@@ -354,66 +350,3 @@ def merge_diff_sets(
         escalated_files=escalated_files,
     )
 
-
-# Unified-diff-like text interchange for the CLI.
-
-_HEADER_RE = re.compile(r"^=== (.+)$")
-_HUNK_RE = re.compile(r"^@@ (\d+),(\d+) @@$")
-
-
-def diffs_to_text(diffs: Iterable[Diff]) -> str:
-    """Render diffs in a minimal unified-diff-like text form."""
-    lines = []
-    for d in diffs:
-        lines.append(f"=== {d.file}")
-        for h in d.hunks:
-            lines.append(f"@@ {h.start_line},{len(h.old_lines)} @@")
-            for old in h.old_lines:
-                lines.append(f"-{old}")
-            for new in h.new_lines:
-                lines.append(f"+{new}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def diffs_from_text(text: str) -> list[Diff]:
-    diffs: list[Diff] = []
-    current_file: str | None = None
-    hunks: list[Hunk] = []
-    start: int | None = None
-    old: list[str] = []
-    new: list[str] = []
-
-    def flush_hunk():
-        nonlocal start, old, new
-        if start is not None:
-            hunks.append(Hunk(start_line=start, old_lines=tuple(old), new_lines=tuple(new)))
-        start, old, new = None, [], []
-
-    def flush_file():
-        nonlocal current_file, hunks
-        flush_hunk()
-        if current_file is not None:
-            diffs.append(Diff(file=current_file, hunks=tuple(sorted(hunks, key=lambda h: h.span()))))
-        current_file, hunks = None, []
-
-    for raw in text.splitlines():
-        header = _HEADER_RE.match(raw)
-        if header:
-            flush_file()
-            current_file = header.group(1)
-            continue
-        hunk = _HUNK_RE.match(raw)
-        if hunk:
-            if current_file is None:
-                raise DiffError("hunk before file header in diff text")
-            flush_hunk()
-            start = int(hunk.group(1))
-            continue
-        if raw.startswith("-"):
-            old.append(raw[1:])
-        elif raw.startswith("+"):
-            new.append(raw[1:])
-        elif raw.strip():
-            raise DiffError(f"unparseable diff line: {raw!r}")
-    flush_file()
-    return diffs

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace as dc_replace
 
+from ..coherence import Diff, Hunk
 from ..memory import DefaultEmbedder, MemoryItem, MemoryTier, RelevanceWeights, compute_relevance, make_item
 from ..policy import ComplexityMetrics
 from ..protocol import TaskSpec
@@ -140,20 +141,20 @@ BASE_FILES = {
     ],
 }
 
-CHILD_DIFF = {
-    "file": "src/parser.py",
-    "hunks": [
-        {
-            "start_line": 4,
-            "old_lines": ["    head = raw.split(':', 1)"],
-            "new_lines": [
+CHILD_DIFF = Diff(
+    file="src/parser.py",
+    hunks=(
+        Hunk(
+            start_line=4,
+            old_lines=("    head = raw.split(':', 1)",),
+            new_lines=(
                 "    if ':' not in raw:",
                 "        raise ValueError('missing header separator')",
                 "    head = raw.split(':', 1)",
-            ],
-        }
-    ],
-}
+            ),
+        ),
+    ),
+)
 
 
 class GenerationError(RuntimeError):
@@ -296,9 +297,7 @@ def generate_synthetic(seed: int, params: GenerateParams) -> WorkloadSpec:
         "context_compression": ScriptedOutcome(
             execution_time=42.0,
             output="compressed the working context and hardened the header parser",
-            diffs=(
-                _diff_from_literal(CHILD_DIFF),
-            ),
+            diffs=(CHILD_DIFF,),
             skills_learned=(
                 Skill(
                     id="scope-compressor",
@@ -325,18 +324,3 @@ def generate_synthetic(seed: int, params: GenerateParams) -> WorkloadSpec:
         conflicts=conflicts,
     )
 
-
-def _diff_from_literal(spec: dict):
-    from ..coherence import Diff, Hunk
-
-    return Diff(
-        file=spec["file"],
-        hunks=tuple(
-            Hunk(
-                start_line=h["start_line"],
-                old_lines=tuple(h["old_lines"]),
-                new_lines=tuple(h["new_lines"]),
-            )
-            for h in spec["hunks"]
-        ),
-    )

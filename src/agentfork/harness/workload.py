@@ -13,14 +13,12 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from ..coherence import Diff, DiffError, Hunk
-from ..memory import DefaultEmbedder, MemoryItem, MemoryStore, MemoryTier, make_item
-from ..policy import ComplexityMetrics, Specialization
-from ..protocol import Action, ActionKind, ChildStatus, TaskSpec
-from ..runtime import LoopWorkload, NestedSpawn, ScriptedOutcome
-from ..skills import Provenance, Skill, SkillLibrary
-
-SCHEMA_VERSION = 1
+from .. import schema
+from ..memory import DefaultEmbedder, MemoryItem, MemoryStore, make_item
+from ..policy import ComplexityMetrics
+from ..protocol import TaskSpec
+from ..runtime import LoopWorkload, ScriptedOutcome
+from ..skills import Skill, SkillLibrary
 
 DEFAULT_SKILLS = (
     Skill(id="write-tests", template="Write focused unit tests for {function} covering edge cases"),
@@ -54,21 +52,6 @@ class WorkloadSpec:
     child_outcomes: dict[str, ScriptedOutcome]
     conflicts: ConflictScenarioParams | None = None
 
-    def __eq__(self, other):
-        if not isinstance(other, WorkloadSpec):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.embedding_dim == other.embedding_dim
-            and self.task == other.task
-            and self.memory == other.memory
-            and self.skills == other.skills
-            and self.base_files == other.base_files
-            and self.trajectory == other.trajectory
-            and self.child_outcomes == other.child_outcomes
-            and self.conflicts == other.conflicts
-        )
-
     def build_store(self) -> MemoryStore:
         base_step = max((item.created_at_step for item in self.memory), default=0)
         store = MemoryStore(self.embedding_dim, current_step=base_step)
@@ -89,334 +72,35 @@ class WorkloadSpec:
         )
 
 
-_METRIC_FILE_KEYS = ("I_f", "C_c", "F_c", "O_c", "U_c")
-
-
-def _err(errors: list[str], path: str, message: str) -> None:
-    errors.append(f"{path}: {message}")
-
-
-def _get_str(obj, key, path, errors, default=None, required=False):
-    if key not in obj:
-        if required:
-            _err(errors, f"{path}.{key}", "required key missing")
-        return default
-    value = obj[key]
-    if not isinstance(value, str):
-        _err(errors, f"{path}.{key}", "expected string")
-        return default
-    return value
-
-
-def _get_num(obj, key, path, errors, default=None, required=False, lo=None, hi=None):
-    if key not in obj:
-        if required:
-            _err(errors, f"{path}.{key}", "required key missing")
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _err(errors, f"{path}.{key}", "expected number")
-        return default
-    if lo is not None and value < lo:
-        _err(errors, f"{path}.{key}", f"{value} below {lo}")
-        return default
-    if hi is not None and value > hi:
-        _err(errors, f"{path}.{key}", f"{value} above {hi}")
-        return default
-    return value
-
-
-def _get_str_list(obj, key, path, errors, default=()):
-    if key not in obj:
-        return list(default)
-    value = obj[key]
-    if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
-        _err(errors, f"{path}.{key}", "expected list of strings")
-        return list(default)
-    return value
-
-
-def _parse_diff(obj, path, errors) -> Diff | None:
-    if not isinstance(obj, dict):
-        _err(errors, path, "expected object")
-        return None
-    file = _get_str(obj, "file", path, errors, required=True)
-    hunks = []
-    raw_hunks = obj.get("hunks", [])
-    if not isinstance(raw_hunks, list):
-        _err(errors, f"{path}.hunks", "expected list")
-        raw_hunks = []
-    for i, h in enumerate(raw_hunks):
-        hpath = f"{path}.hunks[{i}]"
-        if not isinstance(h, dict):
-            _err(errors, hpath, "expected object")
-            continue
-        start = _get_num(h, "start_line", hpath, errors, required=True, lo=1)
-        old = _get_str_list(h, "old_lines", hpath, errors)
-        new = _get_str_list(h, "new_lines", hpath, errors)
-        if start is not None:
-            hunks.append(Hunk(start_line=int(start), old_lines=tuple(old), new_lines=tuple(new)))
-    if file is None:
-        return None
-    try:
-        return Diff(file=file, hunks=tuple(sorted(hunks, key=lambda h: h.span())))
-    except DiffError as exc:
-        _err(errors, path, str(exc))
-        return None
-
-
-def _parse_skill(obj, path, errors, provenance: Provenance) -> Skill | None:
-    if not isinstance(obj, dict):
-        _err(errors, path, "expected object")
-        return None
-    skill_id = _get_str(obj, "id", path, errors, required=True)
-    template = _get_str(obj, "template", path, errors, required=True)
-    params = obj.get("params", {})
-    if not isinstance(params, dict) or any(
-        not isinstance(k, str) or not isinstance(v, str) for k, v in params.items()
-    ):
-        _err(errors, f"{path}.params", "expected string map")
-        params = {}
-    stat = None
-    if "success_stat" in obj and obj["success_stat"] is not None:
-        stat = _get_num(obj, "success_stat", path, errors, lo=0.0, hi=1.0)
-    if skill_id is None or template is None:
-        return None
-    try:
-        return Skill(
-            id=skill_id,
-            template=template,
-            params=tuple(sorted(params.items())),
-            provenance=provenance,
-            success_stat=stat if provenance is Provenance.LEARNED else None,
-        )
-    except ValueError as exc:
-        _err(errors, path, str(exc))
-        return None
-
-
-def _parse_outcome(obj, path, errors) -> ScriptedOutcome | None:
-    if not isinstance(obj, dict):
-        _err(errors, path, "expected object")
-        return None
-    status = _get_str(obj, "status", path, errors, default="success")
-    if status not in {s.value for s in ChildStatus}:
-        _err(errors, f"{path}.status", f"unknown status {status!r}")
-        status = "success"
-    diffs = []
-    for i, d in enumerate(obj.get("diffs", [])):
-        diff = _parse_diff(d, f"{path}.diffs[{i}]", errors)
-        if diff is not None:
-            diffs.append(diff)
-    skills = []
-    for i, s in enumerate(obj.get("skills_learned", [])):
-        skill = _parse_skill(s, f"{path}.skills_learned[{i}]", errors, Provenance.LEARNED)
-        if skill is not None:
-            skills.append(skill)
-    trace = []
-    for i, a in enumerate(obj.get("trace", [])):
-        apath = f"{path}.trace[{i}]"
-        if not isinstance(a, dict):
-            _err(errors, apath, "expected object")
-            continue
-        kind = _get_str(a, "kind", apath, errors, default="observation")
-        if kind not in {k.value for k in ActionKind}:
-            _err(errors, f"{apath}.kind", f"unknown action kind {kind!r}")
-            kind = "observation"
-        step = _get_num(a, "step", apath, errors, required=True)
-        summary = _get_str(a, "summary", apath, errors, default="")
-        if step is not None:
-            trace.append(Action(step=int(step), kind=ActionKind(kind), summary=summary))
-    spawns = []
-    for i, s in enumerate(obj.get("spawns", [])):
-        spath = f"{path}.spawns[{i}]"
-        if not isinstance(s, dict):
-            _err(errors, spath, "expected object")
-            continue
-        outcome_key = _get_str(s, "outcome", spath, errors, required=True)
-        spec_name = _get_str(s, "specialization", spath, errors, default="research_analysis")
-        if spec_name not in {sp.value for sp in Specialization}:
-            _err(errors, f"{spath}.specialization", f"unknown specialization {spec_name!r}")
-            spec_name = "research_analysis"
-        if outcome_key is not None:
-            spawns.append(NestedSpawn(outcome_key=outcome_key, specialization=Specialization(spec_name)))
-    return ScriptedOutcome(
-        status=ChildStatus(status),
-        execution_time=_get_num(obj, "execution_time", path, errors, default=10.0, lo=0.0) or 0.0,
-        output=_get_str(obj, "output", path, errors, default="done"),
-        diffs=tuple(diffs),
-        skills_learned=tuple(skills),
-        test_pass_rate=_get_num(obj, "test_pass_rate", path, errors, default=1.0, lo=0.0, hi=1.0) or 0.0,
-        tokens_used=int(_get_num(obj, "tokens_used", path, errors, default=1000, lo=0) or 0),
-        api_calls=int(_get_num(obj, "api_calls", path, errors, default=5, lo=0) or 0),
-        trace=tuple(trace),
-        spawns=tuple(spawns),
-    )
+def _messages(errors: list[schema.Error]) -> list[str]:
+    return [f"{path}: {message}" for _, path, message in errors]
 
 
 def validate_workload_data(data) -> list[str]:
-    """Schema-check raw workload JSON; returns error strings with field
-    paths, empty when the document is valid."""
-    errors: list[str] = []
-    if not isinstance(data, dict):
-        return ["$: workload must be a JSON object"]
-    version = data.get("version")
-    if version != SCHEMA_VERSION:
-        _err(errors, "version", f"expected {SCHEMA_VERSION}, got {version!r}")
-    _get_str(data, "name", "$", errors, required=True)
-    _get_num(data, "embedding_dim", "$", errors, required=True, lo=1)
-
-    task = data.get("task")
-    if not isinstance(task, dict):
-        _err(errors, "task", "required object missing")
-    else:
-        description = _get_str(task, "description", "task", errors, required=True)
-        if description == "":
-            _err(errors, "task.description", "must be nonempty")
-        _get_str_list(task, "constraints", "task", errors)
-        _get_str_list(task, "referenced_files", "task", errors)
-        _get_str_list(task, "referenced_symbols", "task", errors)
-
-    memory = data.get("memory", [])
-    if not isinstance(memory, list):
-        _err(errors, "memory", "expected list")
-        memory = []
-    seen_ids = set()
-    for i, item in enumerate(memory):
-        path = f"memory[{i}]"
-        if not isinstance(item, dict):
-            _err(errors, path, "expected object")
-            continue
-        item_id = _get_str(item, "id", path, errors, required=True)
-        if item_id in seen_ids:
-            _err(errors, f"{path}.id", f"duplicate id {item_id!r}")
-        seen_ids.add(item_id)
-        tier = _get_str(item, "tier", path, errors, required=True)
-        if tier is not None and tier not in {t.value for t in MemoryTier}:
-            _err(errors, f"{path}.tier", f"unknown tier {tier!r}")
-        _get_str(item, "content", path, errors, required=True)
-        _get_num(item, "created_at_step", path, errors, default=0, lo=0)
-        _get_str_list(item, "referenced_files", path, errors)
-        _get_str_list(item, "referenced_symbols", path, errors)
-
-    for i, s in enumerate(data.get("skills", [])):
-        _parse_skill(s, f"skills[{i}]", errors, Provenance.BUILT_IN)
-
-    base_files = data.get("base_files", {})
-    if not isinstance(base_files, dict):
-        _err(errors, "base_files", "expected object")
-    else:
-        for path_name, lines in base_files.items():
-            if not isinstance(lines, list) or any(not isinstance(l, str) for l in lines):
-                _err(errors, f"base_files.{path_name}", "expected list of strings")
-
-    trajectory = data.get("trajectory")
-    if not isinstance(trajectory, list) or not trajectory:
-        _err(errors, "trajectory", "must be a nonempty list")
-        trajectory = []
-    for i, point in enumerate(trajectory):
-        path = f"trajectory[{i}]"
-        if not isinstance(point, dict):
-            _err(errors, path, "expected object")
-            continue
-        _get_num(point, "I_f", path, errors, required=True, lo=0)
-        _get_num(point, "C_c", path, errors, required=True, lo=0)
-        _get_num(point, "F_c", path, errors, required=True, lo=0)
-        _get_num(point, "O_c", path, errors, required=True, lo=0.0, hi=1.0)
-        _get_num(point, "U_c", path, errors, required=True, lo=0)
-        for key in point:
-            if key not in _METRIC_FILE_KEYS:
-                _err(errors, f"{path}.{key}", "unknown metric key")
-
-    outcomes = data.get("child_outcomes", {})
-    if not isinstance(outcomes, dict):
-        _err(errors, "child_outcomes", "expected object")
-        outcomes = {}
-    for key, obj in outcomes.items():
-        _parse_outcome(obj, f"child_outcomes.{key}", errors)
-
-    conflicts = data.get("conflicts")
-    if conflicts is not None:
-        if not isinstance(conflicts, dict):
-            _err(errors, "conflicts", "expected object or null")
-        else:
-            _get_num(conflicts, "count", "conflicts", errors, required=True, lo=0)
-            _get_num(conflicts, "line_disjoint_fraction", "conflicts", errors, required=True, lo=0.0, hi=1.0)
-            _get_num(conflicts, "semantic_success_p", "conflicts", errors, required=True, lo=0.0, hi=1.0)
-
-    known = {
-        "version", "name", "embedding_dim", "task", "memory", "skills",
-        "base_files", "trajectory", "child_outcomes", "conflicts",
-    }
-    for key in data:
-        if key not in known:
-            _err(errors, key, "unknown top-level key")
-    return errors
+    """Field-path errors of raw workload JSON, empty when the document is
+    valid. A valid document loads and runs to completion."""
+    parsed = schema.parse(schema.WORKLOAD, data, schema.FILE)
+    return _messages(parsed) if isinstance(parsed, list) else []
 
 
-def workload_from_data(data: dict) -> WorkloadSpec:
-    errors = validate_workload_data(data)
-    if errors:
-        raise WorkloadError(errors)
-    embedding_dim = int(data["embedding_dim"])
-    embedder = DefaultEmbedder(embedding_dim)
-    task_obj = data["task"]
-    task = TaskSpec(
-        description=task_obj["description"],
-        constraints=tuple(task_obj.get("constraints", ())),
-        expected_outcome=task_obj.get("expected_outcome", ""),
-        referenced_files=frozenset(task_obj.get("referenced_files", ())),
-        referenced_symbols=frozenset(task_obj.get("referenced_symbols", ())),
-    )
-    memory = [
-        make_item(
-            item_id=item["id"],
-            tier=item["tier"],
-            content=item["content"],
-            embedder=embedder,
-            referenced_files=item.get("referenced_files", ()),
-            referenced_symbols=item.get("referenced_symbols", ()),
-            created_at_step=int(item.get("created_at_step", 0)),
-        )
-        for item in data.get("memory", [])
-    ]
-    skill_errors: list[str] = []
-    skills = [
-        _parse_skill(s, f"skills[{i}]", skill_errors, Provenance.BUILT_IN)
-        for i, s in enumerate(data.get("skills", []))
-    ]
-    outcome_errors: list[str] = []
-    child_outcomes = {
-        key: _parse_outcome(obj, f"child_outcomes.{key}", outcome_errors)
-        for key, obj in data.get("child_outcomes", {}).items()
-    }
-    conflicts_obj = data.get("conflicts")
-    conflicts = None
-    if conflicts_obj is not None:
-        conflicts = ConflictScenarioParams(
-            count=int(conflicts_obj["count"]),
-            line_disjoint_fraction=float(conflicts_obj["line_disjoint_fraction"]),
-            semantic_success_p=float(conflicts_obj["semantic_success_p"]),
-        )
+def workload_from_data(data) -> WorkloadSpec:
+    """Parse workload JSON in one pass and derive item embeddings;
+    schema violations raise WorkloadError with field paths."""
+    fields = schema.parse(schema.WORKLOAD, data, schema.FILE)
+    if isinstance(fields, list):
+        raise WorkloadError(_messages(fields))
+    embedder = DefaultEmbedder(fields["embedding_dim"])
+    conflicts = fields["conflicts"]
     return WorkloadSpec(
-        name=data["name"],
-        embedding_dim=embedding_dim,
-        task=task,
-        memory=memory,
-        skills=[s for s in skills if s is not None] or list(DEFAULT_SKILLS),
-        base_files={k: list(v) for k, v in data.get("base_files", {}).items()},
-        trajectory=[
-            ComplexityMetrics(
-                interdependency=float(p["I_f"]),
-                cyclomatic=float(p["C_c"]),
-                failure_cascade=float(p["F_c"]),
-                context_occupancy=float(p["O_c"]),
-                uncertainty=float(p["U_c"]),
-            )
-            for p in data["trajectory"]
-        ],
-        child_outcomes={k: v for k, v in child_outcomes.items() if v is not None},
-        conflicts=conflicts,
+        name=fields["name"],
+        embedding_dim=fields["embedding_dim"],
+        task=fields["task"],
+        memory=[make_item(embedder=embedder, **item) for item in fields["memory"]],
+        skills=list(fields["skills"]) or list(DEFAULT_SKILLS),
+        base_files={path: list(lines) for path, lines in fields["base_files"].items()},
+        trajectory=list(fields["trajectory"]),
+        child_outcomes=dict(fields["child_outcomes"]),
+        conflicts=None if conflicts is None else ConflictScenarioParams(**conflicts),
     )
 
 
@@ -434,91 +118,7 @@ def load_workload(path: str | Path) -> WorkloadSpec:
 
 def workload_to_data(spec: WorkloadSpec) -> dict:
     """Inverse of parsing; embeddings are derived, so they are not stored."""
-    return {
-        "version": SCHEMA_VERSION,
-        "name": spec.name,
-        "embedding_dim": spec.embedding_dim,
-        "task": {
-            "description": spec.task.description,
-            "constraints": list(spec.task.constraints),
-            "expected_outcome": spec.task.expected_outcome,
-            "referenced_files": sorted(spec.task.referenced_files),
-            "referenced_symbols": sorted(spec.task.referenced_symbols),
-        },
-        "memory": [
-            {
-                "id": item.id,
-                "tier": item.tier.value,
-                "content": item.content,
-                "referenced_files": sorted(item.referenced_files),
-                "referenced_symbols": sorted(item.referenced_symbols),
-                "created_at_step": item.created_at_step,
-            }
-            for item in spec.memory
-        ],
-        "skills": [
-            {"id": s.id, "template": s.template, "params": dict(s.params)} for s in spec.skills
-        ],
-        "base_files": {k: list(v) for k, v in spec.base_files.items()},
-        "trajectory": [
-            {
-                "I_f": m.interdependency,
-                "C_c": m.cyclomatic,
-                "F_c": m.failure_cascade,
-                "O_c": m.context_occupancy,
-                "U_c": m.uncertainty,
-            }
-            for m in spec.trajectory
-        ],
-        "child_outcomes": {
-            key: {
-                "status": o.status.value,
-                "execution_time": o.execution_time,
-                "output": o.output,
-                "diffs": [
-                    {
-                        "file": d.file,
-                        "hunks": [
-                            {
-                                "start_line": h.start_line,
-                                "old_lines": list(h.old_lines),
-                                "new_lines": list(h.new_lines),
-                            }
-                            for h in d.hunks
-                        ],
-                    }
-                    for d in o.diffs
-                ],
-                "skills_learned": [
-                    {
-                        "id": s.id,
-                        "template": s.template,
-                        "params": dict(s.params),
-                        "success_stat": s.success_stat,
-                    }
-                    for s in o.skills_learned
-                ],
-                "test_pass_rate": o.test_pass_rate,
-                "tokens_used": o.tokens_used,
-                "api_calls": o.api_calls,
-                "trace": [
-                    {"step": a.step, "kind": a.kind.value, "summary": a.summary} for a in o.trace
-                ],
-                "spawns": [
-                    {"outcome": n.outcome_key, "specialization": n.specialization.value}
-                    for n in o.spawns
-                ],
-            }
-            for key, o in spec.child_outcomes.items()
-        },
-        "conflicts": None
-        if spec.conflicts is None
-        else {
-            "count": spec.conflicts.count,
-            "line_disjoint_fraction": spec.conflicts.line_disjoint_fraction,
-            "semantic_success_p": spec.conflicts.semantic_success_p,
-        },
-    }
+    return schema.encode(schema.WORKLOAD, spec, schema.FILE)
 
 
 def save_workload(spec: WorkloadSpec, path: str | Path) -> Path:

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -54,7 +56,13 @@ def tokenize(text: str) -> list[str]:
 
 def extract_keywords(task_description: str) -> frozenset[str]:
     """Keyword set for a task: tokens minus stopwords. Deterministic."""
-    return frozenset(t for t in tokenize(task_description) if t not in STOPWORDS)
+    return frozenset(tokenize(task_description)) - STOPWORDS
+
+
+@lru_cache(maxsize=1 << 16)
+def _token_bucket(token: str, dim: int) -> int:
+    """Embedding bucket of one token; cached, as md5 dominates embedding."""
+    return int.from_bytes(hashlib.md5(token.encode("utf-8")).digest()[:8], "big") % dim
 
 
 def default_embed(text: str, dim: int) -> tuple[float, ...]:
@@ -69,9 +77,8 @@ def default_embed(text: str, dim: int) -> tuple[float, ...]:
         raise ValueError(f"embedding dim must be positive, got {dim}")
     buckets = [0.0] * dim
     for token in tokenize(text):
-        idx = int.from_bytes(hashlib.md5(token.encode("utf-8")).digest()[:8], "big") % dim
-        buckets[idx] += 1.0
-    norm = math.sqrt(sum(v * v for v in buckets))
+        buckets[_token_bucket(token, dim)] += 1.0
+    norm = math.sqrt(sum(map(operator.mul, buckets, buckets)))
     if norm == 0.0:
         return tuple(buckets)
     return tuple(v / norm for v in buckets)
@@ -92,9 +99,9 @@ class DefaultEmbedder:
 def cosine(a: Sequence[float], b: Sequence[float]) -> float:
     if len(a) != len(b):
         raise MemoryError(f"vector dim mismatch: {len(a)} vs {len(b)}")
-    dot = sum(x * y for x, y in zip(a, b))
-    na = math.sqrt(sum(x * x for x in a))
-    nb = math.sqrt(sum(x * x for x in b))
+    dot = sum(map(operator.mul, a, b))
+    na = math.sqrt(sum(map(operator.mul, a, a)))
+    nb = math.sqrt(sum(map(operator.mul, b, b)))
     if na == 0.0 or nb == 0.0:
         return 0.0
     return dot / (na * nb)

@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import uuid
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .coherence import Diff, Hunk, diff_applies
+from .coherence import Diff, combine_diffs, diff_applies
 from .memory import MemoryItem, MemorySlice, MemoryStore, MemoryTier, TIER_ORDER, Embedder
 from .policy import ComplexityMetrics
-from .skills import Provenance, Skill, SkillLibrary, promote_skills
+from .skills import Skill, SkillLibrary, promote_skills
 
 
 class ProtocolError(ValueError):
@@ -206,411 +205,28 @@ def build_spawn_package(
     )
 
 
-# Wire schema. Key order is fixed; encoding the same package twice, in
-# any process, yields identical bytes.
-
-SPAWN_KEYS = ("spawn_id", "parent_id", "timestamp", "memory", "skills", "context", "task", "spawn_metrics")
-MEMORY_KEYS = ("episodic", "semantic", "working")
-ITEM_KEYS = ("id", "tier", "content", "referenced_files", "referenced_symbols", "created_at_step", "embedding")
-SKILL_KEYS = ("id", "template", "params", "provenance", "success_stat")
-CONTEXT_KEYS = ("repo_path", "current_file", "line_number", "pending_changes")
-TASK_KEYS = ("description", "constraints", "expected_outcome", "referenced_files", "referenced_symbols")
-SPAWN_METRIC_KEYS = ("I_f", "C_c", "F_c", "O_c", "U_c", "S_spawn")
-DIFF_KEYS = ("file", "hunks")
-HUNK_KEYS = ("start_line", "old_lines", "new_lines")
-RESUME_KEYS = ("spawn_id", "status", "execution_time", "result", "trace", "skills_learned", "metrics")
-RESULT_KEYS = ("output", "code_diff", "files_modified")
-ACTION_KEYS = ("step", "kind", "summary")
-CHILD_METRIC_KEYS = ("tokens_used", "api_calls", "test_pass_rate")
-
-
-def _item_obj(item: MemoryItem) -> dict:
-    return {
-        "id": item.id,
-        "tier": item.tier.value,
-        "content": item.content,
-        "referenced_files": sorted(item.referenced_files),
-        "referenced_symbols": sorted(item.referenced_symbols),
-        "created_at_step": item.created_at_step,
-        "embedding": list(item.embedding),
-    }
-
-
-def _skill_obj(skill: Skill) -> dict:
-    return {
-        "id": skill.id,
-        "template": skill.template,
-        "params": dict(skill.params),
-        "provenance": skill.provenance.value,
-        "success_stat": skill.success_stat,
-    }
-
-
-def _diff_obj(diff: Diff) -> dict:
-    return {
-        "file": diff.file,
-        "hunks": [
-            {"start_line": h.start_line, "old_lines": list(h.old_lines), "new_lines": list(h.new_lines)}
-            for h in diff.hunks
-        ],
-    }
-
-
-def _spawn_obj(pkg: SpawnPackage) -> dict:
-    return {
-        "spawn_id": pkg.spawn_id,
-        "parent_id": pkg.parent_id,
-        "timestamp": pkg.timestamp,
-        "memory": {tier.value: [_item_obj(i) for i in pkg.memory[tier]] for tier in TIER_ORDER},
-        "skills": [_skill_obj(s) for s in pkg.skills],
-        "context": {
-            "repo_path": pkg.context.repo_path,
-            "current_file": pkg.context.current_file,
-            "line_number": pkg.context.line_number,
-            "pending_changes": [_diff_obj(d) for d in pkg.context.pending_changes],
-        },
-        "task": {
-            "description": pkg.task.description,
-            "constraints": list(pkg.task.constraints),
-            "expected_outcome": pkg.task.expected_outcome,
-            "referenced_files": sorted(pkg.task.referenced_files),
-            "referenced_symbols": sorted(pkg.task.referenced_symbols),
-        },
-        "spawn_metrics": {
-            "I_f": pkg.metrics.interdependency,
-            "C_c": pkg.metrics.cyclomatic,
-            "F_c": pkg.metrics.failure_cascade,
-            "O_c": pkg.metrics.context_occupancy,
-            "U_c": pkg.metrics.uncertainty,
-            "S_spawn": pkg.score,
-        },
-    }
-
-
-def _resume_obj(pkg: ResumePackage) -> dict:
-    return {
-        "spawn_id": pkg.spawn_id,
-        "status": pkg.status.value,
-        "execution_time": pkg.execution_time,
-        "result": {
-            "output": pkg.result.output,
-            "code_diff": [_diff_obj(d) for d in pkg.result.code_diff],
-            "files_modified": sorted(pkg.result.files_modified),
-        },
-        "trace": [{"step": a.step, "kind": a.kind.value, "summary": a.summary} for a in pkg.trace],
-        "skills_learned": [_skill_obj(s) for s in pkg.skills_learned],
-        "metrics": {
-            "tokens_used": pkg.metrics.tokens_used,
-            "api_calls": pkg.metrics.api_calls,
-            "test_pass_rate": pkg.metrics.test_pass_rate,
-        },
-    }
-
-
 def encode_package(package: SpawnPackage | ResumePackage) -> bytes:
     """Canonical UTF-8 JSON bytes; deterministic for equal packages."""
-    if isinstance(package, SpawnPackage):
-        obj = _spawn_obj(package)
-    elif isinstance(package, ResumePackage):
-        obj = _resume_obj(package)
-    else:
-        raise ProtocolError(f"cannot encode {type(package).__name__}")
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"), allow_nan=False).encode("utf-8")
+    from .schema import package_to_data  # the schema is built on this module's types
 
-
-def _expect_keys(obj, keys: Sequence[str], path: str) -> None:
-    if not isinstance(obj, dict):
-        raise PackageDecodeError("bad_type", path, f"expected object, got {type(obj).__name__}")
-    for key in keys:
-        if key not in obj:
-            raise PackageDecodeError("missing_key", path, f"required key {key!r} absent")
-    for key in obj:
-        if key not in keys:
-            raise PackageDecodeError("unknown_key", path, f"unexpected key {key!r}")
-
-
-def _string(obj, key, path, allow_empty=True) -> str:
-    value = obj[key]
-    if not isinstance(value, str):
-        raise PackageDecodeError("bad_type", f"{path}.{key}", "expected string")
-    if not allow_empty and not value:
-        raise PackageDecodeError("bad_value", f"{path}.{key}", "must be nonempty")
-    return value
-
-
-def _number(obj, key, path, lo=None, hi=None) -> float:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise PackageDecodeError("bad_type", f"{path}.{key}", "expected number")
-    value = float(value)
-    if not math.isfinite(value):
-        raise PackageDecodeError("bad_value", f"{path}.{key}", "must be finite")
-    if lo is not None and value < lo or hi is not None and value > hi:
-        raise PackageDecodeError("out_of_range", f"{path}.{key}", f"{value} outside [{lo}, {hi}]")
-    return value
-
-
-def _integer(obj, key, path, lo=None) -> int:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise PackageDecodeError("bad_type", f"{path}.{key}", "expected integer")
-    if lo is not None and value < lo:
-        raise PackageDecodeError("out_of_range", f"{path}.{key}", f"{value} below {lo}")
-    return value
-
-
-def _string_list(obj, key, path) -> list[str]:
-    value = obj[key]
-    if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
-        raise PackageDecodeError("bad_type", f"{path}.{key}", "expected list of strings")
-    return value
-
-
-def _decode_hunk(obj, path) -> Hunk:
-    _expect_keys(obj, HUNK_KEYS, path)
-    return Hunk(
-        start_line=_integer(obj, "start_line", path, lo=1),
-        old_lines=tuple(_string_list(obj, "old_lines", path)),
-        new_lines=tuple(_string_list(obj, "new_lines", path)),
-    )
-
-
-def _decode_diff(obj, path) -> Diff:
-    _expect_keys(obj, DIFF_KEYS, path)
-    hunks = obj["hunks"]
-    if not isinstance(hunks, list):
-        raise PackageDecodeError("bad_type", f"{path}.hunks", "expected list")
-    try:
-        return Diff(
-            file=_string(obj, "file", path, allow_empty=False),
-            hunks=tuple(_decode_hunk(h, f"{path}.hunks[{i}]") for i, h in enumerate(hunks)),
-        )
-    except ValueError as exc:
-        if isinstance(exc, PackageDecodeError):
-            raise
-        raise PackageDecodeError("bad_value", path, str(exc))
-
-
-def _decode_skill(obj, path) -> Skill:
-    _expect_keys(obj, SKILL_KEYS, path)
-    params = obj["params"]
-    if not isinstance(params, dict) or any(
-        not isinstance(k, str) or not isinstance(v, str) for k, v in params.items()
-    ):
-        raise PackageDecodeError("bad_type", f"{path}.params", "expected string map")
-    stat = obj["success_stat"]
-    if stat is not None:
-        stat = _number(obj, "success_stat", path, lo=0.0, hi=1.0)
-    provenance = _string(obj, "provenance", path)
-    if provenance not in {p.value for p in Provenance}:
-        raise PackageDecodeError("bad_value", f"{path}.provenance", f"unknown provenance {provenance!r}")
-    try:
-        return Skill(
-            id=_string(obj, "id", path, allow_empty=False),
-            template=_string(obj, "template", path),
-            params=tuple(sorted(params.items())),
-            provenance=Provenance(provenance),
-            success_stat=stat,
-        )
-    except ValueError as exc:
-        if isinstance(exc, PackageDecodeError):
-            raise
-        raise PackageDecodeError("bad_value", path, str(exc))
-
-
-def _decode_item(obj, path) -> MemoryItem:
-    _expect_keys(obj, ITEM_KEYS, path)
-    tier = _string(obj, "tier", path)
-    if tier not in {t.value for t in MemoryTier}:
-        raise PackageDecodeError("bad_value", f"{path}.tier", f"unknown tier {tier!r}")
-    embedding = obj["embedding"]
-    if not isinstance(embedding, list) or any(
-        isinstance(v, bool) or not isinstance(v, (int, float)) for v in embedding
-    ):
-        raise PackageDecodeError("bad_type", f"{path}.embedding", "expected list of numbers")
-    return MemoryItem(
-        id=_string(obj, "id", path, allow_empty=False),
-        tier=MemoryTier(tier),
-        content=_string(obj, "content", path),
-        referenced_files=frozenset(_string_list(obj, "referenced_files", path)),
-        referenced_symbols=frozenset(_string_list(obj, "referenced_symbols", path)),
-        created_at_step=_integer(obj, "created_at_step", path, lo=0),
-        embedding=tuple(float(v) for v in embedding),
-    )
-
-
-def _decode_action(obj, path) -> Action:
-    _expect_keys(obj, ACTION_KEYS, path)
-    kind = _string(obj, "kind", path)
-    if kind not in {k.value for k in ActionKind}:
-        raise PackageDecodeError("bad_value", f"{path}.kind", f"unknown action kind {kind!r}")
-    return Action(
-        step=_integer(obj, "step", path),
-        kind=ActionKind(kind),
-        summary=_string(obj, "summary", path),
-    )
-
-
-def _check_trace_order(trace: Sequence[Action], path: str) -> None:
-    for prev, cur in zip(trace, trace[1:]):
-        if cur.step <= prev.step:
-            raise PackageDecodeError(
-                "bad_value", path, f"trace steps must strictly increase ({prev.step} then {cur.step})"
-            )
-
-
-def _decode_spawn(obj) -> SpawnPackage:
-    _expect_keys(obj, SPAWN_KEYS, "spawn_package")
-    memory_obj = obj["memory"]
-    _expect_keys(memory_obj, MEMORY_KEYS, "spawn_package.memory")
-    memory: dict[MemoryTier, tuple[MemoryItem, ...]] = {}
-    for tier in TIER_ORDER:
-        entries = memory_obj[tier.value]
-        if not isinstance(entries, list):
-            raise PackageDecodeError("bad_type", f"spawn_package.memory.{tier.value}", "expected list")
-        items = tuple(
-            _decode_item(e, f"spawn_package.memory.{tier.value}[{i}]") for i, e in enumerate(entries)
-        )
-        for item in items:
-            if item.tier is not tier:
-                raise PackageDecodeError(
-                    "bad_value",
-                    f"spawn_package.memory.{tier.value}",
-                    f"item {item.id} has tier {item.tier.value}",
-                )
-        memory[tier] = items
-
-    context_obj = obj["context"]
-    _expect_keys(context_obj, CONTEXT_KEYS, "spawn_package.context")
-    pending = context_obj["pending_changes"]
-    if not isinstance(pending, list):
-        raise PackageDecodeError("bad_type", "spawn_package.context.pending_changes", "expected list")
-    context = ExecutionContext(
-        repo_path=_string(context_obj, "repo_path", "spawn_package.context"),
-        current_file=_string(context_obj, "current_file", "spawn_package.context"),
-        line_number=_integer(context_obj, "line_number", "spawn_package.context", lo=0),
-        pending_changes=tuple(
-            _decode_diff(d, f"spawn_package.context.pending_changes[{i}]") for i, d in enumerate(pending)
-        ),
-    )
-
-    task_obj = obj["task"]
-    _expect_keys(task_obj, TASK_KEYS, "spawn_package.task")
-    task = TaskSpec(
-        description=_string(task_obj, "description", "spawn_package.task", allow_empty=False),
-        constraints=tuple(_string_list(task_obj, "constraints", "spawn_package.task")),
-        expected_outcome=_string(task_obj, "expected_outcome", "spawn_package.task"),
-        referenced_files=frozenset(_string_list(task_obj, "referenced_files", "spawn_package.task")),
-        referenced_symbols=frozenset(_string_list(task_obj, "referenced_symbols", "spawn_package.task")),
-    )
-
-    metrics_obj = obj["spawn_metrics"]
-    _expect_keys(metrics_obj, SPAWN_METRIC_KEYS, "spawn_package.spawn_metrics")
-    try:
-        metrics = ComplexityMetrics(
-            interdependency=_number(metrics_obj, "I_f", "spawn_package.spawn_metrics", lo=0.0),
-            cyclomatic=_number(metrics_obj, "C_c", "spawn_package.spawn_metrics", lo=0.0),
-            failure_cascade=_number(metrics_obj, "F_c", "spawn_package.spawn_metrics", lo=0.0),
-            context_occupancy=_number(metrics_obj, "O_c", "spawn_package.spawn_metrics", lo=0.0, hi=1.0),
-            uncertainty=_number(metrics_obj, "U_c", "spawn_package.spawn_metrics", lo=0.0),
-        )
-    except ValueError as exc:
-        if isinstance(exc, PackageDecodeError):
-            raise
-        raise PackageDecodeError("bad_value", "spawn_package.spawn_metrics", str(exc))
-
-    skills_list = obj["skills"]
-    if not isinstance(skills_list, list):
-        raise PackageDecodeError("bad_type", "spawn_package.skills", "expected list")
-
-    return SpawnPackage(
-        spawn_id=_string(obj, "spawn_id", "spawn_package", allow_empty=False),
-        parent_id=_string(obj, "parent_id", "spawn_package", allow_empty=False),
-        timestamp=_number(obj, "timestamp", "spawn_package", lo=0.0),
-        memory=memory,
-        skills=tuple(_decode_skill(s, f"spawn_package.skills[{i}]") for i, s in enumerate(skills_list)),
-        context=context,
-        task=task,
-        metrics=metrics,
-        score=_number(metrics_obj, "S_spawn", "spawn_package.spawn_metrics", lo=0.0, hi=1.0),
-    )
-
-
-def _decode_resume(obj) -> ResumePackage:
-    _expect_keys(obj, RESUME_KEYS, "resume_package")
-    status = _string(obj, "status", "resume_package")
-    if status not in {s.value for s in ChildStatus}:
-        raise PackageDecodeError("bad_value", "resume_package.status", f"unknown status {status!r}")
-
-    result_obj = obj["result"]
-    _expect_keys(result_obj, RESULT_KEYS, "resume_package.result")
-    diffs_list = result_obj["code_diff"]
-    if not isinstance(diffs_list, list):
-        raise PackageDecodeError("bad_type", "resume_package.result.code_diff", "expected list")
-    code_diff = tuple(
-        _decode_diff(d, f"resume_package.result.code_diff[{i}]") for i, d in enumerate(diffs_list)
-    )
-    files_modified = frozenset(_string_list(result_obj, "files_modified", "resume_package.result"))
-    if files_modified != {d.file for d in code_diff}:
-        raise PackageDecodeError(
-            "bad_value",
-            "resume_package.result.files_modified",
-            "must equal the set of files in code_diff",
-        )
-
-    trace_list = obj["trace"]
-    if not isinstance(trace_list, list):
-        raise PackageDecodeError("bad_type", "resume_package.trace", "expected list")
-    trace = tuple(_decode_action(a, f"resume_package.trace[{i}]") for i, a in enumerate(trace_list))
-    _check_trace_order(trace, "resume_package.trace")
-
-    skills_list = obj["skills_learned"]
-    if not isinstance(skills_list, list):
-        raise PackageDecodeError("bad_type", "resume_package.skills_learned", "expected list")
-
-    metrics_obj = obj["metrics"]
-    _expect_keys(metrics_obj, CHILD_METRIC_KEYS, "resume_package.metrics")
-    metrics = ChildMetrics(
-        tokens_used=_integer(metrics_obj, "tokens_used", "resume_package.metrics", lo=0),
-        api_calls=_integer(metrics_obj, "api_calls", "resume_package.metrics", lo=0),
-        test_pass_rate=_number(metrics_obj, "test_pass_rate", "resume_package.metrics", lo=0.0, hi=1.0),
-    )
-
-    return ResumePackage(
-        spawn_id=_string(obj, "spawn_id", "resume_package", allow_empty=False),
-        status=ChildStatus(status),
-        execution_time=_number(obj, "execution_time", "resume_package", lo=0.0),
-        result=ResultPayload(
-            output=_string(result_obj, "output", "resume_package.result"),
-            code_diff=code_diff,
-            files_modified=files_modified,
-        ),
-        trace=trace,
-        skills_learned=tuple(
-            _decode_skill(s, f"resume_package.skills_learned[{i}]") for i, s in enumerate(skills_list)
-        ),
-        metrics=metrics,
-    )
+    return json.dumps(
+        package_to_data(package), ensure_ascii=False, separators=(",", ":"), allow_nan=False
+    ).encode("utf-8")
 
 
 def decode_package(data: bytes | str) -> SpawnPackage | ResumePackage:
     """Parse canonical bytes back into a validated package.
 
-    The package kind is discriminated by key set. Unknown keys, missing
-    keys, and out-of-range values raise distinct ``PackageDecodeError``s.
+    Unknown keys, missing keys, and out-of-range values raise distinct
+    ``PackageDecodeError``s.
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    from .schema import package_from_data
+
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(data)
+    except ValueError as exc:
         raise PackageDecodeError("bad_json", "$", str(exc))
-    if not isinstance(obj, dict):
-        raise PackageDecodeError("bad_type", "$", "top level must be an object")
-    if "parent_id" in obj:
-        return _decode_spawn(obj)
-    if "status" in obj:
-        return _decode_resume(obj)
-    raise PackageDecodeError("bad_value", "$", "neither a spawn package nor a resume package")
+    return package_from_data(obj)
 
 
 def write_checkpoint(package: SpawnPackage | ResumePackage, directory: str | Path) -> Path:
@@ -625,6 +241,21 @@ def write_checkpoint(package: SpawnPackage | ResumePackage, directory: str | Pat
 
 def read_checkpoint(path: str | Path) -> SpawnPackage | ResumePackage:
     return decode_package(Path(path).read_bytes())
+
+
+def check_files_modified(result: ResultPayload) -> None:
+    diff_files = {d.file for d in result.code_diff}
+    missing = sorted(diff_files - result.files_modified)
+    extra = sorted(result.files_modified - diff_files)
+    if missing or extra:
+        detail = [f"{name} {files}" for name, files in (("missing", missing), ("extra", extra)) if files]
+        raise ProtocolError("files_modified inconsistent with code_diff: " + ", ".join(detail))
+
+
+def check_trace_order(trace: Sequence[Action]) -> None:
+    for prev, cur in zip(trace, trace[1:]):
+        if cur.step <= prev.step:
+            raise ProtocolError(f"trace steps not strictly increasing ({prev.step} then {cur.step})")
 
 
 Summarizer = Callable[[Sequence[Action]], Sequence[Action]]
@@ -671,26 +302,22 @@ def validate_resume(resume: ResumePackage, spawn: SpawnPackage) -> list[str]:
         errors.append(f"invalid status {resume.status!r}")
     if resume.execution_time < 0:
         errors.append(f"execution_time must be >= 0, got {resume.execution_time}")
-    diff_files = {d.file for d in resume.result.code_diff}
-    if resume.result.files_modified != diff_files:
-        missing = sorted(diff_files - resume.result.files_modified)
-        extra = sorted(resume.result.files_modified - diff_files)
-        detail = []
-        if missing:
-            detail.append(f"missing {missing}")
-        if extra:
-            detail.append(f"extra {extra}")
-        errors.append("files_modified inconsistent with code_diff: " + ", ".join(detail))
     if resume.metrics.tokens_used < 0:
         errors.append("tokens_used must be >= 0")
     if resume.metrics.api_calls < 0:
         errors.append("api_calls must be >= 0")
     if not 0.0 <= resume.metrics.test_pass_rate <= 1.0:
         errors.append(f"test_pass_rate must be in [0, 1], got {resume.metrics.test_pass_rate}")
-    for prev, cur in zip(resume.trace, resume.trace[1:]):
-        if cur.step <= prev.step:
-            errors.append(f"trace steps not strictly increasing ({prev.step} then {cur.step})")
-            break
+    checks = (
+        (check_files_modified, resume.result),
+        (combine_diffs, resume.result.code_diff),
+        (check_trace_order, resume.trace),
+    )
+    for check, value in checks:
+        try:
+            check(value)
+        except ValueError as exc:
+            errors.append(str(exc))
     return errors
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import random
-import time
 import urllib.request
 from collections import deque
 from dataclasses import dataclass
@@ -98,23 +97,6 @@ class VirtualClock:
         if t < self.now:
             raise OrchestrationError(f"clock cannot move backwards: {self.now} -> {t}")
         self.now = t
-
-
-class WallClock:
-    """Real elapsed seconds, for the service backend. Advancing is a no-op."""
-
-    def __init__(self):
-        self._t0 = time.monotonic()
-
-    @property
-    def now(self) -> float:
-        return time.monotonic() - self._t0
-
-    def advance(self, dt: float) -> None:
-        pass
-
-    def advance_to(self, t: float) -> None:
-        pass
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,6 @@ from agentfork.coherence import (
     StochasticMergeBackend,
     apply_diff,
     auto_merge,
-    detect_conflicts,
-    diffs_from_text,
-    diffs_to_text,
-    file_overlap,
     line_disjoint,
     merge_diff_sets,
     merge_results,
@@ -74,31 +70,27 @@ def test_diff_rejects_overlapping_hunks():
         Diff(file="f", hunks=(Hunk(1, ("a", "b"), ()), Hunk(2, ("b",), ())))
 
 
-def test_file_overlap():
-    assert not file_overlap({"a"}, {"b"})
-    assert file_overlap({"a", "b"}, {"b"})
-    rng = random.Random(1)
-    pool = [f"f{i}" for i in range(6)]
-    for _ in range(100):
-        left = set(rng.sample(pool, rng.randint(0, 4)))
-        right = set(rng.sample(pool, rng.randint(0, 4)))
-        assert file_overlap(left, right) == bool(left & right)
-        assert file_overlap(left, right) == file_overlap(right, left)
+def _conflict_pairs(entries):
+    """The child pairs merge_diff_sets resolved, in the order it reports them."""
+    files = {diff.file for _, diffs in entries for diff in diffs}
+    backend = StochasticMergeBackend(1.0, random.Random(0))
+    outcome = merge_diff_sets(entries, {f: [""] * 10 for f in files}, backend)
+    return [r.pair for r in outcome.resolutions]
 
 
 def test_detect_conflicts_disjoint_children():
-    results = [_resume(f"c{i}", [Diff(file=f"f{i}")]) for i in range(4)]
-    assert detect_conflicts(results) == []
+    entries = [(f"c{i}", [Diff(file=f"f{i}")]) for i in range(4)]
+    assert _conflict_pairs(entries) == []
 
 
 def test_detect_conflicts_three_children_same_file():
-    results = [_resume(f"c{i}", [Diff(file="f", hunks=(Hunk(1 + 2 * i, (), ("x",)),))]) for i in range(3)]
-    pairs = [(p.left_child, p.right_child) for p in detect_conflicts(results)]
+    entries = [(f"c{i}", [Diff(file="f", hunks=(Hunk(1 + 2 * i, (), ("x",)),))]) for i in range(3)]
+    pairs = [(p.left_child, p.right_child) for p in _conflict_pairs(entries)]
     assert pairs == [("c0", "c1"), ("c0", "c2"), ("c1", "c2")]
 
 
 def test_detect_conflicts_single_child():
-    assert detect_conflicts([_resume("only", [Diff(file="f")])]) == []
+    assert _conflict_pairs([("only", [Diff(file="f")])]) == []
 
 
 def test_line_disjoint_interval_cases():
@@ -330,30 +322,19 @@ def test_merge_results_reproducible_given_seed():
     assert [r.tier for r in first.resolutions] == [r.tier for r in second.resolutions]
 
 
-def test_diff_text_round_trip():
-    diffs = [
-        Diff(file="src/a.py", hunks=(Hunk(2, ("old a",), ("new a", "new b")), Hunk(9, (), ("tail",)))),
-        Diff(file="src/b.py", hunks=(Hunk(1, ("x",), ()),)),
-    ]
-    text = diffs_to_text(diffs)
-    assert diffs_from_text(text) == diffs
-    assert diffs_from_text("") == []
-
-
 def test_detect_conflicts_matches_pair_enumeration_oracle():
     rng = random.Random(99)
     files = [f"f{i}" for i in range(5)]
     for _ in range(100):
-        results = []
+        entries = []
         for c in range(rng.randint(0, 5)):
             touched = rng.sample(files, rng.randint(0, 3))
-            diffs = [Diff(file=f, hunks=(Hunk(1, (), (f"c{c}",)),)) for f in touched]
-            results.append(_resume(f"c{c}", diffs))
-        pairs = detect_conflicts(results)
+            entries.append((f"c{c}", [Diff(file=f, hunks=(Hunk(1, (), (f"c{c}",)),)) for f in touched]))
+        pairs = _conflict_pairs(entries)
         expected = []
-        for i in range(len(results)):
-            for j in range(i + 1, len(results)):
-                shared = results[i].result.files_modified & results[j].result.files_modified
+        for i in range(len(entries)):
+            for j in range(i + 1, len(entries)):
+                shared = {d.file for d in entries[i][1]} & {d.file for d in entries[j][1]}
                 if shared:
                     expected.append((f"c{i}", f"c{j}", shared))
         assert [(p.left_child, p.right_child, set(p.files)) for p in pairs] == [

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import copy
+import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from agentfork.config import ConfigError, SimulatorConfig
 from agentfork.harness.generate import GenerateParams, generate_synthetic
@@ -235,3 +241,162 @@ def test_generator_calibration_holds_across_twenty_seeds():
         assert stats.auto / stats.total == pytest.approx(0.15, abs=0.02), f"seed {seed}"
         assert stats.semantic / stats.total == pytest.approx(0.73, abs=0.02), f"seed {seed}"
         assert stats.escalated / stats.total == pytest.approx(0.12, abs=0.02), f"seed {seed}"
+
+
+def _probe_base() -> dict:
+    data = workload_to_data(
+        generate_synthetic(
+            1,
+            GenerateParams(
+                item_count=4, conflict_count=20, trajectory_steps=4, spike_step=1, name="probe"
+            ),
+        )
+    )
+    outcome = data["child_outcomes"]["context_compression"]
+    outcome["trace"] = [
+        {"step": 1, "kind": "decision", "summary": "split the fix"},
+        {"step": 2, "kind": "edit", "summary": "guard the header"},
+    ]
+    outcome["spawns"] = [{"outcome": "leaf", "specialization": "testing_debugging"}]
+    data["child_outcomes"]["leaf"] = {"execution_time": 3.0, "output": "leaf work"}
+    return data
+
+
+PROBE_BASE = _probe_base()
+OUTCOME = "child_outcomes.context_compression"
+
+
+def _set(path, value):
+    def mutate(data):
+        *parents, last = path
+        node = data
+        for key in parents:
+            node = node[key]
+        node[last] = value
+
+    return mutate
+
+
+def _duplicate_skill_id(data):
+    data["skills"][1]["id"] = data["skills"][0]["id"]
+
+
+def _overlapping_diffs(data):
+    diffs = data["child_outcomes"]["context_compression"]["diffs"]
+    diffs.append(copy.deepcopy(diffs[0]))
+
+
+def _misspelled_key(data):
+    outcome = data["child_outcomes"]["context_compression"]
+    outcome["tokens_usd"] = outcome.pop("tokens_used")
+
+
+# Each input crashed the validator or was accepted and then crashed or
+# misbehaved at load or run time.
+VALIDATOR_PROBES = [
+    ("diffs_not_list", _set(("child_outcomes", "context_compression", "diffs"), 5), f"{OUTCOME}.diffs"),
+    ("skills_not_list", _set(("skills",), 3), "skills"),
+    ("trace_not_list", _set(("child_outcomes", "context_compression", "trace"), 7), f"{OUTCOME}.trace"),
+    (
+        "skills_learned_not_list",
+        _set(("child_outcomes", "context_compression", "skills_learned"), 1),
+        f"{OUTCOME}.skills_learned",
+    ),
+    ("fractional_embedding_dim", _set(("embedding_dim",), 1.5), "embedding_dim"),
+    ("nan_metric", _set(("trajectory", 0, "O_c"), float("nan")), "trajectory[0].O_c"),
+    ("infinite_conflict_count", _set(("conflicts", "count"), float("inf")), "conflicts.count"),
+    ("duplicate_skill_id", _duplicate_skill_id, "skills[1].id"),
+    ("overlapping_diffs_in_one_outcome", _overlapping_diffs, f"{OUTCOME}.diffs"),
+    ("misspelled_key", _misspelled_key, f"{OUTCOME}.tokens_usd"),
+    ("memory_id_of_a_replayed_item", _set(("memory", 0, "id"), "spawn-0001:output"), "memory"),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate,path", [p[1:] for p in VALIDATOR_PROBES], ids=[p[0] for p in VALIDATOR_PROBES]
+)
+def test_validator_rejects_probe_at_field_path(mutate, path):
+    data = copy.deepcopy(PROBE_BASE)
+    mutate(data)
+    errors = validate_workload_data(data)
+    assert any(e.startswith(f"{path}: ") for e in errors), errors
+    with pytest.raises(WorkloadError):
+        workload_from_data(data)
+
+
+def test_probe_base_is_valid_and_runs():
+    assert validate_workload_data(PROBE_BASE) == []
+    report = run_simulation(workload_from_data(PROBE_BASE), SimulatorConfig(), seed=0)
+    assert report.spawn_count == 1 and report.tree_max_depth == 2
+
+
+_JUNK = [None, True, -1, 0, 1, 2.5, 2**60, float("nan"), float("inf"), "", "x", [], {}, ["x"], {"x": 1}]
+
+
+def _locations(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _locations(child, path + (key,))
+
+
+@st.composite
+def _mutated_workloads(draw):
+    data = copy.deepcopy(PROBE_BASE)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_locations(data))))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        target = parent[path[-1]] if path else data
+        action = draw(st.sampled_from(("replace", "delete", "add_key")))
+        junk = copy.deepcopy(draw(st.sampled_from(_JUNK)))
+        if action == "add_key" and isinstance(target, dict):
+            target[draw(st.sampled_from(("x", "id", "tokens_usd")))] = junk
+        elif action == "delete" and path:
+            del parent[path[-1]]
+        elif path:
+            parent[path[-1]] = junk
+    return data
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_mutated_workloads())
+def test_validate_is_total_and_accepted_workloads_run(data):
+    errors = validate_workload_data(data)
+    assert isinstance(errors, list)
+    if errors:
+        with pytest.raises(WorkloadError):
+            workload_from_data(data)
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        spec = load_workload(path)
+    report = run_simulation(spec, SimulatorConfig(), seed=0)
+    assert report.status == "completed"
+    assert parse_machine_report(emit_report(report, "machine"))["workload"] == spec.name
+
+
+PINS = Path(__file__).resolve().parents[1] / "bench" / "pins.json"
+
+
+def test_bundled_machine_reports_match_pins():
+    pins = json.loads(PINS.read_text(encoding="utf-8"))["bundled"]
+    digests = {}
+    for name in list_bundled_workloads():
+        spec = load_workload(bundled_workload_path(name))
+        for seed in (0, 7):
+            text = emit_report(run_simulation(spec, SimulatorConfig(), seed), "machine")
+            digests[f"{name}:{seed}"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digests == pins
+
+
+def test_bundled_fixtures_save_byte_identical(tmp_path):
+    for name in list_bundled_workloads():
+        original = bundled_workload_path(name)
+        saved = save_workload(load_workload(original), tmp_path / f"{name}.json")
+        assert saved.read_bytes() == original.read_bytes(), name

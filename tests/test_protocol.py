@@ -9,26 +9,17 @@ from agentfork.coherence import Diff, Hunk
 from agentfork.memory import MemorySlice, MemoryStore, MemoryTier, make_item
 from agentfork.policy import ComplexityMetrics
 from agentfork.protocol import (
-    ACTION_KEYS,
     Action,
     ActionKind,
-    CHILD_METRIC_KEYS,
-    CONTEXT_KEYS,
     ChildMetrics,
     ChildStatus,
     ExecutionContext,
-    MEMORY_KEYS,
     PackageDecodeError,
     ParentState,
     ProtocolError,
-    RESULT_KEYS,
-    RESUME_KEYS,
     ReplayConfig,
     ResultPayload,
     ResumePackage,
-    SPAWN_KEYS,
-    SPAWN_METRIC_KEYS,
-    TASK_KEYS,
     TaskSpec,
     build_spawn_package,
     decode_package,
@@ -45,6 +36,16 @@ from agentfork.skills import Provenance, Skill, SkillLibrary
 from conftest import DIM, random_resume_package, random_spawn_package
 
 METRICS = ComplexityMetrics(1, 2, 3, 0.5, 4)
+
+SPAWN_KEYS = ("spawn_id", "parent_id", "timestamp", "memory", "skills", "context", "task", "spawn_metrics")
+MEMORY_KEYS = ("episodic", "semantic", "working")
+CONTEXT_KEYS = ("repo_path", "current_file", "line_number", "pending_changes")
+TASK_KEYS = ("description", "constraints", "expected_outcome", "referenced_files", "referenced_symbols")
+SPAWN_METRIC_KEYS = ("I_f", "C_c", "F_c", "O_c", "U_c", "S_spawn")
+RESUME_KEYS = ("spawn_id", "status", "execution_time", "result", "trace", "skills_learned", "metrics")
+RESULT_KEYS = ("output", "code_diff", "files_modified")
+ACTION_KEYS = ("step", "kind", "summary")
+CHILD_METRIC_KEYS = ("tokens_used", "api_calls", "test_pass_rate")
 
 
 def _package(embedder, spawn_id="spawn-0001", slice_items=()):

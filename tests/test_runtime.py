@@ -12,10 +12,12 @@ from agentfork.policy import (
     Specialization,
 )
 from agentfork.protocol import (
+    ChildMetrics,
     ChildStatus,
     ExecutionContext,
     MemorySlice,
     ParentState,
+    ResultPayload,
     ResumePackage,
     TaskSpec,
     build_spawn_package,
@@ -276,6 +278,30 @@ def _loop_setup(trajectory, outcomes, seed=0, item_count=12, **kwargs):
     return workload, config
 
 
+class _OverlappingDiffsBackend:
+    """A child that returns two diffs rewriting the same line of one file."""
+
+    def run(self, package, seed, outcome_key=""):
+        diff = Diff("src/a.py", (Hunk(1, ("original line",), ("rewritten",)),))
+        return ResumePackage(
+            spawn_id=package.spawn_id,
+            status=ChildStatus.SUCCESS,
+            execution_time=2.0,
+            result=ResultPayload(output="edited twice", code_diff=(diff, diff), files_modified={"src/a.py"}),
+            metrics=ChildMetrics(tokens_used=10, api_calls=1, test_pass_rate=1.0),
+        )
+
+
+def test_loop_records_child_with_overlapping_diffs_as_invalid():
+    workload, config = _loop_setup([QUIET, SPIKE, QUIET], {})
+    result = run_parent_loop(workload.task, config, _OverlappingDiffsBackend(), workload)
+    assert result.status == "completed"
+    assert result.spawn_records[0].outcome == "invalid"
+    invalid = [e for e in result.events if e.kind == "child_invalid"]
+    assert len(invalid) == 1 and "overlap" in invalid[0].detail
+    assert result.state.files == {"src/a.py": ["original line"]}
+
+
 def test_loop_without_spikes_never_spawns():
     workload, config = _loop_setup([QUIET] * 6, {})
     result = run_parent_loop(workload.task, config, ScriptedBackend({}), workload)
@@ -407,14 +433,3 @@ def test_http_transport_posts_package_and_reads_resume():
     finally:
         server.shutdown()
         thread.join(timeout=5)
-
-
-def test_wall_clock_moves_forward_and_ignores_advance():
-    from agentfork.runtime import WallClock
-
-    clock = WallClock()
-    first = clock.now
-    clock.advance(100.0)
-    clock.advance_to(10_000.0)
-    assert clock.now < 100.0
-    assert clock.now >= first
