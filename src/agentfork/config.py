@@ -6,21 +6,53 @@ concurrent_spawn_limit, child_timeout_secs, alpha, beta, gamma, delta,
 lambda_decay, cooldown_steps, embedding_dim, parent_blocks,
 step_duration_secs, promote_threshold, semantic_merge_p,
 price_per_1k_tokens, price_per_api_call, checkpoint_dir.
+
+Each value must have its field's type: booleans for bool fields, JSON
+integers for int fields, finite numbers for float fields and a string or
+null for ``checkpoint_dir``.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .memory import DefaultEmbedder, RelevanceWeights
 from .policy import SpawnPolicyConfig
-from .runtime import LoopConfig, RuntimeConfig
+from .runtime import LoopConfig, OrchestrationError, RuntimeConfig
 
 
 class ConfigError(ValueError):
     pass
+
+
+_FLOAT_MAX = sys.float_info.max
+# What a JSON value must be for each field type of SimulatorConfig. The
+# float bounds reject NaN, the infinities and ints too large for a float.
+_ACCEPTS = {
+    "bool": ("a boolean", lambda v: type(v) is bool),
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a finite number", lambda v: type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX),
+    "str | None": ("a string or null", lambda v: v is None or type(v) is str),
+}
+
+# Sub-config arguments named differently from the config keys that set them.
+_KEY_OF = {
+    "max_depth": "max_spawn_depth",
+    "concurrent_limit": "concurrent_spawn_limit",
+    "child_timeout": "child_timeout_secs",
+    "step_duration": "step_duration_secs",
+}
+
+
+def _config_error(exc: Exception) -> ConfigError:
+    """A sub-config's error, worded with the config keys."""
+    message = str(exc)
+    for argument, key in _KEY_OF.items():
+        message = message.replace(argument, key)
+    return ConfigError(message)
 
 
 @dataclass
@@ -52,14 +84,18 @@ class SimulatorConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimulatorConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = sorted(set(data) - set(types))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        try:
-            config = cls(**data)
-        except TypeError as exc:
-            raise ConfigError(str(exc))
+        errors = []
+        for key, value in data.items():
+            expected, accepts = _ACCEPTS[types[key]]
+            if not accepts(value):
+                errors.append(f"{key}: expected {expected}, got {json.dumps(value)}")
+        if errors:
+            raise ConfigError("; ".join(errors))
+        config = cls(**data)
         config.validate()
         return config
 
@@ -67,7 +103,9 @@ class SimulatorConfig:
     def from_file(cls, path: str | Path) -> "SimulatorConfig":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read ({exc.strerror})")
+        except ValueError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})")
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
@@ -99,7 +137,7 @@ class SimulatorConfig:
                 cooldown_steps=self.cooldown_steps,
             )
         except ValueError as exc:
-            raise ConfigError(str(exc))
+            raise _config_error(exc)
 
     def relevance_weights(self) -> RelevanceWeights:
         try:
@@ -111,21 +149,19 @@ class SimulatorConfig:
                 lambda_decay=self.lambda_decay,
             )
         except ValueError as exc:
-            raise ConfigError(str(exc))
+            raise _config_error(exc)
 
     def runtime_config(self, seed: int) -> RuntimeConfig:
         try:
             return RuntimeConfig(
                 child_timeout=self.child_timeout_secs,
-                max_depth=self.max_spawn_depth,
-                concurrent_limit=self.concurrent_spawn_limit,
                 seed=seed,
                 parent_blocks=self.parent_blocks,
                 step_duration=self.step_duration_secs,
                 checkpoint_dir=self.checkpoint_dir,
             )
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        except OrchestrationError as exc:
+            raise _config_error(exc)
 
     def loop_config(self, seed: int, semantic_merge_p: float | None = None) -> LoopConfig:
         return LoopConfig(

@@ -117,8 +117,9 @@ class NodeStatus(str, Enum):
 
 
 class SpawnTree:
-    """Parent/child structure of one run, with limits checked on every
-    mutation so violations surface at the faulty call, not at teardown."""
+    """Parent/child structure of one run. ``add_child`` is the only way a
+    node enters the tree and it checks both limits before inserting, so a
+    violation surfaces at the faulty call and the tree never needs a walk."""
 
     def __init__(self, root: AgentId, max_depth: int, concurrent_limit: int):
         self.root = root
@@ -137,17 +138,25 @@ class SpawnTree:
             raise SpawnTreeError(
                 f"child depth {child.depth} is not parent depth + 1"
             )
+        if child.depth > self.max_depth:
+            raise SpawnTreeError(f"node {child.id} at depth {child.depth} exceeds {self.max_depth}")
+        if self.running_children(parent_id) >= self.concurrent_limit:
+            raise SpawnTreeError(
+                f"node {parent_id} already has {self.concurrent_limit} running children"
+            )
         self.nodes[child.id] = child
         self.children[child.id] = []
         self.children[parent_id].append(child.id)
         self.status[child.id] = NodeStatus.RUNNING
-        self.validate()
 
     def mark(self, node_id: str, status: NodeStatus) -> None:
+        """Record how a node finished. Only ``add_child`` makes a node
+        running, so that the concurrency limit has one enforcer."""
         if node_id not in self.nodes:
             raise SpawnTreeError(f"unknown node {node_id!r}")
+        if status is NodeStatus.RUNNING:
+            raise SpawnTreeError(f"cannot mark {node_id!r} running again")
         self.status[node_id] = status
-        self.validate()
 
     def running_children(self, node_id: str) -> int:
         return sum(
@@ -164,33 +173,10 @@ class SpawnTree:
     def max_observed_depth(self) -> int:
         return max(n.depth for n in self.nodes.values())
 
-    def validate(self) -> None:
-        for node in self.nodes.values():
-            if node.depth > self.max_depth:
-                raise SpawnTreeError(f"node {node.id} at depth {node.depth} exceeds {self.max_depth}")
-        for node_id in self.nodes:
-            if self.running_children(node_id) > self.concurrent_limit:
-                raise SpawnTreeError(
-                    f"node {node_id} has more than {self.concurrent_limit} running children"
-                )
-        # every non-root node reachable from the root exactly once
-        seen = set()
-        stack = [self.root.id]
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                raise SpawnTreeError(f"cycle at {cur!r}")
-            seen.add(cur)
-            stack.extend(self.children[cur])
-        if seen != set(self.nodes):
-            raise SpawnTreeError("orphaned nodes in spawn tree")
-
 
 @dataclass
 class RuntimeConfig:
     child_timeout: float = 600.0
-    max_depth: int = 3
-    concurrent_limit: int = 4
     seed: int = 0
     parent_blocks: bool = True
     step_duration: float = 1.0
@@ -353,12 +339,14 @@ class ChildHandle:
     resume: ResumePackage | None = None
 
     def completion_time(self, timeout: float) -> float:
+        """A started child without a resume package failed in the backend:
+        it completes at its start time."""
         assert self.start_time is not None
-        duration = self.resume.execution_time if self.resume is not None else timeout
+        duration = self.resume.execution_time if self.resume is not None else 0.0
         return self.start_time + min(duration, timeout)
 
     def timed_out(self, timeout: float) -> bool:
-        return self.resume is None or self.resume.execution_time > timeout
+        return self.resume is not None and self.resume.execution_time > timeout
 
 
 @dataclass
@@ -388,8 +376,14 @@ class ChildScheduler:
 
     Requests beyond a parent's concurrency limit queue FIFO and start as
     siblings finish; requests that would exceed the depth limit are
-    rejected with a reason. Completions are processed in virtual-time
-    order, so a fixed seed replays the identical event sequence.
+    rejected with a reason. Both limits are the tree's. Completions are
+    processed in virtual-time order, so a fixed seed replays the
+    identical event sequence.
+
+    A request queues only when its parent is full, and a parent gains
+    room only when one of its own children completes, so each parent
+    keeps its own FIFO queue and a completion admits at most the head of
+    its parent's queue.
     """
 
     def __init__(
@@ -406,7 +400,8 @@ class ChildScheduler:
         self.backend = backend
         self.events = events
         self.running: list[ChildHandle] = []
-        self.queue: deque[ChildHandle] = deque()
+        self.queue: dict[str, deque[ChildHandle]] = {}
+        self.backend_errors: dict[str, str] = {}
         self.ids = sequential_ids()
         self._child_counter = 0
         self.rejected_count = 0
@@ -416,9 +411,7 @@ class ChildScheduler:
         return next(self.ids)
 
     def active_for(self, node_id: str) -> int:
-        return self.tree.running_children(node_id) + sum(
-            1 for h in self.queue if h.parent.id == node_id
-        )
+        return self.tree.running_children(node_id) + len(self.queue.get(node_id, ()))
 
     def spawn_child(
         self, parent: AgentId, decision: SpawnDecision, package: SpawnPackage, outcome_key: str | None = None
@@ -429,8 +422,8 @@ class ChildScheduler:
             raise OrchestrationError("spawn_child requires a spawn decision")
         key = outcome_key if outcome_key is not None else decision.specialization.value
         child = AgentId(id=package.spawn_id, depth=parent.depth + 1)
-        if child.depth > self.config.max_depth:
-            reason = f"depth {child.depth} exceeds max depth {self.config.max_depth}"
+        if child.depth > self.tree.max_depth:
+            reason = f"depth {child.depth} exceeds max depth {self.tree.max_depth}"
             self.rejected_count += 1
             self.events.append(Event(self.clock.now, "spawn_rejected", f"{package.spawn_id} {reason}"))
             return SpawnRequestOutcome(state="rejected", reason=reason)
@@ -443,8 +436,8 @@ class ChildScheduler:
             outcome_key=key,
             seed=self.config.seed * 1_000_003 + self._child_counter,
         )
-        if self.tree.running_children(parent.id) >= self.config.concurrent_limit:
-            self.queue.append(handle)
+        if self.tree.running_children(parent.id) >= self.tree.concurrent_limit:
+            self.queue.setdefault(parent.id, deque()).append(handle)
             self.queued_count += 1
             self.events.append(
                 Event(self.clock.now, "spawn_queued", f"{package.spawn_id} parent={parent.id}")
@@ -458,12 +451,17 @@ class ChildScheduler:
         self.tree.add_child(handle.parent.id, handle.agent)
         if self.config.checkpoint_dir:
             write_checkpoint(handle.package, self.config.checkpoint_dir)
-        handle.resume = self.backend.run(handle.package, handle.seed, handle.outcome_key)
+        try:
+            handle.resume = self.backend.run(handle.package, handle.seed, handle.outcome_key)
+        except Exception as exc:
+            # A failing backend costs this child, never the parent.
+            self.backend_errors[handle.spawn_id] = f"backend error: {type(exc).__name__}: {exc}"
         self.running.append(handle)
         self.events.append(
             Event(self.clock.now, "child_started", f"{handle.spawn_id} parent={handle.parent.id} key={handle.outcome_key}")
         )
-        self._dispatch_nested(handle)
+        if handle.resume is not None:
+            self._dispatch_nested(handle)
 
     def _dispatch_nested(self, handle: ChildHandle) -> None:
         nested_for = getattr(self.backend, "nested_requests", None)
@@ -489,19 +487,16 @@ class ChildScheduler:
             )
             self.spawn_child(handle.agent, decision, package, outcome_key=nested.outcome_key)
 
-    def _admit_queued(self) -> None:
-        admitted = True
-        while admitted:
-            admitted = False
-            for queued in list(self.queue):
-                if self.tree.running_children(queued.parent.id) < self.config.concurrent_limit:
-                    self.queue.remove(queued)
-                    self._start(queued)
-                    self.events.append(
-                        Event(self.clock.now, "queue_admitted", queued.spawn_id)
-                    )
-                    admitted = True
-                    break
+    def _admit_queued(self, parent_id: str) -> None:
+        """Start the head of ``parent_id``'s queue if the parent has room."""
+        queue = self.queue.get(parent_id)
+        if not queue or self.tree.running_children(parent_id) >= self.tree.concurrent_limit:
+            return
+        queued = queue.popleft()
+        if not queue:
+            del self.queue[parent_id]
+        self._start(queued)
+        self.events.append(Event(self.clock.now, "queue_admitted", queued.spawn_id))
 
     def _complete(self, handle: ChildHandle) -> AwaitResult:
         timeout = self.config.child_timeout
@@ -511,25 +506,28 @@ class ChildScheduler:
             self.events.append(
                 Event(self.clock.now, "child_timed_out", f"{handle.spawn_id} after {timeout}s")
             )
-            self._admit_queued()
+            self._admit_queued(handle.parent.id)
             return AwaitResult(handle=handle, kind="timeout")
         resume = handle.resume
-        if self.config.checkpoint_dir:
-            write_checkpoint(resume, self.config.checkpoint_dir)
-        errors = validate_resume(resume, handle.package)
+        if resume is None:
+            errors = [self.backend_errors.pop(handle.spawn_id)]
+        else:
+            if self.config.checkpoint_dir:
+                write_checkpoint(resume, self.config.checkpoint_dir)
+            errors = validate_resume(resume, handle.package)
         if errors:
             self.tree.mark(handle.spawn_id, NodeStatus.FAILED)
             self.events.append(
                 Event(self.clock.now, "child_invalid", f"{handle.spawn_id} {'; '.join(errors)}")
             )
-            self._admit_queued()
+            self._admit_queued(handle.parent.id)
             return AwaitResult(handle=handle, kind="invalid", resume=resume, errors=tuple(errors))
         status = NodeStatus.FAILED if resume.status is ChildStatus.FAILURE else NodeStatus.DONE
         self.tree.mark(handle.spawn_id, status)
         self.events.append(
             Event(self.clock.now, "child_completed", f"{handle.spawn_id} status={resume.status.value}")
         )
-        self._admit_queued()
+        self._admit_queued(handle.parent.id)
         return AwaitResult(handle=handle, kind="ok", resume=resume)
 
     def _next_completion(self) -> ChildHandle:
@@ -672,7 +670,7 @@ def run_parent_loop(
     clock = VirtualClock()
     events: list[Event] = []
     root = AgentId(id="parent", depth=0)
-    tree = SpawnTree(root, config.runtime.max_depth, config.runtime.concurrent_limit)
+    tree = SpawnTree(root, config.policy.max_depth, config.policy.concurrent_limit)
     scheduler = ChildScheduler(tree, clock, config.runtime, backend, events)
     merge_rng = random.Random(f"{config.runtime.seed}:merge")
     merge_backend = StochasticMergeBackend(config.semantic_merge_p, merge_rng)
@@ -787,12 +785,13 @@ def run_parent_loop(
                 items_parent=len(state.memory),
                 items_slice=len(memory_slice),
             )
-            digest_before = state.memory.content_digest()
+            # Only a blocking parent compares its memory across the join.
+            digest_before = state.memory.content_digest() if config.runtime.parent_blocks else None
             outcome = scheduler.spawn_child(root, decision, package)
             if outcome.state != "rejected":
                 records.append(record)
                 by_id[record.spawn_id] = record
-            if outcome.state != "rejected" and config.runtime.parent_blocks:
+            if outcome.state != "rejected" and digest_before is not None:
                 results = scheduler.await_children()
                 if state.memory.content_digest() != digest_before:
                     raise OrchestrationError("parent memory mutated while children ran")

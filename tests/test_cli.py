@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from agentfork.cli import main
 from agentfork.harness.report import parse_machine_report
 from agentfork.harness.workload import bundled_workload_path
@@ -53,6 +55,33 @@ def test_run_bad_config_exits_nonzero(tmp_path, capsys):
     config_path.write_text(json.dumps({"spawn_threshold": 3.0}))
     code = main(["run", "--workload", "quiet", "--config", str(config_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"child_timeout_secs": 0}, "child_timeout_secs"),
+        ({"step_duration_secs": -1}, "step_duration_secs"),
+        ({"max_spawn_depth": "3"}, "max_spawn_depth"),
+        ({"embedding_dim": 1.5}, "embedding_dim"),
+        ({"checkpoint_dir": 5}, "checkpoint_dir"),
+        ({"max_spawn_depth": 2.5}, "max_spawn_depth"),
+        ({"concurrent_spawn_limit": True}, "concurrent_spawn_limit"),
+        ({"price_per_api_call": float("nan")}, "price_per_api_call"),
+    ],
+)
+def test_run_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, config, key):
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps(config))
+    code = main(["run", "--workload", "demo", "--config", str(config_path)])
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
+def test_run_missing_config_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    assert main(["run", "--workload", "quiet", "--config", str(missing)]) == 2
+    assert str(missing) in capsys.readouterr().err
 
 
 def test_generate_validate_run_pipeline(tmp_path, capsys):

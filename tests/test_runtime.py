@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentfork.coherence import Diff, Hunk
 from agentfork.memory import DefaultEmbedder, MemoryStore, MemoryTier, RelevanceWeights, make_item
@@ -56,9 +58,9 @@ def _decision(spec=Specialization.CONTEXT_COMPRESSION):
     return SpawnDecision(SpawnAction.SPAWN, spec, 0.85, (0.8, 0.8, 0.8, 0.97, 0.8))
 
 
-def _package(spawn_id):
+def _package(spawn_id, parent_id="parent"):
     return build_spawn_package(
-        "parent",
+        parent_id,
         TaskSpec(description="do the work"),
         MemorySlice((), 0, 0.5),
         (),
@@ -70,13 +72,13 @@ def _package(spawn_id):
     )
 
 
-def _scheduler(outcomes, **config_kwargs):
+def _scheduler(outcomes, backend=None, max_depth=3, concurrent_limit=4, **config_kwargs):
     config = RuntimeConfig(**config_kwargs)
     clock = VirtualClock()
     root = AgentId("parent", 0)
-    tree = SpawnTree(root, config.max_depth, config.concurrent_limit)
+    tree = SpawnTree(root, max_depth, concurrent_limit)
     events: list[Event] = []
-    scheduler = ChildScheduler(tree, clock, config, ScriptedBackend(outcomes), events)
+    scheduler = ChildScheduler(tree, clock, config, backend or ScriptedBackend(outcomes), events)
     return scheduler, root, tree, clock, events
 
 
@@ -110,8 +112,15 @@ def test_tree_counts_only_running_children():
     tree.add_child("r", AgentId("a", 1))
     tree.add_child("r", AgentId("b", 1))
     assert tree.running_children("r") == 2
+    with pytest.raises(SpawnTreeError):
+        tree.add_child("r", AgentId("c", 1))
+    assert "c" not in tree.nodes
     tree.mark("a", NodeStatus.DONE)
     assert tree.running_children("r") == 1
+    with pytest.raises(SpawnTreeError):
+        tree.mark("a", NodeStatus.RUNNING)
+    tree.add_child("r", AgentId("c", 1))
+    assert tree.running_children("r") == 2
 
 
 def test_scripted_backend_deterministic_given_package_and_seed():
@@ -139,11 +148,10 @@ def test_spawn_child_registers_running_child():
 
 def test_spawn_child_rejects_depth_violation():
     scheduler, root, tree, clock, events = _scheduler({"k": ScriptedOutcome()})
+    tree.add_child(root.id, AgentId("a", 1))
+    tree.add_child("a", AgentId("b", 2))
     deep = AgentId("deep", 3)
-    tree.nodes["deep"] = deep
-    tree.children["deep"] = []
-    tree.status["deep"] = NodeStatus.RUNNING
-    tree.children[root.id].append("deep")
+    tree.add_child("b", deep)
     outcome = scheduler.spawn_child(deep, _decision(), _package("spawn-0009"), outcome_key="k")
     assert outcome.state == "rejected"
     assert "depth" in outcome.reason
@@ -165,6 +173,77 @@ def test_fifth_request_queues_and_starts_after_completion():
     assert tree.status["spawn-0005"] is NodeStatus.DONE
     started_after = [e for e in events if e.kind == "queue_admitted"]
     assert len(started_after) == 1
+
+
+# Scripted children for the scheduler property: "slow" outlives the
+# 600 s timeout and "nest" asks for two children of its own.
+_PROPERTY_OUTCOMES = {
+    "short": ScriptedOutcome(execution_time=3.0),
+    "long": ScriptedOutcome(execution_time=20.0),
+    "slow": ScriptedOutcome(execution_time=700.0),
+    "nest": ScriptedOutcome(
+        execution_time=10.0, spawns=(NestedSpawn(outcome_key="short"), NestedSpawn(outcome_key="long"))
+    ),
+}
+_SCHEDULER_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("spawn"), st.integers(0, 10**6), st.sampled_from(sorted(_PROPERTY_OUTCOMES))),
+        st.tuples(st.just("advance"), st.floats(0.5, 50.0), st.just("")),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(max_depth=st.integers(1, 3), limit=st.integers(1, 3), ops=_SCHEDULER_OPS)
+def test_scheduler_keeps_limits_and_per_parent_fifo(max_depth, limit, ops):
+    scheduler, root, tree, clock, events = _scheduler(
+        _PROPERTY_OUTCOMES, max_depth=max_depth, concurrent_limit=limit
+    )
+    requests = []  # [parent, spawn id, state] per request in call order, nested ones included
+    spawn_child = scheduler.spawn_child
+
+    def recording_spawn_child(parent, decision, package, outcome_key=None):
+        request = [parent, package.spawn_id, None]
+        requests.append(request)
+        outcome = spawn_child(parent, decision, package, outcome_key)
+        request[2] = outcome.state
+        return outcome
+
+    scheduler.spawn_child = recording_spawn_child
+
+    def check_limits():
+        for node in tree.nodes.values():
+            assert node.depth <= max_depth
+            assert tree.running_children(node.id) <= limit
+
+    for op, arg, key in ops:
+        if op == "spawn":
+            nodes = list(tree.nodes.values())
+            parent = nodes[arg % len(nodes)]
+            package = _package(scheduler.next_id(), parent.id)
+            scheduler.spawn_child(parent, _decision(), package, outcome_key=key)
+        else:
+            clock.advance(arg)
+            scheduler.await_children(until=clock.now)
+        check_limits()
+    scheduler.await_children()
+    check_limits()
+    assert scheduler.idle()
+
+    for parent, spawn_id, state in requests:
+        assert state in ("started", "queued", "rejected")
+        assert (state == "rejected") == (parent.depth + 1 > max_depth)
+    started: dict[str, list[str]] = {}
+    for event in events:
+        if event.kind == "child_started":
+            spawn_id, parent_field = event.detail.split()[:2]
+            started.setdefault(parent_field.removeprefix("parent="), []).append(spawn_id)
+    requested: dict[str, list[str]] = {}
+    for parent, spawn_id, state in requests:
+        if state != "rejected":
+            requested.setdefault(parent.id, []).append(spawn_id)
+    assert started == requested
 
 
 def test_await_children_timeout_boundary():
@@ -198,11 +277,7 @@ def test_await_children_flags_invalid_results():
                 metrics=good.metrics,
             )
 
-    config = RuntimeConfig()
-    clock = VirtualClock()
-    root = AgentId("parent", 0)
-    tree = SpawnTree(root, config.max_depth, config.concurrent_limit)
-    scheduler = ChildScheduler(tree, clock, config, WrongIdBackend(), [])
+    scheduler, root, tree, clock, events = _scheduler({}, backend=WrongIdBackend())
     scheduler.spawn_child(root, _decision(), _package("spawn-0001"), outcome_key="k")
     results = scheduler.await_children()
     assert results[0].kind == "invalid"
@@ -300,6 +375,42 @@ def test_loop_records_child_with_overlapping_diffs_as_invalid():
     invalid = [e for e in result.events if e.kind == "child_invalid"]
     assert len(invalid) == 1 and "overlap" in invalid[0].detail
     assert result.state.files == {"src/a.py": ["original line"]}
+
+
+def test_loop_records_backend_exception_as_invalid_child():
+    workload, config = _loop_setup([QUIET, SPIKE, QUIET], {})
+    backend = ServiceBackend(lambda payload: b'{"status": 1}')
+    result = run_parent_loop(workload.task, config, backend, workload)
+    assert result.status == "completed"
+    assert result.spawn_records[0].outcome == "invalid"
+    started = [e for e in result.events if e.kind == "child_started"]
+    invalid = [e for e in result.events if e.kind == "child_invalid"]
+    assert len(invalid) == 1 and "backend error: PackageDecodeError: " in invalid[0].detail
+    assert invalid[0].time == started[0].time
+    failures = [
+        i for i in result.state.memory.by_tier(MemoryTier.EPISODIC) if i.id.endswith(":failure")
+    ]
+    assert len(failures) == 1 and "backend error" in failures[0].content
+    assert result.tree.status[result.spawn_records[0].spawn_id] is NodeStatus.FAILED
+
+
+class _ParentMemoryWriter:
+    """A child that writes into its parent's memory store while it runs."""
+
+    def __init__(self, store, embedder):
+        self.store = store
+        self.embedder = embedder
+
+    def run(self, package, seed, outcome_key=""):
+        self.store.add(make_item("leak", MemoryTier.EPISODIC, "written by a child", self.embedder))
+        return ScriptedBackend({"default": ScriptedOutcome()}).run(package, seed, outcome_key)
+
+
+def test_blocking_loop_rejects_child_that_mutates_parent_memory():
+    workload, config = _loop_setup([QUIET, SPIKE, QUIET], {})
+    backend = _ParentMemoryWriter(workload.store, config.embedder)
+    with pytest.raises(OrchestrationError, match="parent memory mutated while children ran"):
+        run_parent_loop(workload.task, config, backend, workload)
 
 
 def test_loop_without_spikes_never_spawns():
