@@ -163,6 +163,10 @@ class MemoryStore:
 
     Single-writer: only the owning agent's loop mutates a store. Iteration
     order is episodic, then semantic, then working, each in insertion order.
+    ``add`` and ``advance_to`` are the only writers; each write that
+    changes the store's content bumps ``version``, so comparing versions
+    proves isolation in O(1). ``token_count`` is the running whitespace
+    word count of every item's content.
     """
 
     def __init__(self, embedding_dim: int, current_step: int = 0):
@@ -171,9 +175,23 @@ class MemoryStore:
         if current_step < 0:
             raise MemoryError("current_step must be >= 0")
         self.embedding_dim = embedding_dim
-        self.current_step = current_step
+        self._step = current_step
+        self._version = 0
+        self._token_count = 0
         self._tiers: dict[MemoryTier, list[MemoryItem]] = {t: [] for t in TIER_ORDER}
         self._ids: set[str] = set()
+
+    @property
+    def current_step(self) -> int:
+        return self._step
+
+    @property
+    def version(self) -> int:
+        return self._version
+
+    @property
+    def token_count(self) -> int:
+        return self._token_count
 
     def add(self, item: MemoryItem) -> None:
         if item.id in self._ids:
@@ -188,6 +206,8 @@ class MemoryStore:
             )
         self._tiers[item.tier].append(item)
         self._ids.add(item.id)
+        self._token_count += len(item.content.split())
+        self._version += 1
 
     def items(self) -> Iterator[MemoryItem]:
         for tier in TIER_ORDER:
@@ -208,7 +228,9 @@ class MemoryStore:
     def advance_to(self, step: int) -> None:
         if step < self.current_step:
             raise MemoryError(f"cannot move step backwards: {self.current_step} -> {step}")
-        self.current_step = step
+        if step != self.current_step:
+            self._step = step
+            self._version += 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MemoryStore):
@@ -220,7 +242,8 @@ class MemoryStore:
         )
 
     def content_digest(self) -> str:
-        """Stable digest of the full store state, for isolation checks."""
+        """Stable digest of the full store state. O(N): it hashes every
+        embedding float. Isolation checks compare ``version`` instead."""
         h = hashlib.sha256()
         h.update(f"{self.embedding_dim}:{self.current_step}".encode())
         for item in self.items():
@@ -297,35 +320,57 @@ def compute_relevance(
         raise MemoryError(
             f"item {item.id}: embedding dim {len(item.embedding)} != embedder dim {len(task_embedding)}"
         )
-    return _relevance_scored(
-        item,
-        keywords=extract_keywords(task.description),
-        refs=task_references(task),
-        task_embedding=task_embedding,
-        weights=weights,
-        now_step=now_step,
+    score = _relevance_scorer(
+        extract_keywords(task.description), task_references(task), task_embedding, weights, now_step
     )
+    return score(item)
 
 
-def _relevance_scored(
-    item: MemoryItem,
+def _relevance_scorer(
     keywords: frozenset[str],
     refs: frozenset[str],
     task_embedding: Sequence[float],
     weights: RelevanceWeights,
     now_step: int,
-) -> float:
-    item_tokens = set(tokenize(item.content))
-    keyword_match = len(keywords & item_tokens) / len(keywords) if keywords else 0.0
-    dep_score = len(refs & item.references) / len(refs) if refs else 0.0
-    temporal = math.exp(-weights.lambda_decay * (now_step - item.created_at_step))
-    semantic = max(0.0, cosine(item.embedding, task_embedding))
-    return (
-        weights.alpha * keyword_match
-        + weights.beta * dep_score
-        + weights.gamma * temporal
-        + weights.delta_w * semantic
-    )
+) -> Callable[[MemoryItem], float]:
+    """Relevance of one item against a fixed task, for a whole scan.
+
+    The task-side terms (keywords, refs, the task embedding's norm and the
+    recency term per item age) are computed once; each call does only the
+    item's own work. Every float is computed with the same operations in
+    the same order as :func:`cosine` and the weighted sum, so scores are
+    bit-identical to scoring each item from scratch. The item's age is
+    not checked here; callers guarantee ``created_at_step <= now_step``.
+    """
+    task_norm = math.sqrt(sum(map(operator.mul, task_embedding, task_embedding)))
+    recency: dict[int, float] = {}
+
+    def score(item: MemoryItem) -> float:
+        # Keywords are tokens of length >= 2, so shorter raw tokens never match.
+        keyword_match = (
+            len(keywords.intersection(_TOKEN_RE.findall(item.content.lower()))) / len(keywords)
+            if keywords
+            else 0.0
+        )
+        dep_score = len(refs & item.references) / len(refs) if refs else 0.0
+        age = now_step - item.created_at_step
+        temporal = recency.get(age)
+        if temporal is None:
+            temporal = recency[age] = math.exp(-weights.lambda_decay * age)
+        dot = sum(map(operator.mul, item.embedding, task_embedding))
+        item_norm = math.sqrt(sum(map(operator.mul, item.embedding, item.embedding)))
+        if item_norm == 0.0 or task_norm == 0.0:
+            semantic = 0.0
+        else:
+            semantic = max(0.0, dot / (item_norm * task_norm))
+        return (
+            weights.alpha * keyword_match
+            + weights.beta * dep_score
+            + weights.gamma * temporal
+            + weights.delta_w * semantic
+        )
+
+    return score
 
 
 def slice_memory(
@@ -347,14 +392,11 @@ def slice_memory(
         raise MemoryError(
             f"embedder dim {len(task_embedding)} != store dim {store.embedding_dim}"
         )
-    keywords = extract_keywords(task.description)
-    refs = task_references(task)
     now = store.current_step
-    kept = tuple(
-        item
-        for item in store.items()
-        if _relevance_scored(item, keywords, refs, task_embedding, weights, now) > threshold
+    score = _relevance_scorer(
+        extract_keywords(task.description), task_references(task), task_embedding, weights, now
     )
+    kept = tuple(item for item in store.items() if score(item) > threshold)
     return MemorySlice(items=kept, source_store_step=now, threshold_used=threshold)
 
 

@@ -277,8 +277,11 @@ ENDPOINT_ENV = "AGENTFORK_SERVICE_ENDPOINT"
 TOKEN_ENV = "AGENTFORK_SERVICE_TOKEN"
 
 
-def http_transport(endpoint: str, token: str | None = None) -> Callable[[bytes], bytes]:
-    """POST encoded spawn packages to a model service, return its bytes."""
+def http_transport(endpoint: str, token: str | None, timeout: float) -> Callable[[bytes], bytes]:
+    """POST encoded spawn packages to a model service, return its bytes.
+
+    A service that does not answer within ``timeout`` seconds makes the
+    call raise, which the scheduler records as an invalid child."""
 
     def send(payload: bytes) -> bytes:
         request = urllib.request.Request(
@@ -286,7 +289,7 @@ def http_transport(endpoint: str, token: str | None = None) -> Callable[[bytes],
         )
         if token:
             request.add_header("Authorization", f"Bearer {token}")
-        with urllib.request.urlopen(request) as response:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
             return response.read()
 
     return send
@@ -303,11 +306,13 @@ class ServiceBackend:
         self.transport = transport
 
     @classmethod
-    def from_env(cls) -> "ServiceBackend":
+    def from_env(cls, timeout: float) -> "ServiceBackend":
+        """Backend for the service named in the environment; pass the
+        run's ``RuntimeConfig.child_timeout`` as ``timeout``."""
         endpoint = os.environ.get(ENDPOINT_ENV)
         if not endpoint:
             raise OrchestrationError(f"{ENDPOINT_ENV} is not set")
-        return cls(http_transport(endpoint, os.environ.get(TOKEN_ENV)))
+        return cls(http_transport(endpoint, os.environ.get(TOKEN_ENV), timeout))
 
     def run(self, package: SpawnPackage, seed: int, outcome_key: str = "") -> ResumePackage:
         response = self.transport(encode_package(package))
@@ -772,7 +777,7 @@ def run_parent_loop(
                 clock=clock,
                 id_source=scheduler.next_id,
             )
-            tokens_parent = count_tokens(state.memory.items())
+            tokens_parent = state.memory.token_count
             tokens_slice = count_tokens(memory_slice.items)
             record = SpawnRecord(
                 spawn_id=package.spawn_id,
@@ -785,15 +790,14 @@ def run_parent_loop(
                 items_parent=len(state.memory),
                 items_slice=len(memory_slice),
             )
-            # Only a blocking parent compares its memory across the join.
-            digest_before = state.memory.content_digest() if config.runtime.parent_blocks else None
+            version_before = state.memory.version
             outcome = scheduler.spawn_child(root, decision, package)
             if outcome.state != "rejected":
                 records.append(record)
                 by_id[record.spawn_id] = record
-            if outcome.state != "rejected" and digest_before is not None:
+            if outcome.state != "rejected" and config.runtime.parent_blocks:
                 results = scheduler.await_children()
-                if state.memory.content_digest() != digest_before:
+                if state.memory.version != version_before:
                     raise OrchestrationError("parent memory mutated while children ran")
                 integrate(results)
         if not config.runtime.parent_blocks:

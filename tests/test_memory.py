@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import math
+import operator
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agentfork.memory import (
@@ -23,10 +25,11 @@ from agentfork.memory import (
     reduction_percent,
     slice_memory,
     snapshot_store,
+    task_references,
 )
 from agentfork.protocol import TaskSpec
 
-from conftest import DIM, random_store, random_task
+from conftest import DIM, FILES, SYMBOLS, WORDS, random_store, random_task
 
 
 def test_extract_keywords_drops_stopwords_and_lowercases():
@@ -177,8 +180,10 @@ def test_slice_is_read_only(embedder):
     rng = random.Random(4)
     store = random_store(rng, embedder, max_items=40)
     before = store.content_digest()
+    version = store.version
     slice_memory(store, random_task(rng), 0.3, RelevanceWeights(), embedder)
     assert store.content_digest() == before
+    assert store.version == version
 
 
 def test_snapshot_isolated_from_source(embedder):
@@ -258,3 +263,158 @@ def test_temporal_monotonicity(seed, age_bump):
     r_young = compute_relevance(item, task, weights, now, embedder)
     r_old = compute_relevance(item, task, weights, now + age_bump, embedder)
     assert r_old <= r_young + 1e-12
+
+
+# The per-item scorer as it stood before the task-side terms were hoisted
+# out of the slice loop, transcribed literally (with the tokenizer and
+# cosine it called). It scores every item from scratch, so it is an
+# oracle that does not share code with ``compute_relevance``.
+def _reference_tokenize(text):
+    return [t for t in re.findall(r"[a-z0-9]+", text.lower()) if len(t) >= 2]
+
+
+def _reference_cosine(a, b):
+    dot = sum(map(operator.mul, a, b))
+    na = math.sqrt(sum(map(operator.mul, a, a)))
+    nb = math.sqrt(sum(map(operator.mul, b, b)))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return dot / (na * nb)
+
+
+def _reference_relevance(item, keywords, refs, task_embedding, weights, now_step):
+    item_tokens = set(_reference_tokenize(item.content))
+    keyword_match = len(keywords & item_tokens) / len(keywords) if keywords else 0.0
+    dep_score = len(refs & item.references) / len(refs) if refs else 0.0
+    temporal = math.exp(-weights.lambda_decay * (now_step - item.created_at_step))
+    semantic = max(0.0, _reference_cosine(item.embedding, task_embedding))
+    return (
+        weights.alpha * keyword_match
+        + weights.beta * dep_score
+        + weights.gamma * temporal
+        + weights.delta_w * semantic
+    )
+
+
+# Stopwords, one-letter tokens and punctuation, so items and tasks hit
+# the tokenizer's edge cases.
+_NOISE = ["the", "and", "of", "x", "7", "a1", "json,", "(parser)", "src/a.py", "B-tree"]
+
+
+@settings(max_examples=80, deadline=None)
+@example(seed=0, now=0, stopword_task=False, with_refs=True)
+@example(seed=1, now=10 ** 5, stopword_task=True, with_refs=False)
+@example(seed=2, now=40, stopword_task=True, with_refs=True)
+@example(seed=3, now=7, stopword_task=False, with_refs=False)
+@given(
+    seed=st.integers(0, 10 ** 6),
+    now=st.sampled_from([0, 1, 7, 40, 10 ** 5]),
+    stopword_task=st.booleans(),
+    with_refs=st.booleans(),
+)
+def test_relevance_is_bit_identical_to_per_item_reference(seed, now, stopword_task, with_refs):
+    rng = random.Random(seed)
+    embedder = DefaultEmbedder(DIM)
+    raw = [rng.random() for _ in range(4)]
+    total = sum(raw) or 1.0
+    weights = RelevanceWeights(
+        raw[0] / total, raw[1] / total, raw[2] / total, 1.0 - (raw[0] + raw[1] + raw[2]) / total,
+        lambda_decay=rng.choice([0.001, 0.1, 0.7, 5.0]),
+    )
+    store = MemoryStore(DIM, current_step=now)
+    # Always one empty item (zero embedding), one of age 0 and one of the largest age.
+    contents = ["", "parser json cache", "schema header"]
+    steps = [rng.randint(0, now), now, 0]
+    for _ in range(rng.randint(0, 30)):
+        contents.append(" ".join(rng.choices(WORDS + _NOISE, k=rng.randint(0, 10))))
+        steps.append(rng.choice([0, now, rng.randint(0, now)]))
+    for i, (content, step) in enumerate(zip(contents, steps)):
+        store.add(
+            make_item(
+                f"m{i}", rng.choice(list(MemoryTier)), content, embedder,
+                referenced_files=rng.sample(FILES, rng.randint(0, 2)),
+                referenced_symbols=rng.sample(SYMBOLS, rng.randint(0, 2)),
+                created_at_step=step,
+            )
+        )
+    if stopword_task:
+        description = " ".join(rng.choices(["the", "and", "of", "to", "a", "x"], k=rng.randint(1, 5)))
+    else:
+        words = rng.choices(WORDS + _NOISE[:6], k=rng.randint(0, 7)) + [rng.choice(WORDS)]
+        description = " ".join(rng.sample(words, len(words)))
+    task = TaskSpec(
+        description=description,
+        referenced_files=frozenset(rng.sample(FILES, rng.randint(1, 3))) if with_refs else frozenset(),
+        referenced_symbols=frozenset(rng.sample(SYMBOLS, rng.randint(0, 2))) if with_refs else frozenset(),
+    )
+    keywords = extract_keywords(task.description)
+    refs = task_references(task)
+    assert (not keywords) == stopword_task
+    assert (not refs) == (not with_refs)
+    task_embedding = embedder(task.description)
+    expected = {
+        item.id: _reference_relevance(item, keywords, refs, task_embedding, weights, now)
+        for item in store.items()
+    }
+    for item in store.items():
+        assert compute_relevance(item, task, weights, now, embedder) == expected[item.id]
+    for threshold in (0.0, 0.25, 0.5, rng.random()):
+        sliced = slice_memory(store, task, threshold, weights, embedder)
+        assert [i.id for i in sliced.items] == [
+            i.id for i in store.items() if expected[i.id] > threshold
+        ]
+
+
+def test_store_version_moves_exactly_when_content_changes(embedder):
+    store = MemoryStore(DIM, current_step=3)
+    assert store.version == 0
+    store.add(make_item("a", MemoryTier.EPISODIC, "one", embedder, created_at_step=1))
+    assert store.version == 1
+    store.advance_to(3)
+    assert store.version == 1
+    store.advance_to(4)
+    assert store.version == 2
+    with pytest.raises(MemoryError):
+        store.advance_to(2)
+    with pytest.raises(MemoryError):
+        store.add(make_item("a", MemoryTier.WORKING, "again", embedder))
+    assert store.version == 2 and store.current_step == 4
+
+
+def test_store_step_version_and_token_count_are_read_only():
+    store = MemoryStore(DIM)
+    for name in ("current_step", "version", "token_count"):
+        with pytest.raises(AttributeError):
+            setattr(store, name, 5)
+    assert (store.current_step, store.version, store.token_count) == (0, 0, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), ops=st.lists(st.sampled_from(["add", "same", "later"]), max_size=12))
+def test_version_unchanged_exactly_when_digest_unchanged(seed, ops):
+    rng = random.Random(seed)
+    embedder = DefaultEmbedder(DIM)
+    store = random_store(rng, embedder, max_items=5)
+    for k, op in enumerate(ops):
+        version, digest = store.version, store.content_digest()
+        if op == "add":
+            store.add(make_item(f"op-{k}", rng.choice(list(MemoryTier)), rng.choice(WORDS), embedder))
+        else:
+            store.advance_to(store.current_step + (op == "later"))
+        assert (store.version == version) == (store.content_digest() == digest)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_running_token_count_matches_recount(seed):
+    rng = random.Random(seed)
+    embedder = DefaultEmbedder(DIM)
+    store = random_store(rng, embedder, max_items=20)
+    store.add(make_item("spaced", MemoryTier.WORKING, "  two\twords \n", embedder))
+    store.add(make_item("blank", MemoryTier.EPISODIC, "   ", embedder))
+    assert store.token_count == count_tokens(store.items())
+    copy = snapshot_store(store)
+    assert copy.token_count == store.token_count
+    copy.add(make_item("more", MemoryTier.SEMANTIC, " ".join(rng.choices(WORDS, k=5)), embedder))
+    assert copy.token_count == count_tokens(copy.items()) == store.token_count + 5
+    assert store.token_count == count_tokens(store.items())

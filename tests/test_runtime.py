@@ -1,11 +1,24 @@
 from __future__ import annotations
 
+import http.server
+import json
+import threading
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agentfork import runtime
 from agentfork.coherence import Diff, Hunk
-from agentfork.memory import DefaultEmbedder, MemoryStore, MemoryTier, RelevanceWeights, make_item
+from agentfork.memory import (
+    DefaultEmbedder,
+    MemoryStore,
+    MemoryTier,
+    RelevanceWeights,
+    count_tokens,
+    make_item,
+)
 from agentfork.policy import (
     ComplexityMetrics,
     SpawnAction,
@@ -44,6 +57,7 @@ from agentfork.runtime import (
     SpawnTreeError,
     VirtualClock,
     handle_child_failure,
+    http_transport,
     run_parent_loop,
 )
 from agentfork.skills import SkillLibrary
@@ -397,20 +411,64 @@ def test_loop_records_backend_exception_as_invalid_child():
 class _ParentMemoryWriter:
     """A child that writes into its parent's memory store while it runs."""
 
-    def __init__(self, store, embedder):
+    def __init__(self, store, write):
         self.store = store
-        self.embedder = embedder
+        self.write = write
 
     def run(self, package, seed, outcome_key=""):
-        self.store.add(make_item("leak", MemoryTier.EPISODIC, "written by a child", self.embedder))
+        self.write(self.store)
         return ScriptedBackend({"default": ScriptedOutcome()}).run(package, seed, outcome_key)
 
 
-def test_blocking_loop_rejects_child_that_mutates_parent_memory():
+_WRITERS = {
+    "add": lambda store: store.add(
+        make_item("leak", MemoryTier.EPISODIC, "written by a child", DefaultEmbedder(DIM))
+    ),
+    "advance_to": lambda store: store.advance_to(store.current_step + 1),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_blocking_loop_rejects_child_that_mutates_parent_memory(writer):
     workload, config = _loop_setup([QUIET, SPIKE, QUIET], {})
-    backend = _ParentMemoryWriter(workload.store, config.embedder)
+    backend = _ParentMemoryWriter(workload.store, _WRITERS[writer])
     with pytest.raises(OrchestrationError, match="parent memory mutated while children ran"):
         run_parent_loop(workload.task, config, backend, workload)
+
+
+def test_blocking_loop_accepts_child_that_advances_parent_to_its_own_step():
+    # Same-step advance_to changes no content, so it is not a mutation.
+    workload, config = _loop_setup([QUIET, SPIKE, QUIET], {})
+    backend = _ParentMemoryWriter(workload.store, lambda store: store.advance_to(store.current_step))
+    result = run_parent_loop(workload.task, config, backend, workload)
+    assert result.status == "completed"
+    assert [r.outcome for r in result.spawn_records] == ["success"]
+
+
+def test_blocking_fork_path_neither_hashes_nor_recounts_the_parent_store(monkeypatch):
+    def refuse(self):
+        raise AssertionError("content_digest is O(N) and has no place on the fork path")
+
+    counted = []
+
+    def counting(items):
+        items = list(items)
+        counted.append(len(items))
+        return count_tokens(items)
+
+    monkeypatch.setattr(MemoryStore, "content_digest", refuse)
+    monkeypatch.setattr(runtime, "count_tokens", counting)
+    outcomes = {"context_compression": ScriptedOutcome(execution_time=2.0)}
+    trajectory = [SPIKE, QUIET, QUIET, QUIET, QUIET] * 2 + [SPIKE]
+    workload, config = _loop_setup(trajectory, outcomes)
+    initial_tokens = count_tokens(workload.store.items())
+    result = run_parent_loop(workload.task, config, ScriptedBackend(outcomes), workload)
+    assert result.status == "completed"
+    assert [r.outcome for r in result.spawn_records] == ["success"] * 3
+    # Only the slices are counted; the parent's total is the store's running count.
+    assert counted == [r.items_slice for r in result.spawn_records]
+    assert result.spawn_records[0].tokens_parent == initial_tokens
+    assert result.state.memory.token_count == count_tokens(result.state.memory.items())
 
 
 def test_loop_without_spikes_never_spawns():
@@ -500,19 +558,23 @@ def test_checkpoint_dir_writes_spawn_and_resume_files(tmp_path):
 def test_service_backend_from_env(monkeypatch):
     monkeypatch.delenv("AGENTFORK_SERVICE_ENDPOINT", raising=False)
     with pytest.raises(OrchestrationError):
-        ServiceBackend.from_env()
+        ServiceBackend.from_env(timeout=1.0)
     monkeypatch.setenv("AGENTFORK_SERVICE_ENDPOINT", "http://127.0.0.1:1/run")
     monkeypatch.setenv("AGENTFORK_SERVICE_TOKEN", "secret")
-    backend = ServiceBackend.from_env()
-    assert callable(backend.transport)
+    seen = {}
+
+    def fake_urlopen(request, timeout):
+        seen.update(auth=request.get_header("Authorization"), timeout=timeout)
+        raise OSError("no service")
+
+    monkeypatch.setattr(runtime.urllib.request, "urlopen", fake_urlopen)
+    backend = ServiceBackend.from_env(timeout=RuntimeConfig().child_timeout)
+    with pytest.raises(OSError):
+        backend.transport(b"{}")
+    assert seen == {"auth": "Bearer secret", "timeout": 600.0}
 
 
 def test_http_transport_posts_package_and_reads_resume():
-    import http.server
-    import threading
-
-    from agentfork.runtime import http_transport
-
     received = {}
 
     class Handler(http.server.BaseHTTPRequestHandler):
@@ -536,7 +598,7 @@ def test_http_transport_posts_package_and_reads_resume():
     thread.start()
     try:
         endpoint = f"http://127.0.0.1:{server.server_address[1]}/run"
-        backend = ServiceBackend(http_transport(endpoint, token="tok"))
+        backend = ServiceBackend(http_transport(endpoint, token="tok", timeout=5.0))
         resume = backend.run(_package("spawn-0077"), seed=0)
         assert resume.spawn_id == "spawn-0077"
         assert resume.result.output == "over http"
@@ -544,3 +606,144 @@ def test_http_transport_posts_package_and_reads_resume():
     finally:
         server.shutdown()
         thread.join(timeout=5)
+
+
+def test_http_transport_timeout_turns_a_silent_service_into_an_invalid_child():
+    answer = threading.Event()
+
+    class SlowHandler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            package = decode_package(self.rfile.read(int(self.headers["Content-Length"])))
+            body = encode_package(ScriptedBackend({"d": ScriptedOutcome()}).run(package, 0, "d"))
+            answer.wait(2.0)  # a service that takes 2 s to answer
+            try:
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+            except OSError:
+                pass  # the client gave up
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), SlowHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        endpoint = f"http://127.0.0.1:{server.server_address[1]}/run"
+        backend = ServiceBackend(http_transport(endpoint, None, timeout=0.2))
+        workload, config = _loop_setup([QUIET, SPIKE, QUIET], {})
+        started = time.monotonic()
+        result = run_parent_loop(workload.task, config, backend, workload)
+        elapsed = time.monotonic() - started
+    finally:
+        answer.set()
+        server.shutdown()
+        thread.join(timeout=5)
+        server.server_close()
+    assert not thread.is_alive()
+    assert elapsed < 1.5
+    assert result.status == "completed"
+    assert [r.outcome for r in result.spawn_records] == ["invalid"]
+    invalid = [e for e in result.events if e.kind == "child_invalid"]
+    assert len(invalid) == 1 and "backend error: " in invalid[0].detail
+    assert "timed out" in invalid[0].detail
+
+
+def _mutated(data: bytes, edits) -> bytes:
+    out = bytearray(data)
+    for position, value in edits:
+        out[position % len(out)] = value
+    return bytes(out)
+
+
+def _replaced(node, path, value):
+    """``node`` with the value that ``path`` leads to (each step taken
+    modulo the number of keys or elements) replaced by ``value``, or by
+    ``value(old)`` when ``value`` is callable."""
+    if not path or not isinstance(node, (dict, list)) or not node:
+        return value(node) if callable(value) else value
+    key = (sorted(node) if isinstance(node, dict) else range(len(node)))[path[0] % len(node)]
+    node[key] = _replaced(node[key], path[1:], value)
+    return node
+
+
+def _same_type(number, real, text):
+    """A replacement that keeps the JSON type of the value it replaces."""
+
+    def pick(old):
+        if isinstance(old, bool) or old is None:
+            return old
+        if isinstance(old, int):
+            return number
+        if isinstance(old, float):
+            return real
+        if isinstance(old, str):
+            return text
+        if isinstance(old, dict):
+            return dict(list(old.items())[:-1])
+        return old[:-1]
+
+    return pick
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10 ** 6), 10 ** 6) | st.floats(allow_nan=False) | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+_JSON_BYTES = st.sampled_from(b'0123456789-.eE"{}[],: atrue')
+
+# Each junk source maps the valid encoding of the child's resume package
+# to the bytes the fake service returns.
+_RESUME_JUNK = st.one_of(
+    st.builds(lambda n: lambda valid: valid[: n % len(valid)], st.integers(0, 10 ** 6)),
+    st.builds(
+        lambda edits: lambda valid: _mutated(valid, edits),
+        st.lists(
+            st.tuples(st.integers(0, 10 ** 6), st.integers(0, 255) | _JSON_BYTES), min_size=1, max_size=4
+        ),
+    ),
+    st.builds(
+        lambda path, value: lambda valid: json.dumps(_replaced(json.loads(valid), path, value)).encode(),
+        st.lists(st.integers(0, 100), min_size=1, max_size=6),
+        _JSON_VALUES,
+    ),
+    st.builds(
+        lambda path, pick: lambda valid: json.dumps(_replaced(json.loads(valid), path, pick)).encode(),
+        st.lists(st.integers(0, 100), min_size=1, max_size=6),
+        st.builds(
+            _same_type,
+            st.integers(-3, 10 ** 4),
+            st.floats(-1.0, 10 ** 4),
+            st.sampled_from(["", "spawn-0001", "spawn-0002", "failure", "partial", "src/a.py", "edit"]) | st.text(max_size=8),
+        ),
+    ),
+    st.builds(lambda value: lambda valid: json.dumps(value).encode(), _JSON_VALUES),
+    st.builds(lambda raw: lambda valid: raw, st.binary(max_size=200)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(junk=_RESUME_JUNK)
+def test_loop_survives_any_resume_package_bytes(junk):
+    diff = Diff("src/a.py", (Hunk(1, ("original line",), ("patched",)),))
+    outcomes = {"d": ScriptedOutcome(execution_time=2.0, diffs=(diff,))}
+
+    def fake_transport(payload: bytes) -> bytes:
+        valid = encode_package(ScriptedBackend(outcomes).run(decode_package(payload), 0, "d"))
+        return junk(valid)
+
+    workload, config = _loop_setup([QUIET, SPIKE, QUIET], outcomes)
+    result = run_parent_loop(workload.task, config, ServiceBackend(fake_transport), workload)
+    assert result.status == "completed"
+    [record] = result.spawn_records
+    kinds = {e.kind for e in result.events if e.detail.startswith(record.spawn_id + " ")}
+    # A package that decodes but reports more time than the child timeout
+    # allows (a mutated execution_time) is a recorded timeout.
+    assert (
+        record.outcome in ("success", "partial", "failure")
+        or (record.outcome == "invalid" and "child_invalid" in kinds)
+        or (record.outcome == "timed_out" and "child_timed_out" in kinds)
+    )
