@@ -207,11 +207,9 @@ def build_spawn_package(
 
 def encode_package(package: SpawnPackage | ResumePackage) -> bytes:
     """Canonical UTF-8 JSON bytes; deterministic for equal packages."""
-    from .schema import package_to_data  # the schema is built on this module's types
+    from .schema import package_bytes  # the schema is built on this module's types
 
-    return json.dumps(
-        package_to_data(package), ensure_ascii=False, separators=(",", ":"), allow_nan=False
-    ).encode("utf-8")
+    return package_bytes(package)
 
 
 def decode_package(data: bytes | str) -> SpawnPackage | ResumePackage:

@@ -14,13 +14,22 @@ from its table; ``parse`` checks and builds in one pass and returns the
 value or a list of ``(kind, path, message)`` errors. A ``ValueError``
 raised by a constructor becomes an error at the path of the object it
 was building.
+
+``package_bytes`` writes a package's compact wire text straight from
+the same tables, byte for byte what ``json.dumps`` (``ensure_ascii=False``,
+``allow_nan=False``, no spaces) writes for its ``encode`` object, without
+building that object. Each distinct float is formatted once per call,
+up to ``FLOAT_MEMO`` of them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring
 from operator import attrgetter, itemgetter
 from types import SimpleNamespace
 from typing import Any, Callable
@@ -55,6 +64,10 @@ SCHEMA_VERSION = 1
 MAX_INT = 2**53
 # Each memory item holds a dense embedding of this many floats.
 MAX_EMBEDDING_DIM = 4096
+# Distinct floats whose wire text one ``package_bytes`` call keeps. Past
+# this many the rest are formatted directly: a memo of every distinct
+# float of a large package costs more than it saves.
+FLOAT_MEMO = 4096
 
 Error = tuple[str, str, str]
 REQUIRED = object()
@@ -89,17 +102,70 @@ def _path_text(parent, key) -> str:
     return text[1:] if text.startswith(".") else text or "$"
 
 
+class _FloatTexts(dict):
+    """The wire text of each float one ``package_bytes`` call has
+    formatted, at most ``FLOAT_MEMO`` of them. The only float list on
+    the wire is an embedding, which ``MemoryItem`` holds as exact
+    floats, so ``repr`` is ``float.__repr__`` without the slot call."""
+
+    def __missing__(self, value):
+        text = repr(value)
+        if len(self) < FLOAT_MEMO:
+            self[value] = text
+        return text
+
+    def join(self, values) -> str:
+        """The comma-separated wire texts of ``values``."""
+        # A dict key holds -0.0 as 0.0, so a list that may hold -0.0
+        # skips the memo, as does every list once the memo is full.
+        direct = len(self) >= FLOAT_MEMO or _maybe_negative_zero(values)
+        return _finite(",".join(map(repr if direct else self.__getitem__, values)))
+
+
+def _finite(text: str) -> str:
+    # "nan", "inf" and "-inf" are the only float texts with an "n".
+    if "n" in text:
+        raise ValueError("Out of range float values are not JSON compliant")
+    return text
+
+
+@functools.lru_cache(maxsize=64)
+def _packer(length: int):
+    return struct.Struct(f"<{length}d").pack
+
+
+def _maybe_negative_zero(values) -> bool:
+    """False when no value is -0.0. The high byte of -0.0 is 0x80; so
+    is that of a few tiny negatives."""
+    return 0x80 in _packer(len(values))(*values)[7::8]
+
+
 class Type:
     """A JSON value: ``parse(value, parent, key, p)`` checks and builds
-    it, ``encode`` writes it."""
+    it, ``encode`` builds its JSON object, ``wire`` returns its compact
+    wire text and ``write`` appends that text to a buffer. ``floats``
+    is the float memo of one ``package_bytes`` call."""
 
     def encode(self, value, fmt: str):
         return value
+
+    def wire_items(self, values, floats) -> str:
+        """The wire texts of a list's elements, comma-separated."""
+        return ",".join([self.wire(v, floats) for v in values])
+
+    def write(self, value, out: bytearray, floats) -> None:
+        out += self.wire(value, floats).encode()
 
 
 class Str(Type):
     def __init__(self, nonempty: bool = False):
         self.nonempty = nonempty
+
+    def wire(self, value, floats):
+        return encode_basestring(value)
+
+    def wire_items(self, values, floats):
+        return ",".join(map(encode_basestring, values))
 
     def parse(self, value, parent, key, p: _Pass):
         if not isinstance(value, str):
@@ -119,6 +185,9 @@ class Int(Type):
         if self.lo is not None and value < self.lo or value > self.hi:
             return p.fail("out_of_range", parent, key, f"{value} outside [{self.lo}, {self.hi}]")
         return value
+
+    def wire(self, value, floats):
+        return int.__repr__(value)
 
 
 class Num(Type):
@@ -140,6 +209,12 @@ class Num(Type):
             return p.fail("out_of_range", parent, key, f"{value} outside [{self.lo}, {self.hi}]")
         return number
 
+    def wire(self, value, floats):
+        return _finite(float.__repr__(value))
+
+    def wire_items(self, values, floats):
+        return floats.join(values)
+
 
 class OneOf(Type):
     """A string naming a member of an ``Enum``."""
@@ -147,6 +222,7 @@ class OneOf(Type):
     def __init__(self, enum: type[Enum]):
         self.enum = enum
         self.members = {m.value: m for m in enum}
+        self.texts = {m: encode_basestring(m.value) for m in enum}
 
     def parse(self, value, parent, key, p: _Pass):
         if not isinstance(value, str):
@@ -158,6 +234,9 @@ class OneOf(Type):
     def encode(self, value, fmt):
         return value.value
 
+    def wire(self, value, floats):
+        return self.texts[value]
+
 
 class Nullable(Type):
     def __init__(self, inner: Type):
@@ -168,6 +247,9 @@ class Nullable(Type):
 
     def encode(self, value, fmt):
         return None if value is None else self.inner.encode(value, fmt)
+
+    def wire(self, value, floats):
+        return "null" if value is None else self.inner.wire(value, floats)
 
 
 class ListOf(Type):
@@ -209,6 +291,18 @@ class ListOf(Type):
             return sorted(value)
         return list(value) if self.plain else [self.item.encode(v, fmt) for v in value]
 
+    def wire(self, value, floats):
+        return "[" + self.item.wire_items(sorted(value) if self.sort else value, floats) + "]"
+
+    def write(self, value, out, floats):
+        # One element's text at a time: no copy of the whole list's text.
+        out += b"["
+        for i, element in enumerate(sorted(value) if self.sort else value):
+            if i:
+                out += b","
+            out += self.item.wire(element, floats).encode()
+        out += b"]"
+
 
 class MapOf(Type):
     """An object with free-form string keys, held as a dict."""
@@ -225,6 +319,11 @@ class MapOf(Type):
 
     def encode(self, value, fmt):
         return {k: self.value_type.encode(v, fmt) for k, v in dict(value).items()}
+
+    def wire(self, value, floats):
+        wire = self.value_type.wire
+        pairs = [encode_basestring(k) + ":" + wire(v, floats) for k, v in dict(value).items()]
+        return "{" + ",".join(pairs) + "}"
 
 
 @dataclass(frozen=True)
@@ -257,10 +356,14 @@ class Table(Type):
         self.fields = {WIRE: [], FILE: []}
         self.fixed: dict[str, dict] = {WIRE: {}, FILE: {}}
         self.encoders: dict[str, list] = {WIRE: [], FILE: []}
+        # (text before the value, getter, type) per wire key.
+        self.writers = []
         for f in fields:
             attr = f.attr or f.key
             entry = (f.key, attr, f.type, f.default)
             getter = f.get or attrgetter(attr)
+            prefix = ("," if self.writers else "{") + encode_basestring(f.key) + ":"
+            self.writers.append((prefix, getter, f.type))
             for fmt in (WIRE, FILE):
                 if fmt == WIRE or f.file:
                     self.fields[fmt].append(entry)
@@ -306,6 +409,16 @@ class Table(Type):
 
     def encode(self, value, fmt: str) -> dict:
         return {key: enc(get(value), fmt) for key, get, enc in self.encoders[fmt]}
+
+    def wire(self, value, floats):
+        parts = [prefix + type_.wire(get(value), floats) for prefix, get, type_ in self.writers]
+        return "".join(parts) + "}"
+
+    def write(self, value, out, floats):
+        for prefix, get, type_ in self.writers:
+            out += prefix.encode()
+            type_.write(get(value), out, floats)
+        out += b"}"
 
 
 def parse(table: Table, data, fmt: str, root: str | None = None):
@@ -554,12 +667,19 @@ WORKLOAD = Table(
     checks=[("memory", _check_memory_ids)],
 )
 
-def package_to_data(package: SpawnPackage | ResumePackage) -> dict:
+def package_bytes(package: SpawnPackage | ResumePackage) -> bytes:
+    """The package's compact UTF-8 wire text, written into one buffer.
+    A non-finite float raises ``ValueError`` and a lone surrogate
+    ``UnicodeEncodeError``, as ``json.dumps(...).encode()`` would."""
     if isinstance(package, SpawnPackage):
-        return SPAWN.encode(package, WIRE)
-    if isinstance(package, ResumePackage):
-        return RESUME.encode(package, WIRE)
-    raise ProtocolError(f"cannot encode {type(package).__name__}")
+        table = SPAWN
+    elif isinstance(package, ResumePackage):
+        table = RESUME
+    else:
+        raise ProtocolError(f"cannot encode {type(package).__name__}")
+    out = bytearray()
+    table.write(package, out, _FloatTexts())
+    return bytes(out)
 
 
 def package_from_data(data) -> SpawnPackage | ResumePackage:

@@ -395,6 +395,29 @@ def test_bundled_machine_reports_match_pins():
     assert digests == pins
 
 
+CHECKPOINT_PINS = Path(__file__).resolve().parent / "checkpoint_pins.json"
+
+
+def _checkpoint_digests(root: Path) -> dict[str, str]:
+    digests = {}
+    for name in list_bundled_workloads():
+        spec = load_workload(bundled_workload_path(name))
+        for seed in (0, 7):
+            directory = root / f"{name}-{seed}"
+            run_simulation(spec, SimulatorConfig(checkpoint_dir=str(directory)), seed)
+            for path in sorted(directory.glob("*.json")):
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                digests[f"{name}:{seed}/{path.name}"] = digest
+    return digests
+
+
+def test_bundled_checkpoints_match_pins(tmp_path):
+    """Spawn and resume checkpoints of every bundled workload keep their
+    exact wire bytes."""
+    pins = json.loads(CHECKPOINT_PINS.read_text(encoding="utf-8"))
+    assert _checkpoint_digests(tmp_path) == pins
+
+
 def test_bundled_fixtures_save_byte_identical(tmp_path):
     for name in list_bundled_workloads():
         original = bundled_workload_path(name)

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from agentfork import schema
 from agentfork.coherence import Diff, Hunk
-from agentfork.memory import MemorySlice, MemoryStore, MemoryTier, make_item
+from agentfork.memory import MemoryItem, MemorySlice, MemoryStore, MemoryTier, make_item
 from agentfork.policy import ComplexityMetrics
 from agentfork.protocol import (
     Action,
@@ -20,6 +25,7 @@ from agentfork.protocol import (
     ReplayConfig,
     ResultPayload,
     ResumePackage,
+    SpawnPackage,
     TaskSpec,
     build_spawn_package,
     decode_package,
@@ -153,6 +159,190 @@ def test_round_trip_and_fixpoint_on_randomized_packages(embedder):
         again = decode_package(data)
         assert again == resume
         assert encode_package(again) == data
+
+
+def _reference_bytes(package) -> bytes:
+    table = schema.SPAWN if isinstance(package, SpawnPackage) else schema.RESUME
+    data = schema.encode(table, package, schema.WIRE)
+    return json.dumps(data, ensure_ascii=False, separators=(",", ":"), allow_nan=False).encode()
+
+
+# Floats whose shortest repr takes each form: subnormal, huge, exponent
+# at the repr switch points, and a repeating fraction.
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, 1e308, 1e16, 1e-7, 1 / 3)
+_FLOATS = st.one_of(
+    st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+_UNIT = st.one_of(st.sampled_from((0.0, -0.0, 1e-7, 1 / 3, 1.0)), st.floats(0.0, 1.0))
+_NONNEG = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, 1e16, 1e308)), st.floats(0.0, 1e308))
+# JSON escapes, the characters ensure_ascii=False passes through, and
+# non-BMP characters; lone surrogates cannot be encoded at all.
+_ESCAPED = '"\\\x7f\u2028\u2029\U0001f600\U00010000' + "".join(map(chr, range(32)))
+_TEXT = st.text(
+    st.one_of(st.sampled_from(_ESCAPED), st.characters(blacklist_categories=("Cs",))), max_size=8
+)
+_NAME = _TEXT.filter(bool)
+_LINES = st.lists(_TEXT, max_size=3).map(tuple)
+
+
+def _many_floats(seed: int) -> tuple[float, ...]:
+    """More distinct floats than the wire writer's memo holds, with zeros
+    of both signs before and after the memo fills."""
+    rng = random.Random(seed)
+    values = [rng.uniform(-1e6, 1e6) for _ in range(schema.FLOAT_MEMO + 200)]
+    for at in (3, schema.FLOAT_MEMO - 1, schema.FLOAT_MEMO + 100):
+        values[at : at + 2] = (0.0, -0.0) if at % 2 else (-0.0, 0.0)
+    return tuple(values)
+
+
+@st.composite
+def _items(draw):
+    count = draw(st.integers(0, 3))
+    embeddings = [tuple(draw(st.lists(_FLOATS, max_size=6))) for _ in range(count)]
+    if draw(st.booleans()):
+        embeddings.append(_many_floats(draw(st.integers(0, 2**16))))
+    return tuple(
+        MemoryItem(
+            id=draw(_NAME),
+            tier=draw(st.sampled_from(list(MemoryTier))),
+            content=draw(_TEXT),
+            referenced_files=draw(st.frozensets(_TEXT, max_size=3)),
+            referenced_symbols=draw(st.frozensets(_TEXT, max_size=2)),
+            created_at_step=draw(st.integers(0, 2**53)),
+            embedding=embedding,
+        )
+        for embedding in embeddings
+    )
+
+
+@st.composite
+def _skills(draw, provenance):
+    placeholder = st.from_regex(r"[a-z_][a-z0-9_]{0,5}", fullmatch=True)
+    names = draw(st.lists(placeholder, max_size=3, unique=True))
+    stat = draw(st.none() | _UNIT) if provenance is Provenance.LEARNED else None
+    return Skill(
+        id=draw(_NAME),
+        template=draw(_TEXT) + "".join(f"{{{n}}}" for n in names),
+        params={n: draw(_TEXT) for n in names},
+        provenance=provenance,
+        success_stat=stat,
+    )
+
+
+_DIFFS = st.lists(
+    st.builds(
+        lambda file, start, old, new: Diff(file, (Hunk(start, old, new),)),
+        _NAME,
+        st.integers(1, 2**53),
+        _LINES,
+        _LINES,
+    ),
+    max_size=2,
+).map(tuple)
+
+
+@st.composite
+def _spawn_packages(draw):
+    items = draw(_items())
+    return SpawnPackage(
+        spawn_id=draw(_NAME),
+        parent_id=draw(_NAME),
+        timestamp=draw(_NONNEG),
+        memory={tier: tuple(i for i in items if i.tier is tier) for tier in MemoryTier},
+        skills=tuple(draw(st.lists(_skills(Provenance.BUILT_IN), max_size=2))),
+        context=ExecutionContext(
+            repo_path=draw(_TEXT),
+            current_file=draw(_TEXT),
+            line_number=draw(st.integers(0, 2**53)),
+            pending_changes=draw(_DIFFS),
+        ),
+        task=TaskSpec(
+            description=draw(_NAME),
+            constraints=draw(_LINES),
+            expected_outcome=draw(_TEXT),
+            referenced_files=draw(st.frozensets(_TEXT, max_size=2)),
+            referenced_symbols=draw(st.frozensets(_TEXT, max_size=2)),
+        ),
+        metrics=ComplexityMetrics(
+            draw(_NONNEG), draw(_NONNEG), draw(_NONNEG), draw(_UNIT), draw(_NONNEG)
+        ),
+        score=draw(_UNIT),
+    )
+
+
+@st.composite
+def _resume_packages(draw):
+    diffs = draw(_DIFFS)
+    return ResumePackage(
+        spawn_id=draw(_NAME),
+        status=draw(st.sampled_from(list(ChildStatus))),
+        execution_time=draw(_NONNEG),
+        result=ResultPayload(
+            output=draw(_TEXT), code_diff=diffs, files_modified=frozenset(d.file for d in diffs)
+        ),
+        trace=tuple(
+            Action(step, draw(st.sampled_from(list(ActionKind))), draw(_TEXT))
+            for step in sorted(draw(st.sets(st.integers(-(2**53), 2**53), max_size=3)))
+        ),
+        skills_learned=tuple(draw(st.lists(_skills(Provenance.LEARNED), max_size=2))),
+        metrics=ChildMetrics(draw(st.integers(0, 2**53)), draw(st.integers(0, 2**53)), draw(_UNIT)),
+    )
+
+
+def _zero_pair_package():
+    """-0.0 and 0.0 in one embedding in both orders, in either order of items."""
+    items = [
+        MemoryItem(f"z{n}", MemoryTier.SEMANTIC, "zeros", embedding=embedding)
+        for n, embedding in enumerate(((0.0, -0.0, 0.5), (-0.0, 0.0, 0.5), (0.0, 0.5), (-0.0,)))
+    ]
+    return dataclasses.replace(
+        _package(None), memory={MemoryTier.SEMANTIC: tuple(items + items[::-1])}
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_spawn_packages(), _resume_packages()))
+@example(_zero_pair_package())
+def test_wire_writer_matches_json_dumps(package):
+    assert encode_package(package) == _reference_bytes(package)
+
+
+def _with_embedding(embedding):
+    item = MemoryItem("bad", MemoryTier.SEMANTIC, "bad", embedding=embedding)
+    return dataclasses.replace(_package(None), memory={MemoryTier.SEMANTIC: (item,)})
+
+
+def _with_metric(value):
+    return dataclasses.replace(_package(None), metrics=ComplexityMetrics(value, 1, 1, 0.5, 1))
+
+
+_MEMO_FULL = tuple(float(n) + 0.5 for n in range(schema.FLOAT_MEMO))
+
+
+@pytest.mark.parametrize(
+    "package, error",
+    [
+        (_with_embedding((0.5, math.nan)), ValueError),
+        (_with_embedding((math.inf, 0.5)), ValueError),
+        (_with_embedding((-math.inf,)), ValueError),
+        (_with_embedding((-0.0, math.nan)), ValueError),
+        (_with_embedding(_MEMO_FULL + (math.nan,)), ValueError),
+        (_with_metric(math.nan), ValueError),
+        (_with_metric(math.inf), ValueError),
+        (_resume(execution_time=math.inf), ValueError),
+        (_resume(result=ResultPayload(output="lone \ud800 surrogate")), UnicodeEncodeError),
+        (dataclasses.replace(_package(None), task=TaskSpec(description="\udfff")), UnicodeEncodeError),
+        (TaskSpec(description="not a package"), ProtocolError),
+    ],
+)
+def test_wire_writer_raises_what_json_dumps_raises(package, error):
+    """Each row raises the same error from the writer as from the
+    ``json.dumps`` reference; only packages have a reference."""
+    if isinstance(package, (SpawnPackage, ResumePackage)):
+        with pytest.raises(error):
+            _reference_bytes(package)
+    with pytest.raises(error):
+        encode_package(package)
 
 
 def test_decode_missing_key():

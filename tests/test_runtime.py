@@ -8,6 +8,13 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
 from agentfork import runtime
 from agentfork.coherence import Diff, Hunk
@@ -199,65 +206,87 @@ _PROPERTY_OUTCOMES = {
         execution_time=10.0, spawns=(NestedSpawn(outcome_key="short"), NestedSpawn(outcome_key="long"))
     ),
 }
-_SCHEDULER_OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("spawn"), st.integers(0, 10**6), st.sampled_from(sorted(_PROPERTY_OUTCOMES))),
-        st.tuples(st.just("advance"), st.floats(0.5, 50.0), st.just("")),
-    ),
-    max_size=40,
-)
+class _SchedulerMachine(RuleBasedStateMachine):
+    """Random spawn and advance steps against ``ChildScheduler`` and
+    ``SpawnTree``. After every step no node is deeper than the depth
+    limit, none runs more children than the concurrency limit, and each
+    parent's children have started in the order they were requested.
+    At the end the scheduler drains to idle, every request was started,
+    queued or (exactly when too deep) rejected, and every request that
+    was not rejected has started."""
+
+    @initialize(max_depth=st.integers(1, 3), limit=st.integers(1, 3))
+    def setup(self, max_depth, limit):
+        self.max_depth, self.limit = max_depth, limit
+        self.scheduler, _, self.tree, self.clock, self.events = _scheduler(
+            _PROPERTY_OUTCOMES, max_depth=max_depth, concurrent_limit=limit
+        )
+        # [parent, spawn id, state] per request in call order, nested ones included.
+        self.requests = []
+        spawn_child = self.scheduler.spawn_child
+
+        def recording_spawn_child(parent, decision, package, outcome_key=None):
+            request = [parent, package.spawn_id, None]
+            self.requests.append(request)
+            outcome = spawn_child(parent, decision, package, outcome_key)
+            request[2] = outcome.state
+            return outcome
+
+        self.scheduler.spawn_child = recording_spawn_child
+
+    @rule(pick=st.integers(0, 10**6), key=st.sampled_from(sorted(_PROPERTY_OUTCOMES)))
+    def spawn(self, pick, key):
+        nodes = list(self.tree.nodes.values())
+        parent = nodes[pick % len(nodes)]
+        package = _package(self.scheduler.next_id(), parent.id)
+        self.scheduler.spawn_child(parent, _decision(), package, outcome_key=key)
+
+    @rule(seconds=st.floats(0.5, 50.0))
+    def advance(self, seconds):
+        self.clock.advance(seconds)
+        self.scheduler.await_children(until=self.clock.now)
+
+    def _started(self) -> dict[str, list[str]]:
+        started: dict[str, list[str]] = {}
+        for event in self.events:
+            if event.kind == "child_started":
+                spawn_id, parent_field = event.detail.split()[:2]
+                started.setdefault(parent_field.removeprefix("parent="), []).append(spawn_id)
+        return started
+
+    def _requested(self) -> dict[str, list[str]]:
+        requested: dict[str, list[str]] = {}
+        for parent, spawn_id, state in self.requests:
+            if state != "rejected":
+                requested.setdefault(parent.id, []).append(spawn_id)
+        return requested
+
+    @invariant()
+    def limits_hold(self):
+        for node in self.tree.nodes.values():
+            assert node.depth <= self.max_depth
+            assert self.tree.running_children(node.id) <= self.limit
+
+    @invariant()
+    def children_start_in_request_order(self):
+        requested = self._requested()
+        for parent_id, started in self._started().items():
+            assert started == requested[parent_id][: len(started)]
+
+    def teardown(self):
+        self.scheduler.await_children()
+        self.limits_hold()
+        assert self.scheduler.idle()
+        for parent, spawn_id, state in self.requests:
+            assert state in ("started", "queued", "rejected")
+            assert (state == "rejected") == (parent.depth + 1 > self.max_depth)
+        assert self._started() == self._requested()
 
 
-@settings(max_examples=60, deadline=None)
-@given(max_depth=st.integers(1, 3), limit=st.integers(1, 3), ops=_SCHEDULER_OPS)
-def test_scheduler_keeps_limits_and_per_parent_fifo(max_depth, limit, ops):
-    scheduler, root, tree, clock, events = _scheduler(
-        _PROPERTY_OUTCOMES, max_depth=max_depth, concurrent_limit=limit
+def test_scheduler_keeps_limits_and_per_parent_fifo():
+    run_state_machine_as_test(
+        _SchedulerMachine, settings=settings(max_examples=60, stateful_step_count=40, deadline=None)
     )
-    requests = []  # [parent, spawn id, state] per request in call order, nested ones included
-    spawn_child = scheduler.spawn_child
-
-    def recording_spawn_child(parent, decision, package, outcome_key=None):
-        request = [parent, package.spawn_id, None]
-        requests.append(request)
-        outcome = spawn_child(parent, decision, package, outcome_key)
-        request[2] = outcome.state
-        return outcome
-
-    scheduler.spawn_child = recording_spawn_child
-
-    def check_limits():
-        for node in tree.nodes.values():
-            assert node.depth <= max_depth
-            assert tree.running_children(node.id) <= limit
-
-    for op, arg, key in ops:
-        if op == "spawn":
-            nodes = list(tree.nodes.values())
-            parent = nodes[arg % len(nodes)]
-            package = _package(scheduler.next_id(), parent.id)
-            scheduler.spawn_child(parent, _decision(), package, outcome_key=key)
-        else:
-            clock.advance(arg)
-            scheduler.await_children(until=clock.now)
-        check_limits()
-    scheduler.await_children()
-    check_limits()
-    assert scheduler.idle()
-
-    for parent, spawn_id, state in requests:
-        assert state in ("started", "queued", "rejected")
-        assert (state == "rejected") == (parent.depth + 1 > max_depth)
-    started: dict[str, list[str]] = {}
-    for event in events:
-        if event.kind == "child_started":
-            spawn_id, parent_field = event.detail.split()[:2]
-            started.setdefault(parent_field.removeprefix("parent="), []).append(spawn_id)
-    requested: dict[str, list[str]] = {}
-    for parent, spawn_id, state in requests:
-        if state != "rejected":
-            requested.setdefault(parent.id, []).append(spawn_id)
-    assert started == requested
 
 
 def test_await_children_timeout_boundary():
