@@ -13,7 +13,7 @@ from .coherence import (
     apply_diff,
     auto_merge,
     line_disjoint,
-    merge_results,
+    merge_diff_sets,
     semantic_merge,
 )
 from .config import ConfigError, SimulatorConfig

@@ -13,10 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Protocol, Sequence, TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .protocol import ResumePackage
+from typing import AbstractSet, Iterable, Protocol, Sequence
 
 
 class DiffError(ValueError):
@@ -90,6 +87,9 @@ class ResolutionTier(str, Enum):
     ESCALATED = "escalated"
 
 
+_TIERS = tuple(ResolutionTier)
+
+
 @dataclass(frozen=True)
 class Resolution:
     pair: ConflictPair
@@ -135,24 +135,23 @@ def diff_applies(base: Sequence[str], diff: Diff) -> bool:
         return False
 
 
-def touched_files(diffs: Iterable[Diff]) -> frozenset[str]:
-    return frozenset(d.file for d in diffs)
-
-
 def combine_diffs(diffs: Iterable[Diff]) -> dict[str, Diff]:
     """One diff per file holding all of ``diffs``' hunks on it, sorted,
-    in first-seen file order. Raises DiffError when hunks on one file
-    overlap."""
-    per_file: dict[str, list[Hunk]] = {}
+    in first-seen file order. A file's lone diff comes back as it is,
+    since its hunks are already sorted and disjoint. Raises DiffError
+    when hunks on one file overlap."""
+    per_file: dict[str, list[Diff]] = {}
     for d in diffs:
-        per_file.setdefault(d.file, []).extend(d.hunks)
+        per_file.setdefault(d.file, []).append(d)
     return {
-        path: Diff(file=path, hunks=tuple(sorted(hunks, key=Hunk.span)))
-        for path, hunks in per_file.items()
+        path: group[0]
+        if len(group) == 1
+        else Diff(file=path, hunks=tuple(sorted((h for d in group for h in d.hunks), key=Hunk.span)))
+        for path, group in per_file.items()
     }
 
 
-def _detect_conflicts(entries: Sequence[tuple[str, frozenset[str]]]) -> list[ConflictPair]:
+def _detect_conflicts(entries: Sequence[tuple[str, AbstractSet[str]]]) -> list[ConflictPair]:
     pairs = []
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
@@ -263,12 +262,13 @@ def semantic_merge(
     return SemanticMergeResult(accepted=True, diff=proposal)
 
 
-def merge_results(
-    results: Sequence["ResumePackage"],
+def merge_diff_sets(
+    entries: Sequence[tuple[str, Sequence[Diff]]],
     base_files: dict[str, Sequence[str]],
     merge_backend: MergeBackend,
 ) -> MergeOutcome:
-    """Resolve all pairwise conflicts among child results.
+    """Resolve all pairwise conflicts among the children's diff sets,
+    given as ``(child id, diffs)`` in child order.
 
     Non-conflicting diffs pass straight through. Per shared file, the
     contributors' diffs are folded together in child order: disjoint
@@ -276,23 +276,14 @@ def merge_results(
     and a declined merge escalates the file, excluding every child's
     hunks on it from the merged output.
     """
-    entries = [(r.spawn_id, list(r.result.code_diff)) for r in results]
-    return merge_diff_sets(entries, base_files, merge_backend)
-
-
-def merge_diff_sets(
-    entries: Sequence[tuple[str, Sequence[Diff]]],
-    base_files: dict[str, Sequence[str]],
-    merge_backend: MergeBackend,
-) -> MergeOutcome:
     ids = [child_id for child_id, _ in entries]
-    file_sets = [touched_files(diffs) for _, diffs in entries]
-    pairs = _detect_conflicts(list(zip(ids, file_sets)))
+    combined = [combine_diffs(diffs) for _, diffs in entries]
+    pairs = _detect_conflicts([(child_id, per_file.keys()) for child_id, per_file in zip(ids, combined)])
 
     by_file: dict[str, list[tuple[int, Diff]]] = {}
-    for idx, (_, diffs) in enumerate(entries):
-        for path, combined in combine_diffs(diffs).items():
-            by_file.setdefault(path, []).append((idx, combined))
+    for idx, per_file in enumerate(combined):
+        for path, diff in per_file.items():
+            by_file.setdefault(path, []).append((idx, diff))
 
     # Fold each shared file's contributors in child order, recording the
     # tier each fold landed on; pair records aggregate over shared files.
@@ -329,7 +320,7 @@ def merge_diff_sets(
 
     index_of = {child_id: i for i, child_id in enumerate(ids)}
     resolutions = []
-    stats = {tier: 0 for tier in ResolutionTier}
+    stats = dict.fromkeys(_TIERS, 0)
     for pair in pairs:
         j = index_of[pair.right_child]
         tiers = {fold_tier[(path, j)] for path in pair.files if (path, j) in fold_tier}

@@ -11,9 +11,10 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from ..coherence import Diff, Hunk, ResolutionTier, StochasticMergeBackend, merge_results
+from ..coherence import Diff, Hunk, ResolutionTier, StochasticMergeBackend
+# Bound under this name because bench/tracer.py wraps simulate.merge_results.
+from ..coherence import merge_diff_sets as merge_results
 from ..config import SimulatorConfig
-from ..protocol import ChildMetrics, ChildStatus, ResultPayload, ResumePackage
 from ..runtime import ScriptedBackend, run_parent_loop
 from .report import RunReport
 from .workload import ConflictScenarioParams, WorkloadSpec
@@ -56,20 +57,6 @@ def _scenario_diffs(rng: random.Random, disjoint: bool, base: list[str]) -> tupl
     return left, right, path
 
 
-def _scenario_resume(spawn_id: str, diff: Diff) -> ResumePackage:
-    return ResumePackage(
-        spawn_id=spawn_id,
-        status=ChildStatus.SUCCESS,
-        execution_time=5.0,
-        result=ResultPayload(
-            output="edited shared module",
-            code_diff=(diff,),
-            files_modified=frozenset({diff.file}),
-        ),
-        metrics=ChildMetrics(tokens_used=200, api_calls=1, test_pass_rate=1.0),
-    )
-
-
 def run_conflict_phase(params: ConflictScenarioParams, seed: int) -> ConflictPhaseStats:
     """Push scripted two-child conflict scenarios through the full merge
     protocol and tally resolution tiers."""
@@ -80,11 +67,8 @@ def run_conflict_phase(params: ConflictScenarioParams, seed: int) -> ConflictPha
     for n in range(params.count):
         disjoint = rng.random() < params.line_disjoint_fraction
         left, right, path = _scenario_diffs(rng, disjoint, base)
-        results = [
-            _scenario_resume(f"c{n}a", left),
-            _scenario_resume(f"c{n}b", right),
-        ]
-        outcome = merge_results(results, {path: base}, backend)
+        entries = ((f"c{n}a", (left,)), (f"c{n}b", (right,)))
+        outcome = merge_results(entries, {path: base}, backend)
         stats.total += 1
         resolution = outcome.resolutions[0]
         if resolution.tier is ResolutionTier.AUTO:

@@ -63,6 +63,8 @@ class ExecutionContext:
     pending_changes: tuple[Diff, ...] = ()
 
     def __post_init__(self):
+        if isinstance(self.line_number, bool) or not isinstance(self.line_number, int):
+            raise ProtocolError(f"line_number must be an integer, got {self.line_number!r}")
         if self.line_number < 0:
             raise ProtocolError("line_number must be >= 0")
         object.__setattr__(self, "pending_changes", tuple(self.pending_changes))

@@ -454,12 +454,12 @@ class ChildScheduler:
     def _start(self, handle: ChildHandle) -> None:
         handle.start_time = self.clock.now
         self.tree.add_child(handle.parent.id, handle.agent)
-        if self.config.checkpoint_dir:
-            write_checkpoint(handle.package, self.config.checkpoint_dir)
         try:
+            if self.config.checkpoint_dir:
+                write_checkpoint(handle.package, self.config.checkpoint_dir)
             handle.resume = self.backend.run(handle.package, handle.seed, handle.outcome_key)
         except Exception as exc:
-            # A failing backend costs this child, never the parent.
+            # A failing checkpoint write or backend costs this child, never the parent.
             self.backend_errors[handle.spawn_id] = f"backend error: {type(exc).__name__}: {exc}"
         self.running.append(handle)
         self.events.append(
@@ -517,9 +517,12 @@ class ChildScheduler:
         if resume is None:
             errors = [self.backend_errors.pop(handle.spawn_id)]
         else:
-            if self.config.checkpoint_dir:
-                write_checkpoint(resume, self.config.checkpoint_dir)
             errors = validate_resume(resume, handle.package)
+            if self.config.checkpoint_dir:
+                try:
+                    write_checkpoint(resume, self.config.checkpoint_dir)
+                except Exception as exc:
+                    errors.append(f"checkpoint error: {type(exc).__name__}: {exc}")
         if errors:
             self.tree.mark(handle.spawn_id, NodeStatus.FAILED)
             self.events.append(

@@ -48,9 +48,13 @@ class Skill:
         if not isinstance(self.provenance, Provenance):
             object.__setattr__(self, "provenance", Provenance(self.provenance))
         holders = self.placeholders()
+        previous = None
         for name, _ in self.params:
             if name not in holders:
                 raise SkillError(f"skill {self.id}: param {name!r} has no placeholder in template")
+            if name == previous:
+                raise SkillError(f"skill {self.id}: param {name!r} is bound twice")
+            previous = name
         if self.success_stat is not None:
             if self.provenance is not Provenance.LEARNED:
                 raise SkillError(f"skill {self.id}: success_stat only allowed on learned skills")

@@ -13,24 +13,14 @@ from agentfork.coherence import (
     StochasticMergeBackend,
     apply_diff,
     auto_merge,
+    combine_diffs,
     line_disjoint,
     merge_diff_sets,
-    merge_results,
     semantic_merge,
 )
-from agentfork.protocol import ChildMetrics, ChildStatus, ResultPayload, ResumePackage
+from agentfork.protocol import ChildMetrics, ChildStatus, ResultPayload, ResumePackage, validate_resume
 
-
-def _resume(spawn_id, diffs):
-    return ResumePackage(
-        spawn_id=spawn_id,
-        status=ChildStatus.SUCCESS,
-        execution_time=1.0,
-        result=ResultPayload(
-            output="ok", code_diff=tuple(diffs), files_modified=frozenset(d.file for d in diffs)
-        ),
-        metrics=ChildMetrics(1, 1, 1.0),
-    )
+from conftest import random_spawn_package
 
 
 BASE = ["a", "b", "c"]
@@ -68,6 +58,48 @@ def test_apply_multiple_hunks_back_to_front():
 def test_diff_rejects_overlapping_hunks():
     with pytest.raises(DiffError):
         Diff(file="f", hunks=(Hunk(1, ("a", "b"), ()), Hunk(2, ("b",), ())))
+
+
+_F_EARLY = Diff(file="f", hunks=(Hunk(1, ("a",), ("A",)),))
+_F_LATE = Diff(file="f", hunks=(Hunk(3, ("c",), ("C",)),))
+_G = Diff(file="g", hunks=(Hunk(2, (), ("x",)),))
+
+
+@pytest.mark.parametrize(
+    "diffs, expected",
+    [
+        ((_F_EARLY,), {"f": _F_EARLY}),
+        ((_G, _F_LATE), {"g": _G, "f": _F_LATE}),
+        (
+            (_F_LATE, _G, _F_EARLY),
+            {"f": Diff(file="f", hunks=_F_EARLY.hunks + _F_LATE.hunks), "g": _G},
+        ),
+        (
+            (Diff(file="f", hunks=(Hunk(1, ("a", "b"), ("X",)),)), Diff(file="f", hunks=(Hunk(2, ("b",), ("Y",)),))),
+            None,
+        ),
+    ],
+    ids=["lone", "lone-per-file", "sorted-union", "overlap"],
+)
+def test_combine_diffs_reuses_lone_diffs_and_unions_the_rest(diffs, expected, embedder):
+    if expected is None:
+        with pytest.raises(DiffError, match="overlap"):
+            combine_diffs(diffs)
+        spawn = random_spawn_package(random.Random(0), embedder)
+        resume = ResumePackage(
+            spawn_id=spawn.spawn_id,
+            status=ChildStatus.SUCCESS,
+            execution_time=1.0,
+            result=ResultPayload(output="ok", code_diff=diffs, files_modified=frozenset({"f"})),
+            metrics=ChildMetrics(1, 1, 1.0),
+        )
+        assert validate_resume(resume, spawn) == ["f: hunks overlap or are unsorted at line 2"]
+        return
+    combined = combine_diffs(diffs)
+    assert combined == expected
+    assert list(combined) == list(expected)
+    lone = [d for d in diffs if sum(other.file == d.file for other in diffs) == 1]
+    assert all(combined[d.file] is d for d in lone)
 
 
 def _conflict_pairs(entries):
@@ -228,11 +260,11 @@ def test_merge_results_no_conflicts_pass_through():
     rng = random.Random(0)
     backend = StochasticMergeBackend(1.0, rng)
     base_files = {"f1": ["a"], "f2": ["b"]}
-    results = [
-        _resume("c1", [Diff(file="f1", hunks=(Hunk(1, ("a",), ("A",)),))]),
-        _resume("c2", [Diff(file="f2", hunks=(Hunk(1, ("b",), ("B",)),))]),
+    entries = [
+        ("c1", [Diff(file="f1", hunks=(Hunk(1, ("a",), ("A",)),))]),
+        ("c2", [Diff(file="f2", hunks=(Hunk(1, ("b",), ("B",)),))]),
     ]
-    outcome = merge_results(results, base_files, backend)
+    outcome = merge_diff_sets(entries, base_files, backend)
     assert len(outcome.merged_diffs) == 2
     assert outcome.resolutions == []
     assert all(count == 0 for count in outcome.stats.values())
@@ -242,11 +274,11 @@ def test_merge_results_auto_tier_merges_both_edits():
     rng = random.Random(0)
     backend = StochasticMergeBackend(1.0, rng)
     base = [f"line {i}" for i in range(1, 9)]
-    results = [
-        _resume("c1", [Diff(file="f", hunks=(Hunk(2, (base[1],), ("L",)),))]),
-        _resume("c2", [Diff(file="f", hunks=(Hunk(6, (base[5],), ("R",)),))]),
+    entries = [
+        ("c1", [Diff(file="f", hunks=(Hunk(2, (base[1],), ("L",)),))]),
+        ("c2", [Diff(file="f", hunks=(Hunk(6, (base[5],), ("R",)),))]),
     ]
-    outcome = merge_results(results, {"f": base}, backend)
+    outcome = merge_diff_sets(entries, {"f": base}, backend)
     assert outcome.stats[ResolutionTier.AUTO] == 1
     assert outcome.resolutions[0].success
     merged = apply_diff(base, outcome.merged_diffs[0])
@@ -258,12 +290,12 @@ def test_merge_results_escalation_excludes_conflicting_file():
     backend = StochasticMergeBackend(0.0, rng)
     base = ["a", "b", "c"]
     overlapping = Hunk(1, ("a", "b"), ("X",))
-    results = [
-        _resume("c1", [Diff(file="f", hunks=(overlapping,))]),
-        _resume("c2", [Diff(file="f", hunks=(Hunk(2, ("b", "c"), ("Y",)),)),
-                        Diff(file="g", hunks=(Hunk(1, (), ("safe",)),))]),
+    entries = [
+        ("c1", [Diff(file="f", hunks=(overlapping,))]),
+        ("c2", [Diff(file="f", hunks=(Hunk(2, ("b", "c"), ("Y",)),)),
+                Diff(file="g", hunks=(Hunk(1, (), ("safe",)),))]),
     ]
-    outcome = merge_results(results, {"f": base, "g": []}, backend)
+    outcome = merge_diff_sets(entries, {"f": base, "g": []}, backend)
     assert outcome.stats[ResolutionTier.ESCALATED] == 1
     assert not outcome.resolutions[0].success
     assert outcome.escalated_files == {"f"}
@@ -274,11 +306,11 @@ def test_merge_results_semantic_tier_when_backend_accepts():
     rng = random.Random(0)
     backend = StochasticMergeBackend(1.0, rng)
     base = ["a", "b", "c"]
-    results = [
-        _resume("c1", [Diff(file="f", hunks=(Hunk(1, ("a", "b"), ("X",)),))]),
-        _resume("c2", [Diff(file="f", hunks=(Hunk(2, ("b", "c"), ("Y",)),))]),
+    entries = [
+        ("c1", [Diff(file="f", hunks=(Hunk(1, ("a", "b"), ("X",)),))]),
+        ("c2", [Diff(file="f", hunks=(Hunk(2, ("b", "c"), ("Y",)),))]),
     ]
-    outcome = merge_results(results, {"f": base}, backend)
+    outcome = merge_diff_sets(entries, {"f": base}, backend)
     assert outcome.stats[ResolutionTier.SEMANTIC] == 1
     assert outcome.resolutions[0].success
     assert apply_diff(base, outcome.merged_diffs[0]) == ["X", "c"]
@@ -311,11 +343,11 @@ def test_merge_results_reproducible_given_seed():
     def run():
         backend = StochasticMergeBackend(0.5, random.Random(42))
         base = ["a", "b", "c", "d"]
-        results = [
-            _resume("c1", [Diff(file="f", hunks=(Hunk(1, ("a", "b"), ("X",)),))]),
-            _resume("c2", [Diff(file="f", hunks=(Hunk(2, ("b", "c"), ("Y",)),))]),
+        entries = [
+            ("c1", [Diff(file="f", hunks=(Hunk(1, ("a", "b"), ("X",)),))]),
+            ("c2", [Diff(file="f", hunks=(Hunk(2, ("b", "c"), ("Y",)),))]),
         ]
-        return merge_results(results, {"f": base}, backend)
+        return merge_diff_sets(entries, {"f": base}, backend)
 
     first, second = run(), run()
     assert first.merged_diffs == second.merged_diffs

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import tempfile
@@ -107,6 +108,28 @@ def test_conflict_phase_matches_requested_composition():
     assert stats.escalated / stats.total == pytest.approx(0.12, abs=0.03)
     assert stats.auto_failures == 0
     assert stats.escalation_leaks == 0
+
+
+# Every ConflictPhaseStats field, in declaration order, as the merge path
+# computed them before it stopped building resume packages per scenario.
+_MIX = ConflictScenarioParams(count=2000, line_disjoint_fraction=0.15, semantic_success_p=0.73 / 0.85)
+_PHASE_PINS = {
+    ("mix", 0): (2000, 310, 1454, 236, 1690, 1454, 0, 0),
+    ("mix", 7): (2000, 325, 1443, 232, 1675, 1443, 0, 0),
+    ("mix", 31): (2000, 274, 1471, 255, 1726, 1471, 0, 0),
+    ("tier_calibration", 0): (10000, 1506, 7293, 1201, 8494, 7293, 0, 0),
+    ("tier_calibration", 7): (10000, 1541, 7269, 1190, 8459, 7269, 0, 0),
+    ("tier_calibration", 31): (10000, 1430, 7310, 1260, 8570, 7310, 0, 0),
+}
+
+
+@pytest.mark.parametrize("source, seed", sorted(_PHASE_PINS))
+def test_conflict_phase_stats_are_pinned(source, seed):
+    if source == "mix":
+        params = _MIX
+    else:
+        params = load_workload(bundled_workload_path(source)).conflicts
+    assert dataclasses.astuple(run_conflict_phase(params, seed)) == _PHASE_PINS[(source, seed)]
 
 
 def test_conflict_phase_deterministic():

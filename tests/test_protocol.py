@@ -122,6 +122,13 @@ def test_build_rejects_out_of_range_score(embedder):
         )
 
 
+@pytest.mark.parametrize("line_number", [3.0, True, "3"])
+def test_context_rejects_a_non_integer_line_number(line_number):
+    # The wire decoder rejects these too, so no package could carry them.
+    with pytest.raises(ProtocolError, match="line_number must be an integer"):
+        ExecutionContext(repo_path="r", line_number=line_number)
+
+
 def test_encoded_spawn_package_key_sets(embedder):
     item = make_item("m1", MemoryTier.EPISODIC, "words", embedder)
     pkg = _package(embedder, slice_items=(item,))

@@ -584,6 +584,45 @@ def test_checkpoint_dir_writes_spawn_and_resume_files(tmp_path):
     assert decoded.spawn_id == "spawn-0001"
 
 
+@pytest.mark.parametrize("case", ["nan_metric", "dir_is_file"])
+def test_failed_spawn_checkpoint_costs_the_child_not_the_parent(tmp_path, case):
+    outcomes = {"context_compression": ScriptedOutcome(execution_time=2.0)}
+    if case == "nan_metric":
+        # The spawn package carries the NaN reading, which JSON cannot hold.
+        nan_spike = ComplexityMetrics(17, 40, 85, 0.97, float("nan"))
+        trajectory, checkpoint_dir, error = [QUIET, nan_spike, QUIET], tmp_path, "ValueError"
+    else:
+        checkpoint_dir = tmp_path / "taken"
+        checkpoint_dir.write_text("a regular file")
+        trajectory, error = [QUIET, SPIKE, QUIET], "FileExistsError"
+    workload, config = _loop_setup(trajectory, outcomes, checkpoint_dir=str(checkpoint_dir))
+    result = run_parent_loop(workload.task, config, ScriptedBackend(outcomes), workload)
+    assert result.status == "completed"
+    assert [r.outcome for r in result.spawn_records] == ["invalid"]
+    invalid = [e for e in result.events if e.kind == "child_invalid"]
+    assert len(invalid) == 1 and f"backend error: {error}: " in invalid[0].detail
+    assert result.tree.status[result.spawn_records[0].spawn_id] is NodeStatus.FAILED
+
+
+def test_failed_resume_checkpoint_makes_the_child_invalid(tmp_path, monkeypatch):
+    write = runtime.write_checkpoint
+
+    def spawn_only(package, directory):
+        if isinstance(package, ResumePackage):
+            raise OSError("disk full")
+        return write(package, directory)
+
+    monkeypatch.setattr(runtime, "write_checkpoint", spawn_only)
+    outcomes = {"context_compression": ScriptedOutcome(execution_time=2.0)}
+    workload, config = _loop_setup([QUIET, SPIKE, QUIET], outcomes, checkpoint_dir=str(tmp_path))
+    result = run_parent_loop(workload.task, config, ScriptedBackend(outcomes), workload)
+    assert result.status == "completed"
+    assert [r.outcome for r in result.spawn_records] == ["invalid"]
+    invalid = [e for e in result.events if e.kind == "child_invalid"]
+    assert len(invalid) == 1 and "checkpoint error: OSError: disk full" in invalid[0].detail
+    assert [p.name for p in tmp_path.iterdir()] == ["spawn_spawn-0001.json"]
+
+
 def test_service_backend_from_env(monkeypatch):
     monkeypatch.delenv("AGENTFORK_SERVICE_ENDPOINT", raising=False)
     with pytest.raises(OrchestrationError):

@@ -113,6 +113,12 @@ def test_skill_params_must_have_placeholders():
         Skill(id="bad", template="no slots here", params=(("ghost", "x"),))
 
 
+def test_skill_rejects_a_param_bound_twice():
+    # A package keeps one binding per name, so the second one would be lost.
+    with pytest.raises(SkillError, match="bound twice"):
+        Skill(id="x", template="{a}", params=(("a", "1"), ("a", "2")), provenance="learned")
+
+
 def test_success_stat_only_for_learned():
     with pytest.raises(SkillError):
         Skill(id="bad", template="t", success_stat=0.5)
