@@ -53,7 +53,6 @@ from .protocol import (
     ExecutionContext,
     PackageDecodeError,
     ParentState,
-    ReplayConfig,
     ResultPayload,
     ResumePackage,
     SpawnPackage,
@@ -71,7 +70,6 @@ from .runtime import (
     AgentId,
     ChildScheduler,
     NodeStatus,
-    RuntimeConfig,
     ScriptedBackend,
     ServiceBackend,
     SpawnTree,

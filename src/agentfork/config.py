@@ -1,15 +1,9 @@
 """Run configuration: one flat file controls policy, relevance, and limits.
 
-Recognized JSON keys (all optional, defaults shown by ``SimulatorConfig``):
-spawn_threshold, memory_threshold, w1..w5, max_spawn_depth,
-concurrent_spawn_limit, child_timeout_secs, alpha, beta, gamma, delta,
-lambda_decay, cooldown_steps, embedding_dim, parent_blocks,
-step_duration_secs, promote_threshold, semantic_merge_p,
-price_per_1k_tokens, price_per_api_call, checkpoint_dir.
-
 Each value must have its field's type: booleans for bool fields, JSON
 integers for int fields, finite numbers for float fields and a string or
-null for ``checkpoint_dir``.
+null for ``checkpoint_dir``. The embedding dimension is not a run knob:
+the workload file's ``embedding_dim`` sets the embedder of its store.
 """
 
 from __future__ import annotations
@@ -19,9 +13,8 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .memory import DefaultEmbedder, RelevanceWeights
+from .memory import RelevanceWeights
 from .policy import SpawnPolicyConfig
-from .runtime import LoopConfig, OrchestrationError, RuntimeConfig
 
 
 class ConfigError(ValueError):
@@ -37,22 +30,6 @@ _ACCEPTS = {
     "float": ("a finite number", lambda v: type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX),
     "str | None": ("a string or null", lambda v: v is None or type(v) is str),
 }
-
-# Sub-config arguments named differently from the config keys that set them.
-_KEY_OF = {
-    "max_depth": "max_spawn_depth",
-    "concurrent_limit": "concurrent_spawn_limit",
-    "child_timeout": "child_timeout_secs",
-    "step_duration": "step_duration_secs",
-}
-
-
-def _config_error(exc: Exception) -> ConfigError:
-    """A sub-config's error, worded with the config keys."""
-    message = str(exc)
-    for argument, key in _KEY_OF.items():
-        message = message.replace(argument, key)
-    return ConfigError(message)
 
 
 @dataclass
@@ -73,7 +50,6 @@ class SimulatorConfig:
     delta: float = 0.2
     lambda_decay: float = 0.1
     cooldown_steps: int = 5
-    embedding_dim: int = 64
     parent_blocks: bool = True
     step_duration_secs: float = 1.0
     promote_threshold: float = 0.8
@@ -81,6 +57,9 @@ class SimulatorConfig:
     price_per_1k_tokens: float = 0.01
     price_per_api_call: float = 0.002
     checkpoint_dir: str | None = None
+
+    def __post_init__(self):
+        self.validate()
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimulatorConfig":
@@ -95,9 +74,7 @@ class SimulatorConfig:
                 errors.append(f"{key}: expected {expected}, got {json.dumps(value)}")
         if errors:
             raise ConfigError("; ".join(errors))
-        config = cls(**data)
-        config.validate()
-        return config
+        return cls(**{key: float(v) if types[key] == "float" else v for key, v in data.items()})
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SimulatorConfig":
@@ -112,12 +89,16 @@ class SimulatorConfig:
         return cls.from_dict(data)
 
     def validate(self) -> None:
-        # Delegate range checks to the typed sub-configs they feed.
-        self.policy_config()
-        self.relevance_weights()
-        self.runtime_config(seed=0)
-        if self.embedding_dim <= 0:
-            raise ConfigError("embedding_dim must be positive")
+        # The policy and relevance range checks live in the sub-configs they feed.
+        try:
+            self.policy_config()
+            self.relevance_weights()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if self.child_timeout_secs <= 0:
+            raise ConfigError("child_timeout_secs must be positive")
+        if self.step_duration_secs <= 0:
+            raise ConfigError("step_duration_secs must be positive")
         if not 0.0 <= self.memory_threshold <= 1.0:
             raise ConfigError("memory_threshold must be in [0, 1]")
         if not 0.0 <= self.semantic_merge_p <= 1.0:
@@ -128,48 +109,19 @@ class SimulatorConfig:
             raise ConfigError("unit prices must be >= 0")
 
     def policy_config(self) -> SpawnPolicyConfig:
-        try:
-            return SpawnPolicyConfig(
-                weights=(self.w1, self.w2, self.w3, self.w4, self.w5),
-                spawn_threshold=self.spawn_threshold,
-                max_depth=self.max_spawn_depth,
-                concurrent_limit=self.concurrent_spawn_limit,
-                cooldown_steps=self.cooldown_steps,
-            )
-        except ValueError as exc:
-            raise _config_error(exc)
+        return SpawnPolicyConfig(
+            weights=(self.w1, self.w2, self.w3, self.w4, self.w5),
+            spawn_threshold=self.spawn_threshold,
+            max_spawn_depth=self.max_spawn_depth,
+            concurrent_spawn_limit=self.concurrent_spawn_limit,
+            cooldown_steps=self.cooldown_steps,
+        )
 
     def relevance_weights(self) -> RelevanceWeights:
-        try:
-            return RelevanceWeights(
-                alpha=self.alpha,
-                beta=self.beta,
-                gamma=self.gamma,
-                delta_w=self.delta,
-                lambda_decay=self.lambda_decay,
-            )
-        except ValueError as exc:
-            raise _config_error(exc)
-
-    def runtime_config(self, seed: int) -> RuntimeConfig:
-        try:
-            return RuntimeConfig(
-                child_timeout=self.child_timeout_secs,
-                seed=seed,
-                parent_blocks=self.parent_blocks,
-                step_duration=self.step_duration_secs,
-                checkpoint_dir=self.checkpoint_dir,
-            )
-        except OrchestrationError as exc:
-            raise _config_error(exc)
-
-    def loop_config(self, seed: int, semantic_merge_p: float | None = None) -> LoopConfig:
-        return LoopConfig(
-            policy=self.policy_config(),
-            runtime=self.runtime_config(seed),
-            relevance=self.relevance_weights(),
-            embedder=DefaultEmbedder(self.embedding_dim),
-            memory_threshold=self.memory_threshold,
-            promote_threshold=self.promote_threshold,
-            semantic_merge_p=self.semantic_merge_p if semantic_merge_p is None else semantic_merge_p,
+        return RelevanceWeights(
+            alpha=self.alpha,
+            beta=self.beta,
+            gamma=self.gamma,
+            delta_w=self.delta,
+            lambda_decay=self.lambda_decay,
         )

@@ -88,9 +88,8 @@ def run_conflict_phase(params: ConflictScenarioParams, seed: int) -> ConflictPha
 
 def run_simulation(spec: WorkloadSpec, config: SimulatorConfig, seed: int) -> RunReport:
     """Execute the workload under the config and assemble the run report."""
-    loop_config = config.loop_config(seed)
     backend = ScriptedBackend(spec.child_outcomes)
-    loop_result = run_parent_loop(spec.task, loop_config, backend, spec.loop_workload())
+    loop_result = run_parent_loop(config, seed, backend, spec.loop_workload())
 
     records = loop_result.spawn_records
     tokens_parent_total = sum(r.tokens_parent for r in records)

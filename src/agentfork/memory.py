@@ -127,7 +127,12 @@ class MemoryItem:
         object.__setattr__(self, "referenced_files", frozenset(self.referenced_files))
         object.__setattr__(self, "referenced_symbols", frozenset(self.referenced_symbols))
         object.__setattr__(self, "created_at_step", int(self.created_at_step))
-        object.__setattr__(self, "embedding", tuple(float(v) for v in self.embedding))
+        embedding = tuple(float(v) for v in self.embedding)
+        # One C-level sum finds a non-finite value; the per-value pass runs
+        # only when it flags one, since a sum of finite values can overflow.
+        if not math.isfinite(sum(embedding)) and not all(map(math.isfinite, embedding)):
+            raise MemoryError(f"item {self.id}: embedding values must be finite")
+        object.__setattr__(self, "embedding", embedding)
 
     @property
     def references(self) -> frozenset[str]:

@@ -9,6 +9,7 @@ specialization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -71,8 +72,8 @@ class ComplexityMetrics:
     def __post_init__(self):
         for name in METRIC_NAMES:
             value = getattr(self, name)
-            if value < 0:
-                raise PolicyError(f"{name} must be >= 0")
+            if not 0.0 <= value < math.inf:
+                raise PolicyError(f"{name} must be finite and >= 0, got {value}")
             object.__setattr__(self, name, float(value))
         if not 0.0 <= self.context_occupancy <= 1.0:
             raise PolicyError("context_occupancy must be in [0, 1]")
@@ -135,8 +136,8 @@ class SpawnPolicyConfig:
 
     weights: tuple[float, float, float, float, float] = (0.30, 0.20, 0.25, 0.15, 0.10)
     spawn_threshold: float = 0.7
-    max_depth: int = 3
-    concurrent_limit: int = 4
+    max_spawn_depth: int = 3
+    concurrent_spawn_limit: int = 4
     cooldown_steps: int = 5
 
     def __post_init__(self):
@@ -148,8 +149,10 @@ class SpawnPolicyConfig:
             raise PolicyError(f"weights must sum to 1, got {sum(self.weights)}")
         if not 0.0 <= self.spawn_threshold <= 1.0:
             raise PolicyError("spawn_threshold must be in [0, 1]")
-        if self.max_depth < 1 or self.concurrent_limit < 1:
-            raise PolicyError("max_depth and concurrent_limit must be positive")
+        if self.max_spawn_depth < 1:
+            raise PolicyError("max_spawn_depth must be positive")
+        if self.concurrent_spawn_limit < 1:
+            raise PolicyError("concurrent_spawn_limit must be positive")
         if self.cooldown_steps < 0:
             raise PolicyError("cooldown_steps must be >= 0")
 
@@ -210,8 +213,8 @@ def decide_spawn(
     score = spawn_score(normalized, config.weights)
     allowed = (
         score > config.spawn_threshold
-        and runtime_state.depth < config.max_depth
-        and runtime_state.active_children < config.concurrent_limit
+        and runtime_state.depth < config.max_spawn_depth
+        and runtime_state.active_children < config.concurrent_spawn_limit
         and runtime_state.steps_since_last_spawn >= config.cooldown_steps
     )
     if allowed:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import uuid
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -142,6 +143,8 @@ class ChildMetrics:
         object.__setattr__(self, "tokens_used", int(self.tokens_used))
         object.__setattr__(self, "api_calls", int(self.api_calls))
         object.__setattr__(self, "test_pass_rate", float(self.test_pass_rate))
+        if not math.isfinite(self.test_pass_rate):
+            raise ProtocolError(f"test_pass_rate must be finite, got {self.test_pass_rate}")
 
 
 @dataclass(frozen=True)
@@ -333,13 +336,6 @@ class ParentState:
     followups: list[str] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class ReplayConfig:
-    embedder: Embedder
-    promote_threshold: float = 0.8
-    summarizer: Summarizer | None = None
-
-
 @dataclass
 class ReplayReport:
     spawn_id: str
@@ -352,7 +348,9 @@ class ReplayReport:
     diffs_rejected: tuple[str, ...] = ()
 
 
-def replay_resume(state: ParentState, resume: ResumePackage, config: ReplayConfig) -> ReplayReport:
+def replay_resume(
+    state: ParentState, resume: ResumePackage, embedder: Embedder, promote_threshold: float
+) -> ReplayReport:
     """Integrate a validated child result into the parent, in four steps:
     summarize the trace, fold summary and output into episodic memory,
     promote learned skills, and stage diffs for the coherence merge.
@@ -364,7 +362,7 @@ def replay_resume(state: ParentState, resume: ResumePackage, config: ReplayConfi
     report = ReplayReport(spawn_id=resume.spawn_id, status=resume.status)
     now = state.memory.current_step
 
-    summary = summarize_trace(resume.trace, config.summarizer)
+    summary = summarize_trace(resume.trace)
     report.summary_actions = len(summary)
 
     for n, action in enumerate(summary):
@@ -375,7 +373,7 @@ def replay_resume(state: ParentState, resume: ResumePackage, config: ReplayConfi
                 tier=MemoryTier.EPISODIC,
                 content=content,
                 created_at_step=now,
-                embedding=tuple(config.embedder(content)),
+                embedding=tuple(embedder(content)),
             )
         )
     output_content = f"child {resume.spawn_id} finished {resume.status.value}: {resume.result.output}"
@@ -385,7 +383,7 @@ def replay_resume(state: ParentState, resume: ResumePackage, config: ReplayConfi
             tier=MemoryTier.EPISODIC,
             content=output_content,
             created_at_step=now,
-            embedding=tuple(config.embedder(output_content)),
+            embedding=tuple(embedder(output_content)),
         )
     )
     report.memory_items_added = len(summary) + 1
@@ -395,7 +393,7 @@ def replay_resume(state: ParentState, resume: ResumePackage, config: ReplayConfi
             s if s.success_stat is not None else replace(s, success_stat=resume.metrics.test_pass_rate)
             for s in resume.skills_learned
         ]
-        promotion = promote_skills(state.skills, stamped, config.promote_threshold)
+        promotion = promote_skills(state.skills, stamped, promote_threshold)
         report.skills_promoted = promotion.promoted
         report.skill_warnings = tuple(promotion.warnings)
 

@@ -28,13 +28,14 @@ from .coherence import (
     apply_diff,
     merge_diff_sets,
 )
+from .config import SimulatorConfig
 from .memory import (
+    DefaultEmbedder,
     Embedder,
     MemoryItem,
     MemorySlice,
     MemoryStore,
     MemoryTier,
-    RelevanceWeights,
     count_tokens,
     reduction_percent,
     slice_memory,
@@ -44,8 +45,6 @@ from .policy import (
     ComplexityMetrics,
     RuntimeState,
     SpawnAction,
-    SpawnDecision,
-    SpawnPolicyConfig,
     Specialization,
     decide_spawn,
     update_calibration,
@@ -57,7 +56,6 @@ from .protocol import (
     ChildStatus,
     ExecutionContext,
     ParentState,
-    ReplayConfig,
     ReplayReport,
     ResultPayload,
     ResumePackage,
@@ -172,21 +170,6 @@ class SpawnTree:
 
     def max_observed_depth(self) -> int:
         return max(n.depth for n in self.nodes.values())
-
-
-@dataclass
-class RuntimeConfig:
-    child_timeout: float = 600.0
-    seed: int = 0
-    parent_blocks: bool = True
-    step_duration: float = 1.0
-    checkpoint_dir: str | None = None
-
-    def __post_init__(self):
-        if self.child_timeout <= 0:
-            raise OrchestrationError("child_timeout must be positive")
-        if self.step_duration <= 0:
-            raise OrchestrationError("step_duration must be positive")
 
 
 class ChildBackend(Protocol):
@@ -308,7 +291,7 @@ class ServiceBackend:
     @classmethod
     def from_env(cls, timeout: float) -> "ServiceBackend":
         """Backend for the service named in the environment; pass the
-        run's ``RuntimeConfig.child_timeout`` as ``timeout``."""
+        run's ``SimulatorConfig.child_timeout_secs`` as ``timeout``."""
         endpoint = os.environ.get(ENDPOINT_ENV)
         if not endpoint:
             raise OrchestrationError(f"{ENDPOINT_ENV} is not set")
@@ -395,13 +378,15 @@ class ChildScheduler:
         self,
         tree: SpawnTree,
         clock,
-        config: RuntimeConfig,
+        config: SimulatorConfig,
+        seed: int,
         backend: ChildBackend,
         events: list[Event],
     ):
         self.tree = tree
         self.clock = clock
         self.config = config
+        self.seed = seed
         self.backend = backend
         self.events = events
         self.running: list[ChildHandle] = []
@@ -418,14 +403,9 @@ class ChildScheduler:
     def active_for(self, node_id: str) -> int:
         return self.tree.running_children(node_id) + len(self.queue.get(node_id, ()))
 
-    def spawn_child(
-        self, parent: AgentId, decision: SpawnDecision, package: SpawnPackage, outcome_key: str | None = None
-    ) -> SpawnRequestOutcome:
+    def spawn_child(self, parent: AgentId, package: SpawnPackage, outcome_key: str) -> SpawnRequestOutcome:
         """Validate limits and start or queue the child. Never drops a
         request silently: the outcome is started, queued, or rejected."""
-        if decision.action is not SpawnAction.SPAWN:
-            raise OrchestrationError("spawn_child requires a spawn decision")
-        key = outcome_key if outcome_key is not None else decision.specialization.value
         child = AgentId(id=package.spawn_id, depth=parent.depth + 1)
         if child.depth > self.tree.max_depth:
             reason = f"depth {child.depth} exceeds max depth {self.tree.max_depth}"
@@ -438,8 +418,8 @@ class ChildScheduler:
             agent=child,
             parent=parent,
             package=package,
-            outcome_key=key,
-            seed=self.config.seed * 1_000_003 + self._child_counter,
+            outcome_key=outcome_key,
+            seed=self.seed * 1_000_003 + self._child_counter,
         )
         if self.tree.running_children(parent.id) >= self.tree.concurrent_limit:
             self.queue.setdefault(parent.id, deque()).append(handle)
@@ -484,13 +464,7 @@ class ChildScheduler:
                 clock=self.clock,
                 id_source=self.next_id,
             )
-            decision = SpawnDecision(
-                action=SpawnAction.SPAWN,
-                specialization=nested.specialization,
-                score=handle.package.score,
-                normalized_metrics=(0.0,) * 5,
-            )
-            self.spawn_child(handle.agent, decision, package, outcome_key=nested.outcome_key)
+            self.spawn_child(handle.agent, package, nested.outcome_key)
 
     def _admit_queued(self, parent_id: str) -> None:
         """Start the head of ``parent_id``'s queue if the parent has room."""
@@ -504,7 +478,7 @@ class ChildScheduler:
         self.events.append(Event(self.clock.now, "queue_admitted", queued.spawn_id))
 
     def _complete(self, handle: ChildHandle) -> AwaitResult:
-        timeout = self.config.child_timeout
+        timeout = self.config.child_timeout_secs
         self.running.remove(handle)
         if handle.timed_out(timeout):
             self.tree.mark(handle.spawn_id, NodeStatus.TIMED_OUT)
@@ -539,7 +513,7 @@ class ChildScheduler:
         return AwaitResult(handle=handle, kind="ok", resume=resume)
 
     def _next_completion(self) -> ChildHandle:
-        timeout = self.config.child_timeout
+        timeout = self.config.child_timeout_secs
         return min(self.running, key=lambda h: (h.completion_time(timeout), h.spawn_id))
 
     def await_children(self, until: float | None = None) -> list[AwaitResult]:
@@ -552,7 +526,7 @@ class ChildScheduler:
         results = []
         while self.running:
             handle = self._next_completion()
-            t = handle.completion_time(self.config.child_timeout)
+            t = handle.completion_time(self.config.child_timeout_secs)
             if until is not None and t > until:
                 break
             self.clock.advance_to(max(t, self.clock.now))
@@ -613,19 +587,6 @@ class LoopWorkload:
     skills: SkillLibrary
     files: dict[str, list[str]]
     trajectory: Sequence[ComplexityMetrics]
-    repo_path: str = "repo"
-
-
-@dataclass
-class LoopConfig:
-    policy: SpawnPolicyConfig
-    runtime: RuntimeConfig
-    relevance: RelevanceWeights
-    embedder: Embedder
-    memory_threshold: float = 0.5
-    promote_threshold: float = 0.8
-    semantic_merge_p: float = 0.73
-
 
 
 @dataclass
@@ -663,8 +624,8 @@ class LoopResult:
 
 
 def run_parent_loop(
-    task: TaskSpec,
-    config: LoopConfig,
+    config: SimulatorConfig,
+    seed: int,
     backend: ChildBackend,
     workload: LoopWorkload,
 ) -> LoopResult:
@@ -675,16 +636,17 @@ def run_parent_loop(
     default) the parent pauses at each spawn until its children join;
     otherwise completions are integrated at step boundaries.
     """
+    policy = config.policy_config()
+    relevance = config.relevance_weights()
+    task = workload.task
+    embedder = DefaultEmbedder(workload.store.embedding_dim)
     clock = VirtualClock()
     events: list[Event] = []
     root = AgentId(id="parent", depth=0)
-    tree = SpawnTree(root, config.policy.max_depth, config.policy.concurrent_limit)
-    scheduler = ChildScheduler(tree, clock, config.runtime, backend, events)
-    merge_rng = random.Random(f"{config.runtime.seed}:merge")
+    tree = SpawnTree(root, config.max_spawn_depth, config.concurrent_spawn_limit)
+    scheduler = ChildScheduler(tree, clock, config, seed, backend, events)
+    merge_rng = random.Random(f"{seed}:merge")
     merge_backend = StochasticMergeBackend(config.semantic_merge_p, merge_rng)
-    replay_config = ReplayConfig(
-        embedder=config.embedder, promote_threshold=config.promote_threshold
-    )
     state = ParentState(
         memory=workload.store, skills=workload.skills, files={k: list(v) for k, v in workload.files.items()}
     )
@@ -707,8 +669,8 @@ def run_parent_loop(
             if res.kind == "timeout":
                 handle_child_failure(
                     state,
-                    ChildFailure(res.handle.spawn_id, "timeout", f"exceeded {config.runtime.child_timeout}s"),
-                    config.embedder,
+                    ChildFailure(res.handle.spawn_id, "timeout", f"exceeded {config.child_timeout_secs}s"),
+                    embedder,
                 )
                 if record:
                     record.outcome = "timed_out"
@@ -717,13 +679,13 @@ def run_parent_loop(
                 handle_child_failure(
                     state,
                     ChildFailure(res.handle.spawn_id, "invalid", "; ".join(res.errors)),
-                    config.embedder,
+                    embedder,
                 )
                 if record:
                     record.outcome = "invalid"
                 continue
             resume = res.resume
-            report = replay_resume(state, resume, replay_config)
+            report = replay_resume(state, resume, embedder, config.promote_threshold)
             replay_reports.append(report)
             if record:
                 record.outcome = resume.status.value
@@ -751,24 +713,22 @@ def run_parent_loop(
     base_step = state.memory.current_step
     for step, metrics in enumerate(workload.trajectory):
         state.memory.advance_to(base_step + step)
-        clock.advance(config.runtime.step_duration)
+        clock.advance(config.step_duration_secs)
         update_calibration(calibration, metrics)
         runtime_state = RuntimeState(
             depth=root.depth,
             active_children=scheduler.active_for(root.id),
             steps_since_last_spawn=step - last_spawn_step if last_spawn_step is not None else 10 ** 9,
         )
-        decision = decide_spawn(metrics, calibration, config.policy, runtime_state)
+        decision = decide_spawn(metrics, calibration, policy, runtime_state)
         events.append(
             Event(clock.now, "decision", f"step={step} action={decision.action.value} score={decision.score:.4f}")
         )
         if decision.action is SpawnAction.SPAWN:
             last_spawn_step = step
-            memory_slice = slice_memory(
-                state.memory, task, config.memory_threshold, config.relevance, config.embedder
-            )
-            inherited = select_inherited_skills(state.skills, task, config.embedder)
-            context = ExecutionContext(repo_path=workload.repo_path)
+            memory_slice = slice_memory(state.memory, task, config.memory_threshold, relevance, embedder)
+            inherited = select_inherited_skills(state.skills, task, embedder)
+            context = ExecutionContext(repo_path="repo")
             package = build_spawn_package(
                 parent_id=root.id,
                 task=task,
@@ -794,16 +754,16 @@ def run_parent_loop(
                 items_slice=len(memory_slice),
             )
             version_before = state.memory.version
-            outcome = scheduler.spawn_child(root, decision, package)
+            outcome = scheduler.spawn_child(root, package, decision.specialization.value)
             if outcome.state != "rejected":
                 records.append(record)
                 by_id[record.spawn_id] = record
-            if outcome.state != "rejected" and config.runtime.parent_blocks:
+            if outcome.state != "rejected" and config.parent_blocks:
                 results = scheduler.await_children()
                 if state.memory.version != version_before:
                     raise OrchestrationError("parent memory mutated while children ran")
                 integrate(results)
-        if not config.runtime.parent_blocks:
+        if not config.parent_blocks:
             integrate(scheduler.await_children(until=clock.now))
 
     # trajectory exhausted: join whatever is still out there

@@ -111,8 +111,8 @@ def _oracle_decision(metrics, calibration, config, runtime_state):
     score = sum(w * v for w, v in zip(config.weights, normalized))
     spawn = (
         score > config.spawn_threshold
-        and runtime_state.depth < config.max_depth
-        and runtime_state.active_children < config.concurrent_limit
+        and runtime_state.depth < config.max_spawn_depth
+        and runtime_state.active_children < config.concurrent_spawn_limit
         and runtime_state.steps_since_last_spawn >= config.cooldown_steps
     )
     best = max(range(5), key=lambda i: (normalized[i], -i))

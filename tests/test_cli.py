@@ -68,6 +68,9 @@ def test_run_bad_config_exits_nonzero(tmp_path, capsys):
         ({"max_spawn_depth": 2.5}, "max_spawn_depth"),
         ({"concurrent_spawn_limit": True}, "concurrent_spawn_limit"),
         ({"price_per_api_call": float("nan")}, "price_per_api_call"),
+        ({"max_spawn_depth": 0}, "max_spawn_depth"),
+        ({"concurrent_spawn_limit": 0}, "concurrent_spawn_limit"),
+        ({"embedding_dim": 64}, "embedding_dim"),
     ],
 )
 def test_run_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, config, key):
@@ -76,6 +79,20 @@ def test_run_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, config, k
     code = main(["run", "--workload", "demo", "--config", str(config_path)])
     assert code == 2
     assert key in capsys.readouterr().err
+
+
+def test_workload_embedding_dim_sets_the_embedder(tmp_path, capsys):
+    data = json.loads(bundled_workload_path("demo").read_text(encoding="utf-8"))
+    data["embedding_dim"] = 32
+    path = tmp_path / "dim32.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 0
+    report_path = tmp_path / "r.txt"
+    code = main(["run", "--workload", str(path), "--report", str(report_path), "--format", "machine"])
+    assert code == 0
+    summary = parse_machine_report(report_path.read_text())
+    assert summary["status"] == "completed"
+    assert summary["spawn_count"] == 1
 
 
 def test_run_missing_config_file_exits_2(tmp_path, capsys):

@@ -222,6 +222,17 @@ def test_simulator_config_rejects_unknown_and_invalid_keys(tmp_path):
         SimulatorConfig.from_file(bad)
 
 
+def test_float_knob_spelled_as_an_integer_runs_as_its_float():
+    spec = load_workload(bundled_workload_path("timeout_child"))
+    reports = []
+    for value in (5, 5.0):
+        config = SimulatorConfig.from_dict({"child_timeout_secs": value})
+        assert type(config.child_timeout_secs) is float
+        reports.append(run_simulation(spec, config, seed=0))
+    assert emit_report(reports[0], "machine") == emit_report(reports[1], "machine")
+    assert any(e.endswith("after 5.0s") for e in reports[0].events)
+
+
 def test_workload_semantic_p_drives_conflict_phase():
     spec = generate_synthetic(
         9,

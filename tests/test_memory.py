@@ -225,6 +225,17 @@ def test_store_rejects_duplicate_ids_and_bad_dims(embedder):
         )
 
 
+@pytest.mark.parametrize("embedding", [(math.inf,), (0.5, -math.inf), (0.5, math.nan)])
+def test_item_rejects_non_finite_embedding(embedding):
+    with pytest.raises(MemoryError, match="finite"):
+        MemoryItem(id="x", tier=MemoryTier.EPISODIC, content="x", embedding=embedding)
+
+
+def test_item_accepts_finite_embedding_whose_sum_overflows():
+    item = MemoryItem(id="x", tier=MemoryTier.EPISODIC, content="x", embedding=(1e308, 1e308))
+    assert item.embedding == (1e308, 1e308)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10 ** 6))
 def test_relevance_always_in_unit_interval(seed):

@@ -177,8 +177,8 @@ def _oracle_decide(metrics, calibration, config, runtime_state):
     score = sum(w * v for w, v in zip(config.weights, normalized))
     spawn = (
         score > config.spawn_threshold
-        and runtime_state.depth < config.max_depth
-        and runtime_state.active_children < config.concurrent_limit
+        and runtime_state.depth < config.max_spawn_depth
+        and runtime_state.active_children < config.concurrent_spawn_limit
         and runtime_state.steps_since_last_spawn >= config.cooldown_steps
     )
     spec = None
@@ -228,3 +228,18 @@ def test_policy_config_validation():
         SpawnPolicyConfig(spawn_threshold=1.5)
     with pytest.raises(PolicyError):
         ComplexityMetrics(1, 1, 1, 1.2, 1)
+
+
+@pytest.mark.parametrize("reading", [float("nan"), float("inf")])
+@pytest.mark.parametrize("position", range(5))
+def test_complexity_metrics_reject_non_finite_readings(position, reading):
+    values = [1.0, 1.0, 1.0, 0.5, 1.0]
+    values[position] = reading
+    with pytest.raises(PolicyError, match="finite"):
+        ComplexityMetrics(*values)
+
+
+@pytest.mark.parametrize("reading", ["3", "1e3"])
+def test_complexity_metrics_reject_a_string_reading(reading):
+    with pytest.raises(TypeError):
+        ComplexityMetrics(reading, 1.0, 1.0, 0.5, 1.0)

@@ -22,7 +22,6 @@ from agentfork.protocol import (
     PackageDecodeError,
     ParentState,
     ProtocolError,
-    ReplayConfig,
     ResultPayload,
     ResumePackage,
     SpawnPackage,
@@ -120,6 +119,12 @@ def test_build_rejects_out_of_range_score(embedder):
             "p", TaskSpec(description="t"), MemorySlice((), 0, 0.5), (),
             ExecutionContext(repo_path="r"), METRICS, 1.5, clock=0.0,
         )
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+def test_child_metrics_reject_a_non_finite_pass_rate(rate):
+    with pytest.raises(ProtocolError, match="test_pass_rate must be finite"):
+        ChildMetrics(tokens_used=10, api_calls=1, test_pass_rate=rate)
 
 
 @pytest.mark.parametrize("line_number", [3.0, True, "3"])
@@ -314,13 +319,18 @@ def test_wire_writer_matches_json_dumps(package):
     assert encode_package(package) == _reference_bytes(package)
 
 
+# MemoryItem and ComplexityMetrics reject non-finite values, so these set
+# them past the constructor to reach the writer's own check.
 def _with_embedding(embedding):
-    item = MemoryItem("bad", MemoryTier.SEMANTIC, "bad", embedding=embedding)
+    item = MemoryItem("bad", MemoryTier.SEMANTIC, "bad")
+    object.__setattr__(item, "embedding", embedding)
     return dataclasses.replace(_package(None), memory={MemoryTier.SEMANTIC: (item,)})
 
 
 def _with_metric(value):
-    return dataclasses.replace(_package(None), metrics=ComplexityMetrics(value, 1, 1, 0.5, 1))
+    metrics = ComplexityMetrics(1, 1, 1, 0.5, 1)
+    object.__setattr__(metrics, "interdependency", value)
+    return dataclasses.replace(_package(None), metrics=metrics)
 
 
 _MEMO_FULL = tuple(float(n) + 0.5 for n in range(schema.FLOAT_MEMO))
@@ -495,8 +505,7 @@ def test_replay_success_promotes_skill_and_stages_diff(embedder):
         skills_learned=(learned,),
         result=ResultPayload(output="done", code_diff=(diff,), files_modified=frozenset({"src/a.py"})),
     )
-    config = ReplayConfig(embedder=embedder)
-    report = replay_resume(state, resume, config)
+    report = replay_resume(state, resume, embedder, 0.8)
     assert report.skills_promoted == 1
     assert "fresh" in state.skills
     assert report.diffs_staged == 1
@@ -513,7 +522,7 @@ def test_replay_failure_grows_memory_only(embedder):
         result=ResultPayload(output="broke", code_diff=(diff,), files_modified=frozenset({"src/a.py"})),
     )
     episodic_before = len(state.memory.by_tier(MemoryTier.EPISODIC))
-    report = replay_resume(state, resume, ReplayConfig(embedder=embedder))
+    report = replay_resume(state, resume, embedder, 0.8)
     assert len(state.memory.by_tier(MemoryTier.EPISODIC)) > episodic_before
     assert report.skills_promoted == 0
     assert report.diffs_staged == 0
@@ -526,7 +535,7 @@ def test_replay_episodic_grows_by_summary_plus_output(embedder):
     resume = _resume()
     summary = summarize_trace(resume.trace)
     before = len(state.memory.by_tier(MemoryTier.EPISODIC))
-    report = replay_resume(state, resume, ReplayConfig(embedder=embedder))
+    report = replay_resume(state, resume, embedder, 0.8)
     after = len(state.memory.by_tier(MemoryTier.EPISODIC))
     assert after - before == len(summary) + 1 == report.memory_items_added
 
@@ -535,14 +544,14 @@ def test_replay_touches_only_episodic_tier(embedder):
     state = _parent_state(embedder)
     semantic_before = state.memory.by_tier(MemoryTier.SEMANTIC)
     working_before = state.memory.by_tier(MemoryTier.WORKING)
-    replay_resume(state, _resume(), ReplayConfig(embedder=embedder))
+    replay_resume(state, _resume(), embedder, 0.8)
     assert state.memory.by_tier(MemoryTier.SEMANTIC) == semantic_before
     assert state.memory.by_tier(MemoryTier.WORKING) == working_before
 
 
 def test_replay_new_items_stamped_at_current_step(embedder):
     state = _parent_state(embedder)
-    replay_resume(state, _resume(), ReplayConfig(embedder=embedder))
+    replay_resume(state, _resume(), embedder, 0.8)
     fresh = [i for i in state.memory.by_tier(MemoryTier.EPISODIC) if i.id.startswith("spawn-0001")]
     assert fresh and all(i.created_at_step == state.memory.current_step for i in fresh)
 
@@ -557,7 +566,7 @@ def test_replay_partial_stages_only_clean_diffs(embedder):
             output="half", code_diff=(good, bad), files_modified=frozenset({"src/a.py"})
         ),
     )
-    report = replay_resume(state, resume, ReplayConfig(embedder=embedder))
+    report = replay_resume(state, resume, embedder, 0.8)
     assert report.diffs_staged == 1
     assert len(report.diffs_rejected) == 1
     assert state.staged == [("spawn-0001", [good])]
@@ -567,7 +576,7 @@ def test_replay_stamps_missing_success_stat_from_pass_rate(embedder):
     state = _parent_state(embedder)
     unstamped = Skill(id="fresh", template="new trick", provenance=Provenance.LEARNED)
     resume = _resume(skills_learned=(unstamped,), metrics=ChildMetrics(10, 1, 0.95))
-    report = replay_resume(state, resume, ReplayConfig(embedder=embedder, promote_threshold=0.9))
+    report = replay_resume(state, resume, embedder, 0.9)
     assert report.skills_promoted == 1
     promoted = [s for s in state.skills.skills() if s.id == "fresh"]
     assert promoted and promoted[0].success_stat == pytest.approx(0.95)

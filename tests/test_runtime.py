@@ -18,21 +18,9 @@ from hypothesis.stateful import (
 
 from agentfork import runtime
 from agentfork.coherence import Diff, Hunk
-from agentfork.memory import (
-    DefaultEmbedder,
-    MemoryStore,
-    MemoryTier,
-    RelevanceWeights,
-    count_tokens,
-    make_item,
-)
-from agentfork.policy import (
-    ComplexityMetrics,
-    SpawnAction,
-    SpawnDecision,
-    SpawnPolicyConfig,
-    Specialization,
-)
+from agentfork.config import SimulatorConfig
+from agentfork.memory import DefaultEmbedder, MemoryStore, MemoryTier, count_tokens, make_item
+from agentfork.policy import ComplexityMetrics
 from agentfork.protocol import (
     ChildMetrics,
     ChildStatus,
@@ -51,12 +39,10 @@ from agentfork.runtime import (
     ChildFailure,
     ChildScheduler,
     Event,
-    LoopConfig,
     LoopWorkload,
     NestedSpawn,
     NodeStatus,
     OrchestrationError,
-    RuntimeConfig,
     ScriptedBackend,
     ScriptedOutcome,
     ServiceBackend,
@@ -75,10 +61,6 @@ QUIET = ComplexityMetrics(2, 6, 1, 0.2, 0.5)
 SPIKE = ComplexityMetrics(17, 40, 85, 0.97, 8)
 
 
-def _decision(spec=Specialization.CONTEXT_COMPRESSION):
-    return SpawnDecision(SpawnAction.SPAWN, spec, 0.85, (0.8, 0.8, 0.8, 0.97, 0.8))
-
-
 def _package(spawn_id, parent_id="parent"):
     return build_spawn_package(
         parent_id,
@@ -94,12 +76,12 @@ def _package(spawn_id, parent_id="parent"):
 
 
 def _scheduler(outcomes, backend=None, max_depth=3, concurrent_limit=4, **config_kwargs):
-    config = RuntimeConfig(**config_kwargs)
+    config = SimulatorConfig(**config_kwargs)
     clock = VirtualClock()
     root = AgentId("parent", 0)
     tree = SpawnTree(root, max_depth, concurrent_limit)
     events: list[Event] = []
-    scheduler = ChildScheduler(tree, clock, config, backend or ScriptedBackend(outcomes), events)
+    scheduler = ChildScheduler(tree, clock, config, 0, backend or ScriptedBackend(outcomes), events)
     return scheduler, root, tree, clock, events
 
 
@@ -162,7 +144,7 @@ def test_scripted_backend_resume_is_internally_consistent():
 
 def test_spawn_child_registers_running_child():
     scheduler, root, tree, clock, events = _scheduler({"k": ScriptedOutcome()})
-    outcome = scheduler.spawn_child(root, _decision(), _package("spawn-0001"), outcome_key="k")
+    outcome = scheduler.spawn_child(root, _package("spawn-0001"), "k")
     assert outcome.state == "started"
     assert tree.status["spawn-0001"] is NodeStatus.RUNNING
 
@@ -173,7 +155,7 @@ def test_spawn_child_rejects_depth_violation():
     tree.add_child("a", AgentId("b", 2))
     deep = AgentId("deep", 3)
     tree.add_child("b", deep)
-    outcome = scheduler.spawn_child(deep, _decision(), _package("spawn-0009"), outcome_key="k")
+    outcome = scheduler.spawn_child(deep, _package("spawn-0009"), "k")
     assert outcome.state == "rejected"
     assert "depth" in outcome.reason
     assert any(e.kind == "spawn_rejected" for e in events)
@@ -184,7 +166,7 @@ def test_fifth_request_queues_and_starts_after_completion():
         {"k": ScriptedOutcome(execution_time=10.0)}
     )
     outcomes = [
-        scheduler.spawn_child(root, _decision(), _package(f"spawn-{n:04d}"), outcome_key="k")
+        scheduler.spawn_child(root, _package(f"spawn-{n:04d}"), "k")
         for n in range(1, 6)
     ]
     assert [o.state for o in outcomes] == ["started"] * 4 + ["queued"]
@@ -225,10 +207,10 @@ class _SchedulerMachine(RuleBasedStateMachine):
         self.requests = []
         spawn_child = self.scheduler.spawn_child
 
-        def recording_spawn_child(parent, decision, package, outcome_key=None):
+        def recording_spawn_child(parent, package, outcome_key):
             request = [parent, package.spawn_id, None]
             self.requests.append(request)
-            outcome = spawn_child(parent, decision, package, outcome_key)
+            outcome = spawn_child(parent, package, outcome_key)
             request[2] = outcome.state
             return outcome
 
@@ -239,7 +221,7 @@ class _SchedulerMachine(RuleBasedStateMachine):
         nodes = list(self.tree.nodes.values())
         parent = nodes[pick % len(nodes)]
         package = _package(self.scheduler.next_id(), parent.id)
-        self.scheduler.spawn_child(parent, _decision(), package, outcome_key=key)
+        self.scheduler.spawn_child(parent, package, key)
 
     @rule(seconds=st.floats(0.5, 50.0))
     def advance(self, seconds):
@@ -295,10 +277,10 @@ def test_await_children_timeout_boundary():
             "slow": ScriptedOutcome(execution_time=700.0),
             "fast": ScriptedOutcome(execution_time=10.0),
         },
-        child_timeout=600.0,
+        child_timeout_secs=600.0,
     )
-    scheduler.spawn_child(root, _decision(), _package("spawn-slow"), outcome_key="slow")
-    scheduler.spawn_child(root, _decision(), _package("spawn-fast"), outcome_key="fast")
+    scheduler.spawn_child(root, _package("spawn-slow"), "slow")
+    scheduler.spawn_child(root, _package("spawn-fast"), "fast")
     results = {r.handle.spawn_id: r for r in scheduler.await_children()}
     assert results["spawn-fast"].kind == "ok"
     assert results["spawn-slow"].kind == "timeout"
@@ -321,7 +303,7 @@ def test_await_children_flags_invalid_results():
             )
 
     scheduler, root, tree, clock, events = _scheduler({}, backend=WrongIdBackend())
-    scheduler.spawn_child(root, _decision(), _package("spawn-0001"), outcome_key="k")
+    scheduler.spawn_child(root, _package("spawn-0001"), "k")
     results = scheduler.await_children()
     assert results[0].kind == "invalid"
     assert any("wrong child" in e for e in results[0].errors)
@@ -335,7 +317,7 @@ def test_nested_requests_follow_scripts():
             "leaf": ScriptedOutcome(execution_time=5.0),
         }
     )
-    scheduler.spawn_child(root, _decision(), _package("child-a"), outcome_key="k")
+    scheduler.spawn_child(root, _package("child-a"), "k")
     scheduler.await_children()
     assert tree.max_observed_depth() == 2
     assert len(tree.nodes) == 3
@@ -370,7 +352,7 @@ def test_service_backend_rejects_wrong_package_kind():
         backend.run(_package("spawn-0001"), seed=0)
 
 
-def _loop_setup(trajectory, outcomes, seed=0, item_count=12, **kwargs):
+def _loop_setup(trajectory, outcomes, item_count=12, **config_kwargs):
     embedder = DefaultEmbedder(DIM)
     store = MemoryStore(DIM)
     for i in range(item_count):
@@ -387,13 +369,7 @@ def _loop_setup(trajectory, outcomes, seed=0, item_count=12, **kwargs):
         files={"src/a.py": ["original line"]},
         trajectory=trajectory,
     )
-    config = LoopConfig(
-        policy=SpawnPolicyConfig(),
-        runtime=RuntimeConfig(seed=seed, **kwargs),
-        relevance=RelevanceWeights(),
-        embedder=embedder,
-    )
-    return workload, config
+    return workload, SimulatorConfig(**config_kwargs)
 
 
 class _OverlappingDiffsBackend:
@@ -412,7 +388,7 @@ class _OverlappingDiffsBackend:
 
 def test_loop_records_child_with_overlapping_diffs_as_invalid():
     workload, config = _loop_setup([QUIET, SPIKE, QUIET], {})
-    result = run_parent_loop(workload.task, config, _OverlappingDiffsBackend(), workload)
+    result = run_parent_loop(config, 0, _OverlappingDiffsBackend(), workload)
     assert result.status == "completed"
     assert result.spawn_records[0].outcome == "invalid"
     invalid = [e for e in result.events if e.kind == "child_invalid"]
@@ -423,7 +399,7 @@ def test_loop_records_child_with_overlapping_diffs_as_invalid():
 def test_loop_records_backend_exception_as_invalid_child():
     workload, config = _loop_setup([QUIET, SPIKE, QUIET], {})
     backend = ServiceBackend(lambda payload: b'{"status": 1}')
-    result = run_parent_loop(workload.task, config, backend, workload)
+    result = run_parent_loop(config, 0, backend, workload)
     assert result.status == "completed"
     assert result.spawn_records[0].outcome == "invalid"
     started = [e for e in result.events if e.kind == "child_started"]
@@ -462,14 +438,14 @@ def test_blocking_loop_rejects_child_that_mutates_parent_memory(writer):
     workload, config = _loop_setup([QUIET, SPIKE, QUIET], {})
     backend = _ParentMemoryWriter(workload.store, _WRITERS[writer])
     with pytest.raises(OrchestrationError, match="parent memory mutated while children ran"):
-        run_parent_loop(workload.task, config, backend, workload)
+        run_parent_loop(config, 0, backend, workload)
 
 
 def test_blocking_loop_accepts_child_that_advances_parent_to_its_own_step():
     # Same-step advance_to changes no content, so it is not a mutation.
     workload, config = _loop_setup([QUIET, SPIKE, QUIET], {})
     backend = _ParentMemoryWriter(workload.store, lambda store: store.advance_to(store.current_step))
-    result = run_parent_loop(workload.task, config, backend, workload)
+    result = run_parent_loop(config, 0, backend, workload)
     assert result.status == "completed"
     assert [r.outcome for r in result.spawn_records] == ["success"]
 
@@ -491,7 +467,7 @@ def test_blocking_fork_path_neither_hashes_nor_recounts_the_parent_store(monkeyp
     trajectory = [SPIKE, QUIET, QUIET, QUIET, QUIET] * 2 + [SPIKE]
     workload, config = _loop_setup(trajectory, outcomes)
     initial_tokens = count_tokens(workload.store.items())
-    result = run_parent_loop(workload.task, config, ScriptedBackend(outcomes), workload)
+    result = run_parent_loop(config, 0, ScriptedBackend(outcomes), workload)
     assert result.status == "completed"
     assert [r.outcome for r in result.spawn_records] == ["success"] * 3
     # Only the slices are counted; the parent's total is the store's running count.
@@ -502,7 +478,7 @@ def test_blocking_fork_path_neither_hashes_nor_recounts_the_parent_store(monkeyp
 
 def test_loop_without_spikes_never_spawns():
     workload, config = _loop_setup([QUIET] * 6, {})
-    result = run_parent_loop(workload.task, config, ScriptedBackend({}), workload)
+    result = run_parent_loop(config, 0, ScriptedBackend({}), workload)
     assert result.status == "completed"
     assert result.spawn_records == []
     assert len(result.tree.nodes) == 1
@@ -512,7 +488,7 @@ def test_loop_single_spike_spawns_one_context_compression_child():
     trajectory = [QUIET, QUIET, QUIET, SPIKE, QUIET, QUIET]
     outcomes = {"context_compression": ScriptedOutcome(execution_time=30.0, test_pass_rate=0.9)}
     workload, config = _loop_setup(trajectory, outcomes)
-    result = run_parent_loop(workload.task, config, ScriptedBackend(outcomes), workload)
+    result = run_parent_loop(config, 0, ScriptedBackend(outcomes), workload)
     assert len(result.spawn_records) == 1
     record = result.spawn_records[0]
     assert record.specialization == "context_compression"
@@ -525,7 +501,7 @@ def test_loop_cooldown_suppresses_back_to_back_spawns():
     trajectory = [SPIKE, SPIKE, SPIKE, SPIKE, SPIKE, SPIKE, SPIKE]
     outcomes = {"context_compression": ScriptedOutcome(execution_time=5.0)}
     workload, config = _loop_setup(trajectory, outcomes)
-    result = run_parent_loop(workload.task, config, ScriptedBackend(outcomes), workload)
+    result = run_parent_loop(config, 0, ScriptedBackend(outcomes), workload)
     # cooldown is 5 steps: spawns land on steps 0, 5 only
     assert [r.step for r in result.spawn_records] == [0, 5]
 
@@ -535,8 +511,8 @@ def test_loop_seeded_rerun_is_identical():
     outcomes = {"context_compression": ScriptedOutcome(execution_time=12.0)}
 
     def run():
-        workload, config = _loop_setup(trajectory, outcomes, seed=9)
-        result = run_parent_loop(workload.task, config, ScriptedBackend(outcomes), workload)
+        workload, config = _loop_setup(trajectory, outcomes)
+        result = run_parent_loop(config, 9, ScriptedBackend(outcomes), workload)
         return result.event_lines(), [(r.spawn_id, r.outcome) for r in result.spawn_records]
 
     assert run() == run()
@@ -546,15 +522,15 @@ def test_loop_applies_child_diff_to_parent_files():
     diff = Diff(file="src/a.py", hunks=(Hunk(1, ("original line",), ("patched line",)),))
     outcomes = {"context_compression": ScriptedOutcome(execution_time=3.0, diffs=(diff,))}
     workload, config = _loop_setup([QUIET, SPIKE, QUIET], outcomes)
-    result = run_parent_loop(workload.task, config, ScriptedBackend(outcomes), workload)
+    result = run_parent_loop(config, 0, ScriptedBackend(outcomes), workload)
     assert result.state.files["src/a.py"] == ["patched line"]
     assert len(result.merge_outcomes) == 1
 
 
 def test_loop_records_timeout_and_completes():
     outcomes = {"context_compression": ScriptedOutcome(execution_time=700.0)}
-    workload, config = _loop_setup([QUIET, SPIKE, QUIET], outcomes, child_timeout=600.0)
-    result = run_parent_loop(workload.task, config, ScriptedBackend(outcomes), workload)
+    workload, config = _loop_setup([QUIET, SPIKE, QUIET], outcomes, child_timeout_secs=600.0)
+    result = run_parent_loop(config, 0, ScriptedBackend(outcomes), workload)
     assert result.status == "completed"
     assert result.spawn_records[0].outcome == "timed_out"
     failure_items = [
@@ -567,7 +543,7 @@ def test_loop_nonblocking_mode_joins_at_step_boundaries():
     trajectory = [QUIET, SPIKE, QUIET, QUIET, QUIET, QUIET]
     outcomes = {"context_compression": ScriptedOutcome(execution_time=2.0)}
     workload, config = _loop_setup(trajectory, outcomes, parent_blocks=False)
-    result = run_parent_loop(workload.task, config, ScriptedBackend(outcomes), workload)
+    result = run_parent_loop(config, 0, ScriptedBackend(outcomes), workload)
     assert result.spawn_records[0].outcome == "success"
     assert result.status == "completed"
 
@@ -575,7 +551,7 @@ def test_loop_nonblocking_mode_joins_at_step_boundaries():
 def test_checkpoint_dir_writes_spawn_and_resume_files(tmp_path):
     outcomes = {"context_compression": ScriptedOutcome(execution_time=2.0)}
     workload, config = _loop_setup([QUIET, SPIKE, QUIET], outcomes, checkpoint_dir=str(tmp_path))
-    run_parent_loop(workload.task, config, ScriptedBackend(outcomes), workload)
+    run_parent_loop(config, 0, ScriptedBackend(outcomes), workload)
     spawn_files = sorted(p.name for p in tmp_path.glob("spawn_*.json"))
     resume_files = sorted(p.name for p in tmp_path.glob("resume_*.json"))
     assert spawn_files == ["spawn_spawn-0001.json"]
@@ -588,15 +564,17 @@ def test_checkpoint_dir_writes_spawn_and_resume_files(tmp_path):
 def test_failed_spawn_checkpoint_costs_the_child_not_the_parent(tmp_path, case):
     outcomes = {"context_compression": ScriptedOutcome(execution_time=2.0)}
     if case == "nan_metric":
-        # The spawn package carries the NaN reading, which JSON cannot hold.
-        nan_spike = ComplexityMetrics(17, 40, 85, 0.97, float("nan"))
+        # ComplexityMetrics rejects NaN, so it is set past the constructor:
+        # the spawn package then carries a reading JSON cannot hold.
+        nan_spike = ComplexityMetrics(17, 40, 85, 0.97, 8)
+        object.__setattr__(nan_spike, "uncertainty", float("nan"))
         trajectory, checkpoint_dir, error = [QUIET, nan_spike, QUIET], tmp_path, "ValueError"
     else:
         checkpoint_dir = tmp_path / "taken"
         checkpoint_dir.write_text("a regular file")
         trajectory, error = [QUIET, SPIKE, QUIET], "FileExistsError"
     workload, config = _loop_setup(trajectory, outcomes, checkpoint_dir=str(checkpoint_dir))
-    result = run_parent_loop(workload.task, config, ScriptedBackend(outcomes), workload)
+    result = run_parent_loop(config, 0, ScriptedBackend(outcomes), workload)
     assert result.status == "completed"
     assert [r.outcome for r in result.spawn_records] == ["invalid"]
     invalid = [e for e in result.events if e.kind == "child_invalid"]
@@ -615,7 +593,7 @@ def test_failed_resume_checkpoint_makes_the_child_invalid(tmp_path, monkeypatch)
     monkeypatch.setattr(runtime, "write_checkpoint", spawn_only)
     outcomes = {"context_compression": ScriptedOutcome(execution_time=2.0)}
     workload, config = _loop_setup([QUIET, SPIKE, QUIET], outcomes, checkpoint_dir=str(tmp_path))
-    result = run_parent_loop(workload.task, config, ScriptedBackend(outcomes), workload)
+    result = run_parent_loop(config, 0, ScriptedBackend(outcomes), workload)
     assert result.status == "completed"
     assert [r.outcome for r in result.spawn_records] == ["invalid"]
     invalid = [e for e in result.events if e.kind == "child_invalid"]
@@ -636,7 +614,7 @@ def test_service_backend_from_env(monkeypatch):
         raise OSError("no service")
 
     monkeypatch.setattr(runtime.urllib.request, "urlopen", fake_urlopen)
-    backend = ServiceBackend.from_env(timeout=RuntimeConfig().child_timeout)
+    backend = ServiceBackend.from_env(timeout=SimulatorConfig().child_timeout_secs)
     with pytest.raises(OSError):
         backend.transport(b"{}")
     assert seen == {"auth": "Bearer secret", "timeout": 600.0}
@@ -703,7 +681,7 @@ def test_http_transport_timeout_turns_a_silent_service_into_an_invalid_child():
         backend = ServiceBackend(http_transport(endpoint, None, timeout=0.2))
         workload, config = _loop_setup([QUIET, SPIKE, QUIET], {})
         started = time.monotonic()
-        result = run_parent_loop(workload.task, config, backend, workload)
+        result = run_parent_loop(config, 0, backend, workload)
         elapsed = time.monotonic() - started
     finally:
         answer.set()
@@ -804,7 +782,7 @@ def test_loop_survives_any_resume_package_bytes(junk):
         return junk(valid)
 
     workload, config = _loop_setup([QUIET, SPIKE, QUIET], outcomes)
-    result = run_parent_loop(workload.task, config, ServiceBackend(fake_transport), workload)
+    result = run_parent_loop(config, 0, ServiceBackend(fake_transport), workload)
     assert result.status == "completed"
     [record] = result.spawn_records
     kinds = {e.kind for e in result.events if e.detail.startswith(record.spawn_id + " ")}
