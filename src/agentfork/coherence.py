@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import AbstractSet, Iterable, Protocol, Sequence
 
+from .memory import MAX_INT
+
 
 class DiffError(ValueError):
     pass
@@ -34,8 +36,8 @@ class Hunk:
     new_lines: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.start_line < 1:
-            raise DiffError(f"start_line must be >= 1, got {self.start_line}")
+        if not 1 <= self.start_line <= MAX_INT:
+            raise DiffError(f"start_line must be in [1, 2**53], got {self.start_line}")
         object.__setattr__(self, "start_line", int(self.start_line))
         object.__setattr__(self, "old_lines", tuple(self.old_lines))
         object.__setattr__(self, "new_lines", tuple(self.new_lines))
@@ -57,6 +59,8 @@ class Diff:
     hunks: tuple[Hunk, ...] = ()
 
     def __post_init__(self):
+        if not self.file:
+            raise DiffError("diff file must be nonempty")
         object.__setattr__(self, "hunks", tuple(self.hunks))
         prev_end = 0
         for h in self.hunks:

@@ -13,6 +13,8 @@ import hashlib
 import math
 import operator
 import re
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -23,7 +25,9 @@ if TYPE_CHECKING:
 
 Embedder = Callable[[str], Sequence[float]]
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# Maximal runs of [a-z0-9] two or more long: a one-letter run never
+# matches, and a longer one matches whole.
+_TOKEN_RE = re.compile(r"[a-z0-9]{2,}")
 
 # Small fixed list; enough to strip glue words from task descriptions
 # without pulling in a language-processing dependency.
@@ -49,14 +53,25 @@ class MemoryError(ValueError):
     """Raised on store invariant violations (duplicate ids, bad dims)."""
 
 
+# The largest integer a package or workload file may carry: beyond 2**53
+# integers lose precision in most JSON readers and overflow the float
+# arithmetic of the report. Constructors of package types check it, so
+# whatever they build, the wire codec can carry.
+MAX_INT = 2**53
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase alphanumeric tokens of length >= 2, in order."""
-    return [t for t in _TOKEN_RE.findall(text.lower()) if len(t) >= 2]
+    return _TOKEN_RE.findall(text.lower())
 
 
 def extract_keywords(task_description: str) -> frozenset[str]:
     """Keyword set for a task: tokens minus stopwords. Deterministic."""
     return frozenset(tokenize(task_description)) - STOPWORDS
+
+
+def norm(vector: Sequence[float]) -> float:
+    return math.sqrt(sum(map(operator.mul, vector, vector)))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -78,30 +93,67 @@ def default_embed(text: str, dim: int) -> tuple[float, ...]:
     buckets = [0.0] * dim
     for token in tokenize(text):
         buckets[_token_bucket(token, dim)] += 1.0
-    norm = math.sqrt(sum(map(operator.mul, buckets, buckets)))
-    if norm == 0.0:
+    length = norm(buckets)
+    if length == 0.0:
         return tuple(buckets)
-    return tuple(v / norm for v in buckets)
+    # Each distinct count is divided once and its float shared, so the
+    # (mostly zero) components of one embedding are a few objects, not dim.
+    unit = {v: v / length for v in set(buckets)}
+    return tuple(map(unit.__getitem__, buckets))
+
+
+# Texts one DefaultEmbedder remembers; when full, its memo starts over.
+EMBED_MEMO = 1024
 
 
 class DefaultEmbedder:
-    """Callable wrapper around :func:`default_embed` with a fixed dim."""
+    """Callable wrapper around :func:`default_embed` with a fixed dim.
+
+    Embeddings are memoized by text in the instance, so a text embedded
+    again (the task, a skill template) costs a dict lookup. The memo is
+    the instance's own: no other embedder or dim can read its entries.
+    """
 
     def __init__(self, dim: int = 64):
         if dim <= 0:
             raise ValueError(f"embedding dim must be positive, got {dim}")
         self.dim = dim
+        self._memo: dict[str, tuple[float, ...]] = {}
 
     def __call__(self, text: str) -> tuple[float, ...]:
-        return default_embed(text, self.dim)
+        embedding = self._memo.get(text)
+        if embedding is None:
+            if len(self._memo) >= EMBED_MEMO:
+                self._memo.clear()
+            embedding = self._memo[text] = default_embed(text, self.dim)
+        return embedding
+
+
+def dot_with(vector: Sequence[float]) -> Callable[[Sequence[float]], float]:
+    """``dot(e)``, the dot product of ``e`` with ``vector`` summed over
+    ``vector``'s nonzero components only.
+
+    For a finite ``e`` of the same length it is bit-identical to
+    ``sum(map(operator.mul, e, vector))``: each skipped product is a
+    zero, and adding a zero never changes ``sum``'s running total, which
+    starts at +0.0 and so is never -0.0.
+    """
+    nonzero = [i for i, v in enumerate(vector) if v != 0.0]
+    values = [vector[i] for i in nonzero]
+    mul = operator.mul
+    if len(nonzero) > 1:
+        pick = operator.itemgetter(*nonzero)
+        return lambda e: sum(map(mul, pick(e), values))
+    # itemgetter returns a bare value for a single index.
+    return lambda e: sum(map(mul, [e[i] for i in nonzero], values))
 
 
 def cosine(a: Sequence[float], b: Sequence[float]) -> float:
     if len(a) != len(b):
         raise MemoryError(f"vector dim mismatch: {len(a)} vs {len(b)}")
     dot = sum(map(operator.mul, a, b))
-    na = math.sqrt(sum(map(operator.mul, a, a)))
-    nb = math.sqrt(sum(map(operator.mul, b, b)))
+    na = norm(a)
+    nb = norm(b)
     if na == 0.0 or nb == 0.0:
         return 0.0
     return dot / (na * nb)
@@ -120,8 +172,10 @@ class MemoryItem:
     embedding: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.created_at_step < 0:
-            raise MemoryError(f"item {self.id}: created_at_step must be >= 0")
+        if not self.id:
+            raise MemoryError("item id must be nonempty")
+        if not 0 <= self.created_at_step <= MAX_INT:
+            raise MemoryError(f"item {self.id}: created_at_step must be in [0, 2**53]")
         if not isinstance(self.tier, MemoryTier):
             object.__setattr__(self, "tier", MemoryTier(self.tier))
         object.__setattr__(self, "referenced_files", frozenset(self.referenced_files))
@@ -172,6 +226,11 @@ class MemoryStore:
     changes the store's content bumps ``version``, so comparing versions
     proves isolation in O(1). ``token_count`` is the running whitespace
     word count of every item's content.
+
+    ``add`` also indexes the item for :func:`slice_memory`, so a slice
+    computes only task-side terms: per tier and parallel to its items,
+    each embedding's L2 norm, and for every keyword and every reference
+    the positions of the items that hold it.
     """
 
     def __init__(self, embedding_dim: int, current_step: int = 0):
@@ -184,6 +243,9 @@ class MemoryStore:
         self._version = 0
         self._token_count = 0
         self._tiers: dict[MemoryTier, list[MemoryItem]] = {t: [] for t in TIER_ORDER}
+        self._norms = {t: array("d") for t in TIER_ORDER}
+        self._keyword_postings = {t: defaultdict(_positions) for t in TIER_ORDER}
+        self._ref_postings = {t: defaultdict(_positions) for t in TIER_ORDER}
         self._ids: set[str] = set()
 
     @property
@@ -209,10 +271,26 @@ class MemoryStore:
             raise MemoryError(
                 f"item {item.id}: created_at_step {item.created_at_step} is ahead of store step {self.current_step}"
             )
-        self._tiers[item.tier].append(item)
+        tier = item.tier
+        position = len(self._tiers[tier])
+        self._tiers[tier].append(item)
+        self._norms[tier].append(norm(item.embedding))
+        _post(self._keyword_postings[tier], extract_keywords(item.content), position)
+        _post(self._ref_postings[tier], item.references, position)
         self._ids.add(item.id)
         self._token_count += len(item.content.split())
         self._version += 1
+
+    def _indexed(
+        self, keywords: frozenset[str], refs: frozenset[str]
+    ) -> Iterator[tuple[MemoryItem, float, int, int]]:
+        """``(item, embedding norm, keyword hits, reference hits)`` for
+        every item in store order, the hits counted from the postings."""
+        for tier in TIER_ORDER:
+            items = self._tiers[tier]
+            keyword_hits = _hits(self._keyword_postings[tier], keywords, len(items))
+            ref_hits = _hits(self._ref_postings[tier], refs, len(items))
+            yield from zip(items, self._norms[tier], keyword_hits, ref_hits)
 
     def items(self) -> Iterator[MemoryItem]:
         for tier in TIER_ORDER:
@@ -266,6 +344,24 @@ class MemoryStore:
                 ).encode("utf-8")
             )
         return h.hexdigest()
+
+
+def _positions() -> array:
+    return array("i")
+
+
+def _post(postings: defaultdict[str, array], terms: Iterable[str], position: int) -> None:
+    for term in terms:
+        postings[term].append(position)
+
+
+def _hits(postings: defaultdict[str, array], terms: Iterable[str], size: int) -> list[int]:
+    """How many of ``terms`` each of ``size`` positions holds."""
+    hits = [0] * size
+    for term in terms:
+        for position in postings.get(term, ()):
+            hits[position] += 1
+    return hits
 
 
 @dataclass(frozen=True)
@@ -325,45 +421,48 @@ def compute_relevance(
         raise MemoryError(
             f"item {item.id}: embedding dim {len(item.embedding)} != embedder dim {len(task_embedding)}"
         )
-    score = _relevance_scorer(
-        extract_keywords(task.description), task_references(task), task_embedding, weights, now_step
+    keywords = extract_keywords(task.description)
+    refs = task_references(task)
+    score = _relevance_scorer(keywords, refs, norm(task_embedding), weights, now_step)
+    return score(
+        len(keywords & extract_keywords(item.content)),
+        len(refs & item.references),
+        item.created_at_step,
+        sum(map(operator.mul, item.embedding, task_embedding)),
+        norm(item.embedding),
     )
-    return score(item)
 
 
 def _relevance_scorer(
     keywords: frozenset[str],
     refs: frozenset[str],
-    task_embedding: Sequence[float],
+    task_norm: float,
     weights: RelevanceWeights,
     now_step: int,
-) -> Callable[[MemoryItem], float]:
-    """Relevance of one item against a fixed task, for a whole scan.
+) -> Callable[[int, int, int, float, float], float]:
+    """The one weighted relevance sum, for a fixed task.
 
-    The task-side terms (keywords, refs, the task embedding's norm and the
-    recency term per item age) are computed once; each call does only the
-    item's own work. Every float is computed with the same operations in
-    the same order as :func:`cosine` and the weighted sum, so scores are
-    bit-identical to scoring each item from scratch. The item's age is
-    not checked here; callers guarantee ``created_at_step <= now_step``.
+    The returned ``score(keyword_hits, ref_hits, created_at_step, dot,
+    item_norm)`` forms the four components from an item's terms: how
+    many task keywords and references the item holds, its step, the dot
+    product of its embedding with the task's, and its embedding norm.
+    The recency term is computed once per age. Every float is computed
+    with the same operations in the same order as :func:`cosine` and the
+    weighted sum, so scores are bit-identical however the terms were
+    found. The item's age is not checked here; callers guarantee
+    ``created_at_step <= now_step``.
     """
-    task_norm = math.sqrt(sum(map(operator.mul, task_embedding, task_embedding)))
+    n_keywords = len(keywords)
+    n_refs = len(refs)
     recency: dict[int, float] = {}
 
-    def score(item: MemoryItem) -> float:
-        # Keywords are tokens of length >= 2, so shorter raw tokens never match.
-        keyword_match = (
-            len(keywords.intersection(_TOKEN_RE.findall(item.content.lower()))) / len(keywords)
-            if keywords
-            else 0.0
-        )
-        dep_score = len(refs & item.references) / len(refs) if refs else 0.0
-        age = now_step - item.created_at_step
+    def score(keyword_hits: int, ref_hits: int, created_at_step: int, dot: float, item_norm: float) -> float:
+        keyword_match = keyword_hits / n_keywords if n_keywords else 0.0
+        dep_score = ref_hits / n_refs if n_refs else 0.0
+        age = now_step - created_at_step
         temporal = recency.get(age)
         if temporal is None:
             temporal = recency[age] = math.exp(-weights.lambda_decay * age)
-        dot = sum(map(operator.mul, item.embedding, task_embedding))
-        item_norm = math.sqrt(sum(map(operator.mul, item.embedding, item.embedding)))
         if item_norm == 0.0 or task_norm == 0.0:
             semantic = 0.0
         else:
@@ -388,7 +487,9 @@ def slice_memory(
     """Select items with relevance strictly above ``threshold``.
 
     Order is preserved from the store; items at exactly the threshold are
-    excluded. The store is not modified.
+    excluded. The store is not modified. Keyword and reference hits come
+    from the store's postings, and the dot product from :func:`dot_with`,
+    exact here because item embeddings are finite.
     """
     if not 0.0 <= threshold <= 1.0:
         raise MemoryError(f"threshold must be in [0, 1], got {threshold}")
@@ -398,10 +499,15 @@ def slice_memory(
             f"embedder dim {len(task_embedding)} != store dim {store.embedding_dim}"
         )
     now = store.current_step
-    score = _relevance_scorer(
-        extract_keywords(task.description), task_references(task), task_embedding, weights, now
+    keywords = extract_keywords(task.description)
+    refs = task_references(task)
+    score = _relevance_scorer(keywords, refs, norm(task_embedding), weights, now)
+    dot = dot_with(task_embedding)
+    kept = tuple(
+        item
+        for item, item_norm, keyword_hits, ref_hits in store._indexed(keywords, refs)
+        if score(keyword_hits, ref_hits, item.created_at_step, dot(item.embedding), item_norm) > threshold
     )
-    kept = tuple(item for item in store.items() if score(item) > threshold)
     return MemorySlice(items=kept, source_store_step=now, threshold_used=threshold)
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .coherence import Diff, combine_diffs, diff_applies
-from .memory import MemoryItem, MemorySlice, MemoryStore, MemoryTier, TIER_ORDER, Embedder
+from .memory import MAX_INT, MemoryItem, MemorySlice, MemoryStore, MemoryTier, TIER_ORDER, Embedder
 from .policy import ComplexityMetrics
 from .skills import Skill, SkillLibrary, promote_skills
 
@@ -66,8 +66,8 @@ class ExecutionContext:
     def __post_init__(self):
         if isinstance(self.line_number, bool) or not isinstance(self.line_number, int):
             raise ProtocolError(f"line_number must be an integer, got {self.line_number!r}")
-        if self.line_number < 0:
-            raise ProtocolError("line_number must be >= 0")
+        if not 0 <= self.line_number <= MAX_INT:
+            raise ProtocolError("line_number must be in [0, 2**53]")
         object.__setattr__(self, "pending_changes", tuple(self.pending_changes))
 
 
@@ -88,6 +88,8 @@ class Action:
 
     def __post_init__(self):
         object.__setattr__(self, "step", int(self.step))
+        if self.step > MAX_INT:
+            raise ProtocolError(f"trace step must be <= 2**53, got {self.step}")
         if not isinstance(self.kind, ActionKind):
             object.__setattr__(self, "kind", ActionKind(self.kind))
 
@@ -111,11 +113,21 @@ class SpawnPackage:
     score: float
 
     def __post_init__(self):
+        if not self.spawn_id or not self.parent_id:
+            raise ProtocolError("spawn_id and parent_id must be nonempty")
         grouped = {tier: tuple(self.memory.get(tier, ())) for tier in TIER_ORDER}
+        for tier, items in grouped.items():
+            for item in items:
+                if item.tier is not tier:
+                    raise ProtocolError(f"item {item.id} has tier {item.tier.value}, filed under {tier.value}")
         object.__setattr__(self, "memory", grouped)
         object.__setattr__(self, "skills", tuple(self.skills))
         object.__setattr__(self, "timestamp", float(self.timestamp))
         object.__setattr__(self, "score", float(self.score))
+        if not 0.0 <= self.timestamp < math.inf:
+            raise ProtocolError(f"timestamp must be finite and >= 0, got {self.timestamp}")
+        if not 0.0 <= self.score <= 1.0:
+            raise ProtocolError(f"spawn score must be in [0, 1], got {self.score}")
 
     def memory_items(self) -> Iterator[MemoryItem]:
         for tier in TIER_ORDER:
@@ -143,8 +155,10 @@ class ChildMetrics:
         object.__setattr__(self, "tokens_used", int(self.tokens_used))
         object.__setattr__(self, "api_calls", int(self.api_calls))
         object.__setattr__(self, "test_pass_rate", float(self.test_pass_rate))
-        if not math.isfinite(self.test_pass_rate):
-            raise ProtocolError(f"test_pass_rate must be finite, got {self.test_pass_rate}")
+        if not (0 <= self.tokens_used <= MAX_INT and 0 <= self.api_calls <= MAX_INT):
+            raise ProtocolError("tokens_used and api_calls must be in [0, 2**53]")
+        if not 0.0 <= self.test_pass_rate <= 1.0:
+            raise ProtocolError(f"test_pass_rate must be finite and in [0, 1], got {self.test_pass_rate}")
 
 
 @dataclass(frozen=True)
@@ -158,9 +172,13 @@ class ResumePackage:
     metrics: ChildMetrics = ChildMetrics(0, 0, 0.0)
 
     def __post_init__(self):
+        if not self.spawn_id:
+            raise ProtocolError("spawn_id must be nonempty")
         if not isinstance(self.status, ChildStatus):
             object.__setattr__(self, "status", ChildStatus(self.status))
         object.__setattr__(self, "execution_time", float(self.execution_time))
+        if not 0.0 <= self.execution_time < math.inf:
+            raise ProtocolError(f"execution_time must be finite and >= 0, got {self.execution_time}")
         object.__setattr__(self, "trace", tuple(self.trace))
         object.__setattr__(self, "skills_learned", tuple(self.skills_learned))
 
@@ -192,8 +210,6 @@ def build_spawn_package(
     is used; the runtime passes a sequential stream so runs replay
     byte-identically.
     """
-    if not 0.0 <= score <= 1.0:
-        raise ProtocolError(f"spawn score must be in [0, 1], got {score}")
     timestamp = float(getattr(clock, "now", clock))
     spawn_id = id_source() if id_source is not None else _fresh_uuid()
     grouped = {tier: memory_slice.by_tier(tier) for tier in TIER_ORDER}
@@ -301,16 +317,6 @@ def validate_resume(resume: ResumePackage, spawn: SpawnPackage) -> list[str]:
     errors: list[str] = []
     if resume.spawn_id != spawn.spawn_id:
         errors.append(f"wrong child: resume {resume.spawn_id!r} does not match spawn {spawn.spawn_id!r}")
-    if not isinstance(resume.status, ChildStatus):
-        errors.append(f"invalid status {resume.status!r}")
-    if resume.execution_time < 0:
-        errors.append(f"execution_time must be >= 0, got {resume.execution_time}")
-    if resume.metrics.tokens_used < 0:
-        errors.append("tokens_used must be >= 0")
-    if resume.metrics.api_calls < 0:
-        errors.append("api_calls must be >= 0")
-    if not 0.0 <= resume.metrics.test_pass_rate <= 1.0:
-        errors.append(f"test_pass_rate must be in [0, 1], got {resume.metrics.test_pass_rate}")
     checks = (
         (check_files_modified, resume.result),
         (combine_diffs, resume.result.code_diff),

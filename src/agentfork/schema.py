@@ -35,7 +35,7 @@ from types import SimpleNamespace
 from typing import Any, Callable
 
 from .coherence import Diff, Hunk, combine_diffs
-from .memory import TIER_ORDER, MemoryItem, MemoryTier
+from .memory import MAX_INT, TIER_ORDER, MemoryItem, MemoryTier
 from .policy import ComplexityMetrics, Specialization
 from .protocol import (
     Action,
@@ -59,9 +59,6 @@ WIRE = "wire"
 FILE = "file"
 
 SCHEMA_VERSION = 1
-# Integers beyond 2**53 lose precision in most JSON readers and overflow
-# the float arithmetic of the report.
-MAX_INT = 2**53
 # Each memory item holds a dense embedding of this many floats.
 MAX_EMBEDDING_DIM = 4096
 # Distinct floats whose wire text one ``package_bytes`` call keeps. Past

@@ -12,9 +12,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Mapping, TYPE_CHECKING
+from typing import Callable, Iterable, Mapping, Sequence, TYPE_CHECKING
 
-from .memory import Embedder, cosine
+from .memory import Embedder, MemoryError, norm, dot_with
 
 if TYPE_CHECKING:
     from .protocol import TaskSpec
@@ -41,6 +41,8 @@ class Skill:
     success_stat: float | None = None
 
     def __post_init__(self):
+        if not self.id:
+            raise SkillError("skill id must be nonempty")
         if isinstance(self.params, Mapping):
             object.__setattr__(self, "params", tuple(sorted(self.params.items())))
         else:
@@ -101,24 +103,46 @@ class SkillLibrary:
         return skill_id in self._ids
 
 
+def _task_similarity(task_embedding: Sequence[float]) -> Callable[[Sequence[float]], float]:
+    """``similarity(template_embedding)``: the cosine of a template's
+    embedding with the task's, clamped to [0, 1].
+
+    The task's norm and nonzero components are taken once. The result is
+    bit-identical to clamping :func:`cosine`: a finite template gives the
+    same dot product (:func:`dot_with`), and a non-finite one has an
+    infinite or NaN norm, so both clamp to 0.
+    """
+    dot = dot_with(task_embedding)
+    task_norm = norm(task_embedding)
+
+    def similarity(template_embedding: Sequence[float]) -> float:
+        if len(template_embedding) != len(task_embedding):
+            raise MemoryError(f"vector dim mismatch: {len(template_embedding)} vs {len(task_embedding)}")
+        template_norm = norm(template_embedding)
+        if template_norm == 0.0 or task_norm == 0.0:
+            return 0.0
+        return min(1.0, max(0.0, dot(template_embedding) / (template_norm * task_norm)))
+
+    return similarity
+
+
 def skill_relevance(skill: Skill, task: "TaskSpec", embedder: Embedder) -> float:
     """Embedding similarity between the template and the task, in [0, 1]."""
-    sim = cosine(embedder(skill.template), embedder(task.description))
-    return min(1.0, max(0.0, sim))
+    return _task_similarity(embedder(task.description))(embedder(skill.template))
 
 
 def select_inherited_skills(
     library: SkillLibrary, task: "TaskSpec", embedder: Embedder
 ) -> list[Skill]:
     """Copies of library skills whose relevance strictly exceeds the
-    library's inherit threshold, in library order, marked inherited."""
-    chosen = []
-    for skill in library.skills():
-        if skill_relevance(skill, task, embedder) > library.inherit_threshold:
-            chosen.append(
-                replace(skill, provenance=Provenance.INHERITED, success_stat=None)
-            )
-    return chosen
+    library's inherit threshold, in library order, marked inherited.
+    The task is embedded once per call and each template once per skill."""
+    similarity = _task_similarity(embedder(task.description))
+    return [
+        replace(skill, provenance=Provenance.INHERITED, success_stat=None)
+        for skill in library.skills()
+        if similarity(embedder(skill.template)) > library.inherit_threshold
+    ]
 
 
 def specialize(skill: Skill, task_context: Mapping[str, str]) -> Skill:

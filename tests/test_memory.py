@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import operator
 import random
 import re
+import struct
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agentfork.memory import (
+    EMBED_MEMO,
     DefaultEmbedder,
     MemoryError,
     MemoryItem,
@@ -429,3 +432,123 @@ def test_running_token_count_matches_recount(seed):
     copy.add(make_item("more", MemoryTier.SEMANTIC, " ".join(rng.choices(WORDS, k=5)), embedder))
     assert copy.token_count == count_tokens(copy.items()) == store.token_count + 5
     assert store.token_count == count_tokens(store.items())
+
+
+# Finite components of both signs, zeros of both signs, and values whose
+# squares underflow, so norms can be zero while components are not.
+_COMPONENT = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 1e-200, -1e-200]),
+    st.floats(-1e3, 1e3),
+)
+_PDIM = 4
+_VECTOR = st.lists(_COMPONENT, min_size=_PDIM, max_size=_PDIM).map(tuple)
+_TASK_VECTOR = st.one_of(
+    st.just((0.0,) * _PDIM),
+    st.tuples(st.integers(0, _PDIM - 1), _COMPONENT.filter(bool)).map(
+        lambda pair: tuple(pair[1] if i == pair[0] else 0.0 for i in range(_PDIM))
+    ),
+    _VECTOR,
+)
+_CONTENT = st.lists(st.sampled_from(WORDS[:6] + _NOISE), max_size=6).map(" ".join)
+_REFS = st.lists(st.sampled_from(FILES + SYMBOLS), max_size=3)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("add"), st.sampled_from(list(MemoryTier)), _CONTENT, _REFS, _REFS, _VECTOR, st.integers(0, 3)
+        ),
+        st.tuples(st.just("advance"), st.integers(0, 3)),
+        st.tuples(st.just("snapshot")),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@example(ops=[], description="parser", task_vector=(0.0,) * _PDIM, task_refs=[], threshold=0.0)
+@given(
+    ops=_OPS,
+    description=_CONTENT.filter(bool),
+    task_vector=_TASK_VECTOR,
+    task_refs=_REFS,
+    threshold=st.floats(0.0, 1.0),
+)
+def test_indexed_slice_keeps_what_the_per_item_reference_keeps(
+    ops, description, task_vector, task_refs, threshold
+):
+    """Every store an add/advance_to/snapshot_store sequence passes
+    through slices exactly as the literal reference scores it, with a
+    custom embedder whose vectors have negative and zero components."""
+    embedder = _FixedEmbedder(task_vector)
+    weights = RelevanceWeights(0.3, 0.2, 0.1, 0.4, lambda_decay=0.3)
+    task = TaskSpec(
+        description=description,
+        referenced_files=frozenset(r for r in task_refs if r in FILES),
+        referenced_symbols=frozenset(r for r in task_refs if r in SYMBOLS),
+    )
+    keywords = extract_keywords(task.description)
+    refs = task_references(task)
+    store = MemoryStore(_PDIM, current_step=2)
+    stores = [store]
+    for n, op in enumerate(ops):
+        if op[0] == "add":
+            _, tier, content, files, symbols, embedding, age = op
+            store.add(
+                MemoryItem(
+                    id=f"m{n}", tier=tier, content=content, referenced_files=files,
+                    referenced_symbols=symbols, embedding=embedding,
+                    created_at_step=max(0, store.current_step - age),
+                )
+            )
+        elif op[0] == "advance":
+            store.advance_to(store.current_step + op[1])
+        else:
+            store = snapshot_store(store)
+            stores.append(store)
+    for store in stores:
+        now = store.current_step
+        expected = {
+            item.id: _reference_relevance(item, keywords, refs, task_vector, weights, now)
+            for item in store.items()
+        }
+        for item in store.items():
+            assert compute_relevance(item, task, weights, now, embedder) == expected[item.id]
+        for cut in (0.0, 0.25, 0.5, threshold):
+            sliced = slice_memory(store, task, cut, weights, embedder)
+            assert [i.id for i in sliced.items] == [i.id for i in store.items() if expected[i.id] > cut]
+
+
+def _reference_embed(text, dim):
+    """``default_embed`` as it stood before it shared its floats."""
+    buckets = [0.0] * dim
+    for token in _reference_tokenize(text):
+        buckets[int.from_bytes(hashlib.md5(token.encode("utf-8")).digest()[:8], "big") % dim] += 1.0
+    norm = math.sqrt(sum(map(operator.mul, buckets, buckets)))
+    if norm == 0.0:
+        return tuple(buckets)
+    return tuple(v / norm for v in buckets)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 64, 4096])
+def test_default_embed_is_bit_identical_and_shares_equal_floats(dim):
+    rng = random.Random(dim)
+    texts = ["", "!!", "parser", "parser parser json", " ".join(WORDS * 3)]
+    texts += [" ".join(rng.choices(WORDS + _NOISE, k=rng.randint(1, 40))) for _ in range(20)]
+    for text in texts:
+        got = default_embed(text, dim)
+        expected = _reference_embed(text, dim)
+        assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in expected]
+        assert len({id(v) for v in got}) == len(set(got))
+
+
+def test_default_embedder_memo_is_per_instance_and_bounded():
+    small, large, other = DefaultEmbedder(8), DefaultEmbedder(16), DefaultEmbedder(8)
+    for first, second in ((small, large), (large, small)):
+        for text in ("parser json", "cache header"):
+            first(text)
+            assert len(second(text)) == second.dim
+            assert first(text) == default_embed(text, first.dim)
+    assert other._memo == {}
+    for n in range(EMBED_MEMO + 10):
+        small(f"text {n}")
+        assert len(small._memo) <= EMBED_MEMO
+    assert small("text 3") == default_embed("text 3", 8)

@@ -10,9 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agentfork import schema
-from agentfork.coherence import Diff, Hunk
-from agentfork.memory import MemoryItem, MemorySlice, MemoryStore, MemoryTier, make_item
-from agentfork.policy import ComplexityMetrics
+from agentfork.coherence import Diff, DiffError, Hunk
+from agentfork.memory import MemoryError, MemoryItem, MemorySlice, MemoryStore, MemoryTier, make_item
+from agentfork.policy import ComplexityMetrics, PolicyError
 from agentfork.protocol import (
     Action,
     ActionKind,
@@ -36,7 +36,7 @@ from agentfork.protocol import (
     validate_resume,
     write_checkpoint,
 )
-from agentfork.skills import Provenance, Skill, SkillLibrary
+from agentfork.skills import Provenance, Skill, SkillError, SkillLibrary
 
 from conftest import DIM, random_resume_package, random_spawn_package
 
@@ -227,10 +227,12 @@ def _items(draw):
     )
 
 
+_PLACEHOLDER = st.from_regex(r"[a-z_][a-z0-9_]{0,5}", fullmatch=True)
+
+
 @st.composite
 def _skills(draw, provenance):
-    placeholder = st.from_regex(r"[a-z_][a-z0-9_]{0,5}", fullmatch=True)
-    names = draw(st.lists(placeholder, max_size=3, unique=True))
+    names = draw(st.lists(_PLACEHOLDER, max_size=3, unique=True))
     stat = draw(st.none() | _UNIT) if provenance is Provenance.LEARNED else None
     return Skill(
         id=draw(_NAME),
@@ -319,8 +321,210 @@ def test_wire_writer_matches_json_dumps(package):
     assert encode_package(package) == _reference_bytes(package)
 
 
-# MemoryItem and ComplexityMetrics reject non-finite values, so these set
-# them past the constructor to reach the writer's own check.
+# Values over a constructor argument's whole type: empty names, negative
+# and huge integers, and NaN, infinite and negative floats.
+_ANY_FLOAT = st.one_of(
+    st.sampled_from((math.nan, math.inf, -math.inf, -0.0, -1.0, 1.5, 5e-324)), st.floats()
+)
+_ANY_INT = st.one_of(st.sampled_from((-1, 0, 1, 2**53, 2**53 + 1)), st.integers(-(2**64), 2**64))
+_MODULE_ERRORS = (ProtocolError, MemoryError, SkillError, PolicyError, DiffError)
+_SKILL_ARGS = ("skill.id", "skill.provenance", "skill.success_stat", "diff.file", "hunk.start_line")
+_SPAWN_ARGS = _SKILL_ARGS + (
+    "spawn_id", "parent_id", "timestamp", "score", "item.id", "item.tier", "item.created_at_step",
+    "item.embedding", "context.line_number", "task.description", "metrics",
+)
+_RESUME_ARGS = _SKILL_ARGS + (
+    "spawn_id", "execution_time", "trace.step", "tokens_used", "api_calls", "test_pass_rate",
+)
+
+
+def _arg_drawer(draw, names):
+    """``arg(name, valid, whole)`` draws every argument from its valid
+    range but one, chosen per example (or none), which it draws from
+    ``whole``, the argument's whole type."""
+    chosen = draw(st.sampled_from((None,) + names))
+    return lambda name, valid, whole: draw(whole if name == chosen else valid)
+
+
+def _any_diffs(draw, arg):
+    return [
+        (arg("diff.file", _NAME, _TEXT), arg("hunk.start_line", st.integers(1, 2**53), _ANY_INT), old, new)
+        for old, new in draw(st.lists(st.tuples(_LINES, _LINES), max_size=2))
+    ]
+
+
+def _build_diffs(args):
+    return tuple(Diff(file, (Hunk(start, old, new),)) for file, start, old, new in args)
+
+
+def _any_skills(draw, arg, provenance):
+    args = []
+    for names in draw(st.lists(st.lists(_PLACEHOLDER, max_size=2, unique=True), max_size=2)):
+        args.append(
+            dict(
+                id=arg("skill.id", _NAME, _TEXT),
+                template=draw(_TEXT) + "".join(f"{{{n}}}" for n in names),
+                params={n: draw(_TEXT) for n in names},
+                provenance=arg("skill.provenance", st.just(provenance), st.sampled_from(list(Provenance))),
+                success_stat=arg(
+                    "skill.success_stat",
+                    st.none() | _UNIT if provenance is Provenance.LEARNED else st.none(),
+                    st.none() | _ANY_FLOAT,
+                ),
+            )
+        )
+    return args
+
+
+@st.composite
+def _any_spawn_packages(draw):
+    """A function that builds a spawn package from drawn arguments; items
+    may be filed under a tier other than their own."""
+    arg = _arg_drawer(draw, _SPAWN_ARGS)
+    items = []
+    for _ in range(draw(st.integers(1, 3))):
+        tier = draw(st.sampled_from(list(MemoryTier)))
+        item = dict(
+            id=arg("item.id", _NAME, _TEXT),
+            tier=tier,
+            content=draw(_TEXT),
+            referenced_files=draw(st.frozensets(_TEXT, max_size=2)),
+            referenced_symbols=draw(st.frozensets(_TEXT, max_size=2)),
+            created_at_step=arg("item.created_at_step", st.integers(0, 2**53), _ANY_INT),
+            embedding=tuple(arg("item.embedding", st.lists(_FLOATS, max_size=3), st.lists(_ANY_FLOAT, max_size=3))),
+        )
+        other = st.sampled_from([t for t in MemoryTier if t is not tier])
+        items.append((item, arg("item.tier", st.just(tier), other)))
+    skills, diffs = _any_skills(draw, arg, Provenance.INHERITED), _any_diffs(draw, arg)
+    fields = dict(
+        spawn_id=arg("spawn_id", _NAME, _TEXT),
+        parent_id=arg("parent_id", _NAME, _TEXT),
+        timestamp=arg("timestamp", _NONNEG, _ANY_FLOAT),
+        score=arg("score", _UNIT, _ANY_FLOAT),
+    )
+    context = dict(
+        repo_path=draw(_TEXT),
+        current_file=draw(_TEXT),
+        line_number=arg("context.line_number", st.integers(0, 2**53), _ANY_INT),
+    )
+    task = dict(
+        description=arg("task.description", _NAME, _TEXT),
+        constraints=draw(_LINES),
+        expected_outcome=draw(_TEXT),
+        referenced_files=draw(st.frozensets(_TEXT, max_size=2)),
+        referenced_symbols=draw(st.frozensets(_TEXT, max_size=2)),
+    )
+    metrics = arg(
+        "metrics",
+        st.tuples(_NONNEG, _NONNEG, _NONNEG, _UNIT, _NONNEG),
+        st.tuples(_ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT),
+    )
+
+    def build():
+        memory = {tier: [] for tier in MemoryTier}
+        for args, filed_under in items:
+            memory[filed_under].append(MemoryItem(**args))
+        return SpawnPackage(
+            memory=memory,
+            skills=tuple(Skill(**a) for a in skills),
+            context=ExecutionContext(**context, pending_changes=_build_diffs(diffs)),
+            task=TaskSpec(**task),
+            metrics=ComplexityMetrics(*metrics),
+            **fields,
+        )
+
+    return build
+
+
+@st.composite
+def _any_resume_packages(draw):
+    """A function that builds a resume package from drawn arguments. The
+    trace runs in step order and ``files_modified`` names the diffed
+    files: ``validate_resume`` reports either breach as a child's error,
+    so tests build packages that carry one."""
+    arg = _arg_drawer(draw, _RESUME_ARGS)
+    skills, diffs = _any_skills(draw, arg, Provenance.LEARNED), _any_diffs(draw, arg)
+    steps = sorted(arg("trace.step", st.sets(st.integers(-(2**53), 2**53), max_size=3), st.sets(_ANY_INT, max_size=3)))
+    trace = [(step, draw(st.sampled_from(list(ActionKind))), draw(_TEXT)) for step in steps]
+    fields = dict(
+        spawn_id=arg("spawn_id", _NAME, _TEXT),
+        status=draw(st.sampled_from(list(ChildStatus))),
+        execution_time=arg("execution_time", _NONNEG, _ANY_FLOAT),
+    )
+    output = draw(_TEXT)
+    metrics = (
+        arg("tokens_used", st.integers(0, 2**53), _ANY_INT),
+        arg("api_calls", st.integers(0, 2**53), _ANY_INT),
+        arg("test_pass_rate", _UNIT, _ANY_FLOAT),
+    )
+
+    def build():
+        code_diff = _build_diffs(diffs)
+        return ResumePackage(
+            result=ResultPayload(output, code_diff, frozenset(d.file for d in code_diff)),
+            trace=tuple(Action(*a) for a in trace),
+            skills_learned=tuple(Skill(**a) for a in skills),
+            metrics=ChildMetrics(*metrics),
+            **fields,
+        )
+
+    return build
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_any_spawn_packages(), _any_resume_packages()))
+def test_whatever_the_constructors_build_the_codec_carries(build):
+    """Construction raises the module's own error, or the package
+    survives the wire unchanged."""
+    try:
+        package = build()
+    except _MODULE_ERRORS:
+        return
+    assert decode_package(encode_package(package)) == package
+
+
+def _spawn(**changes):
+    return lambda: dataclasses.replace(_package(None), **changes)
+
+
+_ITEM = MemoryItem("m", MemoryTier.SEMANTIC, "x")
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        pytest.param(_spawn(spawn_id=""), ProtocolError, id="spawn_id"),
+        pytest.param(_spawn(parent_id=""), ProtocolError, id="parent_id"),
+        pytest.param(_spawn(timestamp=-1.0), ProtocolError, id="negative_timestamp"),
+        pytest.param(_spawn(timestamp=math.inf), ProtocolError, id="infinite_timestamp"),
+        pytest.param(_spawn(score=math.nan), ProtocolError, id="nan_score"),
+        pytest.param(_spawn(memory={MemoryTier.WORKING: (_ITEM,)}), ProtocolError, id="misfiled_item"),
+        pytest.param(lambda: _resume(spawn_id=""), ProtocolError, id="resume_spawn_id"),
+        pytest.param(lambda: _resume(execution_time=-0.5), ProtocolError, id="negative_execution_time"),
+        pytest.param(lambda: _resume(execution_time=math.nan), ProtocolError, id="nan_execution_time"),
+        pytest.param(lambda: ChildMetrics(-1, 0, 0.5), ProtocolError, id="negative_tokens"),
+        pytest.param(lambda: ChildMetrics(0, 2**53 + 1, 0.5), ProtocolError, id="huge_api_calls"),
+        pytest.param(lambda: ChildMetrics(0, 0, 1.5), ProtocolError, id="pass_rate_above_one"),
+        pytest.param(lambda: Action(2**53 + 1, ActionKind.EDIT, "x"), ProtocolError, id="huge_step"),
+        pytest.param(
+            lambda: ExecutionContext(repo_path="r", line_number=2**53 + 1), ProtocolError, id="huge_line_number"
+        ),
+        pytest.param(lambda: MemoryItem("", MemoryTier.SEMANTIC, "x"), MemoryError, id="item_id"),
+        pytest.param(
+            lambda: MemoryItem("m", MemoryTier.SEMANTIC, "x", created_at_step=2**53 + 1), MemoryError, id="huge_item_step"
+        ),
+        pytest.param(lambda: Skill(id="", template="t"), SkillError, id="skill_id"),
+        pytest.param(lambda: Diff("", ()), DiffError, id="diff_file"),
+        pytest.param(lambda: Hunk(2**53 + 1, (), ("x",)), DiffError, id="huge_start_line"),
+    ],
+)
+def test_constructors_reject_what_the_wire_rejects(build, error):
+    with pytest.raises(error):
+        build()
+
+
+# MemoryItem, ComplexityMetrics and ResumePackage reject non-finite values,
+# so these set them past the constructor to reach the writer's own check.
 def _with_embedding(embedding):
     item = MemoryItem("bad", MemoryTier.SEMANTIC, "bad")
     object.__setattr__(item, "embedding", embedding)
@@ -331,6 +535,12 @@ def _with_metric(value):
     metrics = ComplexityMetrics(1, 1, 1, 0.5, 1)
     object.__setattr__(metrics, "interdependency", value)
     return dataclasses.replace(_package(None), metrics=metrics)
+
+
+def _with_execution_time(value):
+    resume = _resume()
+    object.__setattr__(resume, "execution_time", value)
+    return resume
 
 
 _MEMO_FULL = tuple(float(n) + 0.5 for n in range(schema.FLOAT_MEMO))
@@ -346,7 +556,7 @@ _MEMO_FULL = tuple(float(n) + 0.5 for n in range(schema.FLOAT_MEMO))
         (_with_embedding(_MEMO_FULL + (math.nan,)), ValueError),
         (_with_metric(math.nan), ValueError),
         (_with_metric(math.inf), ValueError),
-        (_resume(execution_time=math.inf), ValueError),
+        (_with_execution_time(math.inf), ValueError),
         (_resume(result=ResultPayload(output="lone \ud800 surrogate")), UnicodeEncodeError),
         (dataclasses.replace(_package(None), task=TaskSpec(description="\udfff")), UnicodeEncodeError),
         (TaskSpec(description="not a package"), ProtocolError),

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import math
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from agentfork.memory import DefaultEmbedder, MemoryError, cosine, default_embed
 from agentfork.protocol import TaskSpec
 from agentfork.skills import (
     Provenance,
@@ -16,7 +21,7 @@ from agentfork.skills import (
     specialize,
 )
 
-from conftest import random_skill, random_task
+from conftest import DIM, WORDS, random_skill, random_task
 
 
 def test_skill_relevance_identical_text_is_one(embedder):
@@ -73,6 +78,64 @@ def test_select_inherited_leaves_library_untouched(embedder):
     chosen = select_inherited_skills(library, task, embedder)
     assert chosen and chosen[0] is not library.skills()[0]
     assert library.skills()[0].provenance is Provenance.BUILT_IN
+
+
+class _CountingEmbedder:
+    """Not a DefaultEmbedder: it memoizes nothing and counts each text."""
+
+    def __init__(self):
+        self.dim = DIM
+        self.calls = {}
+
+    def __call__(self, text):
+        self.calls[text] = self.calls.get(text, 0) + 1
+        return default_embed(text, self.dim)
+
+
+def test_custom_embedder_embeds_every_template_on_every_selection():
+    rng = random.Random(5)
+    skills = [Skill(id=f"s{n}", template=" ".join(rng.choices(WORDS, k=4)) + f" n{n}") for n in range(12)]
+    library = SkillLibrary(skills, inherit_threshold=0.2)
+    task = random_task(rng)
+    embedder = _CountingEmbedder()
+    first = select_inherited_skills(library, task, embedder)
+    second = select_inherited_skills(library, task, embedder)
+    assert first == second == select_inherited_skills(library, task, DefaultEmbedder(DIM))
+    assert embedder.calls == {task.description: 2, **{s.template: 2 for s in skills}}
+
+
+class _TableEmbedder:
+    def __init__(self, table):
+        self.table = table
+
+    def __call__(self, text):
+        return self.table[text]
+
+
+_COMPONENT = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-200, 1e308, math.inf, -math.inf, math.nan]),
+    st.floats(-1e3, 1e3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    template=st.lists(_COMPONENT, min_size=3, max_size=3),
+    task=st.lists(_COMPONENT, min_size=3, max_size=3),
+)
+def test_skill_relevance_is_bit_identical_to_clamped_cosine(template, task):
+    """Non-finite components included: the clamp maps every NaN the full
+    dot product would give to 0, as it does the shortened one's."""
+    embedder = _TableEmbedder({"template": tuple(template), "task": tuple(task)})
+    expected = min(1.0, max(0.0, cosine(template, task)))
+    got = skill_relevance(Skill(id="s", template="template"), TaskSpec(description="task"), embedder)
+    assert struct.pack("<d", got) == struct.pack("<d", expected)
+
+
+def test_skill_relevance_rejects_a_dimension_mismatch():
+    embedder = _TableEmbedder({"template": (1.0, 0.0), "task": (1.0, 0.0, 0.0)})
+    with pytest.raises(MemoryError):
+        skill_relevance(Skill(id="s", template="template"), TaskSpec(description="task"), embedder)
 
 
 def test_specialize_binds_matching_placeholders():
