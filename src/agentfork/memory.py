@@ -18,7 +18,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence, TYPE_CHECKING
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .protocol import TaskSpec
@@ -162,6 +162,14 @@ def cosine(a: Sequence[float], b: Sequence[float]) -> float:
 @dataclass(frozen=True)
 class MemoryItem:
     """One remembered fact/event. Immutable so snapshots can share items."""
+
+    # The item's compact wire text (UTF-8), stored on the instance by the
+    # package writer (``schema.package_bytes``) once the whole item has
+    # encoded, so every later package copies it. It is not a field:
+    # equality, hash, repr and ``dataclasses.replace`` ignore it, and it
+    # lives exactly as long as the item. It is keyed by identity because
+    # equal items can differ on the wire (0.0 and -0.0 are equal).
+    _wire: ClassVar[bytes | None] = None
 
     id: str
     tier: MemoryTier
@@ -398,6 +406,14 @@ def task_references(task: "TaskSpec") -> frozenset[str]:
     return task.referenced_files | task.referenced_symbols | pathlike_tokens(task.description)
 
 
+@lru_cache(maxsize=256)
+def _task_terms(task: "TaskSpec") -> tuple[frozenset[str], frozenset[str]]:
+    """A task's keywords and references, computed once per distinct task
+    while it stays among the last 256 scored. ``TaskSpec`` is frozen,
+    hashable and holds no floats, so equal tasks have equal terms."""
+    return extract_keywords(task.description), task_references(task)
+
+
 def compute_relevance(
     item: MemoryItem,
     task: "TaskSpec",
@@ -421,8 +437,7 @@ def compute_relevance(
         raise MemoryError(
             f"item {item.id}: embedding dim {len(item.embedding)} != embedder dim {len(task_embedding)}"
         )
-    keywords = extract_keywords(task.description)
-    refs = task_references(task)
+    keywords, refs = _task_terms(task)
     score = _relevance_scorer(keywords, refs, norm(task_embedding), weights, now_step)
     return score(
         len(keywords & extract_keywords(item.content)),
@@ -499,8 +514,7 @@ def slice_memory(
             f"embedder dim {len(task_embedding)} != store dim {store.embedding_dim}"
         )
     now = store.current_step
-    keywords = extract_keywords(task.description)
-    refs = task_references(task)
+    keywords, refs = _task_terms(task)
     score = _relevance_scorer(keywords, refs, norm(task_embedding), weights, now)
     dot = dot_with(task_embedding)
     kept = tuple(

@@ -18,8 +18,10 @@ was building.
 ``package_bytes`` writes a package's compact wire text straight from
 the same tables, byte for byte what ``json.dumps`` (``ensure_ascii=False``,
 ``allow_nan=False``, no spaces) writes for its ``encode`` object, without
-building that object. Each distinct float is formatted once per call,
-up to ``FLOAT_MEMO`` of them.
+building that object. It collects the text as a list of byte strings
+and joins them once. Each distinct float is formatted once per call, up
+to ``FLOAT_MEMO`` of them, and each memory item once per item: its bytes
+are kept on the item and copied into every later package.
 """
 
 from __future__ import annotations
@@ -140,8 +142,9 @@ def _maybe_negative_zero(values) -> bool:
 class Type:
     """A JSON value: ``parse(value, parent, key, p)`` checks and builds
     it, ``encode`` builds its JSON object, ``wire`` returns its compact
-    wire text and ``write`` appends that text to a buffer. ``floats``
-    is the float memo of one ``package_bytes`` call."""
+    wire text, ``wire_bytes`` that text in UTF-8, and ``write`` appends
+    it to a list of byte strings. ``floats`` is the float memo of one
+    ``package_bytes`` call."""
 
     def encode(self, value, fmt: str):
         return value
@@ -150,8 +153,11 @@ class Type:
         """The wire texts of a list's elements, comma-separated."""
         return ",".join([self.wire(v, floats) for v in values])
 
-    def write(self, value, out: bytearray, floats) -> None:
-        out += self.wire(value, floats).encode()
+    def wire_bytes(self, value, floats) -> bytes:
+        return self.wire(value, floats).encode()
+
+    def write(self, value, out: list[bytes], floats) -> None:
+        out.append(self.wire_bytes(value, floats))
 
 
 class Str(Type):
@@ -292,13 +298,14 @@ class ListOf(Type):
         return "[" + self.item.wire_items(sorted(value) if self.sort else value, floats) + "]"
 
     def write(self, value, out, floats):
-        # One element's text at a time: no copy of the whole list's text.
-        out += b"["
+        # One part per element: no copy of the whole list's text.
+        wire_bytes = self.item.wire_bytes
+        out.append(b"[")
         for i, element in enumerate(sorted(value) if self.sort else value):
             if i:
-                out += b","
-            out += self.item.wire(element, floats).encode()
-        out += b"]"
+                out.append(b",")
+            out.append(wire_bytes(element, floats))
+        out.append(b"]")
 
 
 class MapOf(Type):
@@ -413,9 +420,26 @@ class Table(Type):
 
     def write(self, value, out, floats):
         for prefix, get, type_ in self.writers:
-            out += prefix.encode()
+            out.append(prefix.encode())
             type_.write(get(value), out, floats)
-        out += b"}"
+        out.append(b"}")
+
+
+class _ItemTable(Table):
+    """The table of ``MemoryItem``, whose wire bytes are kept on the
+    item (``MemoryItem._wire``) and reused by every later package.
+
+    The bytes are stored only after the whole item has encoded, so an
+    item that raises (a lone surrogate, a non-finite float) raises again
+    on every attempt. Items are frozen, so the bytes never go stale.
+    """
+
+    def wire_bytes(self, item, floats):
+        data = item._wire
+        if data is None:
+            data = self.wire(item, floats).encode()
+            object.__setattr__(item, "_wire", data)
+        return data
 
 
 def parse(table: Table, data, fmt: str, root: str | None = None):
@@ -496,7 +520,7 @@ TASK = Table(
 
 # Workload files carry no embeddings: a file item parses to the keyword
 # arguments of ``make_item``, which derives the embedding.
-ITEM = Table(
+ITEM = _ItemTable(
     MemoryItem,
     [
         Field("id", NONEMPTY),
@@ -665,18 +689,19 @@ WORKLOAD = Table(
 )
 
 def package_bytes(package: SpawnPackage | ResumePackage) -> bytes:
-    """The package's compact UTF-8 wire text, written into one buffer.
-    A non-finite float raises ``ValueError`` and a lone surrogate
-    ``UnicodeEncodeError``, as ``json.dumps(...).encode()`` would."""
+    """The package's compact UTF-8 wire text, collected in parts and
+    joined once. A non-finite float raises ``ValueError`` and a lone
+    surrogate ``UnicodeEncodeError``, as ``json.dumps(...).encode()``
+    would."""
     if isinstance(package, SpawnPackage):
         table = SPAWN
     elif isinstance(package, ResumePackage):
         table = RESUME
     else:
         raise ProtocolError(f"cannot encode {type(package).__name__}")
-    out = bytearray()
-    table.write(package, out, _FloatTexts())
-    return bytes(out)
+    parts: list[bytes] = []
+    table.write(package, parts, _FloatTexts())
+    return b"".join(parts)
 
 
 def package_from_data(data) -> SpawnPackage | ResumePackage:

@@ -76,7 +76,12 @@ class Skill:
 
 
 class SkillLibrary:
-    """Per-agent skill collection. Single-writer, unique ids."""
+    """Per-agent skill collection. Single-writer, unique ids.
+
+    The library only appends and skills are frozen, so each skill's
+    inherited copy is built once, on its first selection, and handed
+    out again on every later one.
+    """
 
     def __init__(self, skills: Iterable[Skill] = (), inherit_threshold: float = 0.5):
         if not 0.0 <= inherit_threshold <= 1.0:
@@ -84,6 +89,7 @@ class SkillLibrary:
         self.inherit_threshold = inherit_threshold
         self._skills: list[Skill] = []
         self._ids: set[str] = set()
+        self._inherited: dict[str, Skill] = {}
         for s in skills:
             self.add(s)
 
@@ -95,6 +101,15 @@ class SkillLibrary:
 
     def skills(self) -> tuple[Skill, ...]:
         return tuple(self._skills)
+
+    def _inherited_copy(self, skill: Skill) -> Skill:
+        """``skill``, one of the library's, marked inherited and without
+        a success statistic."""
+        copy = self._inherited.get(skill.id)
+        if copy is None:
+            copy = replace(skill, provenance=Provenance.INHERITED, success_stat=None)
+            self._inherited[skill.id] = copy
+        return copy
 
     def __len__(self) -> int:
         return len(self._skills)
@@ -136,10 +151,11 @@ def select_inherited_skills(
 ) -> list[Skill]:
     """Copies of library skills whose relevance strictly exceeds the
     library's inherit threshold, in library order, marked inherited.
-    The task is embedded once per call and each template once per skill."""
+    The task is embedded once per call and each template once per skill;
+    each skill's copy is built once per library."""
     similarity = _task_similarity(embedder(task.description))
     return [
-        replace(skill, provenance=Provenance.INHERITED, success_stat=None)
+        library._inherited_copy(skill)
         for skill in library.skills()
         if similarity(embedder(skill.template)) > library.inherit_threshold
     ]

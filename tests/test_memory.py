@@ -125,6 +125,33 @@ def test_compute_relevance_weighted_sum_recomputed_by_hand():
     assert score == pytest.approx(0.49, abs=1e-9)
 
 
+def test_task_terms_follow_every_task_field_they_read(embedder):
+    """Tasks that share a description but differ in their references, or
+    differ only in a path-like token, score as the per-item reference
+    says, however they interleave."""
+    base = dict(description="fix parser in src/a.py", constraints=("fast",))
+    tasks = [
+        TaskSpec(**base),
+        TaskSpec(**base, referenced_files=frozenset({"src/b.py"})),
+        TaskSpec(**base, referenced_symbols=frozenset({"parse"})),
+        TaskSpec(**{**base, "description": "fix parser in src/b.py"}),
+        TaskSpec(**{**base, "constraints": ()}),
+    ]
+    items = [
+        make_item(f"m{n}", MemoryTier.SEMANTIC, "parser fix", embedder, referenced_files=files,
+                  referenced_symbols=symbols)
+        for n, (files, symbols) in enumerate(
+            [({"src/a.py"}, ()), ({"src/b.py"}, ()), ((), {"parse"}), ((), ())]
+        )
+    ]
+    weights = RelevanceWeights()
+    for task in tasks + tasks[::-1] + tasks:
+        keywords, refs = extract_keywords(task.description), task_references(task)
+        for item in items:
+            expected = _reference_relevance(item, keywords, refs, embedder(task.description), weights, 0)
+            assert compute_relevance(item, task, weights, 0, embedder) == expected
+
+
 def test_compute_relevance_all_components_one(embedder):
     task = TaskSpec(description="parser json", referenced_files=frozenset({"src/a.py"}))
     item = make_item(

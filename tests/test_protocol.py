@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agentfork import schema
+from agentfork import protocol, schema
 from agentfork.coherence import Diff, DiffError, Hunk
 from agentfork.memory import MemoryError, MemoryItem, MemorySlice, MemoryStore, MemoryTier, make_item
 from agentfork.policy import ComplexityMetrics, PolicyError
@@ -319,6 +319,129 @@ def _zero_pair_package():
 @example(_zero_pair_package())
 def test_wire_writer_matches_json_dumps(package):
     assert encode_package(package) == _reference_bytes(package)
+
+
+def _spawn_with(items, spawn_id="spawn-0001"):
+    """A spawn package carrying ``items``, each filed under its own tier."""
+    return dataclasses.replace(
+        _package(None, spawn_id),
+        memory={tier: tuple(i for i in items if i.tier is tier) for tier in MemoryTier},
+    )
+
+
+def _fresh_items(count=4):
+    return [
+        MemoryItem(
+            f"i{n}", list(MemoryTier)[n % 3], f"item \u00e9 {n} \"quoted\"\n",
+            referenced_files={f"src/f{n}.py", "src/shared.py"},
+            created_at_step=n, embedding=(0.5, -1.25 * n, 1 / 3),
+        )
+        for n in range(count)
+    ]
+
+
+def test_item_text_is_reused_when_a_package_is_encoded_twice(monkeypatch):
+    package = _spawn_with(_fresh_items())
+    first = encode_package(package)
+    assert first == _reference_bytes(package)
+
+    def format_again(item, floats):
+        raise AssertionError(f"item {item.id} formatted twice")
+
+    monkeypatch.setattr(schema.ITEM, "wire", format_again)
+    assert encode_package(package) == first
+
+
+def test_item_text_is_reused_by_a_later_package_that_shares_items():
+    items = _fresh_items(6)
+    earlier = _spawn_with(items[:4], "spawn-0001")
+    assert encode_package(earlier) == _reference_bytes(earlier)
+    later = _spawn_with(items[2:] + [items[0]], "spawn-0002")
+    assert encode_package(later) == _reference_bytes(later)
+    assert encode_package(earlier) == _reference_bytes(earlier)
+
+
+def test_equal_items_with_zeros_of_either_sign_each_get_their_own_text():
+    positive = MemoryItem("z", MemoryTier.SEMANTIC, "zeros", embedding=(0.0, 0.5))
+    negative = MemoryItem("z", MemoryTier.SEMANTIC, "zeros", embedding=(-0.0, 0.5))
+    assert positive == negative and hash(positive) == hash(negative)
+    for first, second in ((positive, negative), (negative, positive)):
+        for item in (first, second):
+            package = _spawn_with([item])
+            assert encode_package(package) == _reference_bytes(package)
+    assert b"[-0.0,0.5]" in encode_package(_spawn_with([negative]))
+    assert b"[0.0,0.5]" in encode_package(_spawn_with([positive]))
+
+
+def test_an_item_that_cannot_be_encoded_raises_on_every_attempt():
+    item = MemoryItem("s", MemoryTier.EPISODIC, "lone \ud800 surrogate", embedding=(0.25,))
+    package = _spawn_with([item])
+    for _ in range(2):
+        with pytest.raises(UnicodeEncodeError):
+            encode_package(package)
+        assert item._wire is None
+    with pytest.raises(UnicodeEncodeError):
+        _reference_bytes(package)
+
+
+def test_an_encoded_item_keeps_its_value_semantics():
+    item, twin = _fresh_items(2)[1], _fresh_items(2)[1]
+    encode_package(_spawn_with([item]))
+    assert item._wire is not None and twin._wire is None
+    assert item == twin and hash(item) == hash(twin) and repr(item) == repr(twin)
+    assert "_wire" not in {f.name for f in dataclasses.fields(MemoryItem)}
+    changed = dataclasses.replace(item, content="changed")
+    assert changed._wire is None
+    package = _spawn_with([changed])
+    assert encode_package(package) == _reference_bytes(package)
+    assert schema.encode(schema.ITEM, item, schema.WIRE) == schema.encode(schema.ITEM, twin, schema.WIRE)
+
+
+_POOL_EMBEDDINGS = st.lists(
+    st.sampled_from((0.0, -0.0, 0.5, -0.5, 1e-7, 1 / 3, 5e-324)), min_size=1, max_size=3
+).map(tuple)
+
+
+@st.composite
+def _packages_from_one_pool(draw):
+    """Packages drawing their items from one shared pool, which holds
+    items equal up to the sign of a zero."""
+    pool = []
+    for n in range(draw(st.integers(1, 6))):
+        embedding = draw(_POOL_EMBEDDINGS)
+        fields = dict(id=f"p{n % 3}", tier=MemoryTier.SEMANTIC, content=draw(_TEXT), embedding=embedding)
+        pool.append(MemoryItem(**fields))
+        if draw(st.booleans()):
+            flipped = tuple(-v if v == 0.0 else v for v in embedding)
+            pool.append(MemoryItem(**{**fields, "embedding": flipped}))
+    return [
+        _spawn_with(draw(st.lists(st.sampled_from(pool), max_size=5)), f"spawn-{n}")
+        for n in range(draw(st.integers(1, 5)))
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_packages_from_one_pool())
+def test_packages_sharing_an_item_pool_match_json_dumps(packages):
+    for package in packages:
+        assert encode_package(package) == _reference_bytes(package)
+
+
+def test_write_checkpoint_encodes_through_encode_package_once(tmp_path, monkeypatch):
+    """The benchmark's tracer counts encoded bytes through the name
+    ``protocol.encode_package``, so checkpoints must be written through it."""
+    calls = []
+
+    def counting(package):
+        calls.append(package)
+        return encode_package(package)
+
+    monkeypatch.setattr(protocol, "encode_package", counting)
+    spawn, resume = _spawn_with(_fresh_items()), _resume()
+    for package in (spawn, resume, spawn):
+        path = protocol.write_checkpoint(package, tmp_path)
+        assert path.read_bytes() == _reference_bytes(package)
+    assert calls == [spawn, resume, spawn]
 
 
 # Values over a constructor argument's whole type: empty names, negative

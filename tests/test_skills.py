@@ -80,6 +80,38 @@ def test_select_inherited_leaves_library_untouched(embedder):
     assert library.skills()[0].provenance is Provenance.BUILT_IN
 
 
+def test_inherited_copies_are_built_once_per_library(embedder, monkeypatch):
+    rng = random.Random(3)
+    task = random_task(rng)
+    skills = [
+        Skill(
+            id=f"s{n}",
+            template=f"{task.description} {rng.choice(WORDS)} {{slot}}",
+            params={"slot": rng.choice(WORDS)} if n % 2 else {},
+            provenance=Provenance.LEARNED if n % 3 else Provenance.BUILT_IN,
+            success_stat=0.9 if n % 3 else None,
+        )
+        for n in range(10)
+    ]
+    library = SkillLibrary(skills, inherit_threshold=0.0)
+    validated = []
+    post_init = Skill.__post_init__
+
+    def counting(skill):
+        validated.append(skill.id)
+        post_init(skill)
+
+    monkeypatch.setattr(Skill, "__post_init__", counting)
+    first = select_inherited_skills(library, task, embedder)
+    assert len(validated) == len(first) > 0
+    second = select_inherited_skills(library, task, embedder)
+    assert len(validated) == len(first)
+    assert all(a is b for a, b in zip(first, second, strict=True))
+    assert first == [Skill(s.id, s.template, s.params, Provenance.INHERITED) for s in skills]
+    other = select_inherited_skills(SkillLibrary(skills, inherit_threshold=0.0), task, embedder)
+    assert other == first and all(a is not b for a, b in zip(first, other))
+
+
 class _CountingEmbedder:
     """Not a DefaultEmbedder: it memoizes nothing and counts each text."""
 
