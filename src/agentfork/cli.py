@@ -5,22 +5,22 @@
     agentfork generate --seed N [--params FILE] --out PATH
     agentfork validate WORKLOAD_FILE
 
-Exit code 0 on a completed simulation (or valid file), nonzero on schema
-or config errors. The --workload argument also accepts the name of a
+Exit code 0 on a completed simulation (or valid file), 1 for a workload
+that ``validate`` rejects, and 2 for any input that cannot be read or
+parsed (workload, config or params), with the file and field named on
+stderr. The --workload argument also accepts the name of a
 bundled workload (see ``agentfork validate --list``).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, SimulatorConfig
+from .config import SimulatorConfig
 from .harness import (
     GenerateParams,
-    WorkloadError,
     bundled_workload_path,
     emit_report,
     generate_synthetic,
@@ -30,6 +30,7 @@ from .harness import (
     save_workload,
     validate_workload_data,
 )
+from .schema import InputError, read_json
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,11 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_workload(arg: str) -> Path:
     path = Path(arg)
-    if path.exists():
+    if path.exists() or "/" in arg or arg.endswith(".json"):
         return path
-    if "/" not in arg and not arg.endswith(".json"):
-        return bundled_workload_path(arg)
-    raise WorkloadError([f"$: no such file {arg}"])
+    return bundled_workload_path(arg)
 
 
 def _cmd_run(args) -> int:
@@ -77,17 +76,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    params = GenerateParams()
-    if args.params:
-        try:
-            data = json.loads(Path(args.params).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise WorkloadError([f"$: no such params file {args.params}"])
-        except json.JSONDecodeError as exc:
-            raise WorkloadError([f"$: invalid JSON in params file ({exc})"])
-        if not isinstance(data, dict):
-            raise WorkloadError(["$: params file must be a JSON object"])
-        params = GenerateParams.from_dict(data)
+    params = GenerateParams.from_file(args.params) if args.params else GenerateParams()
     spec = generate_synthetic(args.seed, params)
     save_workload(spec, args.out)
     print(f"wrote {args.out} ({len(spec.memory)} memory items, {len(spec.trajectory)} steps)")
@@ -102,18 +91,10 @@ def _cmd_validate(args) -> int:
     if not args.workload:
         print("validate: a workload file is required (or use --list)", file=sys.stderr)
         return 2
-    try:
-        data = json.loads(Path(args.workload).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        print(f"{args.workload}: no such file", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"{args.workload}: invalid JSON ({exc})", file=sys.stderr)
-        return 2
-    errors = validate_workload_data(data)
+    errors = validate_workload_data(read_json(args.workload))
     if errors:
         for err in errors:
-            print(err, file=sys.stderr)
+            print(f"{args.workload}: {err}", file=sys.stderr)
         return 1
     print(f"{args.workload}: ok")
     return 0
@@ -127,8 +108,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "generate":
             return _cmd_generate(args)
         return _cmd_validate(args)
-    except (WorkloadError, ConfigError) as exc:
-        for line in str(exc).split("; "):
+    except InputError as exc:
+        for line in exc.errors:
             print(line, file=sys.stderr)
         return 2
 

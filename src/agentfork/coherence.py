@@ -69,9 +69,6 @@ class Diff:
                 raise DiffError(f"{self.file}: hunks overlap or are unsorted at line {start}")
             prev_end = end
 
-    def is_empty(self) -> bool:
-        return not self.hunks
-
 
 @dataclass(frozen=True)
 class ConflictPair:

@@ -1,35 +1,22 @@
 """Run configuration: one flat file controls policy, relevance, and limits.
 
-Each value must have its field's type: booleans for bool fields, JSON
-integers for int fields, finite numbers for float fields and a string or
-null for ``checkpoint_dir``. The embedding dimension is not a run knob:
-the workload file's ``embedding_dim`` sets the embedder of its store.
+``CONFIG`` parses a config file: each key takes its JSON type from its
+field's annotation and its default from the dataclass. ``validate``
+holds the value rules, and every construction runs it. The embedding
+dimension is not a run knob: the workload file's ``embedding_dim`` sets
+the embedder of its store.
 """
 
 from __future__ import annotations
 
-import json
-import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
+from . import schema
 from .memory import RelevanceWeights
 from .policy import SpawnPolicyConfig
 
-
-class ConfigError(ValueError):
-    pass
-
-
-_FLOAT_MAX = sys.float_info.max
-# What a JSON value must be for each field type of SimulatorConfig. The
-# float bounds reject NaN, the infinities and ints too large for a float.
-_ACCEPTS = {
-    "bool": ("a boolean", lambda v: type(v) is bool),
-    "int": ("an integer", lambda v: type(v) is int),
-    "float": ("a finite number", lambda v: type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX),
-    "str | None": ("a string or null", lambda v: v is None or type(v) is str),
-}
+ConfigError = schema.InputError
 
 
 @dataclass
@@ -62,51 +49,29 @@ class SimulatorConfig:
         self.validate()
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SimulatorConfig":
-        types = {f.name: f.type for f in fields(cls)}
-        unknown = sorted(set(data) - set(types))
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        errors = []
-        for key, value in data.items():
-            expected, accepts = _ACCEPTS[types[key]]
-            if not accepts(value):
-                errors.append(f"{key}: expected {expected}, got {json.dumps(value)}")
-        if errors:
-            raise ConfigError("; ".join(errors))
-        return cls(**{key: float(v) if types[key] == "float" else v for key, v in data.items()})
+    def from_dict(cls, data) -> "SimulatorConfig":
+        return schema.parse_file(CONFIG, data)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SimulatorConfig":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"{path}: cannot read ({exc.strerror})")
-        except ValueError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})")
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
-        return cls.from_dict(data)
+        return schema.parse_file(CONFIG, schema.read_json(path), path)
 
     def validate(self) -> None:
         # The policy and relevance range checks live in the sub-configs they feed.
-        try:
-            self.policy_config()
-            self.relevance_weights()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        self.policy_config()
+        self.relevance_weights()
         if self.child_timeout_secs <= 0:
-            raise ConfigError("child_timeout_secs must be positive")
+            raise ValueError("child_timeout_secs must be positive")
         if self.step_duration_secs <= 0:
-            raise ConfigError("step_duration_secs must be positive")
+            raise ValueError("step_duration_secs must be positive")
         if not 0.0 <= self.memory_threshold <= 1.0:
-            raise ConfigError("memory_threshold must be in [0, 1]")
+            raise ValueError("memory_threshold must be in [0, 1]")
         if not 0.0 <= self.semantic_merge_p <= 1.0:
-            raise ConfigError("semantic_merge_p must be in [0, 1]")
+            raise ValueError("semantic_merge_p must be in [0, 1]")
         if not 0.0 <= self.promote_threshold <= 1.0:
-            raise ConfigError("promote_threshold must be in [0, 1]")
+            raise ValueError("promote_threshold must be in [0, 1]")
         if self.price_per_1k_tokens < 0 or self.price_per_api_call < 0:
-            raise ConfigError("unit prices must be >= 0")
+            raise ValueError("unit prices must be >= 0")
 
     def policy_config(self) -> SpawnPolicyConfig:
         return SpawnPolicyConfig(
@@ -125,3 +90,6 @@ class SimulatorConfig:
             delta_w=self.delta,
             lambda_decay=self.lambda_decay,
         )
+
+
+CONFIG = schema.flat_table(SimulatorConfig)

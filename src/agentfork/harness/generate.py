@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace as dc_replace
+from pathlib import Path
 
+from .. import schema
 from ..coherence import Diff, Hunk
 from ..memory import DefaultEmbedder, MemoryItem, MemoryTier, RelevanceWeights, compute_relevance, make_item
 from ..policy import ComplexityMetrics
 from ..protocol import TaskSpec
 from ..runtime import ScriptedOutcome
 from ..skills import Provenance, Skill
-from .workload import ConflictScenarioParams, DEFAULT_SKILLS, WorkloadError, WorkloadSpec
+from .workload import ConflictScenarioParams, DEFAULT_SKILLS, WorkloadSpec
 
 
 @dataclass(frozen=True)
@@ -34,40 +36,42 @@ class GenerateParams:
     name: str = "synthetic"
     embedding_dim: int = 64
 
+    def __post_init__(self):
+        self.validate()
+
     @classmethod
-    def from_dict(cls, data: dict) -> "GenerateParams":
-        known = set(cls.__dataclass_fields__)
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise WorkloadError([f"params.{k}: unknown key" for k in unknown])
-        if "conflict_mix" in data and data["conflict_mix"] is not None:
-            mix = data["conflict_mix"]
-            if not isinstance(mix, (list, tuple)) or len(mix) != 3:
-                raise WorkloadError(["params.conflict_mix: expected three numbers"])
-            data = dict(data, conflict_mix=tuple(float(v) for v in mix))
-        return cls(**data)
+    def from_file(cls, path: str | Path) -> "GenerateParams":
+        return schema.parse_file(PARAMS, schema.read_json(path), path)
 
     def validate(self) -> None:
         errors = []
         if self.item_count < 1:
-            errors.append("params.item_count: must be >= 1")
+            errors.append("item_count must be >= 1")
         if not 0.0 <= self.relevance_target_quantile <= 1.0:
-            errors.append("params.relevance_target_quantile: must be in [0, 1]")
-        if self.conflict_mix is not None:
-            if abs(sum(self.conflict_mix) - 1.0) > 1e-6:
-                errors.append("params.conflict_mix: must sum to 1")
-            if any(not 0.0 <= v <= 1.0 for v in self.conflict_mix):
-                errors.append("params.conflict_mix: entries must be in [0, 1]")
-            if self.conflict_mix[0] >= 1.0 and self.conflict_mix[1] > 0:
-                errors.append("params.conflict_mix: semantic share requires auto share < 1")
+            errors.append("relevance_target_quantile must be in [0, 1]")
+        mix = self.conflict_mix
+        if mix is not None:
+            if len(mix) != 3:
+                errors.append("conflict_mix must hold three numbers")
+            elif any(not 0.0 <= v <= 1.0 for v in mix):
+                errors.append("conflict_mix entries must be in [0, 1]")
+            elif abs(sum(mix) - 1.0) > 1e-6:
+                errors.append("conflict_mix must sum to 1")
+            elif mix[0] >= 1.0 and mix[1] > 0:
+                errors.append("conflict_mix semantic share requires auto share < 1")
         if self.p_semantic is not None and not 0.0 <= self.p_semantic <= 1.0:
-            errors.append("params.p_semantic: must be in [0, 1]")
+            errors.append("p_semantic must be in [0, 1]")
         if self.conflict_count < 0:
-            errors.append("params.conflict_count: must be >= 0")
+            errors.append("conflict_count must be >= 0")
         if not 0 <= self.spike_step < self.trajectory_steps:
-            errors.append("params.spike_step: must fall inside the trajectory")
+            errors.append("spike_step must be >= 0 and below trajectory_steps")
+        if not 1 <= self.embedding_dim <= schema.MAX_EMBEDDING_DIM:
+            errors.append(f"embedding_dim must be in [1, {schema.MAX_EMBEDDING_DIM}]")
         if errors:
-            raise WorkloadError(errors)
+            raise ValueError("; ".join(errors))
+
+
+PARAMS = schema.flat_table(GenerateParams)
 
 
 TASK = TaskSpec(
@@ -243,7 +247,6 @@ def generate_synthetic(seed: int, params: GenerateParams) -> WorkloadSpec:
     spikes once (context occupancy dominant) when ``spike`` is set; the
     conflict parameters realize the requested auto/semantic/escalated mix.
     """
-    params.validate()
     rng = random.Random(f"{seed}:generate:{params.name}")
     embedder = DefaultEmbedder(params.embedding_dim)
     weights = RelevanceWeights()

@@ -27,10 +27,7 @@ DEFAULT_SKILLS = (
 )
 
 
-class WorkloadError(ValueError):
-    def __init__(self, errors: list[str]):
-        self.errors = errors
-        super().__init__("; ".join(errors))
+WorkloadError = schema.InputError
 
 
 @dataclass(frozen=True)
@@ -72,23 +69,18 @@ class WorkloadSpec:
         )
 
 
-def _messages(errors: list[schema.Error]) -> list[str]:
-    return [f"{path}: {message}" for _, path, message in errors]
-
-
 def validate_workload_data(data) -> list[str]:
     """Field-path errors of raw workload JSON, empty when the document is
     valid. A valid document loads and runs to completion."""
     parsed = schema.parse(schema.WORKLOAD, data, schema.FILE)
-    return _messages(parsed) if isinstance(parsed, list) else []
+    return schema.error_lines(parsed) if isinstance(parsed, list) else []
 
 
-def workload_from_data(data) -> WorkloadSpec:
+def workload_from_data(data, source: str | Path | None = None) -> WorkloadSpec:
     """Parse workload JSON in one pass and derive item embeddings;
-    schema violations raise WorkloadError with field paths."""
-    fields = schema.parse(schema.WORKLOAD, data, schema.FILE)
-    if isinstance(fields, list):
-        raise WorkloadError(_messages(fields))
+    schema violations raise WorkloadError with field paths, each after
+    ``source`` when it is given."""
+    fields = schema.parse_file(schema.WORKLOAD, data, source)
     embedder = DefaultEmbedder(fields["embedding_dim"])
     conflicts = fields["conflicts"]
     return WorkloadSpec(
@@ -105,15 +97,9 @@ def workload_from_data(data) -> WorkloadSpec:
 
 
 def load_workload(path: str | Path) -> WorkloadSpec:
-    """Parse and validate a workload file; schema violations raise
-    WorkloadError with field paths."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise WorkloadError([f"$: no such file {path}"])
-    except json.JSONDecodeError as exc:
-        raise WorkloadError([f"$: invalid JSON ({exc})"])
-    return workload_from_data(data)
+    """Parse and validate a workload file; a file that cannot be read and
+    schema violations raise WorkloadError naming the path."""
+    return workload_from_data(schema.read_json(path), path)
 
 
 def workload_to_data(spec: WorkloadSpec) -> dict:
@@ -138,5 +124,5 @@ def bundled_workload_path(name: str) -> Path:
     candidate = resources.files("agentfork") / "workloads" / f"{name}.json"
     with resources.as_file(candidate) as path:
         if not path.exists():
-            raise WorkloadError([f"$: no bundled workload named {name!r}"])
+            raise WorkloadError(f"{name}: no such file or bundled workload")
         return Path(path)

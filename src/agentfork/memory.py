@@ -307,9 +307,6 @@ class MemoryStore:
     def by_tier(self, tier: MemoryTier) -> tuple[MemoryItem, ...]:
         return tuple(self._tiers[tier])
 
-    def tier_counts(self) -> dict[MemoryTier, int]:
-        return {t: len(self._tiers[t]) for t in TIER_ORDER}
-
     def __len__(self) -> int:
         return len(self._ids)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import uuid
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -188,10 +187,6 @@ def sequential_ids(prefix: str = "spawn") -> Iterator[str]:
     return (f"{prefix}-{n:04d}" for n in itertools.count(1))
 
 
-def _fresh_uuid() -> str:
-    return f"spawn-{uuid.uuid4().hex[:12]}"
-
-
 def build_spawn_package(
     parent_id: str,
     task: TaskSpec,
@@ -201,17 +196,16 @@ def build_spawn_package(
     metrics: ComplexityMetrics,
     score: float,
     clock,
-    id_source: Callable[[], str] | None = None,
+    id_source: Callable[[], str],
 ) -> SpawnPackage:
     """Assemble the immutable snapshot handed to a child.
 
     ``clock`` is either a number of run-relative seconds or an object
-    with a ``now`` attribute. Without an ``id_source`` a random unique id
-    is used; the runtime passes a sequential stream so runs replay
-    byte-identically.
+    with a ``now`` attribute. ``id_source`` names the package; the
+    runtime passes a sequential stream so runs replay byte-identically.
     """
     timestamp = float(getattr(clock, "now", clock))
-    spawn_id = id_source() if id_source is not None else _fresh_uuid()
+    spawn_id = id_source()
     grouped = {tier: memory_slice.by_tier(tier) for tier in TIER_ORDER}
     return SpawnPackage(
         spawn_id=spawn_id,
@@ -277,38 +271,16 @@ def check_trace_order(trace: Sequence[Action]) -> None:
             raise ProtocolError(f"trace steps not strictly increasing ({prev.step} then {cur.step})")
 
 
-Summarizer = Callable[[Sequence[Action]], Sequence[Action]]
-
-
-def summarize_trace(trace: Sequence[Action], summarizer: Summarizer | None = None) -> tuple[Action, ...]:
-    """Compress a trace to its key actions.
-
-    The default keeps every decision plus the first and last action,
-    deduplicated, in step order. A pluggable backend may return any
-    non-empty subset in strictly increasing step order; anything else
-    is rejected.
-    """
+def summarize_trace(trace: Sequence[Action]) -> tuple[Action, ...]:
+    """Compress a trace to its key actions: every decision plus the
+    first and last action, deduplicated, in step order."""
     trace = tuple(trace)
     if not trace:
         return ()
-    if summarizer is None:
-        keep = {id(a) for a in trace if a.kind is ActionKind.DECISION}
-        keep.add(id(trace[0]))
-        keep.add(id(trace[-1]))
-        return tuple(a for a in trace if id(a) in keep)
-    summary = tuple(summarizer(trace))
-    if not summary:
-        raise ProtocolError("summarizer returned an empty summary for a nonempty trace")
-    allowed = set(trace)
-    for action in summary:
-        if action not in allowed:
-            raise ProtocolError(f"summarizer invented an action at step {action.step}")
-    for prev, cur in zip(summary, summary[1:]):
-        if cur.step <= prev.step:
-            raise ProtocolError(
-                f"summarizer returned out-of-order steps ({prev.step} then {cur.step})"
-            )
-    return summary
+    keep = {id(a) for a in trace if a.kind is ActionKind.DECISION}
+    keep.add(id(trace[0]))
+    keep.add(id(trace[-1]))
+    return tuple(a for a in trace if id(a) in keep)
 
 
 def validate_resume(resume: ResumePackage, spawn: SpawnPackage) -> list[str]:

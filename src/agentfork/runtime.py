@@ -17,7 +17,7 @@ import urllib.request
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
 
 from .coherence import (
     ApplyError,
@@ -28,7 +28,6 @@ from .coherence import (
     apply_diff,
     merge_diff_sets,
 )
-from .config import SimulatorConfig
 from .memory import (
     DefaultEmbedder,
     Embedder,
@@ -56,7 +55,6 @@ from .protocol import (
     ChildStatus,
     ExecutionContext,
     ParentState,
-    ReplayReport,
     ResultPayload,
     ResumePackage,
     SpawnPackage,
@@ -70,6 +68,9 @@ from .protocol import (
     write_checkpoint,
 )
 from .skills import Skill, SkillLibrary, select_inherited_skills
+
+if TYPE_CHECKING:
+    from .config import SimulatorConfig
 
 
 class OrchestrationError(RuntimeError):
@@ -615,7 +616,6 @@ class LoopResult:
     events: list[Event]
     state: ParentState
     merge_outcomes: list[MergeOutcome]
-    replay_reports: list[ReplayReport]
     rejected_spawns: int = 0
     queued_spawns: int = 0
 
@@ -654,7 +654,6 @@ def run_parent_loop(
     records: list[SpawnRecord] = []
     by_id: dict[str, SpawnRecord] = {}
     merge_outcomes: list[MergeOutcome] = []
-    replay_reports: list[ReplayReport] = []
     last_spawn_step: int | None = None
 
     def integrate(results: list[AwaitResult]) -> None:
@@ -685,8 +684,7 @@ def run_parent_loop(
                     record.outcome = "invalid"
                 continue
             resume = res.resume
-            report = replay_resume(state, resume, embedder, config.promote_threshold)
-            replay_reports.append(report)
+            replay_resume(state, resume, embedder, config.promote_threshold)
             if record:
                 record.outcome = resume.status.value
                 record.execution_time = resume.execution_time
@@ -775,7 +773,6 @@ def run_parent_loop(
         events=events,
         state=state,
         merge_outcomes=merge_outcomes,
-        replay_reports=replay_reports,
         rejected_spawns=scheduler.rejected_count,
         queued_spawns=scheduler.queued_count,
     )

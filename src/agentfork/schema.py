@@ -1,19 +1,25 @@
-"""The JSON shape of every agentfork type, in one place.
+"""The JSON shape of every agentfork type, and the one reader of JSON files.
 
 Two formats share one field table per type:
 
 - the **wire** format of spawn/resume packages (and checkpoints): every
   key is required, and parsing stops at the first error;
-- the **file** format of workload files: a key with a default may be
-  left out, a field marked ``file=False`` is never written and always
-  takes its default, and parsing collects every error.
+- the **file** format of workload, run config and generation params
+  files: a key with a default may be left out, a field marked
+  ``file=False`` is never written and always takes its default, and
+  parsing collects every error.
 
-In both, unknown keys are errors, integers must be JSON integers and
-numbers must be finite. ``encode`` builds the JSON object of a value
-from its table; ``parse`` checks and builds in one pass and returns the
-value or a list of ``(kind, path, message)`` errors. A ``ValueError``
-raised by a constructor becomes an error at the path of the object it
-was building.
+In both, unknown keys are errors, integers must be JSON integers,
+numbers must be finite and strings must be encodable as UTF-8. ``encode``
+builds the JSON object of a value from its table; ``parse`` checks and
+builds in one pass and returns the value or a list of ``(kind, path,
+message)`` errors. A ``ValueError`` raised by a constructor becomes an
+error at the path of the object it was building.
+
+``read_json`` opens every input file, and ``parse_file`` parses its
+value in the file format; both raise ``InputError``, whose lines name
+the file and the field path at fault. ``flat_table`` derives the tables
+of ``SimulatorConfig`` and ``GenerateParams`` from their dataclasses.
 
 ``package_bytes`` writes a package's compact wire text straight from
 the same tables, byte for byte what ``json.dumps`` (``ensure_ascii=False``,
@@ -26,13 +32,16 @@ are kept on the item and copied into every later package.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import json
 import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring
 from operator import attrgetter, itemgetter
+from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable
 
@@ -71,6 +80,15 @@ FLOAT_MEMO = 4096
 Error = tuple[str, str, str]
 REQUIRED = object()
 _BAD = object()
+
+
+class InputError(ValueError):
+    """An input that cannot be read or does not parse: one ``path:
+    message`` line per error."""
+
+    def __init__(self, *errors: str):
+        self.errors = errors
+        super().__init__("; ".join(errors))
 
 
 class _Pass:
@@ -175,6 +193,20 @@ class Str(Type):
             return p.fail("bad_type", parent, key, "expected string")
         if self.nonempty and not value:
             return p.fail("bad_value", parent, key, "must be nonempty")
+        # JSON can spell a lone surrogate ("\ud800"), which no UTF-8 file
+        # or report can hold. ``isascii`` is O(1): most strings skip the encode.
+        if not value.isascii():
+            try:
+                value.encode()
+            except UnicodeEncodeError:
+                return p.fail("bad_value", parent, key, "not encodable as UTF-8 (a lone surrogate)")
+        return value
+
+
+class Bool(Type):
+    def parse(self, value, parent, key, p: _Pass):
+        if not isinstance(value, bool):
+            return p.fail("bad_type", parent, key, "expected boolean")
         return value
 
 
@@ -272,7 +304,7 @@ class ListOf(Type):
             return p.fail("bad_type", parent, key, "expected list")
         if self.nonempty and not value:
             return p.fail("bad_value", parent, key, "must be nonempty")
-        if self.strings and all(isinstance(v, str) for v in value):
+        if self.strings and all(isinstance(v, str) and v.isascii() for v in value):
             return tuple(value)
         here, out, seen, ok = (parent, key), [], set(), True
         for i, element in enumerate(value):
@@ -456,6 +488,36 @@ def encode(table: Table, value, fmt: str) -> dict:
     return table.encode(value, fmt)
 
 
+def read_json(path: str | Path):
+    """The JSON value of the file at ``path``. A file that is missing,
+    cannot be read, is not UTF-8 or is not JSON raises ``InputError``
+    naming the path."""
+    try:
+        return json.loads(Path(path).read_bytes().decode("utf-8"))
+    except FileNotFoundError:
+        raise InputError(f"{path}: no such file") from None
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read ({exc.strerror or exc})") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 (byte {exc.start})") from None
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{path}: invalid JSON ({exc})") from None
+
+
+def parse_file(table: Table, data, source: str | Path | None = None):
+    """Build the value ``data`` describes in the file format, or raise
+    ``InputError`` with one ``[source: ]path: message`` line per error."""
+    value = parse(table, data, FILE)
+    if isinstance(value, list):
+        raise InputError(*error_lines(value, source))
+    return value
+
+
+def error_lines(errors: list[Error], source: str | Path | None = None) -> list[str]:
+    prefix = "" if source is None else f"{source}: "
+    return [f"{prefix}{path}: {message}" for _, path, message in errors]
+
+
 NONEMPTY = Str(nonempty=True)
 TEXT = Str()
 LINES = ListOf(TEXT)
@@ -463,6 +525,23 @@ NAMES = ListOf(TEXT, sort=True)
 COUNT = Int(lo=0)
 NONNEG = Num(lo=0.0)
 UNIT = Num(0.0, 1.0)
+# The JSON type of each annotation a ``flat_table`` field may have. The
+# annotations are strings: their modules import ``annotations``.
+_FLAT_TYPES = {
+    "bool": Bool(),
+    "int": Int(),
+    "float": Num(),
+    "float | None": Nullable(Num()),
+    "str": TEXT,
+    "str | None": Nullable(TEXT),
+    "tuple[float, float, float] | None": Nullable(ListOf(Num())),
+}
+
+
+def flat_table(cls) -> Table:
+    """The table of a dataclass of plain values: one key per field, of
+    the JSON type of its annotation and defaulting to its default."""
+    return Table(cls, [Field(f.name, _FLAT_TYPES[f.type], default=f.default) for f in dataclasses.fields(cls)])
 
 HUNK = Table(
     Hunk,

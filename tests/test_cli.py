@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentfork.cli import main
 from agentfork.harness.report import parse_machine_report
@@ -146,3 +152,123 @@ def test_validate_rejects_invalid_json(tmp_path, capsys):
     bad = tmp_path / "nope.json"
     bad.write_text("{oops")
     assert main(["validate", str(bad)]) == 2
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"item_count": "5"}', "item_count"),
+        ("2.5", "params.json"),
+        ('{"embedding_dim": 0}', "embedding_dim"),
+        ('{"conflict_mix": ["a", 0, 0]}', "conflict_mix[0]"),
+        ('{"p_semantic": "x"}', "p_semantic"),
+        ('{"item_count": 1e400}', "item_count"),
+        ('{"embedding_dim": 5000}', "embedding_dim"),
+        ('{"name": 5}', "name"),
+        ('{"spike": "no"}', "spike"),
+        ('{"trajectory_steps": true}', "trajectory_steps"),
+    ],
+)
+def test_generate_bad_params_exit_2_naming_the_key(tmp_path, capsys, text, key):
+    params_path = tmp_path / "params.json"
+    params_path.write_text(text)
+    out_path = tmp_path / "w.json"
+    code = main(["generate", "--seed", "1", "--params", str(params_path), "--out", str(out_path)])
+    # main returns instead of raising, so no traceback reaches stderr.
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def _unreadable(tmp_path: Path, kind: str) -> Path:
+    path = tmp_path / f"{kind}.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        path.write_bytes(b"\xff\xfe{")
+    elif kind == "too_deep":
+        path.write_text("[" * 100_000)
+    return path
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8", "too_deep"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "--workload"],
+        ["run", "--workload", "quiet", "--config"],
+        ["generate", "--seed", "1", "--out", "{tmp}/w.json", "--params"],
+        ["validate"],
+    ],
+)
+def test_unreadable_input_exits_2_naming_the_path(tmp_path, capsys, command, kind):
+    path = _unreadable(tmp_path, kind)
+    code = main([arg.format(tmp=tmp_path) for arg in command] + [str(path)])
+    assert code == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def _quiet_with(edit) -> dict:
+    data = json.loads(bundled_workload_path("quiet").read_text(encoding="utf-8"))
+    edit(data)
+    return data
+
+
+@pytest.mark.parametrize(
+    "edit, path",
+    [
+        (lambda d: d.update(name="\ud800"), "name"),
+        (lambda d: d["task"].update(constraints=["ok", "x\udfff"]), "task.constraints[1]"),
+    ],
+)
+def test_validate_rejects_a_lone_surrogate_and_run_exits_2(tmp_path, capsys, edit, path):
+    workload = tmp_path / "surrogate.json"
+    workload.write_text(json.dumps(_quiet_with(edit)))
+    assert main(["validate", str(workload)]) == 1
+    assert path in capsys.readouterr().err
+    assert main(["run", "--workload", str(workload), "--report", str(tmp_path / "r.txt")]) == 2
+    assert path in capsys.readouterr().err
+
+
+# Every JSON type, surrogates included. The three size keys draw small
+# integers so that a valid draw generates in milliseconds; item_count is
+# always given, since its default is 400.
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(st.characters(codec=None, exclude_categories=()), max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_NOT_INT = _JSON.filter(lambda v: type(v) is not int)
+_SMALL = st.integers(-1, 6) | _NOT_INT
+_OPTIONAL_PARAMS = {
+    "relevance_target_quantile": st.floats(0, 1) | _JSON,
+    "conflict_mix": st.lists(st.sampled_from([0.0, 0.12, 0.15, 0.73, 0.85, 1.0]), max_size=4) | _JSON,
+    "p_semantic": st.floats(0, 1) | _JSON,
+    "conflict_count": _SMALL,
+    "trajectory_steps": _SMALL,
+    "spike_step": st.integers(-1, 6) | _JSON,
+    "spike": st.booleans() | _JSON,
+    "name": st.text(st.characters(codec=None, exclude_categories=()), max_size=8) | _JSON,
+    "embedding_dim": st.integers(-1, 5000) | _JSON,
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.fixed_dictionaries({"item_count": _SMALL}, optional=_OPTIONAL_PARAMS))
+def test_generate_either_names_a_key_or_writes_a_valid_workload(params):
+    with tempfile.TemporaryDirectory() as tmp:
+        params_path, out_path = Path(tmp) / "params.json", Path(tmp) / "w.json"
+        params_path.write_text(json.dumps(params))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["generate", "--seed", "3", "--params", str(params_path), "--out", str(out_path)])
+            if code == 0:
+                assert main(["validate", str(out_path)]) == 0, err.getvalue()
+        if code != 0:
+            assert code == 2
+            lines = err.getvalue().replace(str(params_path), "")
+            assert any(key in lines for key in params), lines

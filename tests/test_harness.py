@@ -11,8 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from agentfork.config import ConfigError, SimulatorConfig
-from agentfork.harness.generate import GenerateParams, generate_synthetic
+from agentfork import schema
+from agentfork.config import CONFIG, ConfigError, SimulatorConfig
+from agentfork.harness.generate import PARAMS, GenerateParams, generate_synthetic
 from agentfork.harness.report import RunReport, emit_report, parse_machine_report
 from agentfork.harness.simulate import run_conflict_phase, run_simulation
 from agentfork.harness.workload import (
@@ -220,6 +221,13 @@ def test_simulator_config_rejects_unknown_and_invalid_keys(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         SimulatorConfig.from_file(bad)
+
+
+def test_config_and_params_tables_match_their_dataclasses():
+    assert SimulatorConfig.from_dict({}) == SimulatorConfig()
+    assert schema.parse_file(PARAMS, {}) == GenerateParams()
+    for table, cls in ((CONFIG, SimulatorConfig), (PARAMS, GenerateParams)):
+        assert table.keys[schema.FILE] == {f.name for f in dataclasses.fields(cls)}
 
 
 def test_float_knob_spelled_as_an_integer_runs_as_its_float():
