@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import AbstractSet, Iterable, Protocol, Sequence
+from typing import AbstractSet, ClassVar, Iterable, Protocol, Sequence
 
 from .memory import MAX_INT
 
@@ -31,6 +31,10 @@ class Hunk:
     """One contiguous edit: replace ``old_lines`` at ``start_line`` (1-based)
     with ``new_lines``. Empty ``old_lines`` inserts before ``start_line``."""
 
+    # The span, stored on the instance by ``__post_init__``. It is not a
+    # field: equality, hash, repr and ``dataclasses.replace`` ignore it.
+    _span: ClassVar[tuple[int, int]]
+
     start_line: int
     old_lines: tuple[str, ...] = ()
     new_lines: tuple[str, ...] = ()
@@ -38,9 +42,12 @@ class Hunk:
     def __post_init__(self):
         if not 1 <= self.start_line <= MAX_INT:
             raise DiffError(f"start_line must be in [1, 2**53], got {self.start_line}")
-        object.__setattr__(self, "start_line", int(self.start_line))
-        object.__setattr__(self, "old_lines", tuple(self.old_lines))
+        start = int(self.start_line)
+        old_lines = tuple(self.old_lines)
+        object.__setattr__(self, "start_line", start)
+        object.__setattr__(self, "old_lines", old_lines)
         object.__setattr__(self, "new_lines", tuple(self.new_lines))
+        object.__setattr__(self, "_span", (start, start + max(1, len(old_lines))))
 
     def span(self) -> tuple[int, int]:
         """Half-open line interval this hunk occupies in the base file.
@@ -48,7 +55,7 @@ class Hunk:
         A pure insertion occupies the single position it lands on, so two
         insertions at the same line still collide.
         """
-        return (self.start_line, self.start_line + max(1, len(self.old_lines)))
+        return self._span
 
 
 @dataclass(frozen=True)
@@ -64,7 +71,7 @@ class Diff:
         object.__setattr__(self, "hunks", tuple(self.hunks))
         prev_end = 0
         for h in self.hunks:
-            start, end = h.span()
+            start, end = h._span
             if start < prev_end:
                 raise DiffError(f"{self.file}: hunks overlap or are unsorted at line {start}")
             prev_end = end
@@ -88,7 +95,9 @@ class ResolutionTier(str, Enum):
     ESCALATED = "escalated"
 
 
+# Tiers by rank: a pair lands on the worst rank over its shared files.
 _TIERS = tuple(ResolutionTier)
+_AUTO, _SEMANTIC, _ESCALATED = range(len(_TIERS))
 
 
 @dataclass(frozen=True)
@@ -168,13 +177,12 @@ def line_disjoint(d_i: Diff, d_j: Diff) -> bool:
     """True when no hunk span from one diff intersects a span from the other."""
     if d_i.file != d_j.file:
         raise DiffError(f"line_disjoint compares diffs on one file: {d_i.file} vs {d_j.file}")
-    for a in d_i.hunks:
-        a0, a1 = a.span()
-        for b in d_j.hunks:
-            b0, b1 = b.span()
-            if a0 < b1 and b0 < a1:
-                return False
-    return True
+    return not any(_spans_touch(a, b) for a in d_i.hunks for b in d_j.hunks)
+
+
+def _spans_touch(a: Hunk, b: Hunk) -> bool:
+    (a0, a1), (b0, b1) = a._span, b._span
+    return a0 < b1 and b0 < a1
 
 
 def auto_merge(d_i: Diff, d_j: Diff, base: Sequence[str]) -> Diff:
@@ -187,7 +195,7 @@ def auto_merge(d_i: Diff, d_j: Diff, base: Sequence[str]) -> Diff:
         raise DiffError(f"{d_i.file}: auto_merge requires line-disjoint diffs")
     merged = Diff(
         file=d_i.file,
-        hunks=tuple(sorted(d_i.hunks + d_j.hunks, key=lambda h: h.span())),
+        hunks=tuple(sorted(d_i.hunks + d_j.hunks, key=Hunk.span)),
     )
     apply_diff(base, merged)  # surface context mismatches now, not at replay
     return merged
@@ -228,14 +236,8 @@ class StochasticMergeBackend:
         keep = [h for h in d_j.hunks if all(not _spans_touch(h, other) for other in d_i.hunks)]
         return Diff(
             file=d_i.file,
-            hunks=tuple(sorted(d_i.hunks + tuple(keep), key=lambda h: h.span())),
+            hunks=tuple(sorted(d_i.hunks + tuple(keep), key=Hunk.span)),
         )
-
-
-def _spans_touch(a: Hunk, b: Hunk) -> bool:
-    a0, a1 = a.span()
-    b0, b1 = b.span()
-    return a0 < b1 and b0 < a1
 
 
 @dataclass(frozen=True)
@@ -277,60 +279,43 @@ def merge_diff_sets(
     and a declined merge escalates the file, excluding every child's
     hunks on it from the merged output.
     """
-    ids = [child_id for child_id, _ in entries]
-    combined = [combine_diffs(diffs) for _, diffs in entries]
-    pairs = _detect_conflicts([(child_id, per_file.keys()) for child_id, per_file in zip(ids, combined)])
+    combined = [(child_id, combine_diffs(diffs)) for child_id, diffs in entries]
+    pairs = _detect_conflicts([(child_id, per_file.keys()) for child_id, per_file in combined])
 
-    by_file: dict[str, list[tuple[int, Diff]]] = {}
-    for idx, per_file in enumerate(combined):
+    by_file: dict[str, list[tuple[str, Diff]]] = {}
+    for child_id, per_file in combined:
         for path, diff in per_file.items():
-            by_file.setdefault(path, []).append((idx, diff))
+            by_file.setdefault(path, []).append((child_id, diff))
 
-    # Fold each shared file's contributors in child order, recording the
-    # tier each fold landed on; pair records aggregate over shared files.
+    # Fold each file's contributors in child order, recording the rank of
+    # the tier each fold landed on; ``acc`` is None once the file escalates.
     merged_per_file: dict[str, Diff] = {}
-    fold_tier: dict[tuple[str, int], ResolutionTier] = {}
+    rank: dict[tuple[str, str], int] = {}
     escalated_files: set[str] = set()
 
     for path, contributors in by_file.items():
-        if len(contributors) == 1:
-            merged_per_file[path] = contributors[0][1]
-            continue
         base = base_files.get(path, [])
         acc = contributors[0][1]
-        escalated = False
-        for idx, diff in contributors[1:]:
-            if escalated:
-                fold_tier[(path, idx)] = ResolutionTier.ESCALATED
-                continue
-            if line_disjoint(acc, diff):
+        for child_id, diff in contributors[1:]:
+            if acc is None:
+                rank[path, child_id] = _ESCALATED
+            elif line_disjoint(acc, diff):
                 acc = auto_merge(acc, diff, base)
-                fold_tier[(path, idx)] = ResolutionTier.AUTO
-                continue
-            attempt = semantic_merge(acc, diff, base, merge_backend)
-            if attempt.accepted:
-                acc = attempt.diff
-                fold_tier[(path, idx)] = ResolutionTier.SEMANTIC
+                rank[path, child_id] = _AUTO
             else:
-                fold_tier[(path, idx)] = ResolutionTier.ESCALATED
-                escalated = True
-        if escalated:
+                acc = semantic_merge(acc, diff, base, merge_backend).diff
+                rank[path, child_id] = _ESCALATED if acc is None else _SEMANTIC
+        if acc is None:
             escalated_files.add(path)
         else:
             merged_per_file[path] = acc
 
-    index_of = {child_id: i for i, child_id in enumerate(ids)}
+    # A pair's right child is never a shared file's first contributor, so
+    # every shared file holds a rank for it.
     resolutions = []
     stats = dict.fromkeys(_TIERS, 0)
     for pair in pairs:
-        j = index_of[pair.right_child]
-        tiers = {fold_tier[(path, j)] for path in pair.files if (path, j) in fold_tier}
-        if ResolutionTier.ESCALATED in tiers or not tiers:
-            tier = ResolutionTier.ESCALATED
-        elif ResolutionTier.SEMANTIC in tiers:
-            tier = ResolutionTier.SEMANTIC
-        else:
-            tier = ResolutionTier.AUTO
+        tier = _TIERS[max(rank[path, pair.right_child] for path in pair.files)]
         resolutions.append(Resolution(pair=pair, tier=tier, success=tier is not ResolutionTier.ESCALATED))
         stats[tier] += 1
 
@@ -341,4 +326,3 @@ def merge_diff_sets(
         stats=stats,
         escalated_files=escalated_files,
     )
-

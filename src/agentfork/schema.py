@@ -210,6 +210,15 @@ class Bool(Type):
         return value
 
 
+def _range_message(value, lo, hi) -> str:
+    """Names only the bounds that exist."""
+    if lo is None:
+        return f"{value} must be <= {hi}"
+    if hi is None:
+        return f"{value} must be >= {lo}"
+    return f"{value} outside [{lo}, {hi}]"
+
+
 class Int(Type):
     def __init__(self, lo: int | None = None, hi: int = MAX_INT):
         self.lo, self.hi = lo, hi
@@ -218,7 +227,7 @@ class Int(Type):
         if isinstance(value, bool) or not isinstance(value, int):
             return p.fail("bad_type", parent, key, "expected integer")
         if self.lo is not None and value < self.lo or value > self.hi:
-            return p.fail("out_of_range", parent, key, f"{value} outside [{self.lo}, {self.hi}]")
+            return p.fail("out_of_range", parent, key, _range_message(value, self.lo, self.hi))
         return value
 
     def wire(self, value, floats):
@@ -241,7 +250,7 @@ class Num(Type):
         if not math.isfinite(number):
             return p.fail("bad_value", parent, key, "must be finite")
         if self.lo is not None and number < self.lo or self.hi is not None and number > self.hi:
-            return p.fail("out_of_range", parent, key, f"{value} outside [{self.lo}, {self.hi}]")
+            return p.fail("out_of_range", parent, key, _range_message(value, self.lo, self.hi))
         return number
 
     def wire(self, value, floats):

@@ -87,6 +87,18 @@ def test_run_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, config, k
     assert key in capsys.readouterr().err
 
 
+def test_out_of_range_message_names_only_existing_bounds(tmp_path, capsys):
+    # max_spawn_depth has an upper bound (2**53) and no lower one in the table
+    config_path = tmp_path / "big.json"
+    config_path.write_text(json.dumps({"max_spawn_depth": 10**20}))
+    code = main(["run", "--workload", "demo", "--config", str(config_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "max_spawn_depth" in err
+    assert "must be <= 9007199254740992" in err
+    assert "None" not in err
+
+
 def test_workload_embedding_dim_sets_the_embedder(tmp_path, capsys):
     data = json.loads(bundled_workload_path("demo").read_text(encoding="utf-8"))
     data["embedding_dim"] = 32

@@ -3,14 +3,19 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentfork.coherence import (
     ApplyError,
     Diff,
     DiffError,
     Hunk,
+    MergeOutcome,
+    Resolution,
     ResolutionTier,
     StochasticMergeBackend,
+    _detect_conflicts,
     apply_diff,
     auto_merge,
     combine_diffs,
@@ -373,3 +378,122 @@ def test_detect_conflicts_matches_pair_enumeration_oracle():
             (a, b, set(s)) for a, b, s in expected
         ]
         assert all(p.left_child != p.right_child for p in pairs)
+
+
+def _reference_merge_diff_sets(entries, base_files, merge_backend):
+    """merge_diff_sets as it was before it folded by tier rank: a per-file
+    escalated flag, a tier per (file, child index), and a per-pair set of
+    tiers."""
+    ids = [child_id for child_id, _ in entries]
+    combined = [combine_diffs(diffs) for _, diffs in entries]
+    pairs = _detect_conflicts([(child_id, per_file.keys()) for child_id, per_file in zip(ids, combined)])
+
+    by_file = {}
+    for idx, per_file in enumerate(combined):
+        for path, diff in per_file.items():
+            by_file.setdefault(path, []).append((idx, diff))
+
+    merged_per_file = {}
+    fold_tier = {}
+    escalated_files = set()
+    for path, contributors in by_file.items():
+        if len(contributors) == 1:
+            merged_per_file[path] = contributors[0][1]
+            continue
+        base = base_files.get(path, [])
+        acc = contributors[0][1]
+        escalated = False
+        for idx, diff in contributors[1:]:
+            if escalated:
+                fold_tier[(path, idx)] = ResolutionTier.ESCALATED
+                continue
+            if line_disjoint(acc, diff):
+                acc = auto_merge(acc, diff, base)
+                fold_tier[(path, idx)] = ResolutionTier.AUTO
+                continue
+            attempt = semantic_merge(acc, diff, base, merge_backend)
+            if attempt.accepted:
+                acc = attempt.diff
+                fold_tier[(path, idx)] = ResolutionTier.SEMANTIC
+            else:
+                fold_tier[(path, idx)] = ResolutionTier.ESCALATED
+                escalated = True
+        if escalated:
+            escalated_files.add(path)
+        else:
+            merged_per_file[path] = acc
+
+    index_of = {child_id: i for i, child_id in enumerate(ids)}
+    resolutions = []
+    stats = dict.fromkeys(ResolutionTier, 0)
+    for pair in pairs:
+        j = index_of[pair.right_child]
+        tiers = {fold_tier[(path, j)] for path in pair.files if (path, j) in fold_tier}
+        if ResolutionTier.ESCALATED in tiers or not tiers:
+            tier = ResolutionTier.ESCALATED
+        elif ResolutionTier.SEMANTIC in tiers:
+            tier = ResolutionTier.SEMANTIC
+        else:
+            tier = ResolutionTier.AUTO
+        resolutions.append(Resolution(pair=pair, tier=tier, success=tier is not ResolutionTier.ESCALATED))
+        stats[tier] += 1
+
+    merged = [merged_per_file[path] for path in sorted(merged_per_file)]
+    return MergeOutcome(merged_diffs=merged, resolutions=resolutions, stats=stats, escalated_files=escalated_files)
+
+
+_FOLD_BASE_LEN = 6
+
+
+def _fold_base(file_index):
+    return [f"f{file_index} line {k}" for k in range(1, _FOLD_BASE_LEN + 1)]
+
+
+@st.composite
+def _fold_diff(draw, file_index):
+    """Sorted, non-overlapping hunks on one file: replacements, deletions
+    and insertions (at the end of the file too), some with stale old lines
+    so that a merge holding them fails to apply."""
+    base = _fold_base(file_index)
+    hunks = []
+    line = 1
+    while line <= _FOLD_BASE_LEN + 1 and len(hunks) < 3 and draw(st.booleans()):
+        start = draw(st.integers(line, _FOLD_BASE_LEN + 1))
+        n_old = draw(st.integers(0, min(2, _FOLD_BASE_LEN + 1 - start)))
+        if n_old and draw(st.integers(0, 5)) == 0:
+            old = ("stale",) * n_old
+        else:
+            old = tuple(base[start - 1 : start - 1 + n_old])
+        hunks.append(Hunk(start, old, (f"new {start}.{len(hunks)}",)))
+        line = start + max(1, n_old)
+    return Diff(f"f{file_index}", tuple(hunks))
+
+
+@st.composite
+def _fold_entries(draw):
+    n_files = draw(st.integers(1, 3))
+    entries = []
+    for c in range(draw(st.integers(2, 4))):
+        touched = [f for f in range(n_files) if draw(st.booleans())]
+        entries.append((f"c{c}", [draw(_fold_diff(f)) for f in touched]))
+    return entries, {f"f{f}": _fold_base(f) for f in range(n_files)}
+
+
+def _fold_run(fold, entries, base_files, p, seed):
+    rng = random.Random(seed)
+    backend = StochasticMergeBackend(p, rng)
+    try:
+        outcome = fold(entries, base_files, backend)
+        result = (outcome.merged_diffs, outcome.resolutions, outcome.stats, outcome.escalated_files)
+    except DiffError as exc:  # a stale hunk in an auto merge
+        result = (type(exc), str(exc))
+    return result, backend.attempts, backend.successes, rng.random()
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_fold_entries(), p=st.sampled_from((0.0, 0.5, 1.0)), seed=st.integers(0, 2**32))
+def test_merge_fold_matches_reference_fold(case, p, seed):
+    entries, base_files = case
+    assert _fold_run(merge_diff_sets, entries, base_files, p, seed) == _fold_run(
+        _reference_merge_diff_sets, entries, base_files, p, seed
+    )

@@ -15,6 +15,8 @@ from agentfork import schema
 from agentfork.config import CONFIG, ConfigError, SimulatorConfig
 from agentfork.harness.generate import PARAMS, GenerateParams, generate_synthetic
 from agentfork.harness.report import RunReport, emit_report, parse_machine_report
+from agentfork.coherence import merge_diff_sets
+from agentfork.harness import simulate
 from agentfork.harness.simulate import run_conflict_phase, run_simulation
 from agentfork.harness.workload import (
     ConflictScenarioParams,
@@ -131,6 +133,45 @@ def test_conflict_phase_stats_are_pinned(source, seed):
     else:
         params = load_workload(bundled_workload_path(source)).conflicts
     assert dataclasses.astuple(run_conflict_phase(params, seed)) == _PHASE_PINS[(source, seed)]
+
+
+def _phase_draws(monkeypatch, params, seed):
+    """The phase's stats and each scenario's ``(left, right)`` diffs, as
+    handed to ``simulate.merge_results``."""
+    drawn = []
+
+    def recording(entries, base_files, backend):
+        drawn.append(tuple(diffs[0] for _, diffs in entries))
+        return merge_diff_sets(entries, base_files, backend)
+
+    monkeypatch.setattr(simulate, "merge_results", recording)
+    return run_conflict_phase(params, seed), drawn
+
+
+# All-overlapping and all-disjoint phases, so each branch's draw shows
+# alone: the stats and a digest of the repr of every drawn diff pair, as
+# the phase computed them when it still built two diffs per scenario.
+_EDGE_PINS = {
+    (0.0, 0): ((2000, 0, 1723, 277, 2000, 1723, 0, 0), "77410446bed8d9e0"),
+    (0.0, 19): ((2000, 0, 1716, 284, 2000, 1716, 0, 0), "4fe85ef29a53b347"),
+    (1.0, 0): ((2000, 2000, 0, 0, 0, 0, 0, 0), "258150ba5e3a8bd7"),
+    (1.0, 19): ((2000, 2000, 0, 0, 0, 0, 0, 0), "566f9dc27a86bb8a"),
+}
+
+
+@pytest.mark.parametrize("fraction, seed", sorted(_EDGE_PINS))
+def test_conflict_phase_edge_fractions_are_pinned(monkeypatch, fraction, seed):
+    params = dataclasses.replace(_MIX, line_disjoint_fraction=fraction)
+    stats, drawn = _phase_draws(monkeypatch, params, seed)
+    digest = hashlib.sha256(repr(drawn).encode()).hexdigest()[:16]
+    assert (dataclasses.astuple(stats), digest) == _EDGE_PINS[(fraction, seed)]
+
+
+def test_conflict_phase_shares_its_six_scenario_pairs(monkeypatch):
+    params = dataclasses.replace(_MIX, line_disjoint_fraction=0.5)
+    _, drawn = _phase_draws(monkeypatch, params, seed=3)
+    assert len(drawn) == 2000
+    assert len({(id(left), id(right)) for left, right in drawn}) <= 6
 
 
 def test_conflict_phase_deterministic():
