@@ -8,7 +8,8 @@
 Exit code 0 on a completed simulation (or valid file), 1 for a workload
 that ``validate`` rejects, and 2 for any input that cannot be read or
 parsed (workload, config or params), with the file and field named on
-stderr. The --workload argument also accepts the name of a
+stderr, or for a report or workload that cannot be written, with its
+path named. The --workload argument also accepts the name of a
 bundled workload (see ``agentfork validate --list``).
 """
 
@@ -62,14 +63,22 @@ def _resolve_workload(arg: str) -> Path:
     return bundled_workload_path(arg)
 
 
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"{path}: cannot write ({exc.strerror or exc})", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args) -> int:
     workload = load_workload(_resolve_workload(args.workload))
     config = SimulatorConfig.from_file(args.config) if args.config else SimulatorConfig()
     report = run_simulation(workload, config, args.seed)
     text = emit_report(report, args.format)
     if args.report:
-        Path(args.report).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.report).write_text(text, encoding="utf-8")
+        try:
+            Path(args.report).parent.mkdir(parents=True, exist_ok=True)
+            Path(args.report).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            return _cannot_write(args.report, exc)
     else:
         sys.stdout.write(text)
     return 0
@@ -78,7 +87,10 @@ def _cmd_run(args) -> int:
 def _cmd_generate(args) -> int:
     params = GenerateParams.from_file(args.params) if args.params else GenerateParams()
     spec = generate_synthetic(args.seed, params)
-    save_workload(spec, args.out)
+    try:
+        save_workload(spec, args.out)
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     print(f"wrote {args.out} ({len(spec.memory)} memory items, {len(spec.trajectory)} steps)")
     return 0
 

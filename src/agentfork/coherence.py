@@ -277,8 +277,11 @@ def merge_diff_sets(
     contributors' diffs are folded together in child order: disjoint
     hunks union automatically, overlapping hunks go through the backend,
     and a declined merge escalates the file, excluding every child's
-    hunks on it from the merged output.
+    hunks on it from the merged output. Child ids must be distinct.
     """
+    # ``dict`` keeps one entry per child id.
+    if len(dict(entries)) < len(entries):
+        raise DiffError(f"child ids must be distinct, got {[child_id for child_id, _ in entries]}")
     combined = [(child_id, combine_diffs(diffs)) for child_id, diffs in entries]
     pairs = _detect_conflicts([(child_id, per_file.keys()) for child_id, per_file in combined])
 

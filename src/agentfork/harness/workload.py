@@ -79,15 +79,27 @@ def validate_workload_data(data) -> list[str]:
 def workload_from_data(data, source: str | Path | None = None) -> WorkloadSpec:
     """Parse workload JSON in one pass and derive item embeddings;
     schema violations raise WorkloadError with field paths, each after
-    ``source`` when it is given."""
+    ``source`` when it is given.
+
+    Each distinct content is embedded once, through one
+    ``DefaultEmbedder``; items with equal content share one embedding
+    tuple, which ``MemoryItem`` keeps as given."""
     fields = schema.parse_file(schema.WORKLOAD, data, source)
     embedder = DefaultEmbedder(fields["embedding_dim"])
+    embeddings: dict[str, tuple[float, ...]] = {}
+
+    def embed(content: str) -> tuple[float, ...]:
+        embedding = embeddings.get(content)
+        if embedding is None:
+            embedding = embeddings[content] = embedder(content)
+        return embedding
+
     conflicts = fields["conflicts"]
     return WorkloadSpec(
         name=fields["name"],
         embedding_dim=fields["embedding_dim"],
         task=fields["task"],
-        memory=[make_item(embedder=embedder, **item) for item in fields["memory"]],
+        memory=[make_item(embedder=embed, **item) for item in fields["memory"]],
         skills=list(fields["skills"]) or list(DEFAULT_SKILLS),
         base_files={path: list(lines) for path, lines in fields["base_files"].items()},
         trajectory=list(fields["trajectory"]),

@@ -189,7 +189,11 @@ class MemoryItem:
         object.__setattr__(self, "referenced_files", frozenset(self.referenced_files))
         object.__setattr__(self, "referenced_symbols", frozenset(self.referenced_symbols))
         object.__setattr__(self, "created_at_step", int(self.created_at_step))
-        embedding = tuple(float(v) for v in self.embedding)
+        embedding = self.embedding
+        # A tuple of exact floats is kept as given, so items whose content
+        # repeats share one tuple; anything else becomes one.
+        if type(embedding) is not tuple or not {float}.issuperset(map(type, embedding)):
+            embedding = tuple(map(float, embedding))
         # One C-level sum finds a non-finite value; the per-value pass runs
         # only when it flags one, since a sum of finite values can overflow.
         if not math.isfinite(sum(embedding)) and not all(map(math.isfinite, embedding)):

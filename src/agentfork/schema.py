@@ -607,7 +607,9 @@ TASK = Table(
 )
 
 # Workload files carry no embeddings: a file item parses to the keyword
-# arguments of ``make_item``, which derives the embedding.
+# arguments of ``make_item``, which derives the embedding. The loader
+# embeds each distinct content once, so items with equal content share
+# one embedding tuple.
 ITEM = _ItemTable(
     MemoryItem,
     [

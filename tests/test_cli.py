@@ -220,6 +220,29 @@ def test_unreadable_input_exits_2_naming_the_path(tmp_path, capsys, command, kin
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["a directory", "under a regular file"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "--workload", "demo", "--report"],
+        ["generate", "--seed", "1", "--out"],
+    ],
+    ids=["run", "generate"],
+)
+def test_unwritable_output_exits_2_naming_the_path(tmp_path, capsys, command, target):
+    if target == "a directory":
+        out = tmp_path / "out"
+        out.mkdir()
+    else:
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+    assert main(command + [str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{out}: cannot write (")
+    assert captured.err.endswith(")\n") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def _quiet_with(edit) -> dict:
     data = json.loads(bundled_workload_path("quiet").read_text(encoding="utf-8"))
     edit(data)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -319,6 +320,17 @@ def test_merge_results_semantic_tier_when_backend_accepts():
     assert outcome.stats[ResolutionTier.SEMANTIC] == 1
     assert outcome.resolutions[0].success
     assert apply_diff(base, outcome.merged_diffs[0]) == ["X", "c"]
+
+
+def test_merge_results_rejects_a_child_id_given_twice():
+    base = [f"line {i}" for i in range(1, 9)]
+    entries = [
+        ("a", [Diff(file="f", hunks=(Hunk(2, (base[1],), ("A",)),))]),
+        ("b", [Diff(file="f", hunks=(Hunk(6, (base[5],), ("B",)),))]),
+        ("b", [Diff(file="g", hunks=(Hunk(1, (), ("G",)),))]),
+    ]
+    with pytest.raises(DiffError, match=re.escape("child ids must be distinct, got ['a', 'b', 'b']")):
+        merge_diff_sets(entries, {"f": base, "g": []}, StochasticMergeBackend(1.0, random.Random(0)))
 
 
 def test_merge_results_tier_counts_partition_resolutions():

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import struct
 import tempfile
 from pathlib import Path
 
@@ -29,7 +30,8 @@ from agentfork.harness.workload import (
     workload_from_data,
     workload_to_data,
 )
-from agentfork.memory import DefaultEmbedder, RelevanceWeights, compute_relevance
+from agentfork.harness import workload as workload_module
+from agentfork.memory import DefaultEmbedder, RelevanceWeights, compute_relevance, default_embed
 
 
 def test_bundled_workloads_parse():
@@ -76,6 +78,29 @@ def test_save_load_round_trip(tmp_path):
     path = save_workload(spec, tmp_path / "w.json")
     again = load_workload(path)
     assert again == spec
+
+
+@pytest.mark.parametrize("dim", [8, 64])
+def test_load_embeds_each_distinct_content_once_and_shares_its_tuple(monkeypatch, dim):
+    data = json.loads(bundled_workload_path("quiet").read_text(encoding="utf-8"))
+    contents = [item["content"] for item in data["memory"][:3]] + ["", "!! ?", "Parser"]
+    data["embedding_dim"] = dim
+    data["memory"] = [
+        {"id": f"r{n}", "tier": "episodic", "content": contents[n * 5 % len(contents)]} for n in range(40)
+    ]
+    embedded, built = [], []
+    embed, build = DefaultEmbedder.__call__, workload_module.make_item
+    monkeypatch.setattr(DefaultEmbedder, "__call__", lambda self, text: embedded.append(text) or embed(self, text))
+    monkeypatch.setattr(workload_module, "make_item", lambda **kw: built.append(kw) or build(**kw))
+    spec = workload_from_data(data)
+    assert sorted(embedded) == sorted(contents)
+    assert len(built) == len(spec.memory) == 40
+    first = {}
+    for item in spec.memory:
+        expected = default_embed(item.content, dim)
+        assert [struct.pack("<d", v) for v in item.embedding] == [struct.pack("<d", v) for v in expected]
+        assert item.embedding is first.setdefault(item.content, item.embedding)
+    assert len(first) == len(contents)
 
 
 def test_generator_deterministic_for_seed():

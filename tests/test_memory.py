@@ -266,6 +266,32 @@ def test_item_accepts_finite_embedding_whose_sum_overflows():
     assert item.embedding == (1e308, 1e308)
 
 
+def test_item_keeps_a_tuple_of_exact_floats_as_given():
+    for embedding in ((), (0.5, -0.0, 1e308, 5e-324), default_embed("parser json", DIM)):
+        item = MemoryItem(id="x", tier=MemoryTier.EPISODIC, content="x", embedding=embedding)
+        assert item.embedding is embedding
+
+
+class _Float(float):
+    pass
+
+
+class _Tuple(tuple):
+    pass
+
+
+@pytest.mark.parametrize(
+    "embedding",
+    [[0.5, -0.0], (1, 0, 2**53), (True, 0.5), (False,), (0.25, _Float(0.5)), _Tuple((0.5, 1.0))],
+    ids=["list", "ints", "true", "false", "float-subclass", "tuple-subclass"],
+)
+def test_item_turns_other_embeddings_into_a_tuple_of_exact_floats(embedding):
+    item = MemoryItem(id="x", tier=MemoryTier.EPISODIC, content="x", embedding=embedding)
+    assert item.embedding is not embedding and type(item.embedding) is tuple
+    assert all(type(v) is float for v in item.embedding)
+    assert [struct.pack("<d", v) for v in item.embedding] == [struct.pack("<d", float(v)) for v in embedding]
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10 ** 6))
 def test_relevance_always_in_unit_interval(seed):

@@ -397,6 +397,20 @@ def test_an_encoded_item_keeps_its_value_semantics():
     assert schema.encode(schema.ITEM, item, schema.WIRE) == schema.encode(schema.ITEM, twin, schema.WIRE)
 
 
+def test_items_sharing_one_embedding_tuple_keep_their_own_text():
+    shared = (0.5, -0.0, 1 / 3)
+    first = MemoryItem("a", MemoryTier.EPISODIC, "first", embedding=shared)
+    second = MemoryItem("b", MemoryTier.WORKING, "second", created_at_step=3, embedding=shared)
+    assert first.embedding is shared and second.embedding is shared
+    package = _spawn_with([first])
+    assert encode_package(package) == _reference_bytes(package)
+    assert first._wire is not None and second._wire is None
+    for items in ([second], [first, second]):
+        package = _spawn_with(items)
+        assert encode_package(package) == _reference_bytes(package)
+    assert second._wire is not None and second._wire != first._wire
+
+
 _POOL_EMBEDDINGS = st.lists(
     st.sampled_from((0.0, -0.0, 0.5, -0.5, 1e-7, 1 / 3, 5e-324)), min_size=1, max_size=3
 ).map(tuple)
