@@ -71,16 +71,21 @@ def _cannot_write(path: str, exc: OSError) -> int:
 def _cmd_run(args) -> int:
     workload = load_workload(_resolve_workload(args.workload))
     config = SimulatorConfig.from_file(args.config) if args.config else SimulatorConfig()
-    report = run_simulation(workload, config, args.seed)
-    text = emit_report(report, args.format)
-    if args.report:
-        try:
-            Path(args.report).parent.mkdir(parents=True, exist_ok=True)
-            Path(args.report).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            return _cannot_write(args.report, exc)
-    else:
-        sys.stdout.write(text)
+    if not args.report:
+        sys.stdout.write(emit_report(run_simulation(workload, config, args.seed), args.format))
+        return 0
+    report = Path(args.report)
+    try:
+        # Open the report before the run, so an unwritable path costs no run.
+        report.parent.mkdir(parents=True, exist_ok=True)
+        report.open("a").close()
+    except OSError as exc:
+        return _cannot_write(args.report, exc)
+    text = emit_report(run_simulation(workload, config, args.seed), args.format)
+    try:
+        report.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        return _cannot_write(args.report, exc)
     return 0
 
 

@@ -231,13 +231,14 @@ def decode_package(data: bytes | str) -> SpawnPackage | ResumePackage:
     """Parse canonical bytes back into a validated package.
 
     Unknown keys, missing keys, and out-of-range values raise distinct
-    ``PackageDecodeError``s.
+    ``PackageDecodeError``s; so do bytes that are not JSON or nest too
+    deeply for the parser.
     """
     from .schema import package_from_data
 
     try:
         obj = json.loads(data)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise PackageDecodeError("bad_json", "$", str(exc))
     return package_from_data(obj)
 

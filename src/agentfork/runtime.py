@@ -17,7 +17,8 @@ import urllib.request
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Protocol, Sequence
 
 from .coherence import (
     ApplyError,
@@ -318,46 +319,28 @@ class Event:
 
 @dataclass
 class ChildHandle:
+    """One child from request to completion, the scheduler's only record
+    of it. ``done_at`` is set when the child starts: a child whose backend
+    failed (``resume`` is None, the error in ``errors``) completes at its
+    start, any other after its execution time, capped at the timeout.
+    ``kind`` (ok, timeout or invalid) is set when it completes."""
+
     spawn_id: str
     agent: AgentId
     parent: AgentId
     package: SpawnPackage
     outcome_key: str
     seed: int
-    start_time: float | None = None
+    done_at: float = 0.0
     resume: ResumePackage | None = None
-
-    def completion_time(self, timeout: float) -> float:
-        """A started child without a resume package failed in the backend:
-        it completes at its start time."""
-        assert self.start_time is not None
-        duration = self.resume.execution_time if self.resume is not None else 0.0
-        return self.start_time + min(duration, timeout)
-
-    def timed_out(self, timeout: float) -> bool:
-        return self.resume is not None and self.resume.execution_time > timeout
+    kind: str = ""
+    errors: tuple[str, ...] = ()
 
 
 @dataclass
 class SpawnRequestOutcome:
     state: str  # started | queued | rejected
-    handle: ChildHandle | None = None
     reason: str | None = None
-
-
-@dataclass
-class AwaitResult:
-    handle: ChildHandle
-    kind: str  # ok | timeout | invalid
-    resume: ResumePackage | None = None
-    errors: tuple[str, ...] = ()
-
-
-class ChildFailure:
-    def __init__(self, spawn_id: str, kind: str, detail: str):
-        self.spawn_id = spawn_id
-        self.kind = kind
-        self.detail = detail
 
 
 class ChildScheduler:
@@ -373,6 +356,10 @@ class ChildScheduler:
     room only when one of its own children completes, so each parent
     keeps its own FIFO queue and a completion admits at most the head of
     its parent's queue.
+
+    The spawns a child makes while it runs are requested depth first from
+    an explicit stack, one lazy iterator per started child, so a chain of
+    nested spawns never deepens the caller's stack.
     """
 
     def __init__(
@@ -392,7 +379,7 @@ class ChildScheduler:
         self.events = events
         self.running: list[ChildHandle] = []
         self.queue: dict[str, deque[ChildHandle]] = {}
-        self.backend_errors: dict[str, str] = {}
+        self.nested: list[Iterator[tuple[AgentId, SpawnPackage, str]]] = []
         self.ids = sequential_ids()
         self._child_counter = 0
         self.rejected_count = 0
@@ -428,31 +415,48 @@ class ChildScheduler:
             self.events.append(
                 Event(self.clock.now, "spawn_queued", f"{package.spawn_id} parent={parent.id}")
             )
-            return SpawnRequestOutcome(state="queued", handle=handle)
+            return SpawnRequestOutcome(state="queued")
         self._start(handle)
-        return SpawnRequestOutcome(state="started", handle=handle)
+        return SpawnRequestOutcome(state="started")
 
     def _start(self, handle: ChildHandle) -> None:
-        handle.start_time = self.clock.now
+        """Start one child and push its nested requests. The outermost
+        call then requests them all, depth first, through ``spawn_child``;
+        a call made while they are being requested only pushes."""
+        outermost = not self.nested
         self.tree.add_child(handle.parent.id, handle.agent)
+        handle.done_at = self.clock.now
         try:
             if self.config.checkpoint_dir:
                 write_checkpoint(handle.package, self.config.checkpoint_dir)
             handle.resume = self.backend.run(handle.package, handle.seed, handle.outcome_key)
         except Exception as exc:
             # A failing checkpoint write or backend costs this child, never the parent.
-            self.backend_errors[handle.spawn_id] = f"backend error: {type(exc).__name__}: {exc}"
+            handle.errors = (f"backend error: {type(exc).__name__}: {exc}",)
         self.running.append(handle)
         self.events.append(
             Event(self.clock.now, "child_started", f"{handle.spawn_id} parent={handle.parent.id} key={handle.outcome_key}")
         )
         if handle.resume is not None:
-            self._dispatch_nested(handle)
-
-    def _dispatch_nested(self, handle: ChildHandle) -> None:
-        nested_for = getattr(self.backend, "nested_requests", None)
-        if nested_for is None:
+            handle.done_at += min(handle.resume.execution_time, self.config.child_timeout_secs)
+            self.nested.append(self._nested_requests(handle))
+        if not outermost:
             return
+        try:
+            while self.nested:
+                request = next(self.nested[-1], None)
+                if request is None:
+                    self.nested.pop()
+                else:
+                    self.spawn_child(*request)
+        finally:
+            # Left behind by an error, requests would stop the next start draining.
+            self.nested.clear()
+
+    def _nested_requests(self, handle: ChildHandle) -> Iterator[tuple[AgentId, SpawnPackage, str]]:
+        """The spawns ``handle``'s child makes, each package built (and its
+        id taken) only when its turn comes."""
+        nested_for = getattr(self.backend, "nested_requests", lambda outcome_key: ())
         for nested in nested_for(handle.outcome_key):
             package = build_spawn_package(
                 parent_id=handle.spawn_id,
@@ -465,7 +469,7 @@ class ChildScheduler:
                 clock=self.clock,
                 id_source=self.next_id,
             )
-            self.spawn_child(handle.agent, package, nested.outcome_key)
+            yield handle.agent, package, nested.outcome_key
 
     def _admit_queued(self, parent_id: str) -> None:
         """Start the head of ``parent_id``'s queue if the parent has room."""
@@ -478,63 +482,58 @@ class ChildScheduler:
         self._start(queued)
         self.events.append(Event(self.clock.now, "queue_admitted", queued.spawn_id))
 
-    def _complete(self, handle: ChildHandle) -> AwaitResult:
+    def _complete(self, handle: ChildHandle) -> None:
         timeout = self.config.child_timeout_secs
         self.running.remove(handle)
-        if handle.timed_out(timeout):
+        resume = handle.resume
+        if resume is not None and resume.execution_time > timeout:
+            handle.kind = "timeout"
             self.tree.mark(handle.spawn_id, NodeStatus.TIMED_OUT)
             self.events.append(
                 Event(self.clock.now, "child_timed_out", f"{handle.spawn_id} after {timeout}s")
             )
-            self._admit_queued(handle.parent.id)
-            return AwaitResult(handle=handle, kind="timeout")
-        resume = handle.resume
-        if resume is None:
-            errors = [self.backend_errors.pop(handle.spawn_id)]
         else:
-            errors = validate_resume(resume, handle.package)
-            if self.config.checkpoint_dir:
-                try:
-                    write_checkpoint(resume, self.config.checkpoint_dir)
-                except Exception as exc:
-                    errors.append(f"checkpoint error: {type(exc).__name__}: {exc}")
-        if errors:
-            self.tree.mark(handle.spawn_id, NodeStatus.FAILED)
-            self.events.append(
-                Event(self.clock.now, "child_invalid", f"{handle.spawn_id} {'; '.join(errors)}")
-            )
-            self._admit_queued(handle.parent.id)
-            return AwaitResult(handle=handle, kind="invalid", resume=resume, errors=tuple(errors))
-        status = NodeStatus.FAILED if resume.status is ChildStatus.FAILURE else NodeStatus.DONE
-        self.tree.mark(handle.spawn_id, status)
-        self.events.append(
-            Event(self.clock.now, "child_completed", f"{handle.spawn_id} status={resume.status.value}")
-        )
+            if resume is not None:
+                errors = validate_resume(resume, handle.package)
+                if self.config.checkpoint_dir:
+                    try:
+                        write_checkpoint(resume, self.config.checkpoint_dir)
+                    except Exception as exc:
+                        errors.append(f"checkpoint error: {type(exc).__name__}: {exc}")
+                handle.errors = tuple(errors)
+            if handle.errors:
+                handle.kind = "invalid"
+                self.tree.mark(handle.spawn_id, NodeStatus.FAILED)
+                self.events.append(
+                    Event(self.clock.now, "child_invalid", f"{handle.spawn_id} {'; '.join(handle.errors)}")
+                )
+            else:
+                handle.kind = "ok"
+                status = NodeStatus.FAILED if resume.status is ChildStatus.FAILURE else NodeStatus.DONE
+                self.tree.mark(handle.spawn_id, status)
+                self.events.append(
+                    Event(self.clock.now, "child_completed", f"{handle.spawn_id} status={resume.status.value}")
+                )
         self._admit_queued(handle.parent.id)
-        return AwaitResult(handle=handle, kind="ok", resume=resume)
 
-    def _next_completion(self) -> ChildHandle:
-        timeout = self.config.child_timeout_secs
-        return min(self.running, key=lambda h: (h.completion_time(timeout), h.spawn_id))
-
-    def await_children(self, until: float | None = None) -> list[AwaitResult]:
-        """Process completions in time order.
+    def await_children(self, until: float | None = None) -> list[ChildHandle]:
+        """Complete children in time order and return their handles.
 
         With ``until`` set, only completions at or before that instant
         are processed (non-blocking polling); otherwise runs until no
         child is running or queued.
         """
-        results = []
+        completed = []
         while self.running:
-            handle = self._next_completion()
-            t = handle.completion_time(self.config.child_timeout_secs)
-            if until is not None and t > until:
+            handle = min(self.running, key=attrgetter("done_at", "spawn_id"))
+            if until is not None and handle.done_at > until:
                 break
-            self.clock.advance_to(max(t, self.clock.now))
-            results.append(self._complete(handle))
+            self.clock.advance_to(max(handle.done_at, self.clock.now))
+            self._complete(handle)
+            completed.append(handle)
         if until is None and self.queue:
             raise OrchestrationError("queued spawn requests stranded with no running children")
-        return results
+        return completed
 
     def idle(self) -> bool:
         return not self.running and not self.queue
@@ -543,12 +542,14 @@ class ChildScheduler:
 _EMPTY_SLICE = MemorySlice(items=(), source_store_step=0, threshold_used=0.0)
 
 
-def handle_child_failure(state: ParentState, failure: ChildFailure, embedder: Embedder) -> ParentState:
+def handle_child_failure(
+    state: ParentState, spawn_id: str, kind: str, detail: str, embedder: Embedder
+) -> ParentState:
     """Record a child failure in episodic memory; no diffs, no retry."""
-    content = f"child {failure.spawn_id} failed ({failure.kind}): {failure.detail}"
+    content = f"child {spawn_id} failed ({kind}): {detail}"
     state.memory.add(
         MemoryItem(
-            id=f"{failure.spawn_id}:failure",
+            id=f"{spawn_id}:failure",
             tier=MemoryTier.EPISODIC,
             content=content,
             created_at_step=state.memory.current_step,
@@ -656,41 +657,31 @@ def run_parent_loop(
     merge_outcomes: list[MergeOutcome] = []
     last_spawn_step: int | None = None
 
-    def integrate(results: list[AwaitResult]) -> None:
-        if not results:
+    def integrate(completed: list[ChildHandle]) -> None:
+        if not completed:
             return
-        for res in results:
-            if res.handle.parent.id != root.id:
+        for handle in completed:
+            if handle.parent.id != root.id:
                 # Grandchildren report to their own (scripted) parent; the
                 # tree and event log already carry their outcome.
                 continue
-            record = by_id.get(res.handle.spawn_id)
-            if res.kind == "timeout":
-                handle_child_failure(
-                    state,
-                    ChildFailure(res.handle.spawn_id, "timeout", f"exceeded {config.child_timeout_secs}s"),
-                    embedder,
-                )
-                if record:
-                    record.outcome = "timed_out"
+            record = by_id[handle.spawn_id]
+            if handle.kind == "timeout":
+                detail = f"exceeded {config.child_timeout_secs}s"
+                handle_child_failure(state, handle.spawn_id, "timeout", detail, embedder)
+                record.outcome = "timed_out"
                 continue
-            if res.kind == "invalid":
-                handle_child_failure(
-                    state,
-                    ChildFailure(res.handle.spawn_id, "invalid", "; ".join(res.errors)),
-                    embedder,
-                )
-                if record:
-                    record.outcome = "invalid"
+            if handle.kind == "invalid":
+                handle_child_failure(state, handle.spawn_id, "invalid", "; ".join(handle.errors), embedder)
+                record.outcome = "invalid"
                 continue
-            resume = res.resume
+            resume = handle.resume
             replay_resume(state, resume, embedder, config.promote_threshold)
-            if record:
-                record.outcome = resume.status.value
-                record.execution_time = resume.execution_time
-                record.tokens_used = resume.metrics.tokens_used
-                record.api_calls = resume.metrics.api_calls
-                record.test_pass_rate = resume.metrics.test_pass_rate
+            record.outcome = resume.status.value
+            record.execution_time = resume.execution_time
+            record.tokens_used = resume.metrics.tokens_used
+            record.api_calls = resume.metrics.api_calls
+            record.test_pass_rate = resume.metrics.test_pass_rate
         outcome, apply_errors = flush_staged_diffs(state, merge_backend)
         if outcome is not None:
             merge_outcomes.append(outcome)

@@ -243,6 +243,22 @@ def test_unwritable_output_exits_2_naming_the_path(tmp_path, capsys, command, ta
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("target", ["a directory", "under a regular file"])
+def test_unwritable_report_exits_2_before_the_run(tmp_path, capsys, monkeypatch, target):
+    def no_run(*args):
+        raise AssertionError("run_simulation called for an unwritable report")
+
+    monkeypatch.setattr("agentfork.cli.run_simulation", no_run)
+    if target == "a directory":
+        out = tmp_path / "out"
+        out.mkdir()
+    else:
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+    assert main(["run", "--workload", "demo", "--report", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"{out}: cannot write (")
+
+
 def _quiet_with(edit) -> dict:
     data = json.loads(bundled_workload_path("quiet").read_text(encoding="utf-8"))
     edit(data)

@@ -754,6 +754,18 @@ def test_decode_rejects_bad_status_and_garbage():
         decode_package(json.dumps({"neither": 1}))
 
 
+def test_decode_turns_too_deep_nesting_into_a_decode_error(tmp_path):
+    deep = b"[" * 200000
+    with pytest.raises(PackageDecodeError) as err:
+        decode_package(deep)
+    assert (err.value.kind, err.value.path) == ("bad_json", "$")
+    path = tmp_path / "resume_deep.json"
+    path.write_bytes(deep)
+    with pytest.raises(PackageDecodeError) as err:
+        read_checkpoint(path)
+    assert err.value.kind == "bad_json"
+
+
 def test_decode_valid_resume_status(embedder):
     decoded = decode_package(encode_package(_resume()))
     assert isinstance(decoded, ResumePackage)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import http.server
 import json
+import sys
 import threading
 import time
 
@@ -19,6 +20,8 @@ from hypothesis.stateful import (
 from agentfork import runtime
 from agentfork.coherence import Diff, Hunk
 from agentfork.config import SimulatorConfig
+from agentfork.harness import bundled_workload_path, emit_report, run_simulation
+from agentfork.harness.workload import workload_from_data
 from agentfork.memory import DefaultEmbedder, MemoryStore, MemoryTier, count_tokens, make_item
 from agentfork.policy import ComplexityMetrics
 from agentfork.protocol import (
@@ -36,7 +39,6 @@ from agentfork.protocol import (
 )
 from agentfork.runtime import (
     AgentId,
-    ChildFailure,
     ChildScheduler,
     Event,
     LoopWorkload,
@@ -179,8 +181,10 @@ def test_fifth_request_queues_and_starts_after_completion():
 
 
 # Scripted children for the scheduler property: "slow" outlives the
-# 600 s timeout and "nest" asks for two children of its own.
+# 600 s timeout, "nest" asks for two children of its own and "loop" asks
+# for another "loop", so its chain grows until the depth limit rejects it.
 _PROPERTY_OUTCOMES = {
+    "loop": ScriptedOutcome(execution_time=5.0, spawns=(NestedSpawn(outcome_key="loop"),)),
     "short": ScriptedOutcome(execution_time=3.0),
     "long": ScriptedOutcome(execution_time=20.0),
     "slow": ScriptedOutcome(execution_time=700.0),
@@ -281,7 +285,7 @@ def test_await_children_timeout_boundary():
     )
     scheduler.spawn_child(root, _package("spawn-slow"), "slow")
     scheduler.spawn_child(root, _package("spawn-fast"), "fast")
-    results = {r.handle.spawn_id: r for r in scheduler.await_children()}
+    results = {h.spawn_id: h for h in scheduler.await_children()}
     assert results["spawn-fast"].kind == "ok"
     assert results["spawn-slow"].kind == "timeout"
     assert tree.status["spawn-slow"] is NodeStatus.TIMED_OUT
@@ -323,11 +327,40 @@ def test_nested_requests_follow_scripts():
     assert len(tree.nodes) == 3
 
 
+def test_nested_spawns_do_not_depend_on_the_callers_stack():
+    """A child that spawns itself grows a chain down to the depth limit.
+    Nested spawns are requested from an explicit stack, so the chain, and
+    every report byte, is the same however deep the caller's stack is and
+    whatever its recursion limit."""
+    data = json.loads(bundled_workload_path("adversarial_depth").read_text(encoding="utf-8"))
+    data["child_outcomes"]["nest-d4"]["spawns"] = [{"outcome": "nest-d4", "specialization": "refactoring"}]
+    config = SimulatorConfig(max_spawn_depth=500)
+
+    def run(frames=0):
+        if frames:
+            return run(frames - 1)
+        return run_simulation(workload_from_data(data), config, 0)
+
+    report = run()
+    assert report.tree_max_depth == 500
+    assert report.rejected_spawns == 1
+    assert not [line for line in report.events if " child_invalid " in line]
+    machine = emit_report(report, "machine")
+    assert emit_report(run(500), "machine") == machine
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        lowered = emit_report(run(), "machine")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert lowered == machine
+
+
 def test_handle_child_failure_records_episodic_items(embedder):
     store = MemoryStore(DIM, current_step=4)
     state = ParentState(memory=store, skills=SkillLibrary())
-    handle_child_failure(state, ChildFailure("spawn-0001", "timeout", "exceeded 600s"), embedder)
-    handle_child_failure(state, ChildFailure("spawn-0002", "invalid", "wrong child"), embedder)
+    handle_child_failure(state, "spawn-0001", "timeout", "exceeded 600s", embedder)
+    handle_child_failure(state, "spawn-0002", "invalid", "wrong child", embedder)
     episodic = store.by_tier(MemoryTier.EPISODIC)
     assert len(episodic) == 2
     assert {i.id for i in episodic} == {"spawn-0001:failure", "spawn-0002:failure"}

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import importlib.util
 import json
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from agentfork.config import SimulatorConfig
 from agentfork.harness import bundled_workload_path, emit_report, load_workload, run_simulation
@@ -47,3 +50,19 @@ def test_traced_demo_report_equals_untraced():
     metrics, _ = tracing.layer_metrics(tracer, "fanout")
     layers = json.loads((BENCH / "layers.json").read_text(encoding="utf-8"))
     assert set(metrics) <= {m["name"] for m in layers["metrics"]}
+
+
+@pytest.mark.parametrize("name, requests", [("adversarial_concurrency", 7), ("adversarial_depth", 4)])
+def test_tracer_counts_nested_spawn_requests(name, requests):
+    """Children request their nested spawns through ``spawn_child`` too,
+    so the traced call count matches the request events of the run."""
+    with tracing.Tracer().install() as tracer:
+        load = tracer.span("harness.load", load_workload)
+        run = tracer.span("harness.run", run_simulation)
+        report = run(load(bundled_workload_path(name)), SimulatorConfig(), 0)
+    kinds = Counter(line.split()[1] for line in report.events)
+    from_events = (
+        kinds["child_started"] - kinds["queue_admitted"] + kinds["spawn_queued"] + kinds["spawn_rejected"]
+    )
+    metrics, _ = tracing.layer_metrics(tracer, "fanout")
+    assert metrics["runtime.spawn_child_calls"] == from_events == requests
