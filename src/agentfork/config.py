@@ -9,6 +9,7 @@ the embedder of its store.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,18 +61,18 @@ class SimulatorConfig:
         # The policy and relevance range checks live in the sub-configs they feed.
         self.policy_config()
         self.relevance_weights()
-        if self.child_timeout_secs <= 0:
-            raise ValueError("child_timeout_secs must be positive")
-        if self.step_duration_secs <= 0:
-            raise ValueError("step_duration_secs must be positive")
+        if not 0 < self.child_timeout_secs < math.inf:
+            raise ValueError("child_timeout_secs must be positive and finite")
+        if not 0 < self.step_duration_secs < math.inf:
+            raise ValueError("step_duration_secs must be positive and finite")
         if not 0.0 <= self.memory_threshold <= 1.0:
             raise ValueError("memory_threshold must be in [0, 1]")
         if not 0.0 <= self.semantic_merge_p <= 1.0:
             raise ValueError("semantic_merge_p must be in [0, 1]")
         if not 0.0 <= self.promote_threshold <= 1.0:
             raise ValueError("promote_threshold must be in [0, 1]")
-        if self.price_per_1k_tokens < 0 or self.price_per_api_call < 0:
-            raise ValueError("unit prices must be >= 0")
+        if not (0 <= self.price_per_1k_tokens < math.inf and 0 <= self.price_per_api_call < math.inf):
+            raise ValueError("unit prices must be finite and >= 0")
 
     def policy_config(self) -> SpawnPolicyConfig:
         return SpawnPolicyConfig(

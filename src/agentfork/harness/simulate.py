@@ -31,9 +31,6 @@ class ConflictPhaseStats:
     auto_failures: int = 0
     escalation_leaks: int = 0
 
-    def overlapping(self) -> int:
-        return self.semantic + self.escalated
-
 
 _BASE_LEN = 12
 

@@ -221,12 +221,12 @@ class RelevanceWeights:
 
     def __post_init__(self):
         parts = (self.alpha, self.beta, self.gamma, self.delta_w)
-        if any(w < 0 for w in parts):
+        if not all(w >= 0 for w in parts):
             raise MemoryError(f"relevance weights must be nonnegative: {parts}")
-        if abs(sum(parts) - 1.0) > 1e-9:
+        if not abs(sum(parts) - 1.0) <= 1e-9:
             raise MemoryError(f"relevance weights must sum to 1, got {sum(parts)}")
-        if self.lambda_decay <= 0:
-            raise MemoryError("lambda_decay must be positive")
+        if not 0 < self.lambda_decay < math.inf:
+            raise MemoryError("lambda_decay must be positive and finite")
 
 
 class MemoryStore:
@@ -555,11 +555,12 @@ def make_item(
     tier: MemoryTier | str,
     content: str,
     embedder: Embedder,
-    referenced_files: Iterable[str] = (),
-    referenced_symbols: Iterable[str] = (),
+    referenced_files: Iterable[str] = frozenset(),
+    referenced_symbols: Iterable[str] = frozenset(),
     created_at_step: int = 0,
 ) -> MemoryItem:
-    """Build an item with its embedding derived from its content."""
+    """Build an item with its embedding derived from its content. The
+    defaults are frozensets, so items without references share them."""
     return MemoryItem(
         id=item_id,
         tier=MemoryTier(tier),

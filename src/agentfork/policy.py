@@ -143,9 +143,9 @@ class SpawnPolicyConfig:
     def __post_init__(self):
         if len(self.weights) != 5:
             raise PolicyError("exactly five weights required")
-        if any(w < 0 for w in self.weights):
+        if not all(w >= 0 for w in self.weights):
             raise PolicyError("weights must be nonnegative")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
+        if not abs(sum(self.weights) - 1.0) <= 1e-9:
             raise PolicyError(f"weights must sum to 1, got {sum(self.weights)}")
         if not 0.0 <= self.spawn_threshold <= 1.0:
             raise PolicyError("spawn_threshold must be in [0, 1]")

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .coherence import Diff, combine_diffs, diff_applies
-from .memory import MAX_INT, MemoryItem, MemorySlice, MemoryStore, MemoryTier, TIER_ORDER, Embedder
+from .memory import MAX_INT, MemoryItem, MemorySlice, MemoryStore, MemoryTier, TIER_ORDER, Embedder, make_item
 from .policy import ComplexityMetrics
 from .skills import Skill, SkillLibrary, promote_skills
 
@@ -346,25 +346,10 @@ def replay_resume(
 
     for n, action in enumerate(summary):
         content = f"child {resume.spawn_id} {action.kind.value} at step {action.step}: {action.summary}"
-        state.memory.add(
-            MemoryItem(
-                id=f"{resume.spawn_id}:trace:{n}",
-                tier=MemoryTier.EPISODIC,
-                content=content,
-                created_at_step=now,
-                embedding=tuple(embedder(content)),
-            )
-        )
-    output_content = f"child {resume.spawn_id} finished {resume.status.value}: {resume.result.output}"
-    state.memory.add(
-        MemoryItem(
-            id=f"{resume.spawn_id}:output",
-            tier=MemoryTier.EPISODIC,
-            content=output_content,
-            created_at_step=now,
-            embedding=tuple(embedder(output_content)),
-        )
-    )
+        item_id = f"{resume.spawn_id}:trace:{n}"
+        state.memory.add(make_item(item_id, MemoryTier.EPISODIC, content, embedder, created_at_step=now))
+    output = f"child {resume.spawn_id} finished {resume.status.value}: {resume.result.output}"
+    state.memory.add(make_item(f"{resume.spawn_id}:output", MemoryTier.EPISODIC, output, embedder, created_at_step=now))
     report.memory_items_added = len(summary) + 1
 
     if resume.status is not ChildStatus.FAILURE:

@@ -11,13 +11,13 @@ validation, replay, and the coherence merge.
 
 from __future__ import annotations
 
+import heapq
 import os
 import random
 import urllib.request
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Protocol, Sequence
 
 from .coherence import (
@@ -32,11 +32,11 @@ from .coherence import (
 from .memory import (
     DefaultEmbedder,
     Embedder,
-    MemoryItem,
     MemorySlice,
     MemoryStore,
     MemoryTier,
     count_tokens,
+    make_item,
     reduction_percent,
     slice_memory,
 )
@@ -119,7 +119,9 @@ class NodeStatus(str, Enum):
 class SpawnTree:
     """Parent/child structure of one run. ``add_child`` is the only way a
     node enters the tree and it checks both limits before inserting, so a
-    violation surfaces at the faulty call and the tree never needs a walk."""
+    violation surfaces at the faulty call and the tree never needs a walk.
+    ``add_child`` and ``mark`` keep each node's count of running children,
+    so reading it costs one lookup."""
 
     def __init__(self, root: AgentId, max_depth: int, concurrent_limit: int):
         self.root = root
@@ -128,6 +130,8 @@ class SpawnTree:
         self.nodes: dict[str, AgentId] = {root.id: root}
         self.children: dict[str, list[str]] = {root.id: []}
         self.status: dict[str, NodeStatus] = {root.id: NodeStatus.RUNNING}
+        self.parent: dict[str, str] = {}
+        self.running_count: dict[str, int] = {}
 
     def add_child(self, parent_id: str, child: AgentId) -> None:
         if parent_id not in self.nodes:
@@ -148,6 +152,8 @@ class SpawnTree:
         self.children[child.id] = []
         self.children[parent_id].append(child.id)
         self.status[child.id] = NodeStatus.RUNNING
+        self.parent[child.id] = parent_id
+        self.running_count[parent_id] = self.running_count.get(parent_id, 0) + 1
 
     def mark(self, node_id: str, status: NodeStatus) -> None:
         """Record how a node finished. Only ``add_child`` makes a node
@@ -156,12 +162,12 @@ class SpawnTree:
             raise SpawnTreeError(f"unknown node {node_id!r}")
         if status is NodeStatus.RUNNING:
             raise SpawnTreeError(f"cannot mark {node_id!r} running again")
+        if self.status[node_id] is NodeStatus.RUNNING and node_id in self.parent:
+            self.running_count[self.parent[node_id]] -= 1
         self.status[node_id] = status
 
     def running_children(self, node_id: str) -> int:
-        return sum(
-            1 for c in self.children.get(node_id, ()) if self.status[c] is NodeStatus.RUNNING
-        )
+        return self.running_count.get(node_id, 0)
 
     def edges(self) -> list[tuple[str, str]]:
         out = []
@@ -180,10 +186,10 @@ class ChildBackend(Protocol):
     ``outcome_key`` is a dispatch hint (the chosen specialization for
     policy-triggered spawns); backends talking to a real service ignore
     it, the scripted backend uses it to pick the scripted outcome.
-    Scripted execution must be deterministic given (package, seed).
+    Scripted execution must be deterministic given the package.
     """
 
-    def run(self, package: SpawnPackage, seed: int, outcome_key: str = "") -> ResumePackage: ...
+    def run(self, package: SpawnPackage, outcome_key: str = "") -> ResumePackage: ...
 
 
 @dataclass(frozen=True)
@@ -224,7 +230,7 @@ class ScriptedBackend:
     def __init__(self, outcomes: Mapping[str, ScriptedOutcome]):
         self.outcomes = dict(outcomes)
 
-    def run(self, package: SpawnPackage, seed: int, outcome_key: str = "") -> ResumePackage:
+    def run(self, package: SpawnPackage, outcome_key: str = "") -> ResumePackage:
         script = self.outcomes.get(outcome_key) or self.outcomes.get("default")
         if script is None:
             return ResumePackage(
@@ -299,7 +305,7 @@ class ServiceBackend:
             raise OrchestrationError(f"{ENDPOINT_ENV} is not set")
         return cls(http_transport(endpoint, os.environ.get(TOKEN_ENV), timeout))
 
-    def run(self, package: SpawnPackage, seed: int, outcome_key: str = "") -> ResumePackage:
+    def run(self, package: SpawnPackage, outcome_key: str = "") -> ResumePackage:
         response = self.transport(encode_package(package))
         decoded = decode_package(response)
         if not isinstance(decoded, ResumePackage):
@@ -330,7 +336,6 @@ class ChildHandle:
     parent: AgentId
     package: SpawnPackage
     outcome_key: str
-    seed: int
     done_at: float = 0.0
     resume: ResumePackage | None = None
     kind: str = ""
@@ -349,8 +354,9 @@ class ChildScheduler:
     Requests beyond a parent's concurrency limit queue FIFO and start as
     siblings finish; requests that would exceed the depth limit are
     rejected with a reason. Both limits are the tree's. Completions are
-    processed in virtual-time order, so a fixed seed replays the
-    identical event sequence.
+    processed in ``(done_at, spawn_id)`` order, popped from a heap that
+    ``_start`` pushes each child onto once its completion time is known,
+    so the same requests replay the identical event sequence.
 
     A request queues only when its parent is full, and a parent gains
     room only when one of its own children completes, so each parent
@@ -367,21 +373,18 @@ class ChildScheduler:
         tree: SpawnTree,
         clock,
         config: SimulatorConfig,
-        seed: int,
         backend: ChildBackend,
         events: list[Event],
     ):
         self.tree = tree
         self.clock = clock
         self.config = config
-        self.seed = seed
         self.backend = backend
         self.events = events
-        self.running: list[ChildHandle] = []
+        self.running: list[tuple[float, str, ChildHandle]] = []
         self.queue: dict[str, deque[ChildHandle]] = {}
         self.nested: list[Iterator[tuple[AgentId, SpawnPackage, str]]] = []
         self.ids = sequential_ids()
-        self._child_counter = 0
         self.rejected_count = 0
         self.queued_count = 0
 
@@ -400,14 +403,8 @@ class ChildScheduler:
             self.rejected_count += 1
             self.events.append(Event(self.clock.now, "spawn_rejected", f"{package.spawn_id} {reason}"))
             return SpawnRequestOutcome(state="rejected", reason=reason)
-        self._child_counter += 1
         handle = ChildHandle(
-            spawn_id=package.spawn_id,
-            agent=child,
-            parent=parent,
-            package=package,
-            outcome_key=outcome_key,
-            seed=self.seed * 1_000_003 + self._child_counter,
+            spawn_id=package.spawn_id, agent=child, parent=parent, package=package, outcome_key=outcome_key
         )
         if self.tree.running_children(parent.id) >= self.tree.concurrent_limit:
             self.queue.setdefault(parent.id, deque()).append(handle)
@@ -429,17 +426,17 @@ class ChildScheduler:
         try:
             if self.config.checkpoint_dir:
                 write_checkpoint(handle.package, self.config.checkpoint_dir)
-            handle.resume = self.backend.run(handle.package, handle.seed, handle.outcome_key)
+            handle.resume = self.backend.run(handle.package, handle.outcome_key)
         except Exception as exc:
             # A failing checkpoint write or backend costs this child, never the parent.
             handle.errors = (f"backend error: {type(exc).__name__}: {exc}",)
-        self.running.append(handle)
         self.events.append(
             Event(self.clock.now, "child_started", f"{handle.spawn_id} parent={handle.parent.id} key={handle.outcome_key}")
         )
         if handle.resume is not None:
             handle.done_at += min(handle.resume.execution_time, self.config.child_timeout_secs)
             self.nested.append(self._nested_requests(handle))
+        heapq.heappush(self.running, (handle.done_at, handle.spawn_id, handle))
         if not outermost:
             return
         try:
@@ -484,7 +481,6 @@ class ChildScheduler:
 
     def _complete(self, handle: ChildHandle) -> None:
         timeout = self.config.child_timeout_secs
-        self.running.remove(handle)
         resume = handle.resume
         if resume is not None and resume.execution_time > timeout:
             handle.kind = "timeout"
@@ -524,10 +520,8 @@ class ChildScheduler:
         child is running or queued.
         """
         completed = []
-        while self.running:
-            handle = min(self.running, key=attrgetter("done_at", "spawn_id"))
-            if until is not None and handle.done_at > until:
-                break
+        while self.running and (until is None or self.running[0][0] <= until):
+            handle = heapq.heappop(self.running)[2]
             self.clock.advance_to(max(handle.done_at, self.clock.now))
             self._complete(handle)
             completed.append(handle)
@@ -548,12 +542,8 @@ def handle_child_failure(
     """Record a child failure in episodic memory; no diffs, no retry."""
     content = f"child {spawn_id} failed ({kind}): {detail}"
     state.memory.add(
-        MemoryItem(
-            id=f"{spawn_id}:failure",
-            tier=MemoryTier.EPISODIC,
-            content=content,
-            created_at_step=state.memory.current_step,
-            embedding=tuple(embedder(content)),
+        make_item(
+            f"{spawn_id}:failure", MemoryTier.EPISODIC, content, embedder, created_at_step=state.memory.current_step
         )
     )
     return state
@@ -645,7 +635,7 @@ def run_parent_loop(
     events: list[Event] = []
     root = AgentId(id="parent", depth=0)
     tree = SpawnTree(root, config.max_spawn_depth, config.concurrent_spawn_limit)
-    scheduler = ChildScheduler(tree, clock, config, seed, backend, events)
+    scheduler = ChildScheduler(tree, clock, config, backend, events)
     merge_rng = random.Random(f"{seed}:merge")
     merge_backend = StochasticMergeBackend(config.semantic_merge_p, merge_rng)
     state = ParentState(

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 import tempfile
 from pathlib import Path
@@ -287,6 +288,19 @@ def test_simulator_config_rejects_unknown_and_invalid_keys(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         SimulatorConfig.from_file(bad)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "field", [f.name for f in dataclasses.fields(SimulatorConfig) if f.type == "float"]
+)
+def test_simulator_config_rejects_non_finite_floats(field, value):
+    """A config built in Python takes the rules a config file does: no
+    NaN and no infinity in any float field."""
+    with pytest.raises(ValueError):
+        SimulatorConfig(**{field: value})
+    with pytest.raises(ConfigError):
+        SimulatorConfig.from_dict({field: value})
 
 
 def test_config_and_params_tables_match_their_dataclasses():

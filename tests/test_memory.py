@@ -169,6 +169,16 @@ def test_compute_relevance_age_zero_temporal_is_one(embedder):
     assert compute_relevance(item, task, weights, 7, embedder) == pytest.approx(1.0)
 
 
+def test_make_item_without_references_shares_one_empty_set(embedder):
+    # A run adds episodic items without references; fresh empty
+    # frozensets would cost two allocations per item.
+    first = make_item("a", MemoryTier.EPISODIC, "one", embedder)
+    second = make_item("b", MemoryTier.EPISODIC, "two", embedder)
+    assert first.referenced_files == second.referenced_symbols == frozenset()
+    assert first.referenced_files is second.referenced_files
+    assert first.referenced_symbols is second.referenced_symbols
+
+
 def test_compute_relevance_dimension_mismatch(embedder):
     task = random_task(random.Random(0))
     item = MemoryItem(id="m", tier=MemoryTier.EPISODIC, content="x", embedding=(1.0,) * 4)

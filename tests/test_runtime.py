@@ -83,7 +83,7 @@ def _scheduler(outcomes, backend=None, max_depth=3, concurrent_limit=4, **config
     root = AgentId("parent", 0)
     tree = SpawnTree(root, max_depth, concurrent_limit)
     events: list[Event] = []
-    scheduler = ChildScheduler(tree, clock, config, 0, backend or ScriptedBackend(outcomes), events)
+    scheduler = ChildScheduler(tree, clock, config, backend or ScriptedBackend(outcomes), events)
     return scheduler, root, tree, clock, events
 
 
@@ -128,18 +128,56 @@ def test_tree_counts_only_running_children():
     assert tree.running_children("r") == 2
 
 
+# One tree call per entry. ("add", parent pick, fresh id, depth step):
+# a pick past the node list names an unknown parent, a reused id is a
+# duplicate and a depth step other than 1 is a wrong depth. ("mark", node
+# pick, status): a pick past the list names an unknown node.
+_TREE_CALLS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 10**6), st.booleans(), st.sampled_from([1, 1, 1, 0, 2])),
+        st.tuples(st.just("mark"), st.integers(0, 10**6), st.sampled_from(list(NodeStatus))),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(calls=_TREE_CALLS, max_depth=st.integers(1, 3), limit=st.integers(1, 3))
+def test_tree_running_counts_match_a_recount(calls, max_depth, limit):
+    """The counts ``add_child`` and ``mark`` keep equal a recount from
+    ``children`` and ``status`` after every call, those that raise too."""
+    tree = SpawnTree(AgentId("r", 0), max_depth, limit)
+    for n, call in enumerate(calls):
+        nodes = list(tree.nodes.values())
+        pick = call[1] % (len(nodes) + 1)
+        node = nodes[pick] if pick < len(nodes) else AgentId("ghost", 0)
+        try:
+            if call[0] == "add":
+                _, _, fresh, step = call
+                child_id = f"n{n}" if fresh else nodes[call[1] % len(nodes)].id
+                tree.add_child(node.id, AgentId(child_id, node.depth + step))
+            else:
+                tree.mark(node.id, call[2])
+        except SpawnTreeError:
+            pass
+        for node_id in tree.nodes:
+            recount = sum(tree.status[c] is NodeStatus.RUNNING for c in tree.children[node_id])
+            assert tree.running_children(node_id) == recount
+            assert recount <= limit
+
+
 def test_scripted_backend_deterministic_given_package_and_seed():
     backend = ScriptedBackend({"k": ScriptedOutcome(output="scripted")})
     pkg = _package("spawn-0001")
-    assert backend.run(pkg, 3, "k") == backend.run(pkg, 3, "k")
-    missing = backend.run(pkg, 3, "unknown-key")
+    assert backend.run(pkg, "k") == backend.run(pkg, "k")
+    missing = backend.run(pkg, "unknown-key")
     assert missing.status is ChildStatus.FAILURE
 
 
 def test_scripted_backend_resume_is_internally_consistent():
     diff = Diff(file="f.py", hunks=(Hunk(1, (), ("x",)),))
     backend = ScriptedBackend({"k": ScriptedOutcome(diffs=(diff,))})
-    resume = backend.run(_package("spawn-0001"), 0, "k")
+    resume = backend.run(_package("spawn-0001"), "k")
     assert resume.result.files_modified == {"f.py"}
     assert [a.step for a in resume.trace] == sorted(a.step for a in resume.trace)
 
@@ -292,10 +330,44 @@ def test_await_children_timeout_boundary():
     assert clock.now == pytest.approx(600.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    times=st.lists(
+        st.one_of(st.sampled_from([1.0, 2.5, 600.0, 700.0]), st.floats(0.0, 900.0)), min_size=1, max_size=60
+    ),
+    polls=st.lists(st.floats(0.0, 700.0), max_size=4),
+    data=st.data(),
+)
+def test_await_children_returns_handles_in_completion_order(times, polls, data):
+    """Many children at once, with tied completion times and timeouts:
+    every ``await_children`` call, polling or draining, returns its
+    handles in ``(done_at, spawn_id)`` order."""
+    scheduler, root, tree, clock, events = _scheduler(
+        {f"k{n}": ScriptedOutcome(execution_time=t) for n, t in enumerate(times)},
+        concurrent_limit=100,
+        child_timeout_secs=600.0,
+    )
+    # Spawn ids in a random order, so start order is not completion order.
+    order = data.draw(st.permutations(range(len(times))))
+    for n, t in enumerate(times):
+        assert scheduler.spawn_child(root, _package(f"spawn-{order[n]:04d}"), f"k{n}").state == "started"
+    expected = sorted((min(t, 600.0), f"spawn-{order[n]:04d}") for n, t in enumerate(times))
+    returned = []
+    for until in sorted(polls):
+        batch = [(h.done_at, h.spawn_id) for h in scheduler.await_children(until=until)]
+        assert batch == expected[len(returned) : len(returned) + len(batch)]
+        returned += batch
+        assert all(done_at <= until for done_at, _ in batch)
+        assert len(returned) == len(expected) or expected[len(returned)][0] > until
+    returned += [(h.done_at, h.spawn_id) for h in scheduler.await_children()]
+    assert returned == expected
+    assert scheduler.idle() and clock.now == expected[-1][0]
+
+
 def test_await_children_flags_invalid_results():
     class WrongIdBackend:
-        def run(self, package, seed, outcome_key=""):
-            good = ScriptedBackend({"k": ScriptedOutcome()}).run(package, seed, "k")
+        def run(self, package, outcome_key=""):
+            good = ScriptedBackend({"k": ScriptedOutcome()}).run(package, "k")
             return ResumePackage(
                 spawn_id="someone-else",
                 status=good.status,
@@ -370,11 +442,11 @@ def test_handle_child_failure_records_episodic_items(embedder):
 def test_service_backend_round_trips_packages():
     def fake_transport(payload: bytes) -> bytes:
         package = decode_package(payload)
-        resume = ScriptedBackend({"d": ScriptedOutcome(output="served")}).run(package, 0, "d")
+        resume = ScriptedBackend({"d": ScriptedOutcome(output="served")}).run(package, "d")
         return encode_package(resume)
 
     backend = ServiceBackend(fake_transport)
-    resume = backend.run(_package("spawn-0042"), seed=0)
+    resume = backend.run(_package("spawn-0042"))
     assert resume.spawn_id == "spawn-0042"
     assert resume.result.output == "served"
 
@@ -382,7 +454,7 @@ def test_service_backend_round_trips_packages():
 def test_service_backend_rejects_wrong_package_kind():
     backend = ServiceBackend(lambda payload: payload)
     with pytest.raises(OrchestrationError):
-        backend.run(_package("spawn-0001"), seed=0)
+        backend.run(_package("spawn-0001"))
 
 
 def _loop_setup(trajectory, outcomes, item_count=12, **config_kwargs):
@@ -408,7 +480,7 @@ def _loop_setup(trajectory, outcomes, item_count=12, **config_kwargs):
 class _OverlappingDiffsBackend:
     """A child that returns two diffs rewriting the same line of one file."""
 
-    def run(self, package, seed, outcome_key=""):
+    def run(self, package, outcome_key=""):
         diff = Diff("src/a.py", (Hunk(1, ("original line",), ("rewritten",)),))
         return ResumePackage(
             spawn_id=package.spawn_id,
@@ -453,9 +525,9 @@ class _ParentMemoryWriter:
         self.store = store
         self.write = write
 
-    def run(self, package, seed, outcome_key=""):
+    def run(self, package, outcome_key=""):
         self.write(self.store)
-        return ScriptedBackend({"default": ScriptedOutcome()}).run(package, seed, outcome_key)
+        return ScriptedBackend({"default": ScriptedOutcome()}).run(package, outcome_key)
 
 
 _WRITERS = {
@@ -662,7 +734,7 @@ def test_http_transport_posts_package_and_reads_resume():
             payload = self.rfile.read(length)
             received["auth"] = self.headers.get("Authorization")
             package = decode_package(payload)
-            resume = ScriptedBackend({"d": ScriptedOutcome(output="over http")}).run(package, 0, "d")
+            resume = ScriptedBackend({"d": ScriptedOutcome(output="over http")}).run(package, "d")
             body = encode_package(resume)
             self.send_response(200)
             self.send_header("Content-Length", str(len(body)))
@@ -678,7 +750,7 @@ def test_http_transport_posts_package_and_reads_resume():
     try:
         endpoint = f"http://127.0.0.1:{server.server_address[1]}/run"
         backend = ServiceBackend(http_transport(endpoint, token="tok", timeout=5.0))
-        resume = backend.run(_package("spawn-0077"), seed=0)
+        resume = backend.run(_package("spawn-0077"))
         assert resume.spawn_id == "spawn-0077"
         assert resume.result.output == "over http"
         assert received["auth"] == "Bearer tok"
@@ -693,7 +765,7 @@ def test_http_transport_timeout_turns_a_silent_service_into_an_invalid_child():
     class SlowHandler(http.server.BaseHTTPRequestHandler):
         def do_POST(self):
             package = decode_package(self.rfile.read(int(self.headers["Content-Length"])))
-            body = encode_package(ScriptedBackend({"d": ScriptedOutcome()}).run(package, 0, "d"))
+            body = encode_package(ScriptedBackend({"d": ScriptedOutcome()}).run(package, "d"))
             answer.wait(2.0)  # a service that takes 2 s to answer
             try:
                 self.send_response(200)
@@ -811,7 +883,7 @@ def test_loop_survives_any_resume_package_bytes(junk):
     outcomes = {"d": ScriptedOutcome(execution_time=2.0, diffs=(diff,))}
 
     def fake_transport(payload: bytes) -> bytes:
-        valid = encode_package(ScriptedBackend(outcomes).run(decode_package(payload), 0, "d"))
+        valid = encode_package(ScriptedBackend(outcomes).run(decode_package(payload), "d"))
         return junk(valid)
 
     workload, config = _loop_setup([QUIET, SPIKE, QUIET], outcomes)
