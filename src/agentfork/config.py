@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import schema
-from .memory import RelevanceWeights
+from .memory import MAX_INT, RelevanceWeights
 from .policy import SpawnPolicyConfig
 
 ConfigError = schema.InputError
@@ -61,10 +61,12 @@ class SimulatorConfig:
         # The policy and relevance range checks live in the sub-configs they feed.
         self.policy_config()
         self.relevance_weights()
-        if not 0 < self.child_timeout_secs < math.inf:
-            raise ValueError("child_timeout_secs must be positive and finite")
-        if not 0 < self.step_duration_secs < math.inf:
-            raise ValueError("step_duration_secs must be positive and finite")
+        # At most 2**53 s each, so every sum of steps and child times on
+        # the virtual clock stays finite.
+        if not 0 < self.child_timeout_secs <= MAX_INT:
+            raise ValueError("child_timeout_secs must be in (0, 2**53]")
+        if not 0 < self.step_duration_secs <= MAX_INT:
+            raise ValueError("step_duration_secs must be in (0, 2**53]")
         if not 0.0 <= self.memory_threshold <= 1.0:
             raise ValueError("memory_threshold must be in [0, 1]")
         if not 0.0 <= self.semantic_merge_p <= 1.0:

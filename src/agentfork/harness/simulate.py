@@ -15,6 +15,7 @@ from ..coherence import Diff, Hunk, ResolutionTier, StochasticMergeBackend
 # Bound under this name because bench/tracer.py wraps simulate.merge_results.
 from ..coherence import merge_diff_sets as merge_results
 from ..config import SimulatorConfig
+from ..memory import reduction_percent
 from ..runtime import ScriptedBackend, run_parent_loop
 from .report import RunReport
 from .workload import ConflictScenarioParams, WorkloadSpec
@@ -90,9 +91,7 @@ def run_simulation(spec: WorkloadSpec, config: SimulatorConfig, seed: int) -> Ru
     records = loop_result.spawn_records
     tokens_parent_total = sum(r.tokens_parent for r in records)
     tokens_slice_total = sum(r.tokens_slice for r in records)
-    reduction = (
-        100.0 * (1.0 - tokens_slice_total / tokens_parent_total) if tokens_parent_total else 0.0
-    )
+    reduction = reduction_percent(tokens_parent_total, tokens_slice_total)
 
     conflict_auto = conflict_semantic = conflict_escalated = 0
     semantic_attempts = semantic_successes = 0

@@ -58,6 +58,8 @@ class MemoryError(ValueError):
 # arithmetic of the report. Constructors of package types check it, so
 # whatever they build, the wire codec can carry.
 MAX_INT = 2**53
+# The reference set of every item without references.
+_NO_REFS: frozenset[str] = frozenset()
 
 
 def tokenize(text: str) -> list[str]:
@@ -174,8 +176,8 @@ class MemoryItem:
     id: str
     tier: MemoryTier
     content: str
-    referenced_files: frozenset[str] = frozenset()
-    referenced_symbols: frozenset[str] = frozenset()
+    referenced_files: frozenset[str] = _NO_REFS
+    referenced_symbols: frozenset[str] = _NO_REFS
     created_at_step: int = 0
     embedding: tuple[float, ...] = ()
 
@@ -186,8 +188,8 @@ class MemoryItem:
             raise MemoryError(f"item {self.id}: created_at_step must be in [0, 2**53]")
         if not isinstance(self.tier, MemoryTier):
             object.__setattr__(self, "tier", MemoryTier(self.tier))
-        object.__setattr__(self, "referenced_files", frozenset(self.referenced_files))
-        object.__setattr__(self, "referenced_symbols", frozenset(self.referenced_symbols))
+        object.__setattr__(self, "referenced_files", frozenset(self.referenced_files) or _NO_REFS)
+        object.__setattr__(self, "referenced_symbols", frozenset(self.referenced_symbols) or _NO_REFS)
         object.__setattr__(self, "created_at_step", int(self.created_at_step))
         embedding = self.embedding
         # A tuple of exact floats is kept as given, so items whose content
@@ -555,19 +557,18 @@ def make_item(
     tier: MemoryTier | str,
     content: str,
     embedder: Embedder,
-    referenced_files: Iterable[str] = frozenset(),
-    referenced_symbols: Iterable[str] = frozenset(),
+    referenced_files: Iterable[str] = (),
+    referenced_symbols: Iterable[str] = (),
     created_at_step: int = 0,
 ) -> MemoryItem:
-    """Build an item with its embedding derived from its content. The
-    defaults are frozensets, so items without references share them."""
+    """Build an item with its embedding derived from its content."""
     return MemoryItem(
         id=item_id,
-        tier=MemoryTier(tier),
+        tier=tier,
         content=content,
-        referenced_files=frozenset(referenced_files),
-        referenced_symbols=frozenset(referenced_symbols),
+        referenced_files=referenced_files,
+        referenced_symbols=referenced_symbols,
         created_at_step=created_at_step,
-        embedding=tuple(embedder(content)),
+        embedding=embedder(content),
     )
 

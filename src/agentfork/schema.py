@@ -24,10 +24,10 @@ of ``SimulatorConfig`` and ``GenerateParams`` from their dataclasses.
 ``package_bytes`` writes a package's compact wire text straight from
 the same tables, byte for byte what ``json.dumps`` (``ensure_ascii=False``,
 ``allow_nan=False``, no spaces) writes for its ``encode`` object, without
-building that object. It collects the text as a list of byte strings
-and joins them once. Each distinct float is formatted once per call, up
-to ``FLOAT_MEMO`` of them, and each memory item once per item: its bytes
-are kept on the item and copied into every later package.
+building that object: one ``write`` per type appends a value's UTF-8
+parts to a list, joined once. Each distinct float is formatted once per
+call, up to ``FLOAT_MEMO`` of them, and each memory item once per item:
+its bytes are kept on the item and copied into every later package.
 """
 
 from __future__ import annotations
@@ -159,34 +159,21 @@ def _maybe_negative_zero(values) -> bool:
 
 class Type:
     """A JSON value: ``parse(value, parent, key, p)`` checks and builds
-    it, ``encode`` builds its JSON object, ``wire`` returns its compact
-    wire text, ``wire_bytes`` that text in UTF-8, and ``write`` appends
-    it to a list of byte strings. ``floats`` is the float memo of one
+    it, ``encode`` builds its JSON object, and ``write(value, out,
+    floats)``, the one wire writer per type, appends its compact wire
+    text to ``out`` as UTF-8 parts. ``floats`` is the float memo of one
     ``package_bytes`` call."""
 
     def encode(self, value, fmt: str):
         return value
-
-    def wire_items(self, values, floats) -> str:
-        """The wire texts of a list's elements, comma-separated."""
-        return ",".join([self.wire(v, floats) for v in values])
-
-    def wire_bytes(self, value, floats) -> bytes:
-        return self.wire(value, floats).encode()
-
-    def write(self, value, out: list[bytes], floats) -> None:
-        out.append(self.wire_bytes(value, floats))
 
 
 class Str(Type):
     def __init__(self, nonempty: bool = False):
         self.nonempty = nonempty
 
-    def wire(self, value, floats):
-        return encode_basestring(value)
-
-    def wire_items(self, values, floats):
-        return ",".join(map(encode_basestring, values))
+    def write(self, value, out, floats):
+        out.append(encode_basestring(value).encode())
 
     def parse(self, value, parent, key, p: _Pass):
         if not isinstance(value, str):
@@ -230,8 +217,8 @@ class Int(Type):
             return p.fail("out_of_range", parent, key, _range_message(value, self.lo, self.hi))
         return value
 
-    def wire(self, value, floats):
-        return int.__repr__(value)
+    def write(self, value, out, floats):
+        out.append(int.__repr__(value).encode())
 
 
 class Num(Type):
@@ -253,11 +240,8 @@ class Num(Type):
             return p.fail("out_of_range", parent, key, _range_message(value, self.lo, self.hi))
         return number
 
-    def wire(self, value, floats):
-        return _finite(float.__repr__(value))
-
-    def wire_items(self, values, floats):
-        return floats.join(values)
+    def write(self, value, out, floats):
+        out.append(_finite(float.__repr__(value)).encode())
 
 
 class OneOf(Type):
@@ -266,7 +250,7 @@ class OneOf(Type):
     def __init__(self, enum: type[Enum]):
         self.enum = enum
         self.members = {m.value: m for m in enum}
-        self.texts = {m: encode_basestring(m.value) for m in enum}
+        self.texts = {m: encode_basestring(m.value).encode() for m in enum}
 
     def parse(self, value, parent, key, p: _Pass):
         if not isinstance(value, str):
@@ -278,8 +262,8 @@ class OneOf(Type):
     def encode(self, value, fmt):
         return value.value
 
-    def wire(self, value, floats):
-        return self.texts[value]
+    def write(self, value, out, floats):
+        out.append(self.texts[value])
 
 
 class Nullable(Type):
@@ -292,8 +276,11 @@ class Nullable(Type):
     def encode(self, value, fmt):
         return None if value is None else self.inner.encode(value, fmt)
 
-    def wire(self, value, floats):
-        return "null" if value is None else self.inner.wire(value, floats)
+    def write(self, value, out, floats):
+        if value is None:
+            out.append(b"null")
+        else:
+            self.inner.write(value, out, floats)
 
 
 class ListOf(Type):
@@ -306,6 +293,7 @@ class ListOf(Type):
     ):
         self.item, self.unique, self.nonempty, self.sort = item, unique, nonempty, sort
         self.plain = type(item).encode is Type.encode
+        self.numbers = type(item) is Num
         self.strings = type(item) is Str and not item.nonempty
 
     def parse(self, value, parent, key, p: _Pass):
@@ -335,18 +323,16 @@ class ListOf(Type):
             return sorted(value)
         return list(value) if self.plain else [self.item.encode(v, fmt) for v in value]
 
-    def wire(self, value, floats):
-        return "[" + self.item.wire_items(sorted(value) if self.sort else value, floats) + "]"
-
     def write(self, value, out, floats):
-        # One part per element: no copy of the whole list's text.
-        wire_bytes = self.item.wire_bytes
-        out.append(b"[")
+        if self.numbers:
+            # An embedding: one part, its floats formatted through the memo.
+            out.append(b"[" + floats.join(value).encode() + b"]")
+            return
+        write = self.item.write
         for i, element in enumerate(sorted(value) if self.sort else value):
-            if i:
-                out.append(b",")
-            out.append(wire_bytes(element, floats))
-        out.append(b"]")
+            out.append(b"," if i else b"[")
+            write(element, out, floats)
+        out.append(b"]" if value else b"[]")
 
 
 class MapOf(Type):
@@ -365,10 +351,12 @@ class MapOf(Type):
     def encode(self, value, fmt):
         return {k: self.value_type.encode(v, fmt) for k, v in dict(value).items()}
 
-    def wire(self, value, floats):
-        wire = self.value_type.wire
-        pairs = [encode_basestring(k) + ":" + wire(v, floats) for k, v in dict(value).items()]
-        return "{" + ",".join(pairs) + "}"
+    def write(self, value, out, floats):
+        write = self.value_type.write
+        for i, (k, v) in enumerate(dict(value).items()):
+            out.append((("," if i else "{") + encode_basestring(k) + ":").encode())
+            write(v, out, floats)
+        out.append(b"}" if value else b"{}")
 
 
 @dataclass(frozen=True)
@@ -407,7 +395,7 @@ class Table(Type):
             attr = f.attr or f.key
             entry = (f.key, attr, f.type, f.default)
             getter = f.get or attrgetter(attr)
-            prefix = ("," if self.writers else "{") + encode_basestring(f.key) + ":"
+            prefix = (("," if self.writers else "{") + encode_basestring(f.key) + ":").encode()
             self.writers.append((prefix, getter, f.type))
             for fmt in (WIRE, FILE):
                 if fmt == WIRE or f.file:
@@ -455,13 +443,9 @@ class Table(Type):
     def encode(self, value, fmt: str) -> dict:
         return {key: enc(get(value), fmt) for key, get, enc in self.encoders[fmt]}
 
-    def wire(self, value, floats):
-        parts = [prefix + type_.wire(get(value), floats) for prefix, get, type_ in self.writers]
-        return "".join(parts) + "}"
-
     def write(self, value, out, floats):
         for prefix, get, type_ in self.writers:
-            out.append(prefix.encode())
+            out.append(prefix)
             type_.write(get(value), out, floats)
         out.append(b"}")
 
@@ -475,12 +459,14 @@ class _ItemTable(Table):
     on every attempt. Items are frozen, so the bytes never go stale.
     """
 
-    def wire_bytes(self, item, floats):
+    def write(self, item, out, floats):
         data = item._wire
         if data is None:
-            data = self.wire(item, floats).encode()
+            parts: list[bytes] = []
+            super().write(item, parts, floats)
+            data = b"".join(parts)
             object.__setattr__(item, "_wire", data)
-        return data
+        out.append(data)
 
 
 def parse(table: Table, data, fmt: str, root: str | None = None):
@@ -752,11 +738,15 @@ CONFLICTS = Table(
 )
 
 
-
-def _check_memory_ids(fields: dict) -> None:
+def _check_memory(fields: dict) -> None:
     for item in fields["memory"]:
         if ":" in item["item_id"]:
             raise ValueError(f"id {item['item_id']!r} contains ':', kept for the items a run adds")
+    # A run's memory step starts at the newest item's and advances once
+    # per trajectory step; the items it adds carry it.
+    last = max((item["created_at_step"] for item in fields["memory"]), default=0)
+    if last + len(fields["trajectory"]) - 1 > MAX_INT:
+        raise ValueError(f"newest created_at_step {last} plus the trajectory's steps passes 2**53")
 
 
 # A workload file parses to the keyword arguments of its fields; the
@@ -775,7 +765,7 @@ WORKLOAD = Table(
         Field("child_outcomes", MapOf(OUTCOME), default={}),
         Field("conflicts", Nullable(CONFLICTS), default=None),
     ],
-    checks=[("memory", _check_memory_ids)],
+    checks=[("memory", _check_memory)],
 )
 
 def package_bytes(package: SpawnPackage | ResumePackage) -> bytes:

@@ -77,6 +77,8 @@ def test_run_bad_config_exits_nonzero(tmp_path, capsys):
         ({"max_spawn_depth": 0}, "max_spawn_depth"),
         ({"concurrent_spawn_limit": 0}, "concurrent_spawn_limit"),
         ({"embedding_dim": 64}, "embedding_dim"),
+        ({"step_duration_secs": 1e308}, "step_duration_secs"),
+        ({"child_timeout_secs": 1e308, "cooldown_steps": 0}, "child_timeout_secs"),
     ],
 )
 def test_run_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, config, key):

@@ -431,6 +431,7 @@ VALIDATOR_PROBES = [
     ("overlapping_diffs_in_one_outcome", _overlapping_diffs, f"{OUTCOME}.diffs"),
     ("misspelled_key", _misspelled_key, f"{OUTCOME}.tokens_usd"),
     ("memory_id_of_a_replayed_item", _set(("memory", 0, "id"), "spawn-0001:output"), "memory"),
+    ("memory_step_past_2_53", _set(("memory", 0, "created_at_step"), 2**53), "memory"),
 ]
 
 

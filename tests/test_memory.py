@@ -170,13 +170,22 @@ def test_compute_relevance_age_zero_temporal_is_one(embedder):
 
 
 def test_make_item_without_references_shares_one_empty_set(embedder):
-    # A run adds episodic items without references; fresh empty
-    # frozensets would cost two allocations per item.
-    first = make_item("a", MemoryTier.EPISODIC, "one", embedder)
-    second = make_item("b", MemoryTier.EPISODIC, "two", embedder)
-    assert first.referenced_files == second.referenced_symbols == frozenset()
-    assert first.referenced_files is second.referenced_files
-    assert first.referenced_symbols is second.referenced_symbols
+    # A run adds episodic items without references, and a workload file
+    # lists empty ones; fresh empty frozensets would cost two
+    # allocations per item.
+    items = [
+        make_item("a", MemoryTier.EPISODIC, "one", embedder),
+        make_item("b", MemoryTier.EPISODIC, "two", embedder, referenced_files=(), referenced_symbols=[]),
+        make_item("c", "semantic", "three", embedder, referenced_files=[], referenced_symbols=()),
+        MemoryItem("d", MemoryTier.WORKING, "four"),
+        MemoryItem("e", MemoryTier.WORKING, "five", referenced_files=[], referenced_symbols=()),
+        MemoryItem("f", MemoryTier.WORKING, "six", referenced_files=(), referenced_symbols=set()),
+    ]
+    first = items[0]
+    assert first.referenced_files == first.referenced_symbols == frozenset()
+    for item in items:
+        assert item.referenced_files is first.referenced_files
+        assert item.referenced_symbols is first.referenced_files
 
 
 def test_compute_relevance_dimension_mismatch(embedder):

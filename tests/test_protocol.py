@@ -345,10 +345,10 @@ def test_item_text_is_reused_when_a_package_is_encoded_twice(monkeypatch):
     first = encode_package(package)
     assert first == _reference_bytes(package)
 
-    def format_again(item, floats):
+    def format_again(item):
         raise AssertionError(f"item {item.id} formatted twice")
 
-    monkeypatch.setattr(schema.ITEM, "wire", format_again)
+    monkeypatch.setattr(schema.ITEM, "writers", [(b"{", format_again, schema.TEXT)])
     assert encode_package(package) == first
 
 
