@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import schema
-from .memory import MAX_INT, RelevanceWeights
-from .policy import SpawnPolicyConfig
+from .memory import MAX_INT, MemoryError, RelevanceWeights
+from .policy import PolicyError, SpawnPolicyConfig
 
 ConfigError = schema.InputError
 
@@ -58,23 +58,29 @@ class SimulatorConfig:
         return schema.parse_file(CONFIG, schema.read_json(path), path)
 
     def validate(self) -> None:
-        # The policy and relevance range checks live in the sub-configs they feed.
-        self.policy_config()
-        self.relevance_weights()
-        # At most 2**53 s each, so every sum of steps and child times on
-        # the virtual clock stays finite.
-        if not 0 < self.child_timeout_secs <= MAX_INT:
-            raise ValueError("child_timeout_secs must be in (0, 2**53]")
-        if not 0 < self.step_duration_secs <= MAX_INT:
-            raise ValueError("step_duration_secs must be in (0, 2**53]")
-        if not 0.0 <= self.memory_threshold <= 1.0:
-            raise ValueError("memory_threshold must be in [0, 1]")
-        if not 0.0 <= self.semantic_merge_p <= 1.0:
-            raise ValueError("semantic_merge_p must be in [0, 1]")
-        if not 0.0 <= self.promote_threshold <= 1.0:
-            raise ValueError("promote_threshold must be in [0, 1]")
-        if not (0 <= self.price_per_1k_tokens < math.inf and 0 <= self.price_per_api_call < math.inf):
-            raise ValueError("unit prices must be finite and >= 0")
+        # The policy and relevance rules live in the sub-configs they feed.
+        # A rule that reads one key raises a FieldError naming it, so a file
+        # reports it at that key; the weight sums stay at the top level.
+        try:
+            self.policy_config()
+            self.relevance_weights()
+        except (PolicyError, MemoryError) as exc:
+            if exc.field is None:
+                raise
+            raise schema.FieldError(_SUB_CONFIG_KEYS.get(exc.field, exc.field), str(exc)) from None
+        for key, ok, rule in (
+            # At most 2**53 s each, so every sum of steps and child times
+            # on the virtual clock stays finite.
+            ("child_timeout_secs", 0 < self.child_timeout_secs <= MAX_INT, "in (0, 2**53]"),
+            ("step_duration_secs", 0 < self.step_duration_secs <= MAX_INT, "in (0, 2**53]"),
+            ("memory_threshold", 0.0 <= self.memory_threshold <= 1.0, "in [0, 1]"),
+            ("semantic_merge_p", 0.0 <= self.semantic_merge_p <= 1.0, "in [0, 1]"),
+            ("promote_threshold", 0.0 <= self.promote_threshold <= 1.0, "in [0, 1]"),
+            ("price_per_1k_tokens", 0 <= self.price_per_1k_tokens < math.inf, "finite and >= 0"),
+            ("price_per_api_call", 0 <= self.price_per_api_call < math.inf, "finite and >= 0"),
+        ):
+            if not ok:
+                raise schema.FieldError(key, f"{key} must be {rule}")
 
     def policy_config(self) -> SpawnPolicyConfig:
         return SpawnPolicyConfig(
@@ -94,5 +100,8 @@ class SimulatorConfig:
             lambda_decay=self.lambda_decay,
         )
 
+
+# The config key of each sub-config field whose name differs from it.
+_SUB_CONFIG_KEYS = {f"weights[{i}]": f"w{i + 1}" for i in range(5)} | {"delta_w": "delta"}
 
 CONFIG = schema.flat_table(SimulatorConfig)

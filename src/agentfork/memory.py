@@ -18,6 +18,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import compress
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -50,7 +51,13 @@ TIER_ORDER = (MemoryTier.EPISODIC, MemoryTier.SEMANTIC, MemoryTier.WORKING)
 
 
 class MemoryError(ValueError):
-    """Raised on store invariant violations (duplicate ids, bad dims)."""
+    """Raised on store invariant violations (duplicate ids, bad dims).
+    ``field`` names the one field a rule read, for a rule of
+    ``RelevanceWeights`` that reads one field."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 # The largest integer a package or workload file may carry: beyond 2**53
@@ -60,6 +67,13 @@ class MemoryError(ValueError):
 MAX_INT = 2**53
 # The reference set of every item without references.
 _NO_REFS: frozenset[str] = frozenset()
+# Slack on the bound gamma + delta_w at which a slice prunes. With both
+# embedding norms zero or inside _SCALE, a cosine rounds above 1 by about
+# 2*dim ulps at most, under 2**-20 for any dim below 2**32. Outside it,
+# squares and products fall among the subnormals and a cosine can round
+# to 1.5, so a slice prunes only inside it.
+_SLACK = 1e-6
+_SCALE = (2.0**-400, 2.0**400)
 
 
 def tokenize(text: str) -> list[str]:
@@ -223,12 +237,13 @@ class RelevanceWeights:
 
     def __post_init__(self):
         parts = (self.alpha, self.beta, self.gamma, self.delta_w)
-        if not all(w >= 0 for w in parts):
-            raise MemoryError(f"relevance weights must be nonnegative: {parts}")
+        for name, w in zip(("alpha", "beta", "gamma", "delta_w"), parts):
+            if not w >= 0:
+                raise MemoryError(f"relevance weights must be nonnegative: {parts}", name)
         if not abs(sum(parts) - 1.0) <= 1e-9:
             raise MemoryError(f"relevance weights must sum to 1, got {sum(parts)}")
         if not 0 < self.lambda_decay < math.inf:
-            raise MemoryError("lambda_decay must be positive and finite")
+            raise MemoryError("lambda_decay must be positive and finite", "lambda_decay")
 
 
 class MemoryStore:
@@ -244,7 +259,8 @@ class MemoryStore:
     ``add`` also indexes the item for :func:`slice_memory`, so a slice
     computes only task-side terms: per tier and parallel to its items,
     each embedding's L2 norm, and for every keyword and every reference
-    the positions of the items that hold it.
+    the positions of the items that hold it. It also counts the items
+    whose embedding norm is off scale (see :func:`_off_scale`).
     """
 
     def __init__(self, embedding_dim: int, current_step: int = 0):
@@ -260,6 +276,7 @@ class MemoryStore:
         self._norms = {t: array("d") for t in TIER_ORDER}
         self._keyword_postings = {t: defaultdict(_positions) for t in TIER_ORDER}
         self._ref_postings = {t: defaultdict(_positions) for t in TIER_ORDER}
+        self._off_scale_items = 0
         self._ids: set[str] = set()
 
     @property
@@ -288,7 +305,9 @@ class MemoryStore:
         tier = item.tier
         position = len(self._tiers[tier])
         self._tiers[tier].append(item)
-        self._norms[tier].append(norm(item.embedding))
+        length = norm(item.embedding)
+        self._norms[tier].append(length)
+        self._off_scale_items += _off_scale(length)
         _post(self._keyword_postings[tier], extract_keywords(item.content), position)
         _post(self._ref_postings[tier], item.references, position)
         self._ids.add(item.id)
@@ -296,15 +315,17 @@ class MemoryStore:
         self._version += 1
 
     def _indexed(
-        self, keywords: frozenset[str], refs: frozenset[str]
+        self, keywords: frozenset[str], refs: frozenset[str], hits_only: bool
     ) -> Iterator[tuple[MemoryItem, float, int, int]]:
-        """``(item, embedding norm, keyword hits, reference hits)`` for
-        every item in store order, the hits counted from the postings."""
+        """``(item, embedding norm, keyword hits, reference hits)`` in
+        store order, the hits counted from the postings: for every item,
+        or with ``hits_only`` for the items with at least one hit."""
         for tier in TIER_ORDER:
             items = self._tiers[tier]
             keyword_hits = _hits(self._keyword_postings[tier], keywords, len(items))
             ref_hits = _hits(self._ref_postings[tier], refs, len(items))
-            yield from zip(items, self._norms[tier], keyword_hits, ref_hits)
+            rows = zip(items, self._norms[tier], keyword_hits, ref_hits)
+            yield from compress(rows, map(operator.or_, keyword_hits, ref_hits)) if hits_only else rows
 
     def items(self) -> Iterator[MemoryItem]:
         for tier in TIER_ORDER:
@@ -364,6 +385,11 @@ def _positions() -> array:
 def _post(postings: defaultdict[str, array], terms: Iterable[str], position: int) -> None:
     for term in terms:
         postings[term].append(position)
+
+
+def _off_scale(length: float) -> bool:
+    """Whether an embedding norm is nonzero and outside ``_SCALE``."""
+    return length != 0.0 and not _SCALE[0] <= length <= _SCALE[1]
 
 
 def _hits(postings: defaultdict[str, array], terms: Iterable[str], size: int) -> list[int]:
@@ -508,6 +534,15 @@ def slice_memory(
     excluded. The store is not modified. Keyword and reference hits come
     from the store's postings, and the dot product from :func:`dot_with`,
     exact here because item embeddings are finite.
+
+    An item with no keyword and no reference hit scores
+    ``gamma * recency + delta_w * cosine``, at most ``gamma + delta_w``
+    up to the cosine's rounding above 1, which ``_SLACK`` covers while
+    the task's and every item's embedding norm is zero or inside
+    ``_SCALE``. So when ``threshold >= gamma + delta_w + _SLACK`` and
+    those norms are in scale, only the items in the task's keyword or
+    reference postings are scored; otherwise every item is. The kept
+    items are the same either way.
     """
     if not 0.0 <= threshold <= 1.0:
         raise MemoryError(f"threshold must be in [0, 1], got {threshold}")
@@ -518,11 +553,17 @@ def slice_memory(
         )
     now = store.current_step
     keywords, refs = _task_terms(task)
-    score = _relevance_scorer(keywords, refs, norm(task_embedding), weights, now)
+    task_norm = norm(task_embedding)
+    score = _relevance_scorer(keywords, refs, task_norm, weights, now)
     dot = dot_with(task_embedding)
+    hits_only = (
+        threshold >= weights.gamma + weights.delta_w + _SLACK
+        and not store._off_scale_items
+        and not _off_scale(task_norm)
+    )
     kept = tuple(
         item
-        for item, item_norm, keyword_hits, ref_hits in store._indexed(keywords, refs)
+        for item, item_norm, keyword_hits, ref_hits in store._indexed(keywords, refs, hits_only)
         if score(keyword_hits, ref_hits, item.created_at_step, dot(item.embedding), item_norm) > threshold
     )
     return MemorySlice(items=kept, source_store_step=now, threshold_used=threshold)

@@ -15,7 +15,12 @@ from enum import Enum
 
 
 class PolicyError(ValueError):
-    pass
+    """A bad policy input. ``field`` names the one field a rule read,
+    for a rule that reads one field."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class SpawnAction(str, Enum):
@@ -143,18 +148,19 @@ class SpawnPolicyConfig:
     def __post_init__(self):
         if len(self.weights) != 5:
             raise PolicyError("exactly five weights required")
-        if not all(w >= 0 for w in self.weights):
-            raise PolicyError("weights must be nonnegative")
+        for i, w in enumerate(self.weights):
+            if not w >= 0:
+                raise PolicyError("weights must be nonnegative", f"weights[{i}]")
         if not abs(sum(self.weights) - 1.0) <= 1e-9:
             raise PolicyError(f"weights must sum to 1, got {sum(self.weights)}")
         if not 0.0 <= self.spawn_threshold <= 1.0:
-            raise PolicyError("spawn_threshold must be in [0, 1]")
+            raise PolicyError("spawn_threshold must be in [0, 1]", "spawn_threshold")
         if self.max_spawn_depth < 1:
-            raise PolicyError("max_spawn_depth must be positive")
+            raise PolicyError("max_spawn_depth must be positive", "max_spawn_depth")
         if self.concurrent_spawn_limit < 1:
-            raise PolicyError("concurrent_spawn_limit must be positive")
+            raise PolicyError("concurrent_spawn_limit must be positive", "concurrent_spawn_limit")
         if self.cooldown_steps < 0:
-            raise PolicyError("cooldown_steps must be >= 0")
+            raise PolicyError("cooldown_steps must be >= 0", "cooldown_steps")
 
 
 @dataclass(frozen=True)

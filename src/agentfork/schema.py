@@ -14,7 +14,8 @@ numbers must be finite and strings must be encodable as UTF-8. ``encode``
 builds the JSON object of a value from its table; ``parse`` checks and
 builds in one pass and returns the value or a list of ``(kind, path,
 message)`` errors. A ``ValueError`` raised by a constructor becomes an
-error at the path of the object it was building.
+error at the path of the object it was building, and a ``FieldError``
+one at the path of the key it names.
 
 ``read_json`` opens every input file, and ``parse_file`` parses its
 value in the file format; both raise ``InputError``, whose lines name
@@ -89,6 +90,15 @@ class InputError(ValueError):
     def __init__(self, *errors: str):
         self.errors = errors
         super().__init__("; ".join(errors))
+
+
+class FieldError(ValueError):
+    """A value rule that one key of a table breaks: ``Table.parse``
+    reports it at that key, not at the object."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
 
 
 class _Pass:
@@ -431,6 +441,8 @@ class Table(Type):
             return _BAD
         try:
             built = self.build[fmt](**kwargs)
+        except FieldError as exc:
+            return p.fail("bad_value", here, exc.key, str(exc))
         except ValueError as exc:
             return p.fail("bad_value", parent, key, str(exc))
         for name, check in self.checks:

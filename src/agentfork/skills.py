@@ -2,9 +2,11 @@
 
 A skill is a prompt template with named ``{placeholder}`` slots and a
 binding map. Children inherit the subset of the parent's library whose
-template is similar enough to the child task, bind task context into the
-slots, and may hand back newly learned skills that get promoted into the
-parent's library when their success statistic clears a bar.
+template is similar enough to the child task, with their bindings as
+the library holds them (``specialize`` binds task context into the
+slots, but no run path calls it), and may hand back newly learned skills
+that get promoted into the parent's library when their success statistic
+clears a bar.
 """
 
 from __future__ import annotations

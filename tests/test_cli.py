@@ -3,6 +3,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,6 +16,8 @@ from hypothesis import strategies as st
 from agentfork.cli import main
 from agentfork.harness.report import parse_machine_report
 from agentfork.harness.workload import bundled_workload_path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_run_writes_machine_report(tmp_path, capsys):
@@ -79,14 +84,30 @@ def test_run_bad_config_exits_nonzero(tmp_path, capsys):
         ({"embedding_dim": 64}, "embedding_dim"),
         ({"step_duration_secs": 1e308}, "step_duration_secs"),
         ({"child_timeout_secs": 1e308, "cooldown_steps": 0}, "child_timeout_secs"),
+        ({"memory_threshold": 2}, "memory_threshold"),
+        ({"semantic_merge_p": -0.5}, "semantic_merge_p"),
+        ({"promote_threshold": 1.5}, "promote_threshold"),
+        ({"price_per_1k_tokens": -1}, "price_per_1k_tokens"),
+        ({"price_per_api_call": -0.01}, "price_per_api_call"),
+        ({"spawn_threshold": 3.0}, "spawn_threshold"),
+        ({"cooldown_steps": -1}, "cooldown_steps"),
+        ({"lambda_decay": 0}, "lambda_decay"),
+        ({"w1": 0.4, "w2": -0.1}, "w2"),
+        ({"alpha": 0.6, "delta": -0.1}, "delta"),
+        ({"alpha": -0.1, "beta": 0.7}, "alpha"),
+        # Only a rule that spans keys is reported at the top level.
+        ({"w1": 0.9}, "$"),
+        ({"alpha": 0.5}, "$"),
     ],
 )
 def test_run_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, config, key):
+    """Every error is one line at the path of the key at fault."""
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps(config))
     code = main(["run", "--workload", "demo", "--config", str(config_path)])
     assert code == 2
-    assert key in capsys.readouterr().err
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"{config_path}: {key}: ")
 
 
 def test_out_of_range_message_names_only_existing_bounds(tmp_path, capsys):
@@ -113,6 +134,22 @@ def test_workload_embedding_dim_sets_the_embedder(tmp_path, capsys):
     summary = parse_machine_report(report_path.read_text())
     assert summary["status"] == "completed"
     assert summary["spawn_count"] == 1
+
+
+def test_python_m_agentfork_exits_with_the_cli_code(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    listed = subprocess.run(
+        [sys.executable, "-m", "agentfork", "validate", "--list"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert listed.returncode == 0
+    assert "demo" in listed.stdout.split()
+    missing = subprocess.run(
+        [sys.executable, "-m", "agentfork", "run", "--workload", "demo", "--config", "absent.json"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert missing.returncode == 2
+    assert "absent.json: no such file" in missing.stderr
 
 
 def test_run_missing_config_file_exits_2(tmp_path, capsys):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from agentfork import memory
 from agentfork.memory import (
     EMBED_MEMO,
     DefaultEmbedder,
@@ -223,6 +224,44 @@ def test_slice_strict_threshold_and_order(embedder):
     assert list(sliced.items) == oracle
     assert sliced.threshold_used == threshold
     assert sliced.source_store_step == store.current_step
+
+
+def test_slice_above_gamma_plus_delta_scores_only_the_items_its_postings_reach(embedder, monkeypatch):
+    """With the default weights (gamma + delta_w = 0.4), a slice at 0.5
+    takes the dot product of exactly the items that share a keyword or a
+    reference with the task, in store order; at 0.3, of every item."""
+    store = MemoryStore(DIM, current_step=3)
+    contents = ["parser cache", "queue worker", "json header", "retry budget", "schema lock", "parser json"]
+    for n, content in enumerate(contents):
+        store.add(
+            make_item(
+                f"m{n}", list(MemoryTier)[n % 3], content, embedder,
+                referenced_files=["src/config.py"] if n == 4 else (), created_at_step=n % 4,
+            )
+        )
+    task = TaskSpec(description="fix the parser for json", referenced_files=frozenset({"src/config.py"}))
+    seen = []
+    dot_with = memory.dot_with
+
+    def counting_dot_with(vector):
+        dot = dot_with(vector)
+
+        def counted(embedding):
+            seen.append(embedding)
+            return dot(embedding)
+
+        return counted
+
+    monkeypatch.setattr(memory, "dot_with", counting_dot_with)
+    reached = {"m0", "m2", "m4", "m5"}
+    for threshold, scored in ((0.5, [i for i in store.items() if i.id in reached]), (0.3, list(store.items()))):
+        seen.clear()
+        sliced = slice_memory(store, task, threshold, RelevanceWeights(), embedder)
+        assert [id(e) for e in seen] == [id(i.embedding) for i in scored]
+        assert list(sliced.items) == [
+            i for i in store.items()
+            if compute_relevance(i, task, RelevanceWeights(), store.current_step, embedder) > threshold
+        ]
 
 
 def test_slice_is_read_only(embedder):
@@ -523,6 +562,38 @@ _TASK_VECTOR = st.one_of(
 )
 _CONTENT = st.lists(st.sampled_from(WORDS[:6] + _NOISE), max_size=6).map(" ".join)
 _REFS = st.lists(st.sampled_from(FILES + SYMBOLS), max_size=3)
+# The default split (gamma + delta_w = 0.4), gamma + delta_w = 1 (no cut
+# can prune), alpha = 0, beta = 0, and splits drawn freely.
+_WEIGHTS = st.one_of(
+    st.sampled_from(
+        [
+            RelevanceWeights(),
+            RelevanceWeights(0.3, 0.2, 0.1, 0.4, lambda_decay=0.3),
+            RelevanceWeights(0.0, 0.0, 0.5, 0.5),
+            RelevanceWeights(0.0, 0.6, 0.2, 0.2),
+            RelevanceWeights(0.6, 0.0, 0.3, 0.1),
+        ]
+    ),
+    st.builds(
+        lambda a, b, c, d, decay: RelevanceWeights(
+            a / (a + b + c + d), b / (a + b + c + d), c / (a + b + c + d),
+            max(0.0, 1.0 - (a + b + c) / (a + b + c + d)), lambda_decay=decay,
+        ),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.01, 1.0),
+        st.sampled_from([0.001, 0.3, 5.0]),
+    ),
+)
+# A parallel embedding whose cosine rounds above 1: 3 / (sqrt(3) * sqrt(3))
+# is 1.0000000000000002.
+_PARALLEL = (1.0, 1.0, 1.0, 0.0)
+# Two embeddings whose squares and products fall among the subnormals,
+# where rounding carries their cosine to 1.5.
+_TINY = math.sqrt(5e-324)
+_SUBNORMAL_ITEM = (0.7 * _TINY, 0.7 * _TINY, _TINY, 0.0)
+_SUBNORMAL_TASK = (0.72 * _TINY, 0.72 * _TINY, _TINY, 0.0)
 _OPS = st.lists(
     st.one_of(
         st.tuples(
@@ -536,22 +607,35 @@ _OPS = st.lists(
 
 
 @settings(max_examples=150, deadline=None)
-@example(ops=[], description="parser", task_vector=(0.0,) * _PDIM, task_refs=[], threshold=0.0)
+@example(
+    ops=[], description="parser", task_vector=(0.0,) * _PDIM, task_refs=[], threshold=0.0,
+    weights=RelevanceWeights(0.3, 0.2, 0.1, 0.4, lambda_decay=0.3),
+)
+@example(
+    ops=[("add", MemoryTier.EPISODIC, "cache", [], [], _PARALLEL, 0)], description="parser",
+    task_vector=_PARALLEL, task_refs=[], threshold=0.4, weights=RelevanceWeights(),
+)
+@example(
+    ops=[("add", MemoryTier.SEMANTIC, "cache", [], [], _SUBNORMAL_ITEM, 0)], description="parser",
+    task_vector=_SUBNORMAL_TASK, task_refs=[], threshold=0.45, weights=RelevanceWeights(),
+)
 @given(
     ops=_OPS,
     description=_CONTENT.filter(bool),
     task_vector=_TASK_VECTOR,
     task_refs=_REFS,
     threshold=st.floats(0.0, 1.0),
+    weights=_WEIGHTS,
 )
 def test_indexed_slice_keeps_what_the_per_item_reference_keeps(
-    ops, description, task_vector, task_refs, threshold
+    ops, description, task_vector, task_refs, threshold, weights
 ):
     """Every store an add/advance_to/snapshot_store sequence passes
     through slices exactly as the literal reference scores it, with a
-    custom embedder whose vectors have negative and zero components."""
+    custom embedder whose vectors have negative and zero components, at
+    cuts on both sides of gamma + delta_w, above which the slice scores
+    only the items its postings reach."""
     embedder = _FixedEmbedder(task_vector)
-    weights = RelevanceWeights(0.3, 0.2, 0.1, 0.4, lambda_decay=0.3)
     task = TaskSpec(
         description=description,
         referenced_files=frozenset(r for r in task_refs if r in FILES),
@@ -584,7 +668,8 @@ def test_indexed_slice_keeps_what_the_per_item_reference_keeps(
         }
         for item in store.items():
             assert compute_relevance(item, task, weights, now, embedder) == expected[item.id]
-        for cut in (0.0, 0.25, 0.5, threshold):
+        bound = min(1.0, weights.gamma + weights.delta_w)
+        for cut in (0.0, 0.25, 0.5, bound, math.nextafter(bound, 1.0), 1.0, threshold):
             sliced = slice_memory(store, task, cut, weights, embedder)
             assert [i.id for i in sliced.items] == [i.id for i in store.items() if expected[i.id] > cut]
 
