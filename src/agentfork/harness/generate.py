@@ -44,31 +44,34 @@ class GenerateParams:
         return schema.parse_file(PARAMS, schema.read_json(path), path)
 
     def validate(self) -> None:
-        errors = []
-        if self.item_count < 1:
-            errors.append("item_count must be >= 1")
-        if not 0.0 <= self.relevance_target_quantile <= 1.0:
-            errors.append("relevance_target_quantile must be in [0, 1]")
+        # A rule that reads one key raises a FieldError naming it, so a file
+        # reports it at that key; only the spike step's upper bound reads two.
+        for key, ok, rule in (
+            ("item_count", self.item_count >= 1, ">= 1"),
+            ("relevance_target_quantile", 0.0 <= self.relevance_target_quantile <= 1.0, "in [0, 1]"),
+            ("p_semantic", self.p_semantic is None or 0.0 <= self.p_semantic <= 1.0, "in [0, 1]"),
+            ("conflict_count", self.conflict_count >= 0, ">= 0"),
+            ("spike_step", self.spike_step >= 0, ">= 0"),
+            ("embedding_dim", 1 <= self.embedding_dim <= schema.MAX_EMBEDDING_DIM, f"in [1, {schema.MAX_EMBEDDING_DIM}]"),
+        ):
+            if not ok:
+                raise schema.FieldError(key, f"{key} must be {rule}")
         mix = self.conflict_mix
         if mix is not None:
             if len(mix) != 3:
-                errors.append("conflict_mix must hold three numbers")
+                rule = "must hold three numbers"
             elif any(not 0.0 <= v <= 1.0 for v in mix):
-                errors.append("conflict_mix entries must be in [0, 1]")
+                rule = "entries must be in [0, 1]"
             elif abs(sum(mix) - 1.0) > 1e-6:
-                errors.append("conflict_mix must sum to 1")
+                rule = "must sum to 1"
             elif mix[0] >= 1.0 and mix[1] > 0:
-                errors.append("conflict_mix semantic share requires auto share < 1")
-        if self.p_semantic is not None and not 0.0 <= self.p_semantic <= 1.0:
-            errors.append("p_semantic must be in [0, 1]")
-        if self.conflict_count < 0:
-            errors.append("conflict_count must be >= 0")
-        if not 0 <= self.spike_step < self.trajectory_steps:
-            errors.append("spike_step must be >= 0 and below trajectory_steps")
-        if not 1 <= self.embedding_dim <= schema.MAX_EMBEDDING_DIM:
-            errors.append(f"embedding_dim must be in [1, {schema.MAX_EMBEDDING_DIM}]")
-        if errors:
-            raise ValueError("; ".join(errors))
+                rule = "semantic share requires auto share < 1"
+            else:
+                rule = None
+            if rule:
+                raise schema.FieldError("conflict_mix", f"conflict_mix {rule}")
+        if self.spike_step >= self.trajectory_steps:
+            raise ValueError("spike_step must be below trajectory_steps")
 
 
 PARAMS = schema.flat_table(GenerateParams)

@@ -153,14 +153,20 @@ def select_inherited_skills(
 ) -> list[Skill]:
     """Copies of library skills whose relevance strictly exceeds the
     library's inherit threshold, in library order, marked inherited.
-    The task is embedded once per call and each template once per skill;
-    each skill's copy is built once per library."""
+
+    The task is embedded once per call, and each distinct template is
+    embedded and scored once per call, in order of first appearance;
+    skills that share a template share its verdict. That gives the same
+    skills as scoring every skill because the embedder is a function of
+    its text, as the workload loader also assumes of memory contents.
+    Each skill's copy is built once per library."""
     similarity = _task_similarity(embedder(task.description))
-    return [
-        library._inherited_copy(skill)
-        for skill in library.skills()
-        if similarity(embedder(skill.template)) > library.inherit_threshold
-    ]
+    skills = library.skills()
+    passes = {
+        template: similarity(embedder(template)) > library.inherit_threshold
+        for template in dict.fromkeys(skill.template for skill in skills)
+    }
+    return [library._inherited_copy(skill) for skill in skills if passes[skill.template]]
 
 
 def specialize(skill: Skill, task_context: Mapping[str, str]) -> Skill:

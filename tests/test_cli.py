@@ -231,6 +231,31 @@ def test_generate_bad_params_exit_2_naming_the_key(tmp_path, capsys, text, key):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "params, key",
+    [
+        ({"item_count": 0, "embedding_dim": 0}, "item_count"),
+        ({"relevance_target_quantile": 1.5}, "relevance_target_quantile"),
+        ({"conflict_mix": [0.5, 0.5, 0.5]}, "conflict_mix"),
+        ({"conflict_mix": [1.0, 0.0, 0.5]}, "conflict_mix"),
+        ({"p_semantic": 2}, "p_semantic"),
+        ({"conflict_count": -1}, "conflict_count"),
+        ({"spike_step": -1}, "spike_step"),
+        ({"embedding_dim": 0}, "embedding_dim"),
+        # Only a rule that spans keys is reported at the top level.
+        ({"spike_step": 8, "trajectory_steps": 8}, "$"),
+    ],
+)
+def test_generate_bad_param_value_exits_2_at_the_key(tmp_path, capsys, params, key):
+    """A value rule is one line at the path of the key at fault."""
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps(params))
+    code = main(["generate", "--seed", "0", "--params", str(params_path), "--out", str(tmp_path / "g.json")])
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"{params_path}: {key}: ")
+
+
 def _unreadable(tmp_path: Path, kind: str) -> Path:
     path = tmp_path / f"{kind}.json"
     if kind == "directory":

@@ -56,10 +56,17 @@ def test_select_inherited_threshold_zero_takes_everything(embedder):
 
 
 def test_select_inherited_matches_brute_force_filter(embedder):
+    """Skills draw their templates from a small pool, so most libraries
+    hold skills that share a template and must share its verdict."""
     rng = random.Random(11)
-    for _ in range(20):
+    shared = partial = 0
+    for _ in range(60):
+        pool = [
+            " ".join(rng.choices(WORDS, k=rng.randint(1, 6))) + rng.choice(["", " {slot}"])
+            for _ in range(3)
+        ]
         library = SkillLibrary(
-            [random_skill(rng) for _ in range(rng.randint(0, 8))],
+            [Skill(id=f"s{n}", template=rng.choice(pool)) for n in range(rng.randint(0, 8))],
             inherit_threshold=rng.random(),
         )
         task = random_task(rng)
@@ -70,6 +77,9 @@ def test_select_inherited_matches_brute_force_filter(embedder):
             if skill_relevance(s, task, embedder) > library.inherit_threshold
         ]
         assert [s.id for s in chosen] == oracle
+        shared += len({s.template for s in library.skills()}) < len(library)
+        partial += 0 < len(chosen) < len(library)
+    assert shared > 20 and partial > 5
 
 
 def test_select_inherited_leaves_library_untouched(embedder):
@@ -124,16 +134,18 @@ class _CountingEmbedder:
         return default_embed(text, self.dim)
 
 
-def test_custom_embedder_embeds_every_template_on_every_selection():
+@pytest.mark.parametrize("templates", [12, 3], ids=["distinct_templates", "repeated_templates"])
+def test_custom_embedder_embeds_each_distinct_template_once_per_selection(templates):
     rng = random.Random(5)
-    skills = [Skill(id=f"s{n}", template=" ".join(rng.choices(WORDS, k=4)) + f" n{n}") for n in range(12)]
+    pool = [" ".join(rng.choices(WORDS, k=4)) + f" n{n}" for n in range(templates)]
+    skills = [Skill(id=f"s{n}", template=pool[n % templates]) for n in range(12)]
     library = SkillLibrary(skills, inherit_threshold=0.2)
     task = random_task(rng)
     embedder = _CountingEmbedder()
     first = select_inherited_skills(library, task, embedder)
     second = select_inherited_skills(library, task, embedder)
     assert first == second == select_inherited_skills(library, task, DefaultEmbedder(DIM))
-    assert embedder.calls == {task.description: 2, **{s.template: 2 for s in skills}}
+    assert embedder.calls == {task.description: 2, **{template: 2 for template in pool}}
 
 
 class _TableEmbedder:
