@@ -51,10 +51,7 @@ class WorkloadSpec:
 
     def build_store(self) -> MemoryStore:
         base_step = max((item.created_at_step for item in self.memory), default=0)
-        store = MemoryStore(self.embedding_dim, current_step=base_step)
-        for item in self.memory:
-            store.add(item)
-        return store
+        return MemoryStore(self.embedding_dim, base_step, self.memory)
 
     def build_library(self) -> SkillLibrary:
         return SkillLibrary(self.skills)

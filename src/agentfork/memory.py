@@ -256,14 +256,20 @@ class MemoryStore:
     proves isolation in O(1). ``token_count`` is the running whitespace
     word count of every item's content.
 
-    ``add`` also indexes the item for :func:`slice_memory`, so a slice
-    computes only task-side terms: per tier and parallel to its items,
-    each embedding's L2 norm, and for every keyword and every reference
-    the positions of the items that hold it. It also counts the items
-    whose embedding norm is off scale (see :func:`_off_scale`).
+    The store indexes its items for :func:`slice_memory`, so a slice
+    computes only task-side terms. Items that share their content and
+    their embedding tuple form one group, analysed once: its keywords,
+    its embedding's L2 norm and its word count. The index holds, for
+    every keyword, the ids of the groups whose content holds it, and per
+    tier, parallel to its items, each item's group id and embedding norm
+    and, for every reference, the positions of the items that hold it.
+    It also counts the groups whose embedding norm is off scale (see
+    :func:`_off_scale`).
+
+    ``items``, if given, are added in order, as by ``add``.
     """
 
-    def __init__(self, embedding_dim: int, current_step: int = 0):
+    def __init__(self, embedding_dim: int, current_step: int = 0, items: Iterable[MemoryItem] = ()):
         if embedding_dim <= 0:
             raise MemoryError("embedding_dim must be positive")
         if current_step < 0:
@@ -273,11 +279,25 @@ class MemoryStore:
         self._version = 0
         self._token_count = 0
         self._tiers: dict[MemoryTier, list[MemoryItem]] = {t: [] for t in TIER_ORDER}
-        self._norms = {t: array("d") for t in TIER_ORDER}
-        self._keyword_postings = {t: defaultdict(_positions) for t in TIER_ORDER}
+        self._tier_groups = {t: array("i") for t in TIER_ORDER}
+        # Each item's norm, copied from its group: a slice reads norms in
+        # tier order, and an array iterates faster than it is indexed.
+        self._tier_norms = {t: array("d") for t in TIER_ORDER}
         self._ref_postings = {t: defaultdict(_positions) for t in TIER_ORDER}
-        self._off_scale_items = 0
+        # A group is keyed by its content, a string its items already hold.
+        # A later group with that content but another embedding tuple object
+        # is keyed by (content, id of its tuple): a store never drops an
+        # item, so no such id can be reused by another tuple while the store
+        # lives. Equal-valued tuples that are distinct objects form separate
+        # groups.
+        self._groups: dict[str | tuple[str, int], int] = {}
+        self._group_embeddings: list[tuple[float, ...]] = []
+        self._group_norms = array("d")
+        self._group_words: list[int] = []
+        self._keyword_postings: defaultdict[str, array] = defaultdict(_positions)
+        self._off_scale_groups = 0
         self._ids: set[str] = set()
+        self._add_all(items)
 
     @property
     def current_step(self) -> int:
@@ -292,39 +312,65 @@ class MemoryStore:
         return self._token_count
 
     def add(self, item: MemoryItem) -> None:
-        if item.id in self._ids:
-            raise MemoryError(f"duplicate memory item id {item.id!r}")
-        if len(item.embedding) != self.embedding_dim:
-            raise MemoryError(
-                f"item {item.id}: embedding dim {len(item.embedding)} != store dim {self.embedding_dim}"
-            )
-        if item.created_at_step > self.current_step:
-            raise MemoryError(
-                f"item {item.id}: created_at_step {item.created_at_step} is ahead of store step {self.current_step}"
-            )
-        tier = item.tier
-        position = len(self._tiers[tier])
-        self._tiers[tier].append(item)
-        length = norm(item.embedding)
-        self._norms[tier].append(length)
-        self._off_scale_items += _off_scale(length)
-        _post(self._keyword_postings[tier], extract_keywords(item.content), position)
-        _post(self._ref_postings[tier], item.references, position)
-        self._ids.add(item.id)
-        self._token_count += len(item.content.split())
-        self._version += 1
+        self._add_all((item,))
+
+    def _add_all(self, items: Iterable[MemoryItem]) -> None:
+        """Append and index ``items`` in order. Each item is checked, and
+        a new group analysed, before the store changes, so an item that
+        raises leaves the store as the items before it left it."""
+        for item in items:
+            if item.id in self._ids:
+                raise MemoryError(f"duplicate memory item id {item.id!r}")
+            if len(item.embedding) != self.embedding_dim:
+                raise MemoryError(
+                    f"item {item.id}: embedding dim {len(item.embedding)} != store dim {self.embedding_dim}"
+                )
+            if item.created_at_step > self._step:
+                raise MemoryError(
+                    f"item {item.id}: created_at_step {item.created_at_step} is ahead of store step {self._step}"
+                )
+            content, embedding = item.content, item.embedding
+            key: str | tuple[str, int] = content
+            group = self._groups.get(key)
+            if group is not None and self._group_embeddings[group] is not embedding:
+                key = (content, id(embedding))
+                group = self._groups.get(key)
+            if group is None:
+                keywords = extract_keywords(content)
+                length = norm(embedding)
+                n_words = len(content.split())
+                group = self._groups[key] = len(self._group_norms)
+                self._group_embeddings.append(embedding)
+                self._group_norms.append(length)
+                self._group_words.append(n_words)
+                self._off_scale_groups += _off_scale(length)
+                _post(self._keyword_postings, keywords, group)
+            tier = item.tier
+            tier_items = self._tiers[tier]
+            refs = item.references
+            if refs:
+                _post(self._ref_postings[tier], refs, len(tier_items))
+            tier_items.append(item)
+            self._tier_groups[tier].append(group)
+            self._tier_norms[tier].append(self._group_norms[group])
+            self._ids.add(item.id)
+            self._token_count += self._group_words[group]
+            self._version += 1
 
     def _indexed(
         self, keywords: frozenset[str], refs: frozenset[str], hits_only: bool
     ) -> Iterator[tuple[MemoryItem, float, int, int]]:
         """``(item, embedding norm, keyword hits, reference hits)`` in
         store order, the hits counted from the postings: for every item,
-        or with ``hits_only`` for the items with at least one hit."""
+        or with ``hits_only`` for the items with at least one hit.
+        Keyword hits are counted once per group and read per item through
+        its group id."""
+        group_hits = _hits(self._keyword_postings, keywords, len(self._group_norms))
         for tier in TIER_ORDER:
             items = self._tiers[tier]
-            keyword_hits = _hits(self._keyword_postings[tier], keywords, len(items))
+            keyword_hits = list(map(group_hits.__getitem__, self._tier_groups[tier]))
             ref_hits = _hits(self._ref_postings[tier], refs, len(items))
-            rows = zip(items, self._norms[tier], keyword_hits, ref_hits)
+            rows = zip(items, self._tier_norms[tier], keyword_hits, ref_hits)
             yield from compress(rows, map(operator.or_, keyword_hits, ref_hits)) if hits_only else rows
 
     def items(self) -> Iterator[MemoryItem]:
@@ -531,17 +577,19 @@ def slice_memory(
     """Select items with relevance strictly above ``threshold``.
 
     Order is preserved from the store; items at exactly the threshold are
-    excluded. The store is not modified. Keyword and reference hits come
-    from the store's postings, and the dot product from :func:`dot_with`,
-    exact here because item embeddings are finite.
+    excluded. The store is not modified. Keyword hits are counted once
+    per group of items that share content and embedding, from the store's
+    keyword postings, and reference hits per item from its reference
+    postings; the dot product comes from :func:`dot_with`, exact here
+    because item embeddings are finite.
 
     An item with no keyword and no reference hit scores
     ``gamma * recency + delta_w * cosine``, at most ``gamma + delta_w``
     up to the cosine's rounding above 1, which ``_SLACK`` covers while
     the task's and every item's embedding norm is zero or inside
     ``_SCALE``. So when ``threshold >= gamma + delta_w + _SLACK`` and
-    those norms are in scale, only the items in the task's keyword or
-    reference postings are scored; otherwise every item is. The kept
+    those norms are in scale, only the items that hold a task keyword or
+    reference are scored; otherwise every item is. The kept
     items are the same either way.
     """
     if not 0.0 <= threshold <= 1.0:
@@ -558,7 +606,7 @@ def slice_memory(
     dot = dot_with(task_embedding)
     hits_only = (
         threshold >= weights.gamma + weights.delta_w + _SLACK
-        and not store._off_scale_items
+        and not store._off_scale_groups
         and not _off_scale(task_norm)
     )
     kept = tuple(
@@ -574,10 +622,7 @@ def snapshot_store(store: MemoryStore) -> MemoryStore:
 
     Items are immutable, so tier lists are copied and items shared.
     """
-    copy = MemoryStore(store.embedding_dim, store.current_step)
-    for item in store.items():
-        copy.add(item)
-    return copy
+    return MemoryStore(store.embedding_dim, store.current_step, store.items())
 
 
 def count_tokens(items: Iterable[MemoryItem]) -> int:

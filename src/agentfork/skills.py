@@ -92,6 +92,7 @@ class SkillLibrary:
         self._skills: list[Skill] = []
         self._ids: set[str] = set()
         self._inherited: dict[str, Skill] = {}
+        self._next_suffix: dict[str, int] = {}
         for s in skills:
             self.add(s)
 
@@ -100,6 +101,18 @@ class SkillLibrary:
             raise SkillError(f"duplicate skill id {skill.id!r}")
         self._skills.append(skill)
         self._ids.add(skill.id)
+
+    def _derived_id(self, base: str) -> str:
+        """The first ``f"{base}.{n}"`` with n >= 2 that no skill holds.
+
+        The library only appends, so a suffix found taken stays taken,
+        and each search for ``base`` resumes at the last one it returned.
+        """
+        n = self._next_suffix.get(base, 2)
+        while f"{base}.{n}" in self._ids:
+            n += 1
+        self._next_suffix[base] = n
+        return f"{base}.{n}"
 
     def skills(self) -> tuple[Skill, ...]:
         return tuple(self._skills)
@@ -197,7 +210,8 @@ def promote_skills(
 ) -> PromotionResult:
     """Append learned skills whose success_stat clears the threshold.
 
-    Skills colliding with an existing id get a fresh derived id. Skills
+    A skill colliding with an existing id gets ``f"{id}.{n}"`` with the
+    smallest n >= 2 that no skill holds. Skills
     missing a success_stat are skipped with a warning record rather than
     promoted on faith. Pre-existing skills are never touched.
     """
@@ -210,12 +224,7 @@ def promote_skills(
         if skill.success_stat < promote_threshold:
             result.dropped += 1
             continue
-        new_id = skill.id
-        if new_id in library:
-            n = 2
-            while f"{skill.id}.{n}" in library:
-                n += 1
-            new_id = f"{skill.id}.{n}"
+        new_id = library._derived_id(skill.id) if skill.id in library else skill.id
         library.add(replace(skill, id=new_id))
         result.promoted += 1
     return result

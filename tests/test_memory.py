@@ -545,6 +545,73 @@ def test_running_token_count_matches_recount(seed):
     assert store.token_count == count_tokens(store.items())
 
 
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(memory, name)
+
+    def counted(value):
+        calls.append(value)
+        return original(value)
+
+    monkeypatch.setattr(memory, name, counted)
+    return calls
+
+
+def test_store_analyses_each_distinct_content_and_tuple_once(monkeypatch):
+    """A store built from N items over k distinct (content, embedding
+    tuple) pairs extracts keywords and takes a norm k times, and an add
+    that repeats a pair does neither."""
+    rng = random.Random(11)
+    contents = ["parser json", "  cache\theader ", "", "parser json cache"]
+    tuples = [tuple(rng.uniform(-1, 1) for _ in range(DIM)) for _ in range(3)]
+    # Every content with every tuple, so each tuple follows other tuples
+    # under more than one content.
+    pairs = [(c, t) for c in contents for t in tuples]
+    items = [
+        MemoryItem(id=f"m{n}", tier=rng.choice(list(MemoryTier)), content=content, embedding=embedding)
+        for n, (content, embedding) in enumerate(rng.choices(pairs, k=60) + pairs)
+    ]
+    keyword_calls = _count_calls(monkeypatch, "extract_keywords")
+    norm_calls = _count_calls(monkeypatch, "norm")
+    store = MemoryStore(DIM, 0, items)
+    assert len(store) == len(items)
+    assert len(keyword_calls) == len(norm_calls) == len(pairs)
+    assert store.token_count == count_tokens(store.items())
+    store.add(MemoryItem(id="again", tier=MemoryTier.WORKING, content=contents[0], embedding=tuples[0]))
+    assert len(keyword_calls) == len(norm_calls) == len(pairs)
+    store.add(MemoryItem(id="equal", tier=MemoryTier.WORKING, content=contents[0], embedding=tuple(list(tuples[0]))))
+    assert len(keyword_calls) == len(norm_calls) == len(pairs) + 1
+    assert store.token_count == count_tokens(store.items())
+
+
+def test_rejected_add_leaves_the_store_unchanged(embedder):
+    store = MemoryStore(DIM, current_step=2)
+    store.add(make_item("a", MemoryTier.EPISODIC, "parser json", embedder, created_at_step=1))
+    task = TaskSpec(description="fix the json cache", referenced_files=frozenset({"src/a.py"}))
+    cuts = (0.0, 0.3, 0.5)
+
+    def state():
+        slices = [slice_memory(store, task, cut, RelevanceWeights(), embedder).items for cut in cuts]
+        return len(store), store.version, store.token_count, slices
+
+    before = state()
+    rejected = [
+        make_item("a", MemoryTier.WORKING, "json cache", embedder, referenced_files=["src/a.py"]),
+        MemoryItem(id="b", tier=MemoryTier.WORKING, content="json cache", embedding=(1e-300,) * (DIM + 1)),
+        make_item("b", MemoryTier.WORKING, "json cache", embedder, referenced_files=["src/a.py"], created_at_step=3),
+    ]
+    for item in rejected:
+        with pytest.raises(MemoryError):
+            store.add(item)
+        assert state() == before
+    with pytest.raises(MemoryError):
+        MemoryStore(DIM, 2, [store.by_tier(MemoryTier.EPISODIC)[0], *rejected])
+    store.add(make_item("b", MemoryTier.WORKING, "json cache", embedder, referenced_files=["src/a.py"]))
+    assert len(store) == 2 and store.version == before[1] + 1
+    assert store.token_count == before[2] + 2
+    assert [i.id for i in slice_memory(store, task, 0.5, RelevanceWeights(), embedder).items] == ["b"]
+
+
 # Finite components of both signs, zeros of both signs, and values whose
 # squares underflow, so norms can be zero while components are not.
 _COMPONENT = st.one_of(
@@ -594,10 +661,18 @@ _PARALLEL = (1.0, 1.0, 1.0, 0.0)
 _TINY = math.sqrt(5e-324)
 _SUBNORMAL_ITEM = (0.7 * _TINY, 0.7 * _TINY, _TINY, 0.0)
 _SUBNORMAL_TASK = (0.72 * _TINY, 0.72 * _TINY, _TINY, 0.0)
+# An added item's embedding is a tuple of the test's pool, picked by index
+# (modulo the pool's size), either that very tuple object or, with the
+# flag, a distinct tuple of equal value. So one tuple object appears with
+# different contents, and one content with different tuple objects.
+_POOL = st.lists(_VECTOR, min_size=1, max_size=3)
+_EMBEDDING = st.tuples(st.integers(0, 2), st.booleans())
 _OPS = st.lists(
     st.one_of(
         st.tuples(
-            st.just("add"), st.sampled_from(list(MemoryTier)), _CONTENT, _REFS, _REFS, _VECTOR, st.integers(0, 3)
+            st.just("add"), st.sampled_from(list(MemoryTier)),
+            st.one_of(st.sampled_from(["", "parser json", "cache"]), _CONTENT),
+            _REFS, _REFS, _EMBEDDING, st.integers(0, 3),
         ),
         st.tuples(st.just("advance"), st.integers(0, 3)),
         st.tuples(st.just("snapshot")),
@@ -608,19 +683,53 @@ _OPS = st.lists(
 
 @settings(max_examples=150, deadline=None)
 @example(
-    ops=[], description="parser", task_vector=(0.0,) * _PDIM, task_refs=[], threshold=0.0,
+    ops=[], pool=[_PARALLEL], description="parser", task_vector=(0.0,) * _PDIM, task_refs=[], threshold=0.0,
     weights=RelevanceWeights(0.3, 0.2, 0.1, 0.4, lambda_decay=0.3),
 )
 @example(
-    ops=[("add", MemoryTier.EPISODIC, "cache", [], [], _PARALLEL, 0)], description="parser",
+    ops=[("add", MemoryTier.EPISODIC, "cache", [], [], (0, False), 0)], pool=[_PARALLEL], description="parser",
     task_vector=_PARALLEL, task_refs=[], threshold=0.4, weights=RelevanceWeights(),
 )
 @example(
-    ops=[("add", MemoryTier.SEMANTIC, "cache", [], [], _SUBNORMAL_ITEM, 0)], description="parser",
-    task_vector=_SUBNORMAL_TASK, task_refs=[], threshold=0.45, weights=RelevanceWeights(),
+    ops=[("add", MemoryTier.SEMANTIC, "cache", [], [], (0, False), 0)], pool=[_SUBNORMAL_ITEM],
+    description="parser", task_vector=_SUBNORMAL_TASK, task_refs=[], threshold=0.45, weights=RelevanceWeights(),
+)
+# One tuple object with two contents, across tiers and a snapshot.
+@example(
+    ops=[
+        ("add", MemoryTier.EPISODIC, "parser json", [], [], (0, False), 0),
+        ("add", MemoryTier.WORKING, "cache", [], [], (0, False), 1),
+        ("snapshot",),
+        ("add", MemoryTier.EPISODIC, "parser", [], [], (0, False), 0),
+    ],
+    pool=[(1.0, 0.0, -0.5, 0.0)], description="parser json", task_vector=(1.0, 0.0, 0.0, 0.0), task_refs=[],
+    threshold=0.5, weights=RelevanceWeights(),
+)
+# One content with two tuple objects of different values, one off scale.
+@example(
+    ops=[
+        ("add", MemoryTier.SEMANTIC, "parser json", [], [], (0, False), 0),
+        ("add", MemoryTier.SEMANTIC, "parser json", ["src/a.py"], [], (1, False), 0),
+        ("snapshot",),
+        ("add", MemoryTier.WORKING, "parser json", [], [], (1, False), 2),
+    ],
+    pool=[(1.0, 0.0, 0.0, 0.0), _SUBNORMAL_ITEM], description="parser", task_vector=(1.0, 1.0, 0.0, 0.0),
+    task_refs=["src/a.py"], threshold=0.45, weights=RelevanceWeights(),
+)
+# One content with two distinct tuples of equal value.
+@example(
+    ops=[
+        ("add", MemoryTier.WORKING, "cache", [], [], (0, False), 0),
+        ("add", MemoryTier.EPISODIC, "cache", [], [], (0, True), 3),
+        ("snapshot",),
+        ("add", MemoryTier.EPISODIC, "cache", [], [], (0, True), 1),
+    ],
+    pool=[(0.0, 2.0, 0.0, 1.0)], description="cache", task_vector=(0.0, 1.0, 0.0, 0.0), task_refs=[],
+    threshold=0.3, weights=RelevanceWeights(),
 )
 @given(
     ops=_OPS,
+    pool=_POOL,
     description=_CONTENT.filter(bool),
     task_vector=_TASK_VECTOR,
     task_refs=_REFS,
@@ -628,13 +737,15 @@ _OPS = st.lists(
     weights=_WEIGHTS,
 )
 def test_indexed_slice_keeps_what_the_per_item_reference_keeps(
-    ops, description, task_vector, task_refs, threshold, weights
+    ops, pool, description, task_vector, task_refs, threshold, weights
 ):
     """Every store an add/advance_to/snapshot_store sequence passes
     through slices exactly as the literal reference scores it, with a
     custom embedder whose vectors have negative and zero components, at
     cuts on both sides of gamma + delta_w, above which the slice scores
-    only the items its postings reach."""
+    only the items its postings reach. Items share embedding tuples and
+    contents in every combination, so the store's groups of items with
+    one content and one tuple are exercised."""
     embedder = _FixedEmbedder(task_vector)
     task = TaskSpec(
         description=description,
@@ -647,7 +758,10 @@ def test_indexed_slice_keeps_what_the_per_item_reference_keeps(
     stores = [store]
     for n, op in enumerate(ops):
         if op[0] == "add":
-            _, tier, content, files, symbols, embedding, age = op
+            _, tier, content, files, symbols, (index, copy), age = op
+            embedding = pool[index % len(pool)]
+            if copy:
+                embedding = tuple(list(embedding))
             store.add(
                 MemoryItem(
                     id=f"m{n}", tier=tier, content=content, referenced_files=files,

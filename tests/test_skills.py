@@ -5,7 +5,7 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agentfork.memory import DefaultEmbedder, MemoryError, cosine, default_embed
@@ -271,6 +271,59 @@ def test_promote_renames_on_id_collision():
     ids = [s.id for s in library.skills()]
     assert ids == ["dup", "dup.2", "dup.3"]
     assert library.skills()[0] == existing
+
+
+def _reference_promoted_ids(initial, learned):
+    """The ids promotion gives ``learned`` (all passing), found by probing
+    ``f"{id}.{n}"`` from n = 2 on every collision, as promotion once did."""
+    taken = set(initial)
+    ids = []
+    for skill_id in learned:
+        new_id = skill_id
+        if new_id in taken:
+            n = 2
+            while f"{skill_id}.{n}" in taken:
+                n += 1
+            new_id = f"{skill_id}.{n}"
+        taken.add(new_id)
+        ids.append(new_id)
+    return ids
+
+
+# Base ids and ids already derived from them, so a learned skill can hold
+# a suffix the next collision would otherwise be given.
+_SKILL_IDS = st.sampled_from(["x", "x.2", "x.3", "x.5", "x.2.2", "y", "y.2"])
+
+
+@settings(max_examples=100, deadline=None)
+@example(initial=["x"], learned=["x.3", "x", "x", "x", "x.3"])
+@example(initial=["x", "x.2", "x.3"], learned=["x", "x.2", "x", "x.2"])
+@given(initial=st.lists(_SKILL_IDS, unique=True, max_size=4), learned=st.lists(_SKILL_IDS, max_size=12))
+def test_promotion_ids_match_the_probing_reference(initial, learned):
+    library = SkillLibrary([Skill(id=skill_id, template="t") for skill_id in initial])
+    skills = [Skill(id=skill_id, template="u", provenance=Provenance.LEARNED, success_stat=1.0) for skill_id in learned]
+    promote_skills(library, skills[: len(skills) // 2], promote_threshold=0.5)
+    promote_skills(library, skills[len(skills) // 2 :], promote_threshold=0.5)
+    assert [s.id for s in library.skills()] == initial + _reference_promoted_ids(initial, learned)
+
+
+class _CountingSet(set):
+    lookups = 0
+
+    def __contains__(self, value):
+        self.lookups += 1
+        return super().__contains__(value)
+
+
+def test_promoting_one_id_k_times_looks_up_ids_linearly():
+    library = SkillLibrary([Skill(id="dup", template="t")])
+    library._ids = _CountingSet(library._ids)
+    learned = Skill(id="dup", template="u", provenance=Provenance.LEARNED, success_stat=1.0)
+    k = 60
+    for _ in range(k):
+        promote_skills(library, [learned], promote_threshold=0.5)
+    assert [s.id for s in library.skills()][-1] == f"dup.{k + 1}"
+    assert library._ids.lookups <= 4 * k
 
 
 def test_promote_grows_by_exactly_promoted_count():
