@@ -3,14 +3,15 @@
     agentfork run --workload FILE [--config FILE] [--seed N]
                   [--report PATH] [--format human|machine]
     agentfork generate --seed N [--params FILE] --out PATH
-    agentfork validate WORKLOAD_FILE
+    agentfork validate WORKLOAD_FILE_OR_NAME
 
 Exit code 0 on a completed simulation (or valid file), 1 for a workload
 that ``validate`` rejects, and 2 for any input that cannot be read or
 parsed (workload, config or params), with the file and field named on
 stderr, or for a report or workload that cannot be written, with its
-path named. The --workload argument also accepts the name of a
-bundled workload (see ``agentfork validate --list``).
+path named. The --workload argument of ``run`` and the workload argument
+of ``validate`` also accept the name of a bundled workload (see
+``agentfork validate --list``).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--out", required=True, help="output workload path")
 
     validate = sub.add_parser("validate", help="schema-check a workload file")
-    validate.add_argument("workload", nargs="?", help="workload file to check")
+    validate.add_argument("workload", nargs="?", help="workload file or bundled workload name")
     validate.add_argument("--list", action="store_true", help="list bundled workloads")
     return parser
 
@@ -106,9 +107,9 @@ def _cmd_validate(args) -> int:
             print(name)
         return 0
     if not args.workload:
-        print("validate: a workload file is required (or use --list)", file=sys.stderr)
+        print("validate: a workload file or name is required (or use --list)", file=sys.stderr)
         return 2
-    errors = validate_workload_data(read_json(args.workload))
+    errors = validate_workload_data(read_json(_resolve_workload(args.workload)))
     if errors:
         for err in errors:
             print(f"{args.workload}: {err}", file=sys.stderr)

@@ -17,9 +17,6 @@ from . import schema
 from .memory import MAX_INT, MemoryError, RelevanceWeights
 from .policy import PolicyError, SpawnPolicyConfig
 
-ConfigError = schema.InputError
-
-
 @dataclass
 class SimulatorConfig:
     spawn_threshold: float = 0.7
@@ -48,10 +45,6 @@ class SimulatorConfig:
 
     def __post_init__(self):
         self.validate()
-
-    @classmethod
-    def from_dict(cls, data) -> "SimulatorConfig":
-        return schema.parse_file(CONFIG, data)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SimulatorConfig":

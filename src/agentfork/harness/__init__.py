@@ -1,7 +1,4 @@
 from .workload import (
-    ConflictScenarioParams,
-    WorkloadError,
-    WorkloadSpec,
     bundled_workload_path,
     list_bundled_workloads,
     load_workload,
@@ -9,24 +6,5 @@ from .workload import (
     validate_workload_data,
 )
 from .generate import GenerateParams, generate_synthetic
-from .report import RunReport, emit_report, parse_machine_report
-from .simulate import ConflictPhaseStats, run_conflict_phase, run_simulation
-
-__all__ = [
-    "ConflictPhaseStats",
-    "ConflictScenarioParams",
-    "GenerateParams",
-    "RunReport",
-    "WorkloadError",
-    "WorkloadSpec",
-    "bundled_workload_path",
-    "emit_report",
-    "generate_synthetic",
-    "list_bundled_workloads",
-    "load_workload",
-    "parse_machine_report",
-    "run_conflict_phase",
-    "run_simulation",
-    "save_workload",
-    "validate_workload_data",
-]
+from .report import emit_report, parse_machine_report
+from .simulate import run_simulation

@@ -164,20 +164,9 @@ def dot_with(vector: Sequence[float]) -> Callable[[Sequence[float]], float]:
     return lambda e: sum(map(mul, [e[i] for i in nonzero], values))
 
 
-def cosine(a: Sequence[float], b: Sequence[float]) -> float:
-    if len(a) != len(b):
-        raise MemoryError(f"vector dim mismatch: {len(a)} vs {len(b)}")
-    dot = sum(map(operator.mul, a, b))
-    na = norm(a)
-    nb = norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return dot / (na * nb)
-
-
 @dataclass(frozen=True)
 class MemoryItem:
-    """One remembered fact/event. Immutable so snapshots can share items."""
+    """One remembered fact/event. Immutable so stores and slices can share items."""
 
     # The item's compact wire text (UTF-8), stored on the instance by the
     # package writer (``schema.package_bytes``) once the whole item has
@@ -377,9 +366,6 @@ class MemoryStore:
         for tier in TIER_ORDER:
             yield from self._tiers[tier]
 
-    def by_tier(self, tier: MemoryTier) -> tuple[MemoryItem, ...]:
-        return tuple(self._tiers[tier])
-
     def __len__(self) -> int:
         return len(self._ids)
 
@@ -536,9 +522,11 @@ def _relevance_scorer(
     item_norm)`` forms the four components from an item's terms: how
     many task keywords and references the item holds, its step, the dot
     product of its embedding with the task's, and its embedding norm.
-    The recency term is computed once per age. Every float is computed
-    with the same operations in the same order as :func:`cosine` and the
-    weighted sum, so scores are bit-identical however the terms were
+    The recency term ``exp(-lambda_decay * age)`` is computed once per
+    age. The semantic term is ``max(0, dot / (item_norm * task_norm))``,
+    or 0 when either norm is 0, and the score is ``alpha * keyword_match
+    + beta * dep_score + gamma * recency + delta_w * semantic`` summed in
+    that order, so scores are bit-identical however the terms were
     found. The item's age is not checked here; callers guarantee
     ``created_at_step <= now_step``.
     """
@@ -615,14 +603,6 @@ def slice_memory(
         if score(keyword_hits, ref_hits, item.created_at_step, dot(item.embedding), item_norm) > threshold
     )
     return MemorySlice(items=kept, source_store_step=now, threshold_used=threshold)
-
-
-def snapshot_store(store: MemoryStore) -> MemoryStore:
-    """Independent copy; mutating the copy never affects the original.
-
-    Items are immutable, so tier lists are copied and items shared.
-    """
-    return MemoryStore(store.embedding_dim, store.current_step, store.items())
 
 
 def count_tokens(items: Iterable[MemoryItem]) -> int:

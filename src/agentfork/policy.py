@@ -83,15 +83,6 @@ class ComplexityMetrics:
         if not 0.0 <= self.context_occupancy <= 1.0:
             raise PolicyError("context_occupancy must be in [0, 1]")
 
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (
-            self.interdependency,
-            self.cyclomatic,
-            self.failure_cascade,
-            self.context_occupancy,
-            self.uncertainty,
-        )
-
 
 @dataclass
 class CalibrationState:

@@ -128,10 +128,6 @@ class SpawnPackage:
         if not 0.0 <= self.score <= 1.0:
             raise ProtocolError(f"spawn score must be in [0, 1], got {self.score}")
 
-    def memory_items(self) -> Iterator[MemoryItem]:
-        for tier in TIER_ORDER:
-            yield from self.memory[tier]
-
 
 @dataclass(frozen=True)
 class ResultPayload:

@@ -529,9 +529,6 @@ class ChildScheduler:
             raise OrchestrationError("queued spawn requests stranded with no running children")
         return completed
 
-    def idle(self) -> bool:
-        return not self.running and not self.queue
-
 
 _EMPTY_SLICE = MemorySlice(items=(), source_store_step=0, threshold_used=0.0)
 

@@ -1,12 +1,11 @@
-"""Skill templates: inheritance by relevance, specialization, promotion.
+"""Skill templates: inheritance by relevance, promotion.
 
 A skill is a prompt template with named ``{placeholder}`` slots and a
 binding map. Children inherit the subset of the parent's library whose
 template is similar enough to the child task, with their bindings as
-the library holds them (``specialize`` binds task context into the
-slots, but no run path calls it), and may hand back newly learned skills
-that get promoted into the parent's library when their success statistic
-clears a bar.
+the library holds them, and may hand back newly learned skills that get
+promoted into the parent's library when their success statistic clears
+a bar.
 """
 
 from __future__ import annotations
@@ -69,13 +68,6 @@ class Skill:
     def placeholders(self) -> frozenset[str]:
         return frozenset(_PLACEHOLDER_RE.findall(self.template))
 
-    def bound_params(self) -> dict[str, str]:
-        return dict(self.params)
-
-    def unbound_placeholders(self) -> frozenset[str]:
-        """Placeholders still lacking a binding; reported after specialization."""
-        return self.placeholders() - {name for name, _ in self.params}
-
 
 class SkillLibrary:
     """Per-agent skill collection. Single-writer, unique ids.
@@ -137,10 +129,11 @@ def _task_similarity(task_embedding: Sequence[float]) -> Callable[[Sequence[floa
     """``similarity(template_embedding)``: the cosine of a template's
     embedding with the task's, clamped to [0, 1].
 
-    The task's norm and nonzero components are taken once. The result is
-    bit-identical to clamping :func:`cosine`: a finite template gives the
-    same dot product (:func:`dot_with`), and a non-finite one has an
-    infinite or NaN norm, so both clamp to 0.
+    The result is ``min(1, max(0, dot / (template_norm * task_norm)))``,
+    or 0 when either norm is 0. The task's norm and nonzero components
+    are taken once: a finite template gets the same dot product from
+    :func:`dot_with` as over every component, and a non-finite one has
+    an infinite or NaN norm, so it clamps to 0.
     """
     dot = dot_with(task_embedding)
     task_norm = norm(task_embedding)
@@ -154,11 +147,6 @@ def _task_similarity(task_embedding: Sequence[float]) -> Callable[[Sequence[floa
         return min(1.0, max(0.0, dot(template_embedding) / (template_norm * task_norm)))
 
     return similarity
-
-
-def skill_relevance(skill: Skill, task: "TaskSpec", embedder: Embedder) -> float:
-    """Embedding similarity between the template and the task, in [0, 1]."""
-    return _task_similarity(embedder(task.description))(embedder(skill.template))
 
 
 def select_inherited_skills(
@@ -180,22 +168,6 @@ def select_inherited_skills(
         for template in dict.fromkeys(skill.template for skill in skills)
     }
     return [library._inherited_copy(skill) for skill in skills if passes[skill.template]]
-
-
-def specialize(skill: Skill, task_context: Mapping[str, str]) -> Skill:
-    """Bind task context into matching placeholders.
-
-    Context keys without a matching placeholder are ignored. Existing
-    bindings are overwritten only when the context provides the same key;
-    unbound placeholders remain visible via ``unbound_placeholders``.
-    Idempotent for the same context.
-    """
-    holders = skill.placeholders()
-    merged = skill.bound_params()
-    for key, value in task_context.items():
-        if key in holders:
-            merged[key] = str(value)
-    return replace(skill, params=tuple(sorted(merged.items())))
 
 
 @dataclass

@@ -1,11 +1,22 @@
 from __future__ import annotations
 
+import operator
 import random
+from typing import Sequence
 
 import pytest
 
 from agentfork.coherence import Diff, Hunk
-from agentfork.memory import DefaultEmbedder, MemoryStore, MemoryTier, make_item
+from agentfork.memory import (
+    DefaultEmbedder,
+    Embedder,
+    MemoryError,
+    MemoryItem,
+    MemoryStore,
+    MemoryTier,
+    make_item,
+    norm,
+)
 from agentfork.policy import ComplexityMetrics
 from agentfork.protocol import (
     Action,
@@ -18,7 +29,7 @@ from agentfork.protocol import (
     SpawnPackage,
     TaskSpec,
 )
-from agentfork.skills import Provenance, Skill
+from agentfork.skills import Provenance, Skill, _task_similarity
 
 DIM = 16
 
@@ -33,6 +44,39 @@ SYMBOLS = ["parse", "write", "scan", "emit"]
 @pytest.fixture
 def embedder():
     return DefaultEmbedder(DIM)
+
+
+# Oracles: plain definitions that the optimized library code is checked
+# against. No run path calls them.
+
+
+def cosine(a: Sequence[float], b: Sequence[float]) -> float:
+    if len(a) != len(b):
+        raise MemoryError(f"vector dim mismatch: {len(a)} vs {len(b)}")
+    dot = sum(map(operator.mul, a, b))
+    na = norm(a)
+    nb = norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return dot / (na * nb)
+
+
+def snapshot_store(store: MemoryStore) -> MemoryStore:
+    """Independent copy; mutating the copy never affects the original.
+
+    Items are immutable, so tier lists are copied and items shared.
+    """
+    return MemoryStore(store.embedding_dim, store.current_step, store.items())
+
+
+def skill_relevance(skill: Skill, task: TaskSpec, embedder: Embedder) -> float:
+    """Embedding similarity between the template and the task, in [0, 1]."""
+    return _task_similarity(embedder(task.description))(embedder(skill.template))
+
+
+def tier_items(store: MemoryStore, tier: MemoryTier) -> tuple[MemoryItem, ...]:
+    """The store's items in ``tier``, in insertion order."""
+    return tuple(i for i in store.items() if i.tier is tier)
 
 
 def random_task(rng: random.Random) -> TaskSpec:

@@ -105,7 +105,8 @@ def test_criterion_02_threshold_and_temporal_monotonicity():
 def _oracle_decision(metrics, calibration, config, runtime_state):
     names = ("interdependency", "cyclomatic", "failure_cascade", "context_occupancy", "uncertainty")
     normalized = []
-    for name, value in zip(names, metrics.as_tuple()):
+    for name in names:
+        value = getattr(metrics, name)
         lo, hi = calibration.bounds[name]
         normalized.append(0.0 if hi == lo else min(1.0, max(0.0, (value - lo) / (hi - lo))))
     score = sum(w * v for w, v in zip(config.weights, normalized))

@@ -199,6 +199,17 @@ def test_validate_list_shows_bundled(capsys):
     assert "demo" in out and "tier_calibration" in out
 
 
+def test_validate_accepts_a_bundled_name(capsys):
+    assert main(["validate", "demo"]) == 0
+    assert capsys.readouterr().out == "demo: ok\n"
+
+
+def test_validate_unknown_name_exits_2_as_run_does(capsys):
+    for command in (["validate"], ["run", "--workload"]):
+        assert main(command + ["no_such_workload"]) == 2
+        assert capsys.readouterr().err == "no_such_workload: no such file or bundled workload\n"
+
+
 def test_validate_rejects_invalid_json(tmp_path, capsys):
     bad = tmp_path / "nope.json"
     bad.write_text("{oops")

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from agentfork import schema
-from agentfork.config import CONFIG, ConfigError, SimulatorConfig
+from agentfork.config import CONFIG, SimulatorConfig
 from agentfork.harness.generate import PARAMS, GenerateParams, generate_synthetic
 from agentfork.harness.report import RunReport, emit_report, parse_machine_report
 from agentfork.coherence import merge_diff_sets
@@ -280,13 +280,13 @@ def test_simulator_config_round_trip(tmp_path):
 
 
 def test_simulator_config_rejects_unknown_and_invalid_keys(tmp_path):
-    with pytest.raises(ConfigError):
-        SimulatorConfig.from_dict({"nope": 1})
-    with pytest.raises(ConfigError):
-        SimulatorConfig.from_dict({"w1": 0.9})  # weights no longer sum to 1
+    with pytest.raises(schema.InputError):
+        schema.parse_file(CONFIG, {"nope": 1})
+    with pytest.raises(schema.InputError):
+        schema.parse_file(CONFIG, {"w1": 0.9})  # weights no longer sum to 1
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    with pytest.raises(ConfigError):
+    with pytest.raises(schema.InputError):
         SimulatorConfig.from_file(bad)
 
 
@@ -299,12 +299,12 @@ def test_simulator_config_rejects_non_finite_floats(field, value):
     NaN and no infinity in any float field."""
     with pytest.raises(ValueError):
         SimulatorConfig(**{field: value})
-    with pytest.raises(ConfigError):
-        SimulatorConfig.from_dict({field: value})
+    with pytest.raises(schema.InputError):
+        schema.parse_file(CONFIG, {field: value})
 
 
 def test_config_and_params_tables_match_their_dataclasses():
-    assert SimulatorConfig.from_dict({}) == SimulatorConfig()
+    assert schema.parse_file(CONFIG, {}) == SimulatorConfig()
     assert schema.parse_file(PARAMS, {}) == GenerateParams()
     for table, cls in ((CONFIG, SimulatorConfig), (PARAMS, GenerateParams)):
         assert table.keys[schema.FILE] == {f.name for f in dataclasses.fields(cls)}
@@ -314,7 +314,7 @@ def test_float_knob_spelled_as_an_integer_runs_as_its_float():
     spec = load_workload(bundled_workload_path("timeout_child"))
     reports = []
     for value in (5, 5.0):
-        config = SimulatorConfig.from_dict({"child_timeout_secs": value})
+        config = schema.parse_file(CONFIG, {"child_timeout_secs": value})
         assert type(config.child_timeout_secs) is float
         reports.append(run_simulation(spec, config, seed=0))
     assert emit_report(reports[0], "machine") == emit_report(reports[1], "machine")

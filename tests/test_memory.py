@@ -21,19 +21,17 @@ from agentfork.memory import (
     MemoryTier,
     RelevanceWeights,
     compute_relevance,
-    cosine,
     count_tokens,
     default_embed,
     extract_keywords,
     make_item,
     reduction_percent,
     slice_memory,
-    snapshot_store,
     task_references,
 )
 from agentfork.protocol import TaskSpec
 
-from conftest import DIM, FILES, SYMBOLS, WORDS, random_store, random_task
+from conftest import DIM, FILES, SYMBOLS, WORDS, cosine, random_store, random_task, snapshot_store, tier_items
 
 
 def test_extract_keywords_drops_stopwords_and_lowercases():
@@ -605,7 +603,7 @@ def test_rejected_add_leaves_the_store_unchanged(embedder):
             store.add(item)
         assert state() == before
     with pytest.raises(MemoryError):
-        MemoryStore(DIM, 2, [store.by_tier(MemoryTier.EPISODIC)[0], *rejected])
+        MemoryStore(DIM, 2, [tier_items(store, MemoryTier.EPISODIC)[0], *rejected])
     store.add(make_item("b", MemoryTier.WORKING, "json cache", embedder, referenced_files=["src/a.py"]))
     assert len(store) == 2 and store.version == before[1] + 1
     assert store.token_count == before[2] + 2

@@ -168,10 +168,8 @@ def test_decide_spawn_is_pure():
 
 def _oracle_decide(metrics, calibration, config, runtime_state):
     normalized = []
-    for name, value in zip(
-        ("interdependency", "cyclomatic", "failure_cascade", "context_occupancy", "uncertainty"),
-        metrics.as_tuple(),
-    ):
+    for name in ("interdependency", "cyclomatic", "failure_cascade", "context_occupancy", "uncertainty"):
+        value = getattr(metrics, name)
         lo, hi = calibration.bounds[name]
         normalized.append(0.0 if hi == lo else min(1.0, max(0.0, (value - lo) / (hi - lo))))
     score = sum(w * v for w, v in zip(config.weights, normalized))

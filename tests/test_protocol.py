@@ -38,7 +38,7 @@ from agentfork.protocol import (
 )
 from agentfork.skills import Provenance, Skill, SkillError, SkillLibrary
 
-from conftest import DIM, random_resume_package, random_spawn_package
+from conftest import DIM, random_resume_package, random_spawn_package, tier_items
 
 METRICS = ComplexityMetrics(1, 2, 3, 0.5, 4)
 
@@ -96,7 +96,7 @@ def test_build_spawn_package_populates_fields(embedder):
 
 def test_build_spawn_package_empty_slice_is_legal(embedder):
     pkg = _package(embedder)
-    assert list(pkg.memory_items()) == []
+    assert [item for items in pkg.memory.values() for item in items] == []
     assert pkg.skills == ()
 
 
@@ -870,9 +870,9 @@ def test_replay_failure_grows_memory_only(embedder):
         skills_learned=(learned,),
         result=ResultPayload(output="broke", code_diff=(diff,), files_modified=frozenset({"src/a.py"})),
     )
-    episodic_before = len(state.memory.by_tier(MemoryTier.EPISODIC))
+    episodic_before = len(tier_items(state.memory, MemoryTier.EPISODIC))
     report = replay_resume(state, resume, embedder, 0.8)
-    assert len(state.memory.by_tier(MemoryTier.EPISODIC)) > episodic_before
+    assert len(tier_items(state.memory, MemoryTier.EPISODIC)) > episodic_before
     assert report.skills_promoted == 0
     assert report.diffs_staged == 0
     assert state.staged == []
@@ -883,25 +883,25 @@ def test_replay_episodic_grows_by_summary_plus_output(embedder):
     state = _parent_state(embedder)
     resume = _resume()
     summary = summarize_trace(resume.trace)
-    before = len(state.memory.by_tier(MemoryTier.EPISODIC))
+    before = len(tier_items(state.memory, MemoryTier.EPISODIC))
     report = replay_resume(state, resume, embedder, 0.8)
-    after = len(state.memory.by_tier(MemoryTier.EPISODIC))
+    after = len(tier_items(state.memory, MemoryTier.EPISODIC))
     assert after - before == len(summary) + 1 == report.memory_items_added
 
 
 def test_replay_touches_only_episodic_tier(embedder):
     state = _parent_state(embedder)
-    semantic_before = state.memory.by_tier(MemoryTier.SEMANTIC)
-    working_before = state.memory.by_tier(MemoryTier.WORKING)
+    semantic_before = tier_items(state.memory, MemoryTier.SEMANTIC)
+    working_before = tier_items(state.memory, MemoryTier.WORKING)
     replay_resume(state, _resume(), embedder, 0.8)
-    assert state.memory.by_tier(MemoryTier.SEMANTIC) == semantic_before
-    assert state.memory.by_tier(MemoryTier.WORKING) == working_before
+    assert tier_items(state.memory, MemoryTier.SEMANTIC) == semantic_before
+    assert tier_items(state.memory, MemoryTier.WORKING) == working_before
 
 
 def test_replay_new_items_stamped_at_current_step(embedder):
     state = _parent_state(embedder)
     replay_resume(state, _resume(), embedder, 0.8)
-    fresh = [i for i in state.memory.by_tier(MemoryTier.EPISODIC) if i.id.startswith("spawn-0001")]
+    fresh = [i for i in tier_items(state.memory, MemoryTier.EPISODIC) if i.id.startswith("spawn-0001")]
     assert fresh and all(i.created_at_step == state.memory.current_step for i in fresh)
 
 

@@ -57,7 +57,7 @@ from agentfork.runtime import (
 )
 from agentfork.skills import SkillLibrary
 
-from conftest import DIM
+from conftest import DIM, tier_items
 
 QUIET = ComplexityMetrics(2, 6, 1, 0.2, 0.5)
 SPIKE = ComplexityMetrics(17, 40, 85, 0.97, 8)
@@ -300,7 +300,7 @@ class _SchedulerMachine(RuleBasedStateMachine):
     def teardown(self):
         self.scheduler.await_children()
         self.limits_hold()
-        assert self.scheduler.idle()
+        assert not self.scheduler.running and not self.scheduler.queue
         for parent, spawn_id, state in self.requests:
             assert state in ("started", "queued", "rejected")
             assert (state == "rejected") == (parent.depth + 1 > self.max_depth)
@@ -361,7 +361,7 @@ def test_await_children_returns_handles_in_completion_order(times, polls, data):
         assert len(returned) == len(expected) or expected[len(returned)][0] > until
     returned += [(h.done_at, h.spawn_id) for h in scheduler.await_children()]
     assert returned == expected
-    assert scheduler.idle() and clock.now == expected[-1][0]
+    assert not scheduler.running and not scheduler.queue and clock.now == expected[-1][0]
 
 
 def test_await_children_flags_invalid_results():
@@ -433,7 +433,7 @@ def test_handle_child_failure_records_episodic_items(embedder):
     state = ParentState(memory=store, skills=SkillLibrary())
     handle_child_failure(state, "spawn-0001", "timeout", "exceeded 600s", embedder)
     handle_child_failure(state, "spawn-0002", "invalid", "wrong child", embedder)
-    episodic = store.by_tier(MemoryTier.EPISODIC)
+    episodic = tier_items(store, MemoryTier.EPISODIC)
     assert len(episodic) == 2
     assert {i.id for i in episodic} == {"spawn-0001:failure", "spawn-0002:failure"}
     assert all(i.created_at_step == 4 for i in episodic)
@@ -512,7 +512,7 @@ def test_loop_records_backend_exception_as_invalid_child():
     assert len(invalid) == 1 and "backend error: PackageDecodeError: " in invalid[0].detail
     assert invalid[0].time == started[0].time
     failures = [
-        i for i in result.state.memory.by_tier(MemoryTier.EPISODIC) if i.id.endswith(":failure")
+        i for i in tier_items(result.state.memory, MemoryTier.EPISODIC) if i.id.endswith(":failure")
     ]
     assert len(failures) == 1 and "backend error" in failures[0].content
     assert result.tree.status[result.spawn_records[0].spawn_id] is NodeStatus.FAILED
@@ -639,7 +639,7 @@ def test_loop_records_timeout_and_completes():
     assert result.status == "completed"
     assert result.spawn_records[0].outcome == "timed_out"
     failure_items = [
-        i for i in result.state.memory.by_tier(MemoryTier.EPISODIC) if i.id.endswith(":failure")
+        i for i in tier_items(result.state.memory, MemoryTier.EPISODIC) if i.id.endswith(":failure")
     ]
     assert len(failure_items) == 1
 

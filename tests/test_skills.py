@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agentfork.memory import DefaultEmbedder, MemoryError, cosine, default_embed
+from agentfork.memory import DefaultEmbedder, MemoryError, default_embed
 from agentfork.protocol import TaskSpec
 from agentfork.skills import (
     Provenance,
@@ -17,11 +17,9 @@ from agentfork.skills import (
     SkillLibrary,
     promote_skills,
     select_inherited_skills,
-    skill_relevance,
-    specialize,
 )
 
-from conftest import DIM, WORDS, random_skill, random_task
+from conftest import DIM, WORDS, cosine, random_skill, random_task, skill_relevance
 
 
 def test_skill_relevance_identical_text_is_one(embedder):
@@ -180,39 +178,6 @@ def test_skill_relevance_rejects_a_dimension_mismatch():
     embedder = _TableEmbedder({"template": (1.0, 0.0), "task": (1.0, 0.0, 0.0)})
     with pytest.raises(MemoryError):
         skill_relevance(Skill(id="s", template="template"), TaskSpec(description="task"), embedder)
-
-
-def test_specialize_binds_matching_placeholders():
-    skill = Skill(id="t", template="Write unit tests for {function}")
-    bound = specialize(skill, {"function": "validate"})
-    assert bound.bound_params() == {"function": "validate"}
-    assert bound.unbound_placeholders() == frozenset()
-
-
-def test_specialize_empty_context_is_identity():
-    skill = Skill(id="t", template="Write unit tests for {function}")
-    assert specialize(skill, {}) == skill
-
-
-def test_specialize_ignores_unmatched_context_keys():
-    skill = Skill(id="t", template="Review {module} thoroughly")
-    bound = specialize(skill, {"function": "validate", "module": "parser"})
-    assert bound.bound_params() == {"module": "parser"}
-
-
-def test_specialize_idempotent_and_keeps_existing_bindings():
-    skill = Skill(id="t", template="Check {a} against {b}", params=(("a", "left"),))
-    once = specialize(skill, {"b": "right"})
-    twice = specialize(once, {"b": "right"})
-    assert once == twice
-    assert once.bound_params() == {"a": "left", "b": "right"}
-    assert once.unbound_placeholders() == frozenset()
-
-
-def test_specialize_reports_unbound_placeholders():
-    skill = Skill(id="t", template="Port {module} to {language}")
-    bound = specialize(skill, {"module": "scanner"})
-    assert bound.unbound_placeholders() == {"language"}
 
 
 def test_skill_params_must_have_placeholders():
