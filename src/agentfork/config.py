@@ -2,7 +2,8 @@
 
 ``CONFIG`` parses a config file: each key takes its JSON type from its
 field's annotation and its default from the dataclass. ``validate``
-holds the value rules, and every construction runs it. The embedding
+holds the value rules, and every construction runs it; a config is
+frozen, so ``decide_spawn`` reads its knobs as validated. The embedding
 dimension is not a run knob: the workload file's ``embedding_dim`` sets
 the embedder of its store.
 """
@@ -15,9 +16,9 @@ from pathlib import Path
 
 from . import schema
 from .memory import MAX_INT, MemoryError, RelevanceWeights
-from .policy import PolicyError, SpawnPolicyConfig
+from .policy import PolicyError
 
-@dataclass
+@dataclass(frozen=True)
 class SimulatorConfig:
     spawn_threshold: float = 0.7
     memory_threshold: float = 0.5
@@ -50,18 +51,24 @@ class SimulatorConfig:
     def from_file(cls, path: str | Path) -> "SimulatorConfig":
         return schema.parse_file(CONFIG, schema.read_json(path), path)
 
+    @property
+    def weights(self) -> tuple[float, float, float, float, float]:
+        """The spawn score's weights, in ``policy.METRIC_NAMES`` order."""
+        return (self.w1, self.w2, self.w3, self.w4, self.w5)
+
     def validate(self) -> None:
-        # The policy and relevance rules live in the sub-configs they feed.
         # A rule that reads one key raises a FieldError naming it, so a file
         # reports it at that key; the weight sums stay at the top level.
-        try:
-            self.policy_config()
-            self.relevance_weights()
-        except (PolicyError, MemoryError) as exc:
-            if exc.field is None:
-                raise
-            raise schema.FieldError(_SUB_CONFIG_KEYS.get(exc.field, exc.field), str(exc)) from None
+        for i, w in enumerate(self.weights, 1):
+            if not w >= 0:
+                raise schema.FieldError(f"w{i}", "weights must be nonnegative")
+        if not abs(sum(self.weights) - 1.0) <= 1e-9:
+            raise PolicyError(f"weights must sum to 1, got {sum(self.weights)}")
         for key, ok, rule in (
+            ("spawn_threshold", 0.0 <= self.spawn_threshold <= 1.0, "in [0, 1]"),
+            ("max_spawn_depth", self.max_spawn_depth >= 1, "positive"),
+            ("concurrent_spawn_limit", self.concurrent_spawn_limit >= 1, "positive"),
+            ("cooldown_steps", self.cooldown_steps >= 0, ">= 0"),
             # At most 2**53 s each, so every sum of steps and child times
             # on the virtual clock stays finite.
             ("child_timeout_secs", 0 < self.child_timeout_secs <= MAX_INT, "in (0, 2**53]"),
@@ -74,15 +81,12 @@ class SimulatorConfig:
         ):
             if not ok:
                 raise schema.FieldError(key, f"{key} must be {rule}")
-
-    def policy_config(self) -> SpawnPolicyConfig:
-        return SpawnPolicyConfig(
-            weights=(self.w1, self.w2, self.w3, self.w4, self.w5),
-            spawn_threshold=self.spawn_threshold,
-            max_spawn_depth=self.max_spawn_depth,
-            concurrent_spawn_limit=self.concurrent_spawn_limit,
-            cooldown_steps=self.cooldown_steps,
-        )
+        try:
+            self.relevance_weights()
+        except MemoryError as exc:
+            if exc.field is None:
+                raise
+            raise schema.FieldError(_RELEVANCE_KEYS.get(exc.field, exc.field), str(exc)) from None
 
     def relevance_weights(self) -> RelevanceWeights:
         return RelevanceWeights(
@@ -94,7 +98,7 @@ class SimulatorConfig:
         )
 
 
-# The config key of each sub-config field whose name differs from it.
-_SUB_CONFIG_KEYS = {f"weights[{i}]": f"w{i + 1}" for i in range(5)} | {"delta_w": "delta"}
+# The config key of each ``RelevanceWeights`` field whose name differs from it.
+_RELEVANCE_KEYS = {"delta_w": "delta"}
 
 CONFIG = schema.flat_table(SimulatorConfig)

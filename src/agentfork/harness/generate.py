@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .. import schema
 from ..coherence import Diff, Hunk
+from ..config import SimulatorConfig
 from ..memory import DefaultEmbedder, MemoryItem, MemoryTier, RelevanceWeights, compute_relevance, make_item
 from ..policy import ComplexityMetrics
 from ..protocol import TaskSpec
@@ -246,14 +247,15 @@ def generate_synthetic(seed: int, params: GenerateParams) -> WorkloadSpec:
     """Deterministic workload for one seed and parameter set.
 
     The memory corpus hits the relevance quantile exactly at the default
-    threshold of 0.5 under default relevance weights; the trajectory
+    ``SimulatorConfig`` memory threshold and relevance weights; the trajectory
     spikes once (context occupancy dominant) when ``spike`` is set; the
     conflict parameters realize the requested auto/semantic/escalated mix.
     """
     rng = random.Random(f"{seed}:generate:{params.name}")
     embedder = DefaultEmbedder(params.embedding_dim)
-    weights = RelevanceWeights()
-    threshold = 0.5
+    config = SimulatorConfig()
+    weights = config.relevance_weights()
+    threshold = config.memory_threshold
     now_step = _BASE_STEP + params.spike_step
 
     keywords = sorted(

@@ -27,9 +27,6 @@ DEFAULT_SKILLS = (
 )
 
 
-WorkloadError = schema.InputError
-
-
 @dataclass(frozen=True)
 class ConflictScenarioParams:
     count: int
@@ -75,7 +72,7 @@ def validate_workload_data(data) -> list[str]:
 
 def workload_from_data(data, source: str | Path | None = None) -> WorkloadSpec:
     """Parse workload JSON in one pass and derive item embeddings;
-    schema violations raise WorkloadError with field paths, each after
+    schema violations raise ``schema.InputError`` with field paths, each after
     ``source`` when it is given.
 
     Each distinct content is embedded once, through one
@@ -107,7 +104,7 @@ def workload_from_data(data, source: str | Path | None = None) -> WorkloadSpec:
 
 def load_workload(path: str | Path) -> WorkloadSpec:
     """Parse and validate a workload file; a file that cannot be read and
-    schema violations raise WorkloadError naming the path."""
+    schema violations raise ``schema.InputError`` naming the path."""
     return workload_from_data(schema.read_json(path), path)
 
 
@@ -133,5 +130,5 @@ def bundled_workload_path(name: str) -> Path:
     candidate = resources.files("agentfork") / "workloads" / f"{name}.json"
     with resources.as_file(candidate) as path:
         if not path.exists():
-            raise WorkloadError(f"{name}: no such file or bundled workload")
+            raise schema.InputError(f"{name}: no such file or bundled workload")
         return Path(path)

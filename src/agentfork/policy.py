@@ -12,15 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .config import SimulatorConfig
 
 
 class PolicyError(ValueError):
-    """A bad policy input. ``field`` names the one field a rule read,
-    for a rule that reads one field."""
-
-    def __init__(self, message: str, field: str | None = None):
-        super().__init__(message)
-        self.field = field
+    """A bad policy input."""
 
 
 class SpawnAction(str, Enum):
@@ -127,43 +126,16 @@ def normalize_all(metrics: ComplexityMetrics, state: CalibrationState) -> tuple[
 
 
 @dataclass(frozen=True)
-class SpawnPolicyConfig:
-    """Weights and gates for the spawn decision."""
-
-    weights: tuple[float, float, float, float, float] = (0.30, 0.20, 0.25, 0.15, 0.10)
-    spawn_threshold: float = 0.7
-    max_spawn_depth: int = 3
-    concurrent_spawn_limit: int = 4
-    cooldown_steps: int = 5
-
-    def __post_init__(self):
-        if len(self.weights) != 5:
-            raise PolicyError("exactly five weights required")
-        for i, w in enumerate(self.weights):
-            if not w >= 0:
-                raise PolicyError("weights must be nonnegative", f"weights[{i}]")
-        if not abs(sum(self.weights) - 1.0) <= 1e-9:
-            raise PolicyError(f"weights must sum to 1, got {sum(self.weights)}")
-        if not 0.0 <= self.spawn_threshold <= 1.0:
-            raise PolicyError("spawn_threshold must be in [0, 1]", "spawn_threshold")
-        if self.max_spawn_depth < 1:
-            raise PolicyError("max_spawn_depth must be positive", "max_spawn_depth")
-        if self.concurrent_spawn_limit < 1:
-            raise PolicyError("concurrent_spawn_limit must be positive", "concurrent_spawn_limit")
-        if self.cooldown_steps < 0:
-            raise PolicyError("cooldown_steps must be >= 0", "cooldown_steps")
-
-
-@dataclass(frozen=True)
 class RuntimeState:
-    """The loop-side facts the decision gates on."""
+    """The loop-side facts the decision gates on.
+    ``steps_since_last_spawn`` is None until the first spawn."""
 
     depth: int = 0
     active_children: int = 0
-    steps_since_last_spawn: int = 10**9
+    steps_since_last_spawn: int | None = None
 
     def __post_init__(self):
-        if min(self.depth, self.active_children, self.steps_since_last_spawn) < 0:
+        if min(self.depth, self.active_children, self.steps_since_last_spawn or 0) < 0:
             raise PolicyError("runtime state counts must be >= 0")
 
 
@@ -197,14 +169,15 @@ def dominant_specialization(normalized: tuple[float, ...]) -> Specialization:
 def decide_spawn(
     metrics: ComplexityMetrics,
     calibration: CalibrationState,
-    config: SpawnPolicyConfig,
+    config: SimulatorConfig,
     runtime_state: RuntimeState,
 ) -> SpawnDecision:
     """Pure spawn/continue decision with full audit payload.
 
     Spawns only when the score strictly exceeds the threshold AND depth,
-    concurrency, and cooldown gates all allow it. The runtime re-checks
-    limits at spawn time; this gate keeps the decision self-consistent.
+    concurrency, and cooldown gates all allow it; the cooldown gate is
+    open until the first spawn. The runtime re-checks limits at spawn
+    time; this gate keeps the decision self-consistent.
     """
     normalized = normalize_all(metrics, calibration)
     score = spawn_score(normalized, config.weights)
@@ -212,7 +185,10 @@ def decide_spawn(
         score > config.spawn_threshold
         and runtime_state.depth < config.max_spawn_depth
         and runtime_state.active_children < config.concurrent_spawn_limit
-        and runtime_state.steps_since_last_spawn >= config.cooldown_steps
+        and (
+            runtime_state.steps_since_last_spawn is None
+            or runtime_state.steps_since_last_spawn >= config.cooldown_steps
+        )
     )
     if allowed:
         return SpawnDecision(

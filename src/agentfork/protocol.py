@@ -191,16 +191,13 @@ def build_spawn_package(
     context: ExecutionContext,
     metrics: ComplexityMetrics,
     score: float,
-    clock,
+    timestamp: float,
     id_source: Callable[[], str],
 ) -> SpawnPackage:
-    """Assemble the immutable snapshot handed to a child.
-
-    ``clock`` is either a number of run-relative seconds or an object
-    with a ``now`` attribute. ``id_source`` names the package; the
-    runtime passes a sequential stream so runs replay byte-identically.
+    """Assemble the immutable snapshot handed to a child at
+    ``timestamp`` run-relative seconds. ``id_source`` names the package;
+    the runtime passes a sequential stream so runs replay byte-identically.
     """
-    timestamp = float(getattr(clock, "now", clock))
     spawn_id = id_source()
     grouped = {tier: memory_slice.by_tier(tier) for tier in TIER_ORDER}
     return SpawnPackage(

@@ -463,7 +463,7 @@ class ChildScheduler:
                 context=handle.package.context,
                 metrics=handle.package.metrics,
                 score=handle.package.score,
-                clock=self.clock,
+                timestamp=self.clock.now,
                 id_source=self.next_id,
             )
             yield handle.agent, package, nested.outcome_key
@@ -624,7 +624,6 @@ def run_parent_loop(
     default) the parent pauses at each spawn until its children join;
     otherwise completions are integrated at step boundaries.
     """
-    policy = config.policy_config()
     relevance = config.relevance_weights()
     task = workload.task
     embedder = DefaultEmbedder(workload.store.embedding_dim)
@@ -694,9 +693,9 @@ def run_parent_loop(
         runtime_state = RuntimeState(
             depth=root.depth,
             active_children=scheduler.active_for(root.id),
-            steps_since_last_spawn=step - last_spawn_step if last_spawn_step is not None else 10 ** 9,
+            steps_since_last_spawn=None if last_spawn_step is None else step - last_spawn_step,
         )
-        decision = decide_spawn(metrics, calibration, policy, runtime_state)
+        decision = decide_spawn(metrics, calibration, config, runtime_state)
         events.append(
             Event(clock.now, "decision", f"step={step} action={decision.action.value} score={decision.score:.4f}")
         )
@@ -713,7 +712,7 @@ def run_parent_loop(
                 context=context,
                 metrics=metrics,
                 score=decision.score,
-                clock=clock,
+                timestamp=clock.now,
                 id_source=scheduler.next_id,
             )
             tokens_parent = state.memory.token_count

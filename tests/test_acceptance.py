@@ -29,7 +29,6 @@ from agentfork.policy import (
     CalibrationState,
     RuntimeState,
     SpawnAction,
-    SpawnPolicyConfig,
     Specialization,
     decide_spawn,
     dominant_specialization,
@@ -130,7 +129,7 @@ def _oracle_decision(metrics, calibration, config, runtime_state):
 def test_criterion_03_spawn_policy_oracle():
     with criterion(3, "spawn decision matches brute force on 10000 vectors"):
         rng = random.Random(3003)
-        config = SpawnPolicyConfig()  # default weights
+        config = SimulatorConfig()  # default weights
         calibration = CalibrationState()
         for n in range(10_000):
             if n % 7 == 0:

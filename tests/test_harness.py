@@ -22,7 +22,6 @@ from agentfork.harness import simulate
 from agentfork.harness.simulate import run_conflict_phase, run_simulation
 from agentfork.harness.workload import (
     ConflictScenarioParams,
-    WorkloadError,
     bundled_workload_path,
     list_bundled_workloads,
     load_workload,
@@ -49,7 +48,7 @@ def test_validate_reports_out_of_range_context_occupancy():
     data["trajectory"][0]["O_c"] = 1.2
     errors = validate_workload_data(data)
     assert any("trajectory[0].O_c" in e for e in errors)
-    with pytest.raises(WorkloadError):
+    with pytest.raises(schema.InputError):
         workload_from_data(data)
 
 
@@ -276,7 +275,19 @@ def test_simulator_config_round_trip(tmp_path):
     path.write_text(json.dumps({"spawn_threshold": 0.6, "cooldown_steps": 0}))
     config = SimulatorConfig.from_file(path)
     assert config.spawn_threshold == 0.6
-    assert config.policy_config().cooldown_steps == 0
+    assert config.cooldown_steps == 0
+
+
+def test_simulator_config_is_frozen():
+    config = SimulatorConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.spawn_threshold = 0.9
+
+
+def test_cooldown_does_not_delay_the_first_spawn():
+    spec = load_workload(bundled_workload_path("single_spike"))
+    report = run_simulation(spec, SimulatorConfig(cooldown_steps=2**53), seed=0)
+    assert report.spawn_count == 1
 
 
 def test_simulator_config_rejects_unknown_and_invalid_keys(tmp_path):
@@ -443,7 +454,7 @@ def test_validator_rejects_probe_at_field_path(mutate, path):
     mutate(data)
     errors = validate_workload_data(data)
     assert any(e.startswith(f"{path}: ") for e in errors), errors
-    with pytest.raises(WorkloadError):
+    with pytest.raises(schema.InputError):
         workload_from_data(data)
 
 
@@ -492,7 +503,7 @@ def test_validate_is_total_and_accepted_workloads_run(data):
     errors = validate_workload_data(data)
     assert isinstance(errors, list)
     if errors:
-        with pytest.raises(WorkloadError):
+        with pytest.raises(schema.InputError):
             workload_from_data(data)
         return
     with tempfile.TemporaryDirectory() as tmp:

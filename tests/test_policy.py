@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from agentfork import schema
+from agentfork.config import SimulatorConfig
 from agentfork.policy import (
     PRIOR_BOUNDS,
     CalibrationState,
@@ -12,7 +14,6 @@ from agentfork.policy import (
     RuntimeState,
     SpawnAction,
     SpawnDecision,
-    SpawnPolicyConfig,
     Specialization,
     decide_spawn,
     dominant_specialization,
@@ -128,7 +129,7 @@ def test_dominant_specialization_scale_invariant():
 
 
 def test_decide_spawn_spike_spawns_context_compression():
-    decision = decide_spawn(SPIKE, CalibrationState(), SpawnPolicyConfig(), RuntimeState(depth=1))
+    decision = decide_spawn(SPIKE, CalibrationState(), SimulatorConfig(), RuntimeState(depth=1))
     assert decision.action is SpawnAction.SPAWN
     assert decision.specialization is Specialization.CONTEXT_COMPRESSION
     assert decision.score == pytest.approx(0.853, abs=1e-9)
@@ -136,7 +137,7 @@ def test_decide_spawn_spike_spawns_context_compression():
 
 
 def test_decide_spawn_blocked_at_max_depth():
-    decision = decide_spawn(SPIKE, CalibrationState(), SpawnPolicyConfig(), RuntimeState(depth=3))
+    decision = decide_spawn(SPIKE, CalibrationState(), SimulatorConfig(), RuntimeState(depth=3))
     assert decision.action is SpawnAction.CONTINUE
     assert decision.specialization is None
     assert decision.score == pytest.approx(0.853, abs=1e-9)
@@ -144,13 +145,13 @@ def test_decide_spawn_blocked_at_max_depth():
 
 def test_decide_spawn_below_threshold_continues():
     mild = ComplexityMetrics(10, 25, 50, 0.5, 5)
-    decision = decide_spawn(mild, CalibrationState(), SpawnPolicyConfig(), RuntimeState())
+    decision = decide_spawn(mild, CalibrationState(), SimulatorConfig(), RuntimeState())
     assert decision.action is SpawnAction.CONTINUE
     assert decision.score == pytest.approx(0.5, abs=1e-9)
 
 
 def test_decide_spawn_blocked_by_concurrency_and_cooldown():
-    config = SpawnPolicyConfig()
+    config = SimulatorConfig()
     blocked = decide_spawn(SPIKE, CalibrationState(), config, RuntimeState(active_children=4))
     assert blocked.action is SpawnAction.CONTINUE
     cooling = decide_spawn(
@@ -162,7 +163,7 @@ def test_decide_spawn_blocked_by_concurrency_and_cooldown():
 def test_decide_spawn_is_pure():
     state = CalibrationState()
     update_calibration(state, SPIKE)
-    args = (SPIKE, state, SpawnPolicyConfig(), RuntimeState(depth=1))
+    args = (SPIKE, state, SimulatorConfig(), RuntimeState(depth=1))
     assert decide_spawn(*args) == decide_spawn(*args)
 
 
@@ -194,7 +195,7 @@ def _oracle_decide(metrics, calibration, config, runtime_state):
 
 def test_decide_spawn_matches_brute_force_oracle():
     rng = random.Random(77)
-    config = SpawnPolicyConfig()
+    config = SimulatorConfig()
     for _ in range(500):
         calibration = CalibrationState()
         for _ in range(rng.randint(0, 4)):
@@ -219,11 +220,11 @@ def test_spawn_decision_invariant():
         SpawnDecision(SpawnAction.CONTINUE, Specialization.REFACTORING, 0.9, (1, 1, 1, 1, 1))
 
 
-def test_policy_config_validation():
+def test_simulator_config_validates_policy_knobs():
     with pytest.raises(PolicyError):
-        SpawnPolicyConfig(weights=(0.5, 0.5, 0.5, 0.5, 0.5))
-    with pytest.raises(PolicyError):
-        SpawnPolicyConfig(spawn_threshold=1.5)
+        SimulatorConfig(w1=0.5, w2=0.5, w3=0.5, w4=0.5, w5=0.5)
+    with pytest.raises(schema.FieldError):
+        SimulatorConfig(spawn_threshold=1.5)
     with pytest.raises(PolicyError):
         ComplexityMetrics(1, 1, 1, 1.2, 1)
 

@@ -63,7 +63,7 @@ def _package(embedder, spawn_id="spawn-0001", slice_items=()):
         context=ExecutionContext(repo_path="repo"),
         metrics=METRICS,
         score=0.75,
-        clock=10.0,
+        timestamp=10.0,
         id_source=lambda: spawn_id,
     )
 
@@ -104,11 +104,11 @@ def test_spawn_ids_unique_within_run(embedder):
     ids = sequential_ids()
     first = build_spawn_package(
         "p", TaskSpec(description="t"), MemorySlice((), 0, 0.5), (),
-        ExecutionContext(repo_path="r"), METRICS, 0.5, clock=0.0, id_source=lambda: next(ids),
+        ExecutionContext(repo_path="r"), METRICS, 0.5, timestamp=0.0, id_source=lambda: next(ids),
     )
     second = build_spawn_package(
         "p", TaskSpec(description="t"), MemorySlice((), 0, 0.5), (),
-        ExecutionContext(repo_path="r"), METRICS, 0.5, clock=0.0, id_source=lambda: next(ids),
+        ExecutionContext(repo_path="r"), METRICS, 0.5, timestamp=0.0, id_source=lambda: next(ids),
     )
     assert first.spawn_id != second.spawn_id
 
@@ -117,7 +117,7 @@ def test_build_rejects_out_of_range_score(embedder):
     with pytest.raises(ProtocolError):
         build_spawn_package(
             "p", TaskSpec(description="t"), MemorySlice((), 0, 0.5), (),
-            ExecutionContext(repo_path="r"), METRICS, 1.5, clock=0.0, id_source=lambda: "spawn-0001",
+            ExecutionContext(repo_path="r"), METRICS, 1.5, timestamp=0.0, id_source=lambda: "spawn-0001",
         )
 
 

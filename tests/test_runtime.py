@@ -72,7 +72,7 @@ def _package(spawn_id, parent_id="parent"):
         ExecutionContext(repo_path="repo"),
         QUIET,
         0.85,
-        clock=0.0,
+        timestamp=0.0,
         id_source=lambda: spawn_id,
     )
 
