@@ -93,13 +93,14 @@ def test_run_bad_config_exits_nonzero(tmp_path, capsys):
         ({"cooldown_steps": -1}, "cooldown_steps"),
         ({"lambda_decay": 0}, "lambda_decay"),
         ({"w1": 0.4, "w2": -0.1}, "w2"),
-        ({"w1": -0.1, "w2": 0.5}, "w1"),
-        ({"w4": 0.25, "w5": -0.1}, "w5"),
         ({"alpha": 0.6, "delta": -0.1}, "delta"),
         ({"alpha": -0.1, "beta": 0.7}, "alpha"),
         # Only a rule that spans keys is reported at the top level.
         ({"w1": 0.9}, "$"),
         ({"alpha": 0.5}, "$"),
+        # Both ends of the w1..w5 keys.
+        ({"w1": -0.1, "w2": 0.5}, "w1"),
+        ({"w4": 0.25, "w5": -0.1}, "w5"),
     ],
 )
 def test_run_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, config, key):
