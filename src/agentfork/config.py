@@ -10,7 +10,6 @@ the embedder of its store.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,8 +75,9 @@ class SimulatorConfig:
             ("memory_threshold", 0.0 <= self.memory_threshold <= 1.0, "in [0, 1]"),
             ("semantic_merge_p", 0.0 <= self.semantic_merge_p <= 1.0, "in [0, 1]"),
             ("promote_threshold", 0.0 <= self.promote_threshold <= 1.0, "in [0, 1]"),
-            ("price_per_1k_tokens", 0 <= self.price_per_1k_tokens < math.inf, "finite and >= 0"),
-            ("price_per_api_call", 0 <= self.price_per_api_call < math.inf, "finite and >= 0"),
+            # At most 2**53 each, so the cost of 2**53 tokens and calls stays finite.
+            ("price_per_1k_tokens", 0 <= self.price_per_1k_tokens <= MAX_INT, "in [0, 2**53]"),
+            ("price_per_api_call", 0 <= self.price_per_api_call <= MAX_INT, "in [0, 2**53]"),
         ):
             if not ok:
                 raise schema.FieldError(key, f"{key} must be {rule}")

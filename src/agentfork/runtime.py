@@ -109,19 +109,14 @@ class AgentId:
             raise SpawnTreeError("depth must be >= 0")
 
 
-class NodeStatus(str, Enum):
-    RUNNING = "running"
-    DONE = "done"
-    FAILED = "failed"
-    TIMED_OUT = "timed_out"
-
-
 class SpawnTree:
     """Parent/child structure of one run. ``add_child`` is the only way a
     node enters the tree and it checks both limits before inserting, so a
     violation surfaces at the faulty call and the tree never needs a walk.
-    ``add_child`` and ``mark`` keep each node's count of running children,
-    so reading it costs one lookup."""
+    The tree tracks which children are still running, not how they ended:
+    ``parent`` maps each running child to its parent, and ``add_child``
+    and ``mark`` keep each node's count of running children, so reading
+    it costs one lookup."""
 
     def __init__(self, root: AgentId, max_depth: int, concurrent_limit: int):
         self.root = root
@@ -129,7 +124,6 @@ class SpawnTree:
         self.concurrent_limit = concurrent_limit
         self.nodes: dict[str, AgentId] = {root.id: root}
         self.children: dict[str, list[str]] = {root.id: []}
-        self.status: dict[str, NodeStatus] = {root.id: NodeStatus.RUNNING}
         self.parent: dict[str, str] = {}
         self.running_count: dict[str, int] = {}
 
@@ -151,20 +145,16 @@ class SpawnTree:
         self.nodes[child.id] = child
         self.children[child.id] = []
         self.children[parent_id].append(child.id)
-        self.status[child.id] = NodeStatus.RUNNING
         self.parent[child.id] = parent_id
         self.running_count[parent_id] = self.running_count.get(parent_id, 0) + 1
 
-    def mark(self, node_id: str, status: NodeStatus) -> None:
-        """Record how a node finished. Only ``add_child`` makes a node
-        running, so that the concurrency limit has one enforcer."""
-        if node_id not in self.nodes:
-            raise SpawnTreeError(f"unknown node {node_id!r}")
-        if status is NodeStatus.RUNNING:
-            raise SpawnTreeError(f"cannot mark {node_id!r} running again")
-        if self.status[node_id] is NodeStatus.RUNNING and node_id in self.parent:
-            self.running_count[self.parent[node_id]] -= 1
-        self.status[node_id] = status
+    def mark(self, node_id: str) -> None:
+        """Record that a running child finished. Only ``add_child`` makes a
+        node running, so that the concurrency limit has one enforcer."""
+        parent_id = self.parent.pop(node_id, None)
+        if parent_id is None:
+            raise SpawnTreeError(f"{node_id!r} is not a running child")
+        self.running_count[parent_id] -= 1
 
     def running_children(self, node_id: str) -> int:
         return self.running_count.get(node_id, 0)
@@ -323,13 +313,25 @@ class Event:
         return f"t={self.time:.3f} {self.kind} {self.detail}"
 
 
+class ChildOutcome(Enum):
+    """How a child ended: its resume package's status, or the scheduler's
+    verdict when the child timed out or its result was invalid. The values
+    are the report's outcome strings."""
+
+    SUCCESS = "success"
+    PARTIAL = "partial"
+    FAILURE = "failure"
+    TIMED_OUT = "timed_out"
+    INVALID = "invalid"
+
+
 @dataclass
 class ChildHandle:
     """One child from request to completion, the scheduler's only record
     of it. ``done_at`` is set when the child starts: a child whose backend
     failed (``resume`` is None, the error in ``errors``) completes at its
     start, any other after its execution time, capped at the timeout.
-    ``kind`` (ok, timeout or invalid) is set when it completes."""
+    ``outcome`` is set once, when the child completes."""
 
     spawn_id: str
     agent: AgentId
@@ -338,7 +340,7 @@ class ChildHandle:
     outcome_key: str
     done_at: float = 0.0
     resume: ResumePackage | None = None
-    kind: str = ""
+    outcome: ChildOutcome | None = None
     errors: tuple[str, ...] = ()
 
 
@@ -482,9 +484,9 @@ class ChildScheduler:
     def _complete(self, handle: ChildHandle) -> None:
         timeout = self.config.child_timeout_secs
         resume = handle.resume
+        self.tree.mark(handle.spawn_id)
         if resume is not None and resume.execution_time > timeout:
-            handle.kind = "timeout"
-            self.tree.mark(handle.spawn_id, NodeStatus.TIMED_OUT)
+            handle.outcome = ChildOutcome.TIMED_OUT
             self.events.append(
                 Event(self.clock.now, "child_timed_out", f"{handle.spawn_id} after {timeout}s")
             )
@@ -498,15 +500,12 @@ class ChildScheduler:
                         errors.append(f"checkpoint error: {type(exc).__name__}: {exc}")
                 handle.errors = tuple(errors)
             if handle.errors:
-                handle.kind = "invalid"
-                self.tree.mark(handle.spawn_id, NodeStatus.FAILED)
+                handle.outcome = ChildOutcome.INVALID
                 self.events.append(
                     Event(self.clock.now, "child_invalid", f"{handle.spawn_id} {'; '.join(handle.errors)}")
                 )
             else:
-                handle.kind = "ok"
-                status = NodeStatus.FAILED if resume.status is ChildStatus.FAILURE else NodeStatus.DONE
-                self.tree.mark(handle.spawn_id, status)
+                handle.outcome = ChildOutcome(resume.status.value)
                 self.events.append(
                     Event(self.clock.now, "child_completed", f"{handle.spawn_id} status={resume.status.value}")
                 )
@@ -535,7 +534,7 @@ _EMPTY_SLICE = MemorySlice(items=(), source_store_step=0, threshold_used=0.0)
 
 def handle_child_failure(
     state: ParentState, spawn_id: str, kind: str, detail: str, embedder: Embedder
-) -> ParentState:
+) -> None:
     """Record a child failure in episodic memory; no diffs, no retry."""
     content = f"child {spawn_id} failed ({kind}): {detail}"
     state.memory.add(
@@ -543,7 +542,6 @@ def handle_child_failure(
             f"{spawn_id}:failure", MemoryTier.EPISODIC, content, embedder, created_at_step=state.memory.current_step
         )
     )
-    return state
 
 
 def flush_staged_diffs(
@@ -589,7 +587,7 @@ class SpawnRecord:
     reduction_pct: float
     items_parent: int
     items_slice: int
-    outcome: str = "pending"  # success | partial | failure | timed_out | invalid
+    outcome: str = "pending"  # then the value of the handle's ChildOutcome
     execution_time: float = 0.0
     tokens_used: int = 0
     api_calls: int = 0
@@ -648,22 +646,20 @@ def run_parent_loop(
             return
         for handle in completed:
             if handle.parent.id != root.id:
-                # Grandchildren report to their own (scripted) parent; the
-                # tree and event log already carry their outcome.
+                # Grandchildren report to their own (scripted) parent; their
+                # handle and the event log carry their outcome.
                 continue
             record = by_id[handle.spawn_id]
-            if handle.kind == "timeout":
+            record.outcome = handle.outcome.value
+            if handle.outcome is ChildOutcome.TIMED_OUT:
                 detail = f"exceeded {config.child_timeout_secs}s"
                 handle_child_failure(state, handle.spawn_id, "timeout", detail, embedder)
-                record.outcome = "timed_out"
                 continue
-            if handle.kind == "invalid":
+            if handle.outcome is ChildOutcome.INVALID:
                 handle_child_failure(state, handle.spawn_id, "invalid", "; ".join(handle.errors), embedder)
-                record.outcome = "invalid"
                 continue
             resume = handle.resume
             replay_resume(state, resume, embedder, config.promote_threshold)
-            record.outcome = resume.status.value
             record.execution_time = resume.execution_time
             record.tokens_used = resume.metrics.tokens_used
             record.api_calls = resume.metrics.api_calls

@@ -101,6 +101,9 @@ def test_run_bad_config_exits_nonzero(tmp_path, capsys):
         # Both ends of the w1..w5 keys.
         ({"w1": -0.1, "w2": 0.5}, "w1"),
         ({"w4": 0.25, "w5": -0.1}, "w5"),
+        # A price past 2**53 would make the report's costs infinite.
+        ({"price_per_api_call": 1e308}, "price_per_api_call"),
+        ({"price_per_1k_tokens": 1e308}, "price_per_1k_tokens"),
     ],
 )
 def test_run_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, config, key):

@@ -39,11 +39,11 @@ from agentfork.protocol import (
 )
 from agentfork.runtime import (
     AgentId,
+    ChildOutcome,
     ChildScheduler,
     Event,
     LoopWorkload,
     NestedSpawn,
-    NodeStatus,
     OrchestrationError,
     ScriptedBackend,
     ScriptedOutcome,
@@ -120,10 +120,13 @@ def test_tree_counts_only_running_children():
     with pytest.raises(SpawnTreeError):
         tree.add_child("r", AgentId("c", 1))
     assert "c" not in tree.nodes
-    tree.mark("a", NodeStatus.DONE)
+    tree.mark("a")
     assert tree.running_children("r") == 1
     with pytest.raises(SpawnTreeError):
-        tree.mark("a", NodeStatus.RUNNING)
+        tree.mark("a")
+    with pytest.raises(SpawnTreeError):
+        tree.mark("r")
+    assert tree.running_children("r") == 1
     tree.add_child("r", AgentId("c", 1))
     assert tree.running_children("r") == 2
 
@@ -131,11 +134,11 @@ def test_tree_counts_only_running_children():
 # One tree call per entry. ("add", parent pick, fresh id, depth step):
 # a pick past the node list names an unknown parent, a reused id is a
 # duplicate and a depth step other than 1 is a wrong depth. ("mark", node
-# pick, status): a pick past the list names an unknown node.
+# pick): a pick past the list names an unknown node.
 _TREE_CALLS = st.lists(
     st.one_of(
         st.tuples(st.just("add"), st.integers(0, 10**6), st.booleans(), st.sampled_from([1, 1, 1, 0, 2])),
-        st.tuples(st.just("mark"), st.integers(0, 10**6), st.sampled_from(list(NodeStatus))),
+        st.tuples(st.just("mark"), st.integers(0, 10**6)),
     ),
     max_size=80,
 )
@@ -145,8 +148,10 @@ _TREE_CALLS = st.lists(
 @given(calls=_TREE_CALLS, max_depth=st.integers(1, 3), limit=st.integers(1, 3))
 def test_tree_running_counts_match_a_recount(calls, max_depth, limit):
     """The counts ``add_child`` and ``mark`` keep equal a recount from
-    ``children`` and ``status`` after every call, those that raise too."""
+    ``children`` and the ids marked so far after every call, those that
+    raise too. Marking a finished child raises."""
     tree = SpawnTree(AgentId("r", 0), max_depth, limit)
+    finished: set[str] = set()
     for n, call in enumerate(calls):
         nodes = list(tree.nodes.values())
         pick = call[1] % (len(nodes) + 1)
@@ -156,12 +161,16 @@ def test_tree_running_counts_match_a_recount(calls, max_depth, limit):
                 _, _, fresh, step = call
                 child_id = f"n{n}" if fresh else nodes[call[1] % len(nodes)].id
                 tree.add_child(node.id, AgentId(child_id, node.depth + step))
+            elif node.id in finished:
+                with pytest.raises(SpawnTreeError):
+                    tree.mark(node.id)
             else:
-                tree.mark(node.id, call[2])
+                tree.mark(node.id)
+                finished.add(node.id)
         except SpawnTreeError:
             pass
         for node_id in tree.nodes:
-            recount = sum(tree.status[c] is NodeStatus.RUNNING for c in tree.children[node_id])
+            recount = sum(c not in finished for c in tree.children[node_id])
             assert tree.running_children(node_id) == recount
             assert recount <= limit
 
@@ -186,7 +195,8 @@ def test_spawn_child_registers_running_child():
     scheduler, root, tree, clock, events = _scheduler({"k": ScriptedOutcome()})
     outcome = scheduler.spawn_child(root, _package("spawn-0001"), "k")
     assert outcome.state == "started"
-    assert tree.status["spawn-0001"] is NodeStatus.RUNNING
+    assert tree.parent == {"spawn-0001": root.id}
+    assert tree.running_children(root.id) == 1
 
 
 def test_spawn_child_rejects_depth_violation():
@@ -213,7 +223,9 @@ def test_fifth_request_queues_and_starts_after_completion():
     assert tree.running_children(root.id) == 4
     results = scheduler.await_children()
     assert len(results) == 5
-    assert tree.status["spawn-0005"] is NodeStatus.DONE
+    assert results[-1].spawn_id == "spawn-0005"
+    assert results[-1].outcome is ChildOutcome.SUCCESS
+    assert tree.running_children(root.id) == 0
     started_after = [e for e in events if e.kind == "queue_admitted"]
     assert len(started_after) == 1
 
@@ -324,9 +336,9 @@ def test_await_children_timeout_boundary():
     scheduler.spawn_child(root, _package("spawn-slow"), "slow")
     scheduler.spawn_child(root, _package("spawn-fast"), "fast")
     results = {h.spawn_id: h for h in scheduler.await_children()}
-    assert results["spawn-fast"].kind == "ok"
-    assert results["spawn-slow"].kind == "timeout"
-    assert tree.status["spawn-slow"] is NodeStatus.TIMED_OUT
+    assert results["spawn-fast"].outcome is ChildOutcome.SUCCESS
+    assert results["spawn-slow"].outcome is ChildOutcome.TIMED_OUT
+    assert tree.running_children(root.id) == 0
     assert clock.now == pytest.approx(600.0)
 
 
@@ -381,9 +393,9 @@ def test_await_children_flags_invalid_results():
     scheduler, root, tree, clock, events = _scheduler({}, backend=WrongIdBackend())
     scheduler.spawn_child(root, _package("spawn-0001"), "k")
     results = scheduler.await_children()
-    assert results[0].kind == "invalid"
+    assert results[0].outcome is ChildOutcome.INVALID
     assert any("wrong child" in e for e in results[0].errors)
-    assert tree.status["spawn-0001"] is NodeStatus.FAILED
+    assert tree.running_children(root.id) == 0
 
 
 def test_nested_requests_follow_scripts():
@@ -515,7 +527,8 @@ def test_loop_records_backend_exception_as_invalid_child():
         i for i in tier_items(result.state.memory, MemoryTier.EPISODIC) if i.id.endswith(":failure")
     ]
     assert len(failures) == 1 and "backend error" in failures[0].content
-    assert result.tree.status[result.spawn_records[0].spawn_id] is NodeStatus.FAILED
+    assert result.spawn_records[0].spawn_id in result.tree.nodes
+    assert result.tree.running_children(result.tree.root.id) == 0
 
 
 class _ParentMemoryWriter:
@@ -684,7 +697,8 @@ def test_failed_spawn_checkpoint_costs_the_child_not_the_parent(tmp_path, case):
     assert [r.outcome for r in result.spawn_records] == ["invalid"]
     invalid = [e for e in result.events if e.kind == "child_invalid"]
     assert len(invalid) == 1 and f"backend error: {error}: " in invalid[0].detail
-    assert result.tree.status[result.spawn_records[0].spawn_id] is NodeStatus.FAILED
+    assert result.spawn_records[0].spawn_id in result.tree.nodes
+    assert result.tree.running_children(result.tree.root.id) == 0
 
 
 def test_failed_resume_checkpoint_makes_the_child_invalid(tmp_path, monkeypatch):
