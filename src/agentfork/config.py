@@ -3,18 +3,19 @@
 ``CONFIG`` parses a config file: each key takes its JSON type from its
 field's annotation and its default from the dataclass. ``validate``
 holds the value rules, and every construction runs it; a config is
-frozen, so ``decide_spawn`` reads its knobs as validated. The embedding
-dimension is not a run knob: the workload file's ``embedding_dim`` sets
-the embedder of its store.
+frozen, so ``decide_spawn``, ``slice_memory`` and ``compute_relevance``
+read its knobs as validated. The embedding dimension is not a run knob:
+the workload file's ``embedding_dim`` sets the embedder of its store.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import schema
-from .memory import MAX_INT, MemoryError, RelevanceWeights
+from .memory import MAX_INT, MemoryError
 from .policy import PolicyError
 
 @dataclass(frozen=True)
@@ -81,24 +82,14 @@ class SimulatorConfig:
         ):
             if not ok:
                 raise schema.FieldError(key, f"{key} must be {rule}")
-        try:
-            self.relevance_weights()
-        except MemoryError as exc:
-            if exc.field is None:
-                raise
-            raise schema.FieldError(_RELEVANCE_KEYS.get(exc.field, exc.field), str(exc)) from None
+        parts = (self.alpha, self.beta, self.gamma, self.delta)
+        for key, w in zip(("alpha", "beta", "gamma", "delta"), parts):
+            if not w >= 0:
+                raise schema.FieldError(key, f"relevance weights must be nonnegative: {parts}")
+        if not abs(sum(parts) - 1.0) <= 1e-9:
+            raise MemoryError(f"relevance weights must sum to 1, got {sum(parts)}")
+        if not 0 < self.lambda_decay < math.inf:
+            raise schema.FieldError("lambda_decay", "lambda_decay must be positive and finite")
 
-    def relevance_weights(self) -> RelevanceWeights:
-        return RelevanceWeights(
-            alpha=self.alpha,
-            beta=self.beta,
-            gamma=self.gamma,
-            delta_w=self.delta,
-            lambda_decay=self.lambda_decay,
-        )
-
-
-# The config key of each ``RelevanceWeights`` field whose name differs from it.
-_RELEVANCE_KEYS = {"delta_w": "delta"}
 
 CONFIG = schema.flat_table(SimulatorConfig)

@@ -16,7 +16,7 @@ from pathlib import Path
 from .. import schema
 from ..coherence import Diff, Hunk
 from ..config import SimulatorConfig
-from ..memory import DefaultEmbedder, MemoryItem, MemoryTier, RelevanceWeights, compute_relevance, make_item
+from ..memory import DefaultEmbedder, MemoryItem, MemoryTier, compute_relevance, make_item
 from ..policy import ComplexityMetrics
 from ..protocol import TaskSpec
 from ..runtime import ScriptedOutcome
@@ -51,7 +51,7 @@ class GenerateParams:
             ("item_count", self.item_count >= 1, ">= 1"),
             ("relevance_target_quantile", 0.0 <= self.relevance_target_quantile <= 1.0, "in [0, 1]"),
             ("p_semantic", self.p_semantic is None or 0.0 <= self.p_semantic <= 1.0, "in [0, 1]"),
-            ("conflict_count", self.conflict_count >= 0, ">= 0"),
+            ("conflict_count", 0 <= self.conflict_count <= schema.MAX_CONFLICTS, f"in [0, {schema.MAX_CONFLICTS}]"),
             ("spike_step", self.spike_step >= 0, ">= 0"),
             ("embedding_dim", 1 <= self.embedding_dim <= schema.MAX_EMBEDDING_DIM, f"in [1, {schema.MAX_EMBEDDING_DIM}]"),
         ):
@@ -205,12 +205,12 @@ def _calibrated_item(
     keywords: list[str],
     refs: list[str],
     embedder,
-    weights: RelevanceWeights,
+    config: SimulatorConfig,
     now_step: int,
-    threshold: float,
 ) -> MemoryItem:
     """Generate an item and verify it lands strictly on the intended side
-    of the threshold, nudging it until it does."""
+    of the config's memory threshold, nudging it until it does."""
+    threshold = config.memory_threshold
     word_target = rng.randint(20, 28)
     tier = rng.choice(_TIER_CHOICES)
     margin = 0.02
@@ -233,7 +233,7 @@ def _calibrated_item(
             referenced_symbols=[r for r in item_refs if "/" not in r],
             created_at_step=created,
         )
-        score = compute_relevance(item, task, weights, now_step, embedder)
+        score = compute_relevance(item, task, config, now_step, embedder)
         if relevant and score > threshold + margin:
             return item
         if not relevant and score < threshold - margin:
@@ -254,8 +254,6 @@ def generate_synthetic(seed: int, params: GenerateParams) -> WorkloadSpec:
     rng = random.Random(f"{seed}:generate:{params.name}")
     embedder = DefaultEmbedder(params.embedding_dim)
     config = SimulatorConfig()
-    weights = config.relevance_weights()
-    threshold = config.memory_threshold
     now_step = _BASE_STEP + params.spike_step
 
     keywords = sorted(
@@ -272,9 +270,7 @@ def generate_synthetic(seed: int, params: GenerateParams) -> WorkloadSpec:
     rng.shuffle(flags)
 
     memory = [
-        _calibrated_item(
-            rng, i, flag, TASK, keywords, refs, embedder, weights, now_step, threshold
-        )
+        _calibrated_item(rng, i, flag, TASK, keywords, refs, embedder, config, now_step)
         for i, flag in enumerate(flags)
     ]
     if memory:

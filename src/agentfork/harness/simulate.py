@@ -29,7 +29,6 @@ class ConflictPhaseStats:
     escalated: int = 0
     semantic_attempts: int = 0
     semantic_successes: int = 0
-    auto_failures: int = 0
     escalation_leaks: int = 0
 
 
@@ -70,8 +69,6 @@ def run_conflict_phase(params: ConflictScenarioParams, seed: int) -> ConflictPha
         resolution = outcome.resolutions[0]
         if resolution.tier is ResolutionTier.AUTO:
             stats.auto += 1
-            if not resolution.success:
-                stats.auto_failures += 1
         elif resolution.tier is ResolutionTier.SEMANTIC:
             stats.semantic += 1
         else:

@@ -22,6 +22,7 @@ from itertools import compress
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from .config import SimulatorConfig
     from .protocol import TaskSpec
 
 Embedder = Callable[[str], Sequence[float]]
@@ -51,13 +52,8 @@ TIER_ORDER = (MemoryTier.EPISODIC, MemoryTier.SEMANTIC, MemoryTier.WORKING)
 
 
 class MemoryError(ValueError):
-    """Raised on store invariant violations (duplicate ids, bad dims).
-    ``field`` names the one field a rule read, for a rule of
-    ``RelevanceWeights`` that reads one field."""
-
-    def __init__(self, message: str, field: str | None = None):
-        super().__init__(message)
-        self.field = field
+    """Raised on store invariant violations (duplicate ids, bad dims),
+    and by ``SimulatorConfig`` on relevance weights that do not sum to 1."""
 
 
 # The largest integer a package or workload file may carry: beyond 2**53
@@ -67,7 +63,7 @@ class MemoryError(ValueError):
 MAX_INT = 2**53
 # The reference set of every item without references.
 _NO_REFS: frozenset[str] = frozenset()
-# Slack on the bound gamma + delta_w at which a slice prunes. With both
+# Slack on the bound gamma + delta at which a slice prunes. With both
 # embedding norms zero or inside _SCALE, a cosine rounds above 1 by about
 # 2*dim ulps at most, under 2**-20 for any dim below 2**32. Outside it,
 # squares and products fall among the subnormals and a cosine can round
@@ -208,31 +204,6 @@ class MemoryItem:
     @property
     def references(self) -> frozenset[str]:
         return self.referenced_files | self.referenced_symbols
-
-
-@dataclass(frozen=True)
-class RelevanceWeights:
-    """Weights for the four relevance components plus the recency decay rate.
-
-    alpha: keyword match, beta: code-dependency overlap, gamma: recency,
-    delta_w: embedding similarity. The four must sum to 1.
-    """
-
-    alpha: float = 0.3
-    beta: float = 0.3
-    gamma: float = 0.2
-    delta_w: float = 0.2
-    lambda_decay: float = 0.1
-
-    def __post_init__(self):
-        parts = (self.alpha, self.beta, self.gamma, self.delta_w)
-        for name, w in zip(("alpha", "beta", "gamma", "delta_w"), parts):
-            if not w >= 0:
-                raise MemoryError(f"relevance weights must be nonnegative: {parts}", name)
-        if not abs(sum(parts) - 1.0) <= 1e-9:
-            raise MemoryError(f"relevance weights must sum to 1, got {sum(parts)}")
-        if not 0 < self.lambda_decay < math.inf:
-            raise MemoryError("lambda_decay must be positive and finite", "lambda_decay")
 
 
 class MemoryStore:
@@ -438,8 +409,6 @@ class MemorySlice:
     """Immutable subset of a parent store chosen for one child spawn."""
 
     items: tuple[MemoryItem, ...]
-    source_store_step: int
-    threshold_used: float
 
     def by_tier(self, tier: MemoryTier) -> tuple[MemoryItem, ...]:
         return tuple(it for it in self.items if it.tier is tier)
@@ -478,16 +447,18 @@ def _task_terms(task: "TaskSpec") -> tuple[frozenset[str], frozenset[str]]:
 def compute_relevance(
     item: MemoryItem,
     task: "TaskSpec",
-    weights: RelevanceWeights,
+    config: "SimulatorConfig",
     now_step: int,
     embedder: Embedder,
 ) -> float:
     """Score one memory item against a child task. Result in [0, 1].
 
-    Weighted sum of four bounded components: fraction of task keywords
-    present in the item, fraction of task code references the item also
-    references, exponential recency decay over item age in steps, and
-    embedding cosine similarity clamped at zero.
+    Weighted sum of four bounded components under the config's
+    ``alpha``, ``beta``, ``gamma`` and ``delta``: fraction of task
+    keywords present in the item, fraction of task code references the
+    item also references, exponential recency decay (rate
+    ``lambda_decay``) over item age in steps, and embedding cosine
+    similarity clamped at zero.
     """
     if now_step < item.created_at_step:
         raise MemoryError(
@@ -499,7 +470,7 @@ def compute_relevance(
             f"item {item.id}: embedding dim {len(item.embedding)} != embedder dim {len(task_embedding)}"
         )
     keywords, refs = _task_terms(task)
-    score = _relevance_scorer(keywords, refs, norm(task_embedding), weights, now_step)
+    score = _relevance_scorer(keywords, refs, norm(task_embedding), config, now_step)
     return score(
         len(keywords & extract_keywords(item.content)),
         len(refs & item.references),
@@ -513,7 +484,7 @@ def _relevance_scorer(
     keywords: frozenset[str],
     refs: frozenset[str],
     task_norm: float,
-    weights: RelevanceWeights,
+    config: "SimulatorConfig",
     now_step: int,
 ) -> Callable[[int, int, int, float, float], float]:
     """The one weighted relevance sum, for a fixed task.
@@ -525,10 +496,10 @@ def _relevance_scorer(
     The recency term ``exp(-lambda_decay * age)`` is computed once per
     age. The semantic term is ``max(0, dot / (item_norm * task_norm))``,
     or 0 when either norm is 0, and the score is ``alpha * keyword_match
-    + beta * dep_score + gamma * recency + delta_w * semantic`` summed in
-    that order, so scores are bit-identical however the terms were
-    found. The item's age is not checked here; callers guarantee
-    ``created_at_step <= now_step``.
+    + beta * dep_score + gamma * recency + delta * semantic``, with the
+    config's knobs, summed in that order, so scores are bit-identical
+    however the terms were found. The item's age is not checked here;
+    callers guarantee ``created_at_step <= now_step``.
     """
     n_keywords = len(keywords)
     n_refs = len(refs)
@@ -540,16 +511,16 @@ def _relevance_scorer(
         age = now_step - created_at_step
         temporal = recency.get(age)
         if temporal is None:
-            temporal = recency[age] = math.exp(-weights.lambda_decay * age)
+            temporal = recency[age] = math.exp(-config.lambda_decay * age)
         if item_norm == 0.0 or task_norm == 0.0:
             semantic = 0.0
         else:
             semantic = max(0.0, dot / (item_norm * task_norm))
         return (
-            weights.alpha * keyword_match
-            + weights.beta * dep_score
-            + weights.gamma * temporal
-            + weights.delta_w * semantic
+            config.alpha * keyword_match
+            + config.beta * dep_score
+            + config.gamma * temporal
+            + config.delta * semantic
         )
 
     return score
@@ -558,11 +529,11 @@ def _relevance_scorer(
 def slice_memory(
     store: MemoryStore,
     task: "TaskSpec",
-    threshold: float,
-    weights: RelevanceWeights,
+    config: "SimulatorConfig",
     embedder: Embedder,
 ) -> MemorySlice:
-    """Select items with relevance strictly above ``threshold``.
+    """Select items with relevance strictly above the config's
+    ``memory_threshold``, scored under its relevance knobs.
 
     Order is preserved from the store; items at exactly the threshold are
     excluded. The store is not modified. Keyword hits are counted once
@@ -572,28 +543,26 @@ def slice_memory(
     because item embeddings are finite.
 
     An item with no keyword and no reference hit scores
-    ``gamma * recency + delta_w * cosine``, at most ``gamma + delta_w``
+    ``gamma * recency + delta * cosine``, at most ``gamma + delta``
     up to the cosine's rounding above 1, which ``_SLACK`` covers while
     the task's and every item's embedding norm is zero or inside
-    ``_SCALE``. So when ``threshold >= gamma + delta_w + _SLACK`` and
-    those norms are in scale, only the items that hold a task keyword or
-    reference are scored; otherwise every item is. The kept
+    ``_SCALE``. So when ``memory_threshold >= gamma + delta + _SLACK``
+    and those norms are in scale, only the items that hold a task keyword
+    or reference are scored; otherwise every item is. The kept
     items are the same either way.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise MemoryError(f"threshold must be in [0, 1], got {threshold}")
     task_embedding = embedder(task.description)
     if len(task_embedding) != store.embedding_dim:
         raise MemoryError(
             f"embedder dim {len(task_embedding)} != store dim {store.embedding_dim}"
         )
-    now = store.current_step
+    threshold = config.memory_threshold
     keywords, refs = _task_terms(task)
     task_norm = norm(task_embedding)
-    score = _relevance_scorer(keywords, refs, task_norm, weights, now)
+    score = _relevance_scorer(keywords, refs, task_norm, config, store.current_step)
     dot = dot_with(task_embedding)
     hits_only = (
-        threshold >= weights.gamma + weights.delta_w + _SLACK
+        threshold >= config.gamma + config.delta + _SLACK
         and not store._off_scale_groups
         and not _off_scale(task_norm)
     )
@@ -602,7 +571,7 @@ def slice_memory(
         for item, item_norm, keyword_hits, ref_hits in store._indexed(keywords, refs, hits_only)
         if score(keyword_hits, ref_hits, item.created_at_step, dot(item.embedding), item_norm) > threshold
     )
-    return MemorySlice(items=kept, source_store_step=now, threshold_used=threshold)
+    return MemorySlice(items=kept)
 
 
 def count_tokens(items: Iterable[MemoryItem]) -> int:

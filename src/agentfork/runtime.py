@@ -529,7 +529,7 @@ class ChildScheduler:
         return completed
 
 
-_EMPTY_SLICE = MemorySlice(items=(), source_store_step=0, threshold_used=0.0)
+_EMPTY_SLICE = MemorySlice(items=())
 
 
 def handle_child_failure(
@@ -622,7 +622,6 @@ def run_parent_loop(
     default) the parent pauses at each spawn until its children join;
     otherwise completions are integrated at step boundaries.
     """
-    relevance = config.relevance_weights()
     task = workload.task
     embedder = DefaultEmbedder(workload.store.embedding_dim)
     clock = VirtualClock()
@@ -697,7 +696,7 @@ def run_parent_loop(
         )
         if decision.action is SpawnAction.SPAWN:
             last_spawn_step = step
-            memory_slice = slice_memory(state.memory, task, config.memory_threshold, relevance, embedder)
+            memory_slice = slice_memory(state.memory, task, config, embedder)
             inherited = select_inherited_skills(state.skills, task, embedder)
             context = ExecutionContext(repo_path="repo")
             package = build_spawn_package(

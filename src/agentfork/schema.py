@@ -73,6 +73,10 @@ FILE = "file"
 SCHEMA_VERSION = 1
 # Each memory item holds a dense embedding of this many floats.
 MAX_EMBEDDING_DIM = 4096
+# A run pushes each conflict scenario through the full merge protocol, so
+# its time grows with the count: about 20 s at this bound on a 2-vCPU Xeon
+# under Python 3.11. A count near 2**53 would never finish.
+MAX_CONFLICTS = 10**6
 # Distinct floats whose wire text one ``package_bytes`` call keeps. Past
 # this many the rest are formatted directly: a memo of every distinct
 # float of a large package costs more than it saves.
@@ -743,7 +747,7 @@ OUTCOME = Table(
 CONFLICTS = Table(
     dict,
     [
-        Field("count", COUNT),
+        Field("count", Int(lo=0, hi=MAX_CONFLICTS)),
         Field("line_disjoint_fraction", UNIT),
         Field("semantic_success_p", UNIT),
     ],

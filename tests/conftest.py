@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import operator
 import random
 from typing import Sequence
@@ -7,6 +8,7 @@ from typing import Sequence
 import pytest
 
 from agentfork.coherence import Diff, Hunk
+from agentfork.config import SimulatorConfig
 from agentfork.memory import (
     DefaultEmbedder,
     Embedder,
@@ -44,6 +46,11 @@ SYMBOLS = ["parse", "write", "scan", "emit"]
 @pytest.fixture
 def embedder():
     return DefaultEmbedder(DIM)
+
+
+def at_threshold(config: SimulatorConfig, threshold: float) -> SimulatorConfig:
+    """``config`` with its slice threshold, ``memory_threshold``, set to ``threshold``."""
+    return dataclasses.replace(config, memory_threshold=threshold)
 
 
 # Oracles: plain definitions that the optimized library code is checked

@@ -104,6 +104,9 @@ def test_run_bad_config_exits_nonzero(tmp_path, capsys):
         # A price past 2**53 would make the report's costs infinite.
         ({"price_per_api_call": 1e308}, "price_per_api_call"),
         ({"price_per_1k_tokens": 1e308}, "price_per_1k_tokens"),
+        # The two middle relevance weights.
+        ({"alpha": 0.5, "beta": -0.2}, "beta"),
+        ({"alpha": 0.6, "gamma": -0.1}, "gamma"),
     ],
 )
 def test_run_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, config, key):
@@ -261,6 +264,9 @@ def test_generate_bad_params_exit_2_naming_the_key(tmp_path, capsys, text, key):
         ({"embedding_dim": 0}, "embedding_dim"),
         # Only a rule that spans keys is reported at the top level.
         ({"spike_step": 8, "trajectory_steps": 8}, "$"),
+        # Past schema.MAX_CONFLICTS, the bound of a workload's count.
+        ({"conflict_count": 10**6 + 1}, "conflict_count"),
+        ({"conflict_count": 2**53}, "conflict_count"),
     ],
 )
 def test_generate_bad_param_value_exits_2_at_the_key(tmp_path, capsys, params, key):
@@ -360,6 +366,30 @@ def test_validate_rejects_a_lone_surrogate_and_run_exits_2(tmp_path, capsys, edi
     assert path in capsys.readouterr().err
     assert main(["run", "--workload", str(workload), "--report", str(tmp_path / "r.txt")]) == 2
     assert path in capsys.readouterr().err
+
+
+def _tier_calibration_with_count(tmp_path: Path, count: int) -> Path:
+    data = json.loads(bundled_workload_path("tier_calibration").read_text(encoding="utf-8"))
+    data["conflicts"]["count"] = count
+    workload = tmp_path / "count.json"
+    workload.write_text(json.dumps(data))
+    return workload
+
+
+@pytest.mark.parametrize("count", [10**6 + 1, 2**53])
+def test_a_conflict_count_past_the_bound_fails_validate_and_run(tmp_path, capsys, count):
+    """A run takes time linear in the count, so a count that validate
+    accepts finishes in seconds, and a larger one never starts."""
+    workload = _tier_calibration_with_count(tmp_path, count)
+    assert main(["validate", str(workload)]) == 1
+    assert "conflicts.count: " in capsys.readouterr().err
+    assert main(["run", "--workload", str(workload), "--report", str(tmp_path / "r.txt")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"{workload}: conflicts.count: ")
+
+
+def test_a_conflict_count_at_the_bound_validates(tmp_path, capsys):
+    assert main(["validate", str(_tier_calibration_with_count(tmp_path, 10**6))]) == 0
 
 
 # Every JSON type, surrogates included. The three size keys draw small

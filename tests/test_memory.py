@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agentfork import memory
+from agentfork import memory, schema
+from agentfork.config import SimulatorConfig
 from agentfork.memory import (
     EMBED_MEMO,
     DefaultEmbedder,
@@ -19,7 +20,6 @@ from agentfork.memory import (
     MemoryItem,
     MemoryStore,
     MemoryTier,
-    RelevanceWeights,
     compute_relevance,
     count_tokens,
     default_embed,
@@ -31,7 +31,9 @@ from agentfork.memory import (
 )
 from agentfork.protocol import TaskSpec
 
-from conftest import DIM, FILES, SYMBOLS, WORDS, cosine, random_store, random_task, snapshot_store, tier_items
+from conftest import (
+    DIM, FILES, SYMBOLS, WORDS, at_threshold, cosine, random_store, random_task, snapshot_store, tier_items,
+)
 
 
 def test_extract_keywords_drops_stopwords_and_lowercases():
@@ -118,8 +120,8 @@ def test_compute_relevance_weighted_sum_recomputed_by_hand():
         created_at_step=4,
         embedding=(0.6, 0.8),
     )
-    weights = RelevanceWeights(0.3, 0.3, 0.2, 0.2, lambda_decay=-math.log(0.8))
-    score = compute_relevance(item, task, weights, now_step=5, embedder=_FixedEmbedder((1.0, 0.0)))
+    config = SimulatorConfig(alpha=0.3, beta=0.3, gamma=0.2, delta=0.2, lambda_decay=-math.log(0.8))
+    score = compute_relevance(item, task, config, now_step=5, embedder=_FixedEmbedder((1.0, 0.0)))
     assert score == pytest.approx(0.3 * 0.5 + 0.3 * 0.2 + 0.2 * 0.8 + 0.2 * 0.6, abs=1e-9)
     assert score == pytest.approx(0.49, abs=1e-9)
 
@@ -143,12 +145,12 @@ def test_task_terms_follow_every_task_field_they_read(embedder):
             [({"src/a.py"}, ()), ({"src/b.py"}, ()), ((), {"parse"}), ((), ())]
         )
     ]
-    weights = RelevanceWeights()
+    config = SimulatorConfig()
     for task in tasks + tasks[::-1] + tasks:
         keywords, refs = extract_keywords(task.description), task_references(task)
         for item in items:
-            expected = _reference_relevance(item, keywords, refs, embedder(task.description), weights, 0)
-            assert compute_relevance(item, task, weights, 0, embedder) == expected
+            expected = _reference_relevance(item, keywords, refs, embedder(task.description), config, 0)
+            assert compute_relevance(item, task, config, 0, embedder) == expected
 
 
 def test_compute_relevance_all_components_one(embedder):
@@ -157,15 +159,15 @@ def test_compute_relevance_all_components_one(embedder):
         "m", MemoryTier.WORKING, "parser json", embedder,
         referenced_files={"src/a.py"}, created_at_step=3,
     )
-    score = compute_relevance(item, task, RelevanceWeights(), now_step=3, embedder=embedder)
+    score = compute_relevance(item, task, SimulatorConfig(), now_step=3, embedder=embedder)
     assert score == pytest.approx(1.0, abs=1e-9)
 
 
 def test_compute_relevance_age_zero_temporal_is_one(embedder):
     task = TaskSpec(description="unrelated words entirely")
     item = make_item("m", MemoryTier.EPISODIC, "xoxoxo qqq", embedder, created_at_step=7)
-    weights = RelevanceWeights(0.0, 0.0, 1.0, 0.0)
-    assert compute_relevance(item, task, weights, 7, embedder) == pytest.approx(1.0)
+    config = SimulatorConfig(alpha=0.0, beta=0.0, gamma=1.0, delta=0.0)
+    assert compute_relevance(item, task, config, 7, embedder) == pytest.approx(1.0)
 
 
 def test_make_item_without_references_shares_one_empty_set(embedder):
@@ -191,41 +193,40 @@ def test_compute_relevance_dimension_mismatch(embedder):
     task = random_task(random.Random(0))
     item = MemoryItem(id="m", tier=MemoryTier.EPISODIC, content="x", embedding=(1.0,) * 4)
     with pytest.raises(MemoryError):
-        compute_relevance(item, task, RelevanceWeights(), 0, embedder)
+        compute_relevance(item, task, SimulatorConfig(), 0, embedder)
 
 
 def test_weights_must_sum_to_one():
     with pytest.raises(MemoryError):
-        RelevanceWeights(0.5, 0.5, 0.5, 0.5)
-    with pytest.raises(MemoryError):
-        RelevanceWeights(-0.1, 0.5, 0.3, 0.3)
+        SimulatorConfig(alpha=0.5, beta=0.5, gamma=0.5, delta=0.5)
+    with pytest.raises(schema.FieldError) as raised:
+        SimulatorConfig(alpha=-0.1, beta=0.5, gamma=0.3, delta=0.3)
+    assert raised.value.key == "alpha"
 
 
 def test_slice_empty_store(embedder):
     store = MemoryStore(DIM)
     task = TaskSpec(description="anything")
-    assert slice_memory(store, task, 0.5, RelevanceWeights(), embedder).items == ()
+    assert slice_memory(store, task, at_threshold(SimulatorConfig(), 0.5), embedder).items == ()
 
 
 def test_slice_strict_threshold_and_order(embedder):
     rng = random.Random(3)
     store = random_store(rng, embedder, max_items=80)
     task = random_task(rng)
-    weights = RelevanceWeights()
+    config = SimulatorConfig()
     threshold = 0.4
-    sliced = slice_memory(store, task, threshold, weights, embedder)
+    sliced = slice_memory(store, task, at_threshold(config, threshold), embedder)
     oracle = [
         item
         for item in store.items()
-        if compute_relevance(item, task, weights, store.current_step, embedder) > threshold
+        if compute_relevance(item, task, config, store.current_step, embedder) > threshold
     ]
     assert list(sliced.items) == oracle
-    assert sliced.threshold_used == threshold
-    assert sliced.source_store_step == store.current_step
 
 
 def test_slice_above_gamma_plus_delta_scores_only_the_items_its_postings_reach(embedder, monkeypatch):
-    """With the default weights (gamma + delta_w = 0.4), a slice at 0.5
+    """With the default config (gamma + delta = 0.4), a slice at 0.5
     takes the dot product of exactly the items that share a keyword or a
     reference with the task, in store order; at 0.3, of every item."""
     store = MemoryStore(DIM, current_step=3)
@@ -254,11 +255,11 @@ def test_slice_above_gamma_plus_delta_scores_only_the_items_its_postings_reach(e
     reached = {"m0", "m2", "m4", "m5"}
     for threshold, scored in ((0.5, [i for i in store.items() if i.id in reached]), (0.3, list(store.items()))):
         seen.clear()
-        sliced = slice_memory(store, task, threshold, RelevanceWeights(), embedder)
+        sliced = slice_memory(store, task, at_threshold(SimulatorConfig(), threshold), embedder)
         assert [id(e) for e in seen] == [id(i.embedding) for i in scored]
         assert list(sliced.items) == [
             i for i in store.items()
-            if compute_relevance(i, task, RelevanceWeights(), store.current_step, embedder) > threshold
+            if compute_relevance(i, task, SimulatorConfig(), store.current_step, embedder) > threshold
         ]
 
 
@@ -267,7 +268,7 @@ def test_slice_is_read_only(embedder):
     store = random_store(rng, embedder, max_items=40)
     before = store.content_digest()
     version = store.version
-    slice_memory(store, random_task(rng), 0.3, RelevanceWeights(), embedder)
+    slice_memory(store, random_task(rng), at_threshold(SimulatorConfig(), 0.3), embedder)
     assert store.content_digest() == before
     assert store.version == version
 
@@ -356,7 +357,7 @@ def test_relevance_always_in_unit_interval(seed):
     store = random_store(rng, embedder, max_items=12)
     task = random_task(rng)
     for item in store.items():
-        r = compute_relevance(item, task, RelevanceWeights(), store.current_step, embedder)
+        r = compute_relevance(item, task, SimulatorConfig(), store.current_step, embedder)
         assert 0.0 <= r <= 1.0
 
 
@@ -368,9 +369,9 @@ def test_threshold_monotonicity(seed, lo, hi):
     embedder = DefaultEmbedder(DIM)
     store = random_store(rng, embedder, max_items=25)
     task = random_task(rng)
-    weights = RelevanceWeights()
-    wide = {i.id for i in slice_memory(store, task, lo, weights, embedder).items}
-    narrow = {i.id for i in slice_memory(store, task, hi, weights, embedder).items}
+    config = SimulatorConfig()
+    wide = {i.id for i in slice_memory(store, task, at_threshold(config, lo), embedder).items}
+    narrow = {i.id for i in slice_memory(store, task, at_threshold(config, hi), embedder).items}
     assert narrow <= wide
 
 
@@ -382,9 +383,9 @@ def test_temporal_monotonicity(seed, age_bump):
     task = random_task(rng)
     item = make_item("m", MemoryTier.EPISODIC, "parser json cache", embedder, created_at_step=0)
     now = rng.randint(0, 20)
-    weights = RelevanceWeights()
-    r_young = compute_relevance(item, task, weights, now, embedder)
-    r_old = compute_relevance(item, task, weights, now + age_bump, embedder)
+    config = SimulatorConfig()
+    r_young = compute_relevance(item, task, config, now, embedder)
+    r_old = compute_relevance(item, task, config, now + age_bump, embedder)
     assert r_old <= r_young + 1e-12
 
 
@@ -405,17 +406,17 @@ def _reference_cosine(a, b):
     return dot / (na * nb)
 
 
-def _reference_relevance(item, keywords, refs, task_embedding, weights, now_step):
+def _reference_relevance(item, keywords, refs, task_embedding, config, now_step):
     item_tokens = set(_reference_tokenize(item.content))
     keyword_match = len(keywords & item_tokens) / len(keywords) if keywords else 0.0
     dep_score = len(refs & item.references) / len(refs) if refs else 0.0
-    temporal = math.exp(-weights.lambda_decay * (now_step - item.created_at_step))
+    temporal = math.exp(-config.lambda_decay * (now_step - item.created_at_step))
     semantic = max(0.0, _reference_cosine(item.embedding, task_embedding))
     return (
-        weights.alpha * keyword_match
-        + weights.beta * dep_score
-        + weights.gamma * temporal
-        + weights.delta_w * semantic
+        config.alpha * keyword_match
+        + config.beta * dep_score
+        + config.gamma * temporal
+        + config.delta * semantic
     )
 
 
@@ -440,9 +441,9 @@ def test_relevance_is_bit_identical_to_per_item_reference(seed, now, stopword_ta
     embedder = DefaultEmbedder(DIM)
     raw = [rng.random() for _ in range(4)]
     total = sum(raw) or 1.0
-    weights = RelevanceWeights(
-        raw[0] / total, raw[1] / total, raw[2] / total, 1.0 - (raw[0] + raw[1] + raw[2]) / total,
-        lambda_decay=rng.choice([0.001, 0.1, 0.7, 5.0]),
+    config = SimulatorConfig(
+        alpha=raw[0] / total, beta=raw[1] / total, gamma=raw[2] / total,
+        delta=1.0 - (raw[0] + raw[1] + raw[2]) / total, lambda_decay=rng.choice([0.001, 0.1, 0.7, 5.0]),
     )
     store = MemoryStore(DIM, current_step=now)
     # Always one empty item (zero embedding), one of age 0 and one of the largest age.
@@ -476,13 +477,13 @@ def test_relevance_is_bit_identical_to_per_item_reference(seed, now, stopword_ta
     assert (not refs) == (not with_refs)
     task_embedding = embedder(task.description)
     expected = {
-        item.id: _reference_relevance(item, keywords, refs, task_embedding, weights, now)
+        item.id: _reference_relevance(item, keywords, refs, task_embedding, config, now)
         for item in store.items()
     }
     for item in store.items():
-        assert compute_relevance(item, task, weights, now, embedder) == expected[item.id]
+        assert compute_relevance(item, task, config, now, embedder) == expected[item.id]
     for threshold in (0.0, 0.25, 0.5, rng.random()):
-        sliced = slice_memory(store, task, threshold, weights, embedder)
+        sliced = slice_memory(store, task, at_threshold(config, threshold), embedder)
         assert [i.id for i in sliced.items] == [
             i.id for i in store.items() if expected[i.id] > threshold
         ]
@@ -589,7 +590,7 @@ def test_rejected_add_leaves_the_store_unchanged(embedder):
     cuts = (0.0, 0.3, 0.5)
 
     def state():
-        slices = [slice_memory(store, task, cut, RelevanceWeights(), embedder).items for cut in cuts]
+        slices = [slice_memory(store, task, at_threshold(SimulatorConfig(), cut), embedder).items for cut in cuts]
         return len(store), store.version, store.token_count, slices
 
     before = state()
@@ -607,7 +608,7 @@ def test_rejected_add_leaves_the_store_unchanged(embedder):
     store.add(make_item("b", MemoryTier.WORKING, "json cache", embedder, referenced_files=["src/a.py"]))
     assert len(store) == 2 and store.version == before[1] + 1
     assert store.token_count == before[2] + 2
-    assert [i.id for i in slice_memory(store, task, 0.5, RelevanceWeights(), embedder).items] == ["b"]
+    assert [i.id for i in slice_memory(store, task, at_threshold(SimulatorConfig(), 0.5), embedder).items] == ["b"]
 
 
 # Finite components of both signs, zeros of both signs, and values whose
@@ -627,22 +628,22 @@ _TASK_VECTOR = st.one_of(
 )
 _CONTENT = st.lists(st.sampled_from(WORDS[:6] + _NOISE), max_size=6).map(" ".join)
 _REFS = st.lists(st.sampled_from(FILES + SYMBOLS), max_size=3)
-# The default split (gamma + delta_w = 0.4), gamma + delta_w = 1 (no cut
+# The default split (gamma + delta = 0.4), gamma + delta = 1 (no cut
 # can prune), alpha = 0, beta = 0, and splits drawn freely.
-_WEIGHTS = st.one_of(
+_CONFIGS = st.one_of(
     st.sampled_from(
         [
-            RelevanceWeights(),
-            RelevanceWeights(0.3, 0.2, 0.1, 0.4, lambda_decay=0.3),
-            RelevanceWeights(0.0, 0.0, 0.5, 0.5),
-            RelevanceWeights(0.0, 0.6, 0.2, 0.2),
-            RelevanceWeights(0.6, 0.0, 0.3, 0.1),
+            SimulatorConfig(),
+            SimulatorConfig(alpha=0.3, beta=0.2, gamma=0.1, delta=0.4, lambda_decay=0.3),
+            SimulatorConfig(alpha=0.0, beta=0.0, gamma=0.5, delta=0.5),
+            SimulatorConfig(alpha=0.0, beta=0.6, gamma=0.2, delta=0.2),
+            SimulatorConfig(alpha=0.6, beta=0.0, gamma=0.3, delta=0.1),
         ]
     ),
     st.builds(
-        lambda a, b, c, d, decay: RelevanceWeights(
-            a / (a + b + c + d), b / (a + b + c + d), c / (a + b + c + d),
-            max(0.0, 1.0 - (a + b + c) / (a + b + c + d)), lambda_decay=decay,
+        lambda a, b, c, d, decay: SimulatorConfig(
+            alpha=a / (a + b + c + d), beta=b / (a + b + c + d), gamma=c / (a + b + c + d),
+            delta=max(0.0, 1.0 - (a + b + c) / (a + b + c + d)), lambda_decay=decay,
         ),
         st.floats(0.0, 1.0),
         st.floats(0.0, 1.0),
@@ -682,15 +683,15 @@ _OPS = st.lists(
 @settings(max_examples=150, deadline=None)
 @example(
     ops=[], pool=[_PARALLEL], description="parser", task_vector=(0.0,) * _PDIM, task_refs=[], threshold=0.0,
-    weights=RelevanceWeights(0.3, 0.2, 0.1, 0.4, lambda_decay=0.3),
+    config=SimulatorConfig(alpha=0.3, beta=0.2, gamma=0.1, delta=0.4, lambda_decay=0.3),
 )
 @example(
     ops=[("add", MemoryTier.EPISODIC, "cache", [], [], (0, False), 0)], pool=[_PARALLEL], description="parser",
-    task_vector=_PARALLEL, task_refs=[], threshold=0.4, weights=RelevanceWeights(),
+    task_vector=_PARALLEL, task_refs=[], threshold=0.4, config=SimulatorConfig(),
 )
 @example(
     ops=[("add", MemoryTier.SEMANTIC, "cache", [], [], (0, False), 0)], pool=[_SUBNORMAL_ITEM],
-    description="parser", task_vector=_SUBNORMAL_TASK, task_refs=[], threshold=0.45, weights=RelevanceWeights(),
+    description="parser", task_vector=_SUBNORMAL_TASK, task_refs=[], threshold=0.45, config=SimulatorConfig(),
 )
 # One tuple object with two contents, across tiers and a snapshot.
 @example(
@@ -701,7 +702,7 @@ _OPS = st.lists(
         ("add", MemoryTier.EPISODIC, "parser", [], [], (0, False), 0),
     ],
     pool=[(1.0, 0.0, -0.5, 0.0)], description="parser json", task_vector=(1.0, 0.0, 0.0, 0.0), task_refs=[],
-    threshold=0.5, weights=RelevanceWeights(),
+    threshold=0.5, config=SimulatorConfig(),
 )
 # One content with two tuple objects of different values, one off scale.
 @example(
@@ -712,7 +713,7 @@ _OPS = st.lists(
         ("add", MemoryTier.WORKING, "parser json", [], [], (1, False), 2),
     ],
     pool=[(1.0, 0.0, 0.0, 0.0), _SUBNORMAL_ITEM], description="parser", task_vector=(1.0, 1.0, 0.0, 0.0),
-    task_refs=["src/a.py"], threshold=0.45, weights=RelevanceWeights(),
+    task_refs=["src/a.py"], threshold=0.45, config=SimulatorConfig(),
 )
 # One content with two distinct tuples of equal value.
 @example(
@@ -723,7 +724,7 @@ _OPS = st.lists(
         ("add", MemoryTier.EPISODIC, "cache", [], [], (0, True), 1),
     ],
     pool=[(0.0, 2.0, 0.0, 1.0)], description="cache", task_vector=(0.0, 1.0, 0.0, 0.0), task_refs=[],
-    threshold=0.3, weights=RelevanceWeights(),
+    threshold=0.3, config=SimulatorConfig(),
 )
 @given(
     ops=_OPS,
@@ -732,15 +733,15 @@ _OPS = st.lists(
     task_vector=_TASK_VECTOR,
     task_refs=_REFS,
     threshold=st.floats(0.0, 1.0),
-    weights=_WEIGHTS,
+    config=_CONFIGS,
 )
 def test_indexed_slice_keeps_what_the_per_item_reference_keeps(
-    ops, pool, description, task_vector, task_refs, threshold, weights
+    ops, pool, description, task_vector, task_refs, threshold, config
 ):
     """Every store an add/advance_to/snapshot_store sequence passes
     through slices exactly as the literal reference scores it, with a
     custom embedder whose vectors have negative and zero components, at
-    cuts on both sides of gamma + delta_w, above which the slice scores
+    cuts on both sides of gamma + delta, above which the slice scores
     only the items its postings reach. Items share embedding tuples and
     contents in every combination, so the store's groups of items with
     one content and one tuple are exercised."""
@@ -775,14 +776,14 @@ def test_indexed_slice_keeps_what_the_per_item_reference_keeps(
     for store in stores:
         now = store.current_step
         expected = {
-            item.id: _reference_relevance(item, keywords, refs, task_vector, weights, now)
+            item.id: _reference_relevance(item, keywords, refs, task_vector, config, now)
             for item in store.items()
         }
         for item in store.items():
-            assert compute_relevance(item, task, weights, now, embedder) == expected[item.id]
-        bound = min(1.0, weights.gamma + weights.delta_w)
+            assert compute_relevance(item, task, config, now, embedder) == expected[item.id]
+        bound = min(1.0, config.gamma + config.delta)
         for cut in (0.0, 0.25, 0.5, bound, math.nextafter(bound, 1.0), 1.0, threshold):
-            sliced = slice_memory(store, task, cut, weights, embedder)
+            sliced = slice_memory(store, task, at_threshold(config, cut), embedder)
             assert [i.id for i in sliced.items] == [i.id for i in store.items() if expected[i.id] > cut]
 
 

@@ -67,7 +67,7 @@ def _package(spawn_id, parent_id="parent"):
     return build_spawn_package(
         parent_id,
         TaskSpec(description="do the work"),
-        MemorySlice((), 0, 0.5),
+        MemorySlice(items=()),
         (),
         ExecutionContext(repo_path="repo"),
         QUIET,
