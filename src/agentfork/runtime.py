@@ -493,7 +493,9 @@ class ChildScheduler:
         else:
             if resume is not None:
                 errors = validate_resume(resume, handle.package)
-                if self.config.checkpoint_dir:
+                # A resume that names another child is already invalid;
+                # written, it would overwrite that child's checkpoint.
+                if self.config.checkpoint_dir and resume.spawn_id == handle.spawn_id:
                     try:
                         write_checkpoint(resume, self.config.checkpoint_dir)
                     except Exception as exc:

@@ -22,13 +22,14 @@ value in the file format; both raise ``InputError``, whose lines name
 the file and the field path at fault. ``flat_table`` derives the tables
 of ``SimulatorConfig`` and ``GenerateParams`` from their dataclasses.
 
-``package_bytes`` writes a package's compact wire text straight from
+``package_parts`` writes a package's compact wire text straight from
 the same tables, byte for byte what ``json.dumps`` (``ensure_ascii=False``,
 ``allow_nan=False``, no spaces) writes for its ``encode`` object, without
 building that object: one ``write`` per type appends a value's UTF-8
-parts to a list, joined once. Each distinct float is formatted once per
+parts to a list, which ``encode_package`` joins and a checkpoint
+writes a slice at a time. Each distinct float is formatted once per
 call, up to ``FLOAT_MEMO`` of them, and each memory item once per item:
-its bytes are kept on the item and copied into every later package.
+its bytes are kept on the item and reused by every later package.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ MAX_EMBEDDING_DIM = 4096
 # its time grows with the count: about 20 s at this bound on a 2-vCPU Xeon
 # under Python 3.11. A count near 2**53 would never finish.
 MAX_CONFLICTS = 10**6
-# Distinct floats whose wire text one ``package_bytes`` call keeps. Past
+# Distinct floats whose wire text one ``package_parts`` call keeps. Past
 # this many the rest are formatted directly: a memo of every distinct
 # float of a large package costs more than it saves.
 FLOAT_MEMO = 4096
@@ -134,7 +135,7 @@ def _path_text(parent, key) -> str:
 
 
 class _FloatTexts(dict):
-    """The wire text of each float one ``package_bytes`` call has
+    """The wire text of each float one ``package_parts`` call has
     formatted, at most ``FLOAT_MEMO`` of them. The only float list on
     the wire is an embedding, which ``MemoryItem`` holds as exact
     floats, so ``repr`` is ``float.__repr__`` without the slot call."""
@@ -176,7 +177,7 @@ class Type:
     it, ``encode`` builds its JSON object, and ``write(value, out,
     floats)``, the one wire writer per type, appends its compact wire
     text to ``out`` as UTF-8 parts. ``floats`` is the float memo of one
-    ``package_bytes`` call."""
+    ``package_parts`` call."""
 
     def encode(self, value, fmt: str):
         return value
@@ -784,11 +785,11 @@ WORKLOAD = Table(
     checks=[("memory", _check_memory)],
 )
 
-def package_bytes(package: SpawnPackage | ResumePackage) -> bytes:
-    """The package's compact UTF-8 wire text, collected in parts and
-    joined once. A non-finite float raises ``ValueError`` and a lone
-    surrogate ``UnicodeEncodeError``, as ``json.dumps(...).encode()``
-    would."""
+def package_parts(package: SpawnPackage | ResumePackage) -> list[bytes]:
+    """The package's compact UTF-8 wire text as a list of parts, in
+    order; a memory item's part is its kept ``_wire`` bytes, not a copy.
+    A non-finite float raises ``ValueError`` and a lone surrogate
+    ``UnicodeEncodeError``, as ``json.dumps(...).encode()`` would."""
     if isinstance(package, SpawnPackage):
         table = SPAWN
     elif isinstance(package, ResumePackage):
@@ -797,7 +798,7 @@ def package_bytes(package: SpawnPackage | ResumePackage) -> bytes:
         raise ProtocolError(f"cannot encode {type(package).__name__}")
     parts: list[bytes] = []
     table.write(package, parts, _FloatTexts())
-    return b"".join(parts)
+    return parts
 
 
 def package_from_data(data) -> SpawnPackage | ResumePackage:

@@ -103,6 +103,31 @@ def test_load_embeds_each_distinct_content_once_and_shares_its_tuple(monkeypatch
     assert len(first) == len(contents)
 
 
+def test_load_shares_one_object_per_distinct_content_and_reference_set(tmp_path):
+    data = json.loads(bundled_workload_path("quiet").read_text(encoding="utf-8"))
+    names = [[], ["src/a.py"], ["src/b.py", "src/a.py"]]
+    data["memory"] = [
+        {
+            "id": f"r{n}",
+            "tier": "semantic",
+            "content": f"shared text {n % 4}",
+            "referenced_files": names[n % 3],
+            "referenced_symbols": names[n % 2],
+        }
+        for n in range(24)
+    ]
+    path = tmp_path / "shared.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    spec = load_workload(path)
+    first = {}
+    for item in spec.memory:
+        for value in (item.content, item.referenced_files, item.referenced_symbols):
+            assert value is first.setdefault(value, value)
+    # Four texts and three reference sets, each held by several items.
+    assert len(first) == 7
+    assert all(type(item.referenced_files) is frozenset for item in spec.memory)
+
+
 def test_generator_deterministic_for_seed():
     params = GenerateParams(item_count=30, conflict_count=10, name="same")
     assert generate_synthetic(3, params) == generate_synthetic(3, params)

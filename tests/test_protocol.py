@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -441,21 +442,31 @@ def test_packages_sharing_an_item_pool_match_json_dumps(packages):
         assert encode_package(package) == _reference_bytes(package)
 
 
-def test_write_checkpoint_encodes_through_encode_package_once(tmp_path, monkeypatch):
-    """The benchmark's tracer counts encoded bytes through the name
-    ``protocol.encode_package``, so checkpoints must be written through it."""
-    calls = []
-
-    def counting(package):
-        calls.append(package)
-        return encode_package(package)
-
-    monkeypatch.setattr(protocol, "encode_package", counting)
+def test_write_checkpoint_streams_the_bytes_of_encode_package(tmp_path):
+    """A checkpoint holds ``encode_package``'s bytes, written a slice of
+    parts at a time: a package whose items are already encoded is
+    written without a joined copy of its bytes."""
     spawn, resume = _spawn_with(_fresh_items()), _resume()
     for package in (spawn, resume, spawn):
         path = protocol.write_checkpoint(package, tmp_path)
-        assert path.read_bytes() == _reference_bytes(package)
-    assert calls == [spawn, resume, spawn]
+        assert path.read_bytes() == encode_package(package)
+    large = _spawn_with(_fresh_items(3000), "spawn-0002")
+    size = len(encode_package(large))  # keeps each item's wire bytes
+    tracemalloc.start()
+    try:
+        path = protocol.write_checkpoint(large, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size == size
+    assert peak < size / 4, (peak, size)
+
+
+def test_write_checkpoint_of_a_package_that_cannot_encode_leaves_no_file(tmp_path):
+    item = MemoryItem("s", MemoryTier.EPISODIC, "lone \ud800 surrogate", embedding=(0.25,))
+    with pytest.raises(UnicodeEncodeError):
+        protocol.write_checkpoint(_spawn_with([item]), tmp_path / "checkpoints")
+    assert list(tmp_path.iterdir()) == []
 
 
 # Values over a constructor argument's whole type: empty names, negative
