@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import AbstractSet, ClassVar, Iterable, Protocol, Sequence
+from typing import ClassVar, Iterable, Protocol, Sequence
 
 from .memory import MAX_INT
 
@@ -40,6 +40,8 @@ class Hunk:
     new_lines: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if isinstance(self.start_line, bool) or not isinstance(self.start_line, int):
+            raise DiffError(f"start_line must be an integer, got {self.start_line!r}")
         if not 1 <= self.start_line <= MAX_INT:
             raise DiffError(f"start_line must be in [1, 2**53], got {self.start_line}")
         start = int(self.start_line)
@@ -161,18 +163,6 @@ def combine_diffs(diffs: Iterable[Diff]) -> dict[str, Diff]:
     }
 
 
-def _detect_conflicts(entries: Sequence[tuple[str, AbstractSet[str]]]) -> list[ConflictPair]:
-    pairs = []
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            shared = entries[i][1] & entries[j][1]
-            if shared:
-                pairs.append(
-                    ConflictPair(left_child=entries[i][0], right_child=entries[j][0], files=shared)
-                )
-    return pairs
-
-
 def line_disjoint(d_i: Diff, d_j: Diff) -> bool:
     """True when no hunk span from one diff intersects a span from the other."""
     if d_i.file != d_j.file:
@@ -273,53 +263,56 @@ def merge_diff_sets(
     """Resolve all pairwise conflicts among the children's diff sets,
     given as ``(child id, diffs)`` in child order.
 
-    Non-conflicting diffs pass straight through. Per shared file, the
-    contributors' diffs are folded together in child order: disjoint
-    hunks union automatically, overlapping hunks go through the backend,
-    and a declined merge escalates the file, excluding every child's
-    hunks on it from the merged output. Child ids must be distinct.
+    A file that one child touches passes straight through. Per shared
+    file, the contributors' diffs are folded together in child order:
+    disjoint hunks union automatically, overlapping hunks go through the
+    backend, and a declined merge escalates the file, excluding every
+    child's hunks on it from the merged output. Conflict pairs come from
+    the shared files, so children that share no file cost time linear in
+    their diffs. Child ids must be distinct.
     """
     # ``dict`` keeps one entry per child id.
     if len(dict(entries)) < len(entries):
         raise DiffError(f"child ids must be distinct, got {[child_id for child_id, _ in entries]}")
-    combined = [(child_id, combine_diffs(diffs)) for child_id, diffs in entries]
-    pairs = _detect_conflicts([(child_id, per_file.keys()) for child_id, per_file in combined])
+    by_file: dict[str, list[tuple[int, Diff]]] = {}
+    for i, (_, diffs) in enumerate(entries):
+        for diff in diffs if len(diffs) == 1 else combine_diffs(diffs).values():
+            by_file.setdefault(diff.file, []).append((i, diff))
 
-    by_file: dict[str, list[tuple[str, Diff]]] = {}
-    for child_id, per_file in combined:
-        for path, diff in per_file.items():
-            by_file.setdefault(path, []).append((child_id, diff))
-
-    # Fold each file's contributors in child order, recording the rank of
-    # the tier each fold landed on; ``acc`` is None once the file escalates.
+    # Fold each file's contributors in child order; ``acc`` is None once
+    # the file escalates. A lone contributor passes through unfolded. Each
+    # pair (i, j) of contributors keeps the worst rank child j's folds
+    # landed on and the files the two share.
     merged_per_file: dict[str, Diff] = {}
-    rank: dict[tuple[str, str], int] = {}
     escalated_files: set[str] = set()
-
+    pairs: dict[tuple[int, int], list] = {}
     for path, contributors in by_file.items():
         base = base_files.get(path, [])
         acc = contributors[0][1]
-        for child_id, diff in contributors[1:]:
+        for m, (j, diff) in enumerate(contributors[1:], 1):
             if acc is None:
-                rank[path, child_id] = _ESCALATED
+                rank = _ESCALATED
             elif line_disjoint(acc, diff):
                 acc = auto_merge(acc, diff, base)
-                rank[path, child_id] = _AUTO
+                rank = _AUTO
             else:
                 acc = semantic_merge(acc, diff, base, merge_backend).diff
-                rank[path, child_id] = _ESCALATED if acc is None else _SEMANTIC
+                rank = _ESCALATED if acc is None else _SEMANTIC
+            for i, _ in contributors[:m]:
+                pair = pairs.setdefault((i, j), [rank, []])
+                pair[0] = max(pair[0], rank)
+                pair[1].append(path)
         if acc is None:
             escalated_files.add(path)
         else:
             merged_per_file[path] = acc
 
-    # A pair's right child is never a shared file's first contributor, so
-    # every shared file holds a rank for it.
     resolutions = []
     stats = dict.fromkeys(_TIERS, 0)
-    for pair in pairs:
-        tier = _TIERS[max(rank[path, pair.right_child] for path in pair.files)]
-        resolutions.append(Resolution(pair=pair, tier=tier, success=tier is not ResolutionTier.ESCALATED))
+    for (i, j), (rank, files) in sorted(pairs.items()):
+        tier = _TIERS[rank]
+        pair = ConflictPair(left_child=entries[i][0], right_child=entries[j][0], files=files)
+        resolutions.append(Resolution(pair=pair, tier=tier, success=rank != _ESCALATED))
         stats[tier] += 1
 
     merged = [merged_per_file[path] for path in sorted(merged_per_file)]

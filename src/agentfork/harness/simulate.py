@@ -38,32 +38,33 @@ _BASE_LEN = 12
 def run_conflict_phase(params: ConflictScenarioParams, seed: int) -> ConflictPhaseStats:
     """Push scripted two-child conflict scenarios through the full merge
     protocol and tally resolution tiers. A scenario draws one of three
-    line-disjoint or three overlapping ``(left, right)`` diff pairs; the
-    six are built once, since diffs are frozen."""
+    line-disjoint or three overlapping two-child ``entries``; the six are
+    built once, since diffs are frozen and the tally reads only the tier of
+    the one conflict pair, never its child ids. Each merge takes the pair
+    from the one file the two children share."""
     rng = random.Random(f"{seed}:conflicts")
     backend = StochasticMergeBackend(params.semantic_success_p, rng)
     stats = ConflictPhaseStats()
     path = "src/shared.py"
     base = [f"line {j} of shared module" for j in range(1, _BASE_LEN + 1)]
-    disjoint_pairs = tuple(
+    disjoint_entries = tuple(
         (
-            Diff(path, (Hunk(left_at, (base[left_at - 1],), (f"left edit {left_at}",)),)),
-            Diff(path, (Hunk(right_at, (base[right_at - 1],), (f"right edit {right_at}",)),)),
+            ("left", (Diff(path, (Hunk(left_at, (base[left_at - 1],), (f"left edit {left_at}",)),)),)),
+            ("right", (Diff(path, (Hunk(right_at, (base[right_at - 1],), (f"right edit {right_at}",)),)),)),
         )
         for left_at, right_at in ((2, 8), (1, 10), (3, 7))
     )
-    overlapping_pairs = tuple(
+    overlapping_entries = tuple(
         (
-            Diff(path, (Hunk(at, (base[at - 1], base[at]), (f"left rewrite {at}", "left extra")),)),
-            Diff(path, (Hunk(at + 1, (base[at], base[at + 1]), (f"right rewrite {at + 1}",)),)),
+            ("left", (Diff(path, (Hunk(at, (base[at - 1], base[at]), (f"left rewrite {at}", "left extra")),)),)),
+            ("right", (Diff(path, (Hunk(at + 1, (base[at], base[at + 1]), (f"right rewrite {at + 1}",)),)),)),
         )
         for at in (3, 5, 7)
     )
     base_files = {path: base}
-    for n in range(params.count):
+    for _ in range(params.count):
         disjoint = rng.random() < params.line_disjoint_fraction
-        left, right = rng.choice(disjoint_pairs if disjoint else overlapping_pairs)
-        entries = ((f"c{n}a", (left,)), (f"c{n}b", (right,)))
+        entries = rng.choice(disjoint_entries if disjoint else overlapping_entries)
         outcome = merge_results(entries, base_files, backend)
         stats.total += 1
         resolution = outcome.resolutions[0]

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 import re
+import time
+from typing import AbstractSet, Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from agentfork.coherence import (
     ApplyError,
+    ConflictPair,
     Diff,
     DiffError,
     Hunk,
@@ -16,7 +19,6 @@ from agentfork.coherence import (
     Resolution,
     ResolutionTier,
     StochasticMergeBackend,
-    _detect_conflicts,
     apply_diff,
     auto_merge,
     combine_diffs,
@@ -333,6 +335,37 @@ def test_merge_results_rejects_a_child_id_given_twice():
         merge_diff_sets(entries, {"f": base, "g": []}, StochasticMergeBackend(1.0, random.Random(0)))
 
 
+def test_merge_results_rejects_a_duplicate_id_before_a_childs_overlap():
+    overlapping = [
+        Diff(file="f", hunks=(Hunk(1, ("a", "b"), ("X",)),)),
+        Diff(file="f", hunks=(Hunk(2, ("b",), ("Y",)),)),
+    ]
+    with pytest.raises(DiffError, match="overlap"):
+        merge_diff_sets([("a", overlapping)], {"f": ["a", "b"]}, StochasticMergeBackend(1.0, random.Random(0)))
+    entries = [("a", overlapping), ("a", [Diff(file="g")])]
+    with pytest.raises(DiffError, match=re.escape("child ids must be distinct, got ['a', 'a']")):
+        merge_diff_sets(entries, {"f": ["a", "b"]}, StochasticMergeBackend(1.0, random.Random(0)))
+
+
+def test_merge_of_children_on_distinct_files_is_linear():
+    """Conflict pairs come from shared files, so 4,000 children that share
+    none take milliseconds, where an all-pairs scan takes seconds."""
+    entries = [(f"c{i}", [Diff(file=f"f{i}", hunks=(Hunk(1, (), (f"c{i}",)),))]) for i in range(4000)]
+    backend = StochasticMergeBackend(1.0, random.Random(0))
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        outcome = merge_diff_sets(entries, {}, backend)
+        elapsed.append(time.perf_counter() - start)
+    assert outcome.resolutions == [] and outcome.escalated_files == set()
+    assert all(count == 0 for count in outcome.stats.values())
+    by_file = {diffs[0].file: diffs[0] for _, diffs in entries}
+    assert [d.file for d in outcome.merged_diffs] == sorted(by_file)
+    assert all(d is by_file[d.file] for d in outcome.merged_diffs)
+    assert backend.attempts == 0
+    assert min(elapsed) < 0.5
+
+
 def test_merge_results_tier_counts_partition_resolutions():
     rng = random.Random(13)
     backend_rng = random.Random(14)
@@ -390,6 +423,18 @@ def test_detect_conflicts_matches_pair_enumeration_oracle():
             (a, b, set(s)) for a, b, s in expected
         ]
         assert all(p.left_child != p.right_child for p in pairs)
+
+
+def _detect_conflicts(entries: Sequence[tuple[str, AbstractSet[str]]]) -> list[ConflictPair]:
+    pairs = []
+    for i in range(len(entries)):
+        for j in range(i + 1, len(entries)):
+            shared = entries[i][1] & entries[j][1]
+            if shared:
+                pairs.append(
+                    ConflictPair(left_child=entries[i][0], right_child=entries[j][0], files=shared)
+                )
+    return pairs
 
 
 def _reference_merge_diff_sets(entries, base_files, merge_backend):
@@ -483,11 +528,16 @@ def _fold_diff(draw, file_index):
 
 @st.composite
 def _fold_entries(draw):
+    """Two to four children over one to three files. A child sometimes
+    gives two diffs on one file, which often overlap, and gives its diffs
+    in any file order."""
     n_files = draw(st.integers(1, 3))
     entries = []
     for c in range(draw(st.integers(2, 4))):
         touched = [f for f in range(n_files) if draw(st.booleans())]
-        entries.append((f"c{c}", [draw(_fold_diff(f)) for f in touched]))
+        diffs = [draw(_fold_diff(f)) for f in touched]
+        diffs += [draw(_fold_diff(f)) for f in touched if draw(st.integers(0, 3)) == 0]
+        entries.append((f"c{c}", draw(st.permutations(diffs))))
     return entries, {f"f{f}": _fold_base(f) for f in range(n_files)}
 
 
@@ -497,7 +547,7 @@ def _fold_run(fold, entries, base_files, p, seed):
     try:
         outcome = fold(entries, base_files, backend)
         result = (outcome.merged_diffs, outcome.resolutions, outcome.stats, outcome.escalated_files)
-    except DiffError as exc:  # a stale hunk in an auto merge
+    except DiffError as exc:  # a stale hunk in an auto merge, or a child's own overlap
         result = (type(exc), str(exc))
     return result, backend.attempts, backend.successes, rng.random()
 

@@ -664,6 +664,10 @@ _ITEM = MemoryItem("m", MemoryTier.SEMANTIC, "x")
         pytest.param(lambda: Skill(id="", template="t"), SkillError, id="skill_id"),
         pytest.param(lambda: Diff("", ()), DiffError, id="diff_file"),
         pytest.param(lambda: Hunk(2**53 + 1, (), ("x",)), DiffError, id="huge_start_line"),
+        pytest.param(lambda: Hunk(2.5, (), ("x",)), DiffError, id="float_start_line"),
+        pytest.param(lambda: Hunk(3.0, (), ("x",)), DiffError, id="integral_float_start_line"),
+        pytest.param(lambda: Hunk(True, (), ("x",)), DiffError, id="bool_start_line"),
+        pytest.param(lambda: Hunk("3", (), ("x",)), DiffError, id="str_start_line"),
     ],
 )
 def test_constructors_reject_what_the_wire_rejects(build, error):
