@@ -79,18 +79,6 @@ class Diff:
             prev_end = end
 
 
-@dataclass(frozen=True)
-class ConflictPair:
-    """Two children whose diffs touch at least one common file."""
-
-    left_child: str
-    right_child: str
-    files: frozenset[str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "files", frozenset(self.files))
-
-
 class ResolutionTier(str, Enum):
     AUTO = "auto"
     SEMANTIC = "semantic"
@@ -104,20 +92,23 @@ _AUTO, _SEMANTIC, _ESCALATED = range(len(_TIERS))
 
 @dataclass(frozen=True)
 class Resolution:
-    pair: ConflictPair
+    """Two children whose diffs touch at least one common file, and the
+    worst tier their shared files' folds landed on."""
+
+    left_child: str
+    right_child: str
+    files: frozenset[str]
     tier: ResolutionTier
-    success: bool
 
 
 @dataclass
 class MergeOutcome:
     merged_diffs: list[Diff]
     resolutions: list[Resolution]
-    stats: dict[ResolutionTier, int]
     escalated_files: set[str] = field(default_factory=set)
 
     def tier_count(self, tier: ResolutionTier) -> int:
-        return self.stats.get(tier, 0)
+        return sum(r.tier == tier for r in self.resolutions)
 
 
 def apply_diff(base: Sequence[str], diff: Diff) -> list[str]:
@@ -175,14 +166,15 @@ def _spans_touch(a: Hunk, b: Hunk) -> bool:
     return a0 < b1 and b0 < a1
 
 
-def auto_merge(d_i: Diff, d_j: Diff, base: Sequence[str]) -> Diff:
-    """Union of hunks from two line-disjoint diffs on the same file.
+def auto_merge(d_i: Diff, d_j: Diff, base: Sequence[str]) -> Diff | None:
+    """Union of hunks from two diffs on the same file, or None when they
+    are not line-disjoint.
 
     Applying the merged diff equals applying the two diffs in sequence
     (with the second rebased), and the operation is commutative.
     """
     if not line_disjoint(d_i, d_j):
-        raise DiffError(f"{d_i.file}: auto_merge requires line-disjoint diffs")
+        return None
     merged = Diff(
         file=d_i.file,
         hunks=tuple(sorted(d_i.hunks + d_j.hunks, key=Hunk.span)),
@@ -232,9 +224,12 @@ class StochasticMergeBackend:
 
 @dataclass(frozen=True)
 class SemanticMergeResult:
-    accepted: bool
     diff: Diff | None = None
     reason: str | None = None
+
+    @property
+    def accepted(self) -> bool:
+        return self.diff is not None
 
 
 def semantic_merge(
@@ -245,14 +240,14 @@ def semantic_merge(
     try:
         proposal = merge_backend.propose(d_i, d_j, base)
     except Exception as exc:  # transport or backend fault, not a protocol error
-        return SemanticMergeResult(accepted=False, reason=f"backend failure: {exc}")
+        return SemanticMergeResult(reason=f"backend failure: {exc}")
     if proposal is None:
-        return SemanticMergeResult(accepted=False, reason="backend declined")
+        return SemanticMergeResult(reason="backend declined")
     if proposal.file != d_i.file:
-        return SemanticMergeResult(accepted=False, reason="proposal targets wrong file")
+        return SemanticMergeResult(reason="proposal targets wrong file")
     if not diff_applies(base, proposal):
-        return SemanticMergeResult(accepted=False, reason="proposal failed validation")
-    return SemanticMergeResult(accepted=True, diff=proposal)
+        return SemanticMergeResult(reason="proposal failed validation")
+    return SemanticMergeResult(diff=proposal)
 
 
 def merge_diff_sets(
@@ -292,9 +287,8 @@ def merge_diff_sets(
         for m, (j, diff) in enumerate(contributors[1:], 1):
             if acc is None:
                 rank = _ESCALATED
-            elif line_disjoint(acc, diff):
-                acc = auto_merge(acc, diff, base)
-                rank = _AUTO
+            elif (merged := auto_merge(acc, diff, base)) is not None:
+                acc, rank = merged, _AUTO
             else:
                 acc = semantic_merge(acc, diff, base, merge_backend).diff
                 rank = _ESCALATED if acc is None else _SEMANTIC
@@ -307,18 +301,9 @@ def merge_diff_sets(
         else:
             merged_per_file[path] = acc
 
-    resolutions = []
-    stats = dict.fromkeys(_TIERS, 0)
-    for (i, j), (rank, files) in sorted(pairs.items()):
-        tier = _TIERS[rank]
-        pair = ConflictPair(left_child=entries[i][0], right_child=entries[j][0], files=files)
-        resolutions.append(Resolution(pair=pair, tier=tier, success=rank != _ESCALATED))
-        stats[tier] += 1
-
+    resolutions = [
+        Resolution(entries[i][0], entries[j][0], frozenset(files), _TIERS[rank])
+        for (i, j), (rank, files) in sorted(pairs.items())
+    ]
     merged = [merged_per_file[path] for path in sorted(merged_per_file)]
-    return MergeOutcome(
-        merged_diffs=merged,
-        resolutions=resolutions,
-        stats=stats,
-        escalated_files=escalated_files,
-    )
+    return MergeOutcome(merged_diffs=merged, resolutions=resolutions, escalated_files=escalated_files)

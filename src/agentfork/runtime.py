@@ -220,8 +220,12 @@ class ScriptedBackend:
     def __init__(self, outcomes: Mapping[str, ScriptedOutcome]):
         self.outcomes = dict(outcomes)
 
+    def _script(self, outcome_key: str) -> ScriptedOutcome | None:
+        """The outcome scripted for ``outcome_key``, else the ``"default"`` one."""
+        return self.outcomes.get(outcome_key) or self.outcomes.get("default")
+
     def run(self, package: SpawnPackage, outcome_key: str = "") -> ResumePackage:
-        script = self.outcomes.get(outcome_key) or self.outcomes.get("default")
+        script = self._script(outcome_key)
         if script is None:
             return ResumePackage(
                 spawn_id=package.spawn_id,
@@ -250,7 +254,7 @@ class ScriptedBackend:
         )
 
     def nested_requests(self, outcome_key: str) -> tuple[NestedSpawn, ...]:
-        script = self.outcomes.get(outcome_key)
+        script = self._script(outcome_key)
         return script.spawns if script else ()
 
 

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agentfork import coherence
 from agentfork.coherence import (
     ApplyError,
-    ConflictPair,
     Diff,
     DiffError,
     Hunk,
@@ -115,7 +115,7 @@ def _conflict_pairs(entries):
     files = {diff.file for _, diffs in entries for diff in diffs}
     backend = StochasticMergeBackend(1.0, random.Random(0))
     outcome = merge_diff_sets(entries, {f: [""] * 10 for f in files}, backend)
-    return [r.pair for r in outcome.resolutions]
+    return outcome.resolutions
 
 
 def test_detect_conflicts_disjoint_children():
@@ -196,8 +196,25 @@ def test_auto_merge_is_commutative_and_identity_on_empty():
 def test_auto_merge_requires_disjoint():
     base = ["a", "b"]
     overlapping = Diff(file="f", hunks=(Hunk(1, ("a",), ("x",)),))
-    with pytest.raises(DiffError):
-        auto_merge(overlapping, overlapping, base)
+    assert auto_merge(overlapping, overlapping, base) is None
+
+
+def test_each_fold_checks_line_disjointness_once(monkeypatch):
+    calls = []
+
+    def counted(d_i, d_j):
+        calls.append((d_i.file, d_j.file))
+        return line_disjoint(d_i, d_j)
+
+    monkeypatch.setattr(coherence, "line_disjoint", counted)
+    base = [f"line {i}" for i in range(1, 9)]
+    entries = [
+        ("c1", [Diff(file="f", hunks=(Hunk(2, (base[1],), ("L",)),))]),
+        ("c2", [Diff(file="f", hunks=(Hunk(6, (base[5],), ("R",)),))]),
+    ]
+    outcome = merge_diff_sets(entries, {"f": base}, StochasticMergeBackend(1.0, random.Random(0)))
+    assert outcome.tier_count(ResolutionTier.AUTO) == 1
+    assert calls == [("f", "f")]
 
 
 class _AlwaysBackend:
@@ -275,7 +292,7 @@ def test_merge_results_no_conflicts_pass_through():
     outcome = merge_diff_sets(entries, base_files, backend)
     assert len(outcome.merged_diffs) == 2
     assert outcome.resolutions == []
-    assert all(count == 0 for count in outcome.stats.values())
+    assert all(outcome.tier_count(tier) == 0 for tier in ResolutionTier)
 
 
 def test_merge_results_auto_tier_merges_both_edits():
@@ -287,8 +304,8 @@ def test_merge_results_auto_tier_merges_both_edits():
         ("c2", [Diff(file="f", hunks=(Hunk(6, (base[5],), ("R",)),))]),
     ]
     outcome = merge_diff_sets(entries, {"f": base}, backend)
-    assert outcome.stats[ResolutionTier.AUTO] == 1
-    assert outcome.resolutions[0].success
+    assert outcome.tier_count(ResolutionTier.AUTO) == 1
+    assert outcome.resolutions == [Resolution("c1", "c2", frozenset({"f"}), ResolutionTier.AUTO)]
     merged = apply_diff(base, outcome.merged_diffs[0])
     assert "L" in merged and "R" in merged
 
@@ -304,8 +321,8 @@ def test_merge_results_escalation_excludes_conflicting_file():
                 Diff(file="g", hunks=(Hunk(1, (), ("safe",)),))]),
     ]
     outcome = merge_diff_sets(entries, {"f": base, "g": []}, backend)
-    assert outcome.stats[ResolutionTier.ESCALATED] == 1
-    assert not outcome.resolutions[0].success
+    assert outcome.tier_count(ResolutionTier.ESCALATED) == 1
+    assert outcome.resolutions == [Resolution("c1", "c2", frozenset({"f"}), ResolutionTier.ESCALATED)]
     assert outcome.escalated_files == {"f"}
     assert {d.file for d in outcome.merged_diffs} == {"g"}
 
@@ -319,8 +336,8 @@ def test_merge_results_semantic_tier_when_backend_accepts():
         ("c2", [Diff(file="f", hunks=(Hunk(2, ("b", "c"), ("Y",)),))]),
     ]
     outcome = merge_diff_sets(entries, {"f": base}, backend)
-    assert outcome.stats[ResolutionTier.SEMANTIC] == 1
-    assert outcome.resolutions[0].success
+    assert outcome.tier_count(ResolutionTier.SEMANTIC) == 1
+    assert outcome.resolutions == [Resolution("c1", "c2", frozenset({"f"}), ResolutionTier.SEMANTIC)]
     assert apply_diff(base, outcome.merged_diffs[0]) == ["X", "c"]
 
 
@@ -358,7 +375,7 @@ def test_merge_of_children_on_distinct_files_is_linear():
         outcome = merge_diff_sets(entries, {}, backend)
         elapsed.append(time.perf_counter() - start)
     assert outcome.resolutions == [] and outcome.escalated_files == set()
-    assert all(count == 0 for count in outcome.stats.values())
+    assert all(outcome.tier_count(tier) == 0 for tier in ResolutionTier)
     by_file = {diffs[0].file: diffs[0] for _, diffs in entries}
     assert [d.file for d in outcome.merged_diffs] == sorted(by_file)
     assert all(d is by_file[d.file] for d in outcome.merged_diffs)
@@ -381,9 +398,11 @@ def test_merge_results_tier_counts_partition_resolutions():
             else:
                 entries.append((f"c{c}", [Diff(file=f"own{c}", hunks=(Hunk(1, (), (f"c{c}",)),))]))
         outcome = merge_diff_sets(entries, {"shared": base, **{f"own{c}": [] for c in range(4)}}, backend)
-        assert sum(outcome.stats.values()) == len(outcome.resolutions)
+        assert sum(outcome.tier_count(tier) for tier in ResolutionTier) == len(outcome.resolutions)
         for resolution in outcome.resolutions:
-            assert resolution.success == (resolution.tier is not ResolutionTier.ESCALATED)
+            # a pair escalates only on a file that the merge left out
+            if resolution.tier is ResolutionTier.ESCALATED:
+                assert resolution.files & outcome.escalated_files
         # whatever survived must apply cleanly to the base snapshot
         for diff in outcome.merged_diffs:
             apply_diff(base if diff.file == "shared" else [], diff)
@@ -425,15 +444,16 @@ def test_detect_conflicts_matches_pair_enumeration_oracle():
         assert all(p.left_child != p.right_child for p in pairs)
 
 
-def _detect_conflicts(entries: Sequence[tuple[str, AbstractSet[str]]]) -> list[ConflictPair]:
+def _detect_conflicts(
+    entries: Sequence[tuple[str, AbstractSet[str]]],
+) -> list[tuple[str, str, frozenset[str]]]:
+    """Every pair of children that share a file: (left id, right id, shared files)."""
     pairs = []
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
             shared = entries[i][1] & entries[j][1]
             if shared:
-                pairs.append(
-                    ConflictPair(left_child=entries[i][0], right_child=entries[j][0], files=shared)
-                )
+                pairs.append((entries[i][0], entries[j][0], frozenset(shared)))
     return pairs
 
 
@@ -482,21 +502,19 @@ def _reference_merge_diff_sets(entries, base_files, merge_backend):
 
     index_of = {child_id: i for i, child_id in enumerate(ids)}
     resolutions = []
-    stats = dict.fromkeys(ResolutionTier, 0)
-    for pair in pairs:
-        j = index_of[pair.right_child]
-        tiers = {fold_tier[(path, j)] for path in pair.files if (path, j) in fold_tier}
+    for left_child, right_child, files in pairs:
+        j = index_of[right_child]
+        tiers = {fold_tier[(path, j)] for path in files if (path, j) in fold_tier}
         if ResolutionTier.ESCALATED in tiers or not tiers:
             tier = ResolutionTier.ESCALATED
         elif ResolutionTier.SEMANTIC in tiers:
             tier = ResolutionTier.SEMANTIC
         else:
             tier = ResolutionTier.AUTO
-        resolutions.append(Resolution(pair=pair, tier=tier, success=tier is not ResolutionTier.ESCALATED))
-        stats[tier] += 1
+        resolutions.append(Resolution(left_child, right_child, files, tier))
 
     merged = [merged_per_file[path] for path in sorted(merged_per_file)]
-    return MergeOutcome(merged_diffs=merged, resolutions=resolutions, stats=stats, escalated_files=escalated_files)
+    return MergeOutcome(merged_diffs=merged, resolutions=resolutions, escalated_files=escalated_files)
 
 
 _FOLD_BASE_LEN = 6
@@ -546,7 +564,8 @@ def _fold_run(fold, entries, base_files, p, seed):
     backend = StochasticMergeBackend(p, rng)
     try:
         outcome = fold(entries, base_files, backend)
-        result = (outcome.merged_diffs, outcome.resolutions, outcome.stats, outcome.escalated_files)
+        tier_counts = [outcome.tier_count(tier) for tier in ResolutionTier]
+        result = (outcome.merged_diffs, outcome.resolutions, tier_counts, outcome.escalated_files)
     except DiffError as exc:  # a stale hunk in an auto merge, or a child's own overlap
         result = (type(exc), str(exc))
     return result, backend.attempts, backend.successes, rng.random()

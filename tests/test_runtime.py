@@ -440,6 +440,22 @@ def test_nested_requests_follow_scripts():
     assert len(tree.nodes) == 3
 
 
+def test_default_outcome_makes_its_nested_spawns():
+    """A child served by the ``"default"`` script makes that script's
+    spawns, as a child served by its own key does."""
+    scheduler, root, tree, clock, events = _scheduler(
+        {
+            "default": ScriptedOutcome(execution_time=20.0, spawns=(NestedSpawn(outcome_key="leaf"),)),
+            "leaf": ScriptedOutcome(execution_time=5.0),
+        }
+    )
+    assert scheduler.backend.nested_requests("context_compression") == (NestedSpawn(outcome_key="leaf"),)
+    scheduler.spawn_child(root, _package("child-a"), "context_compression")
+    scheduler.await_children()
+    assert tree.max_observed_depth() == 2
+    assert len(tree.nodes) == 3
+
+
 def test_nested_spawns_do_not_depend_on_the_callers_stack():
     """A child that spawns itself grows a chain down to the depth limit.
     Nested spawns are requested from an explicit stack, so the chain, and
