@@ -73,13 +73,29 @@ def validate_workload_data(data) -> list[str]:
 def workload_from_data(data, source: str | Path | None = None) -> WorkloadSpec:
     """Parse workload JSON in one pass and derive item embeddings;
     schema violations raise ``schema.InputError`` with field paths, each after
-    ``source`` when it is given.
+    ``source`` when it is given. ``data`` is never changed."""
+    return _workload_from_fields(schema.parse_file(schema.WORKLOAD, data, source))
+
+
+def load_workload(path: str | Path) -> WorkloadSpec:
+    """Parse and validate a workload file; a file that cannot be read and
+    schema violations raise ``schema.InputError`` naming the path.
+
+    The decoded JSON is parsed straight from ``read_json``, so nothing
+    holds it once the parse returns, before any item is built."""
+    return _workload_from_fields(schema.parse_file(schema.WORKLOAD, schema.read_json(path), path))
+
+
+def _workload_from_fields(fields: dict) -> WorkloadSpec:
+    """The spec of a parsed workload; takes ``fields["memory"]``.
 
     Each distinct content is embedded once, through one
     ``DefaultEmbedder``. Items with equal content share one content
     string and one embedding tuple, and items with equal reference sets
-    share one frozenset; ``MemoryItem`` keeps all three as given."""
-    fields = schema.parse_file(schema.WORKLOAD, data, source)
+    share one frozenset; ``MemoryItem`` keeps all three as given. Each
+    parsed item dict is freed once its item is built, so the corpus is
+    held in one form, plus the items in flight."""
+    parsed_items = list(reversed(fields.pop("memory")))
     embedder = DefaultEmbedder(fields["embedding_dim"])
     embeddings: dict[str, tuple[float, ...]] = {}
     shared: dict = {}
@@ -102,24 +118,21 @@ def workload_from_data(data, source: str | Path | None = None) -> WorkloadSpec:
             **rest,
         )
 
+    memory = []
+    while parsed_items:
+        memory.append(build_item(**parsed_items.pop()))
     conflicts = fields["conflicts"]
     return WorkloadSpec(
         name=fields["name"],
         embedding_dim=fields["embedding_dim"],
         task=fields["task"],
-        memory=[build_item(**item) for item in fields["memory"]],
+        memory=memory,
         skills=list(fields["skills"]) or list(DEFAULT_SKILLS),
         base_files={path: list(lines) for path, lines in fields["base_files"].items()},
         trajectory=list(fields["trajectory"]),
         child_outcomes=dict(fields["child_outcomes"]),
         conflicts=None if conflicts is None else ConflictScenarioParams(**conflicts),
     )
-
-
-def load_workload(path: str | Path) -> WorkloadSpec:
-    """Parse and validate a workload file; a file that cannot be read and
-    schema violations raise ``schema.InputError`` naming the path."""
-    return workload_from_data(schema.read_json(path), path)
 
 
 def workload_to_data(spec: WorkloadSpec) -> dict:

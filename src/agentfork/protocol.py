@@ -261,10 +261,6 @@ def write_checkpoint(package: SpawnPackage | ResumePackage, directory: str | Pat
     return path
 
 
-def read_checkpoint(path: str | Path) -> SpawnPackage | ResumePackage:
-    return decode_package(Path(path).read_bytes())
-
-
 def check_files_modified(result: ResultPayload) -> None:
     diff_files = {d.file for d in result.code_diff}
     missing = sorted(diff_files - result.files_modified)

@@ -12,13 +12,11 @@ validation, replay, and the coherence merge.
 from __future__ import annotations
 
 import heapq
-import os
 import random
-import urllib.request
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Protocol, Sequence
 
 from .coherence import (
     ApplyError,
@@ -61,8 +59,6 @@ from .protocol import (
     SpawnPackage,
     TaskSpec,
     build_spawn_package,
-    decode_package,
-    encode_package,
     replay_resume,
     sequential_ids,
     validate_resume,
@@ -256,55 +252,6 @@ class ScriptedBackend:
     def nested_requests(self, outcome_key: str) -> tuple[NestedSpawn, ...]:
         script = self._script(outcome_key)
         return script.spawns if script else ()
-
-
-ENDPOINT_ENV = "AGENTFORK_SERVICE_ENDPOINT"
-TOKEN_ENV = "AGENTFORK_SERVICE_TOKEN"
-
-
-def http_transport(endpoint: str, token: str | None, timeout: float) -> Callable[[bytes], bytes]:
-    """POST encoded spawn packages to a model service, return its bytes.
-
-    A service that does not answer within ``timeout`` seconds makes the
-    call raise, which the scheduler records as an invalid child."""
-
-    def send(payload: bytes) -> bytes:
-        request = urllib.request.Request(
-            endpoint, data=payload, headers={"Content-Type": "application/json"}, method="POST"
-        )
-        if token:
-            request.add_header("Authorization", f"Bearer {token}")
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.read()
-
-    return send
-
-
-class ServiceBackend:
-    """Runs children on an external model service.
-
-    The wire contract is exactly the package codec: the request body is
-    an encoded SpawnPackage, the response an encoded ResumePackage.
-    """
-
-    def __init__(self, transport: Callable[[bytes], bytes]):
-        self.transport = transport
-
-    @classmethod
-    def from_env(cls, timeout: float) -> "ServiceBackend":
-        """Backend for the service named in the environment; pass the
-        run's ``SimulatorConfig.child_timeout_secs`` as ``timeout``."""
-        endpoint = os.environ.get(ENDPOINT_ENV)
-        if not endpoint:
-            raise OrchestrationError(f"{ENDPOINT_ENV} is not set")
-        return cls(http_transport(endpoint, os.environ.get(TOKEN_ENV), timeout))
-
-    def run(self, package: SpawnPackage, outcome_key: str = "") -> ResumePackage:
-        response = self.transport(encode_package(package))
-        decoded = decode_package(response)
-        if not isinstance(decoded, ResumePackage):
-            raise OrchestrationError("service returned a spawn package, expected a resume package")
-        return decoded
 
 
 @dataclass

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import operator
 import random
+from pathlib import Path
 from typing import Sequence
 
 import pytest
@@ -30,6 +31,7 @@ from agentfork.protocol import (
     ResumePackage,
     SpawnPackage,
     TaskSpec,
+    decode_package,
 )
 from agentfork.skills import Provenance, Skill, _task_similarity
 
@@ -84,6 +86,11 @@ def skill_relevance(skill: Skill, task: TaskSpec, embedder: Embedder) -> float:
 def tier_items(store: MemoryStore, tier: MemoryTier) -> tuple[MemoryItem, ...]:
     """The store's items in ``tier``, in insertion order."""
     return tuple(i for i in store.items() if i.tier is tier)
+
+
+def read_checkpoint(path: str | Path) -> SpawnPackage | ResumePackage:
+    """The package a ``write_checkpoint`` file holds."""
+    return decode_package(Path(path).read_bytes())
 
 
 def random_task(rng: random.Random) -> TaskSpec:

@@ -7,6 +7,7 @@ import json
 import math
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,58 @@ def test_load_shares_one_object_per_distinct_content_and_reference_set(tmp_path)
     # Four texts and three reference sets, each held by several items.
     assert len(first) == 7
     assert all(type(item.referenced_files) is frozenset for item in spec.memory)
+
+
+@pytest.mark.parametrize("name", ["demo", "quiet", "tier_calibration"])
+def test_workload_from_data_leaves_its_input_unchanged(name):
+    path = bundled_workload_path(name)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    before = copy.deepcopy(data)
+    spec = workload_from_data(data)
+    assert data == before
+    assert spec == load_workload(path)
+
+
+def test_load_holds_one_form_of_the_corpus(tmp_path):
+    """The load's peak traced memory stays within 1.5x of what the spec
+    holds: the decoded JSON is freed before any item is built, and each
+    parsed item dict once its item is. Holding either for the whole load
+    reads 1.7-2.0x (Python 3.10-3.13, 2,000 items)."""
+    spec = generate_synthetic(3, GenerateParams(item_count=2000, conflict_mix=None, name="big"))
+    path = save_workload(spec, tmp_path / "big.json")
+    del spec
+    tracemalloc.start()
+    try:
+        loaded = load_workload(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(loaded.memory) == 2000
+    assert peak < 1.5 * held
+
+
+def test_bad_memory_items_give_one_error_line_each(tmp_path):
+    data = json.loads(bundled_workload_path("quiet").read_text(encoding="utf-8"))
+    data["memory"] = [
+        {"id": "m0", "tier": "semantic", "content": "fine"},
+        {"id": "m1", "tier": "bogus", "content": 5, "referenced_files": ["a", 3]},
+        {"id": "m0", "tier": "episodic", "content": "dup", "created_at_step": -1, "extra": 1},
+    ]
+    lines = [
+        "memory[1].tier: unknown MemoryTier 'bogus'",
+        "memory[1].content: expected string",
+        "memory[1].referenced_files[1]: expected string",
+        "memory[2].id: duplicate 'm0'",
+        "memory[2].created_at_step: -1 outside [0, 9007199254740992]",
+        "memory[2].extra: unknown key",
+    ]
+    assert validate_workload_data(data) == lines
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for load, source in ((lambda: workload_from_data(data, "w.json"), "w.json"), (lambda: load_workload(path), path)):
+        with pytest.raises(schema.InputError) as err:
+            load()
+        assert list(err.value.errors) == [f"{source}: {line}" for line in lines]
 
 
 def test_generator_deterministic_for_seed():

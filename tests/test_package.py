@@ -1,5 +1,5 @@
-"""The package root exports only its version, and every submodule
-imports on its own."""
+"""The package root exports only its version, every submodule imports
+on its own, and the run path leaves the HTTP stack unloaded."""
 
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ SUBMODULES = [
     "config",
     "schema",
     "runtime",
+    "service",
     "cli",
     "harness",
     "harness.workload",
@@ -58,3 +59,15 @@ def test_package_root_holds_only_its_version():
 def test_submodule_imports_alone(name):
     done = _fresh_python(f"import agentfork.{name}")
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("name", ["cli", "harness", "config"])
+def test_run_path_leaves_the_http_stack_unloaded(name):
+    """Only ``agentfork.service`` imports ``urllib.request``; a run never
+    pays for it, nor for the ``http.client`` it pulls in."""
+    done = _fresh_python(
+        f"import json, sys, agentfork.{name}\n"
+        "print(json.dumps([m for m in ('urllib.request', 'http.client') if m in sys.modules]))"
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []

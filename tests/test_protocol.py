@@ -30,7 +30,6 @@ from agentfork.protocol import (
     build_spawn_package,
     decode_package,
     encode_package,
-    read_checkpoint,
     replay_resume,
     sequential_ids,
     summarize_trace,
@@ -39,7 +38,7 @@ from agentfork.protocol import (
 )
 from agentfork.skills import Provenance, Skill, SkillError, SkillLibrary
 
-from conftest import DIM, random_resume_package, random_spawn_package, tier_items
+from conftest import DIM, random_resume_package, random_spawn_package, read_checkpoint, tier_items
 
 METRICS = ComplexityMetrics(1, 2, 3, 0.5, 4)
 

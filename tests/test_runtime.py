@@ -17,10 +17,16 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from agentfork import runtime
+from agentfork import runtime, service
 from agentfork.coherence import Diff, Hunk
 from agentfork.config import SimulatorConfig
-from agentfork.harness import bundled_workload_path, emit_report, run_simulation
+from agentfork.harness import (
+    bundled_workload_path,
+    emit_report,
+    list_bundled_workloads,
+    load_workload,
+    run_simulation,
+)
 from agentfork.harness.workload import workload_from_data
 from agentfork.memory import DefaultEmbedder, MemoryStore, MemoryTier, count_tokens, make_item
 from agentfork.policy import ComplexityMetrics
@@ -47,14 +53,13 @@ from agentfork.runtime import (
     OrchestrationError,
     ScriptedBackend,
     ScriptedOutcome,
-    ServiceBackend,
     SpawnTree,
     SpawnTreeError,
     VirtualClock,
     handle_child_failure,
-    http_transport,
     run_parent_loop,
 )
+from agentfork.service import ServiceBackend, http_transport
 from agentfork.skills import SkillLibrary
 
 from conftest import DIM, tier_items
@@ -780,7 +785,7 @@ def test_service_backend_from_env(monkeypatch):
         seen.update(auth=request.get_header("Authorization"), timeout=timeout)
         raise OSError("no service")
 
-    monkeypatch.setattr(runtime.urllib.request, "urlopen", fake_urlopen)
+    monkeypatch.setattr(service.urllib.request, "urlopen", fake_urlopen)
     backend = ServiceBackend.from_env(timeout=SimulatorConfig().child_timeout_secs)
     with pytest.raises(OSError):
         backend.transport(b"{}")
@@ -821,6 +826,28 @@ def test_http_transport_posts_package_and_reads_resume():
         thread.join(timeout=5)
 
 
+def _run_against(server, stop, timeout):
+    """Run one spawning loop against ``server``, then set ``stop`` (which
+    releases its handler) and shut it down; the loop's result and wall
+    seconds."""
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        endpoint = f"http://127.0.0.1:{server.server_address[1]}/run"
+        backend = ServiceBackend(http_transport(endpoint, None, timeout=timeout))
+        workload, config = _loop_setup([QUIET, SPIKE, QUIET], {})
+        started = time.monotonic()
+        result = run_parent_loop(config, 0, backend, workload)
+        elapsed = time.monotonic() - started
+    finally:
+        stop.set()
+        server.shutdown()
+        thread.join(timeout=5)
+        server.server_close()
+    assert not thread.is_alive()
+    return result, elapsed
+
+
 def test_http_transport_timeout_turns_a_silent_service_into_an_invalid_child():
     answer = threading.Event()
 
@@ -841,27 +868,81 @@ def test_http_transport_timeout_turns_a_silent_service_into_an_invalid_child():
             pass
 
     server = http.server.HTTPServer(("127.0.0.1", 0), SlowHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        endpoint = f"http://127.0.0.1:{server.server_address[1]}/run"
-        backend = ServiceBackend(http_transport(endpoint, None, timeout=0.2))
-        workload, config = _loop_setup([QUIET, SPIKE, QUIET], {})
-        started = time.monotonic()
-        result = run_parent_loop(config, 0, backend, workload)
-        elapsed = time.monotonic() - started
-    finally:
-        answer.set()
-        server.shutdown()
-        thread.join(timeout=5)
-        server.server_close()
-    assert not thread.is_alive()
+    result, elapsed = _run_against(server, answer, timeout=0.2)
     assert elapsed < 1.5
     assert result.status == "completed"
     assert [r.outcome for r in result.spawn_records] == ["invalid"]
     invalid = [e for e in result.events if e.kind == "child_invalid"]
     assert len(invalid) == 1 and "backend error: " in invalid[0].detail
     assert "timed out" in invalid[0].detail
+
+
+# A streaming service stops sending after this many seconds. That is the
+# outer timeout of a test whose client has no deadline of its own.
+STREAM_LIMIT_S = 10.0
+
+
+def _streaming_service(chunk: bytes, gap: float, length: int):
+    """A service that answers every POST with a ``length``-byte body, sent
+    as ``chunk`` every ``gap`` seconds until the client hangs up, the
+    returned event is set, or ``STREAM_LIMIT_S`` passes."""
+    stop = threading.Event()
+
+    class StreamingHandler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.send_response(200)
+            self.send_header("Content-Length", str(length))
+            self.end_headers()
+            until = time.monotonic() + STREAM_LIMIT_S
+            try:
+                while time.monotonic() < until and not stop.wait(gap):
+                    self.wfile.write(chunk)
+            except OSError:
+                pass  # the client gave up
+
+        def log_message(self, *args):
+            pass
+
+    return http.server.HTTPServer(("127.0.0.1", 0), StreamingHandler), stop
+
+
+def test_http_transport_deadline_ends_a_dripping_service_as_an_invalid_child():
+    # One byte every 0.05 s: no socket read ever waits out the timeout,
+    # so only a deadline for the whole request ends the call. Slack over
+    # the timeout: one gap, plus the loop's own work on a loaded host.
+    timeout, slack = 0.5, 1.0
+    server, stop = _streaming_service(b" ", gap=0.05, length=10**6)
+    result, elapsed = _run_against(server, stop, timeout)
+    assert elapsed < timeout + slack
+    assert result.status == "completed"
+    assert [r.outcome for r in result.spawn_records] == ["invalid"]
+    [invalid] = [e for e in result.events if e.kind == "child_invalid"]
+    assert "backend error: TimeoutError: " in invalid.detail and "timed out" in invalid.detail
+
+
+def test_http_transport_over_the_byte_cap_is_an_invalid_child():
+    server, stop = _streaming_service(b" " * 2**16, gap=0.0, length=2 * service.MAX_RESPONSE_BYTES)
+    result, elapsed = _run_against(server, stop, timeout=5.0)
+    assert elapsed < 5.0
+    assert [r.outcome for r in result.spawn_records] == ["invalid"]
+    [invalid] = [e for e in result.events if e.kind == "child_invalid"]
+    assert f"service response exceeds {service.MAX_RESPONSE_BYTES} bytes" in invalid.detail
+
+
+def test_byte_cap_is_far_above_every_bundled_resume_package(monkeypatch):
+    sizes = []
+    run = ScriptedBackend.run
+
+    def measured(self, package, outcome_key=""):
+        resume = run(self, package, outcome_key)
+        sizes.append(len(encode_package(resume)))
+        return resume
+
+    monkeypatch.setattr(ScriptedBackend, "run", measured)
+    for name in list_bundled_workloads():
+        run_simulation(load_workload(bundled_workload_path(name)), SimulatorConfig(), 0)
+    assert sizes and 1000 * max(sizes) < service.MAX_RESPONSE_BYTES
 
 
 def _mutated(data: bytes, edits) -> bytes:
