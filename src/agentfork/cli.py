@@ -28,11 +28,11 @@ from .harness import (
     generate_synthetic,
     list_bundled_workloads,
     load_workload,
+    read_workload,
     run_simulation,
     save_workload,
-    validate_workload_data,
 )
-from .schema import InputError, read_json
+from .schema import InputError, error_lines
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,10 +109,10 @@ def _cmd_validate(args) -> int:
     if not args.workload:
         print("validate: a workload file or name is required (or use --list)", file=sys.stderr)
         return 2
-    errors = validate_workload_data(read_json(_resolve_workload(args.workload)))
-    if errors:
-        for err in errors:
-            print(f"{args.workload}: {err}", file=sys.stderr)
+    spec = read_workload(_resolve_workload(args.workload))
+    if isinstance(spec, list):
+        for line in error_lines(spec, args.workload):
+            print(line, file=sys.stderr)
         return 1
     print(f"{args.workload}: ok")
     return 0

@@ -86,10 +86,29 @@ def norm(vector: Sequence[float]) -> float:
     return math.sqrt(sum(map(operator.mul, vector, vector)))
 
 
-@lru_cache(maxsize=1 << 16)
-def _token_bucket(token: str, dim: int) -> int:
-    """Embedding bucket of one token; cached, as md5 dominates embedding."""
-    return int.from_bytes(hashlib.md5(token.encode("utf-8")).digest()[:8], "big") % dim
+# Tokens whose bucket one dim remembers; when full, its memo starts over.
+BUCKET_MEMO = 1 << 14
+
+
+class _Buckets(dict):
+    """The embedding bucket of each token for one dim, kept because md5
+    dominates embedding."""
+
+    def __init__(self, dim: int):
+        super().__init__()
+        self.dim = dim
+
+    def __missing__(self, token: str) -> int:
+        if len(self) >= BUCKET_MEMO:
+            self.clear()
+        bucket = self[token] = int.from_bytes(hashlib.md5(token.encode("utf-8")).digest()[:8], "big") % self.dim
+        return bucket
+
+
+@lru_cache(maxsize=4)
+def _buckets_of(dim: int) -> _Buckets:
+    """The bucket memo of ``dim``; the last four dims keep theirs."""
+    return _Buckets(dim)
 
 
 def default_embed(text: str, dim: int) -> tuple[float, ...]:
@@ -102,16 +121,19 @@ def default_embed(text: str, dim: int) -> tuple[float, ...]:
     """
     if dim <= 0:
         raise ValueError(f"embedding dim must be positive, got {dim}")
-    buckets = [0.0] * dim
-    for token in tokenize(text):
-        buckets[_token_bucket(token, dim)] += 1.0
-    length = norm(buckets)
-    if length == 0.0:
-        return tuple(buckets)
+    counts = [0] * dim
+    for bucket in map(_buckets_of(dim).__getitem__, tokenize(text)):
+        counts[bucket] += 1
+    squares = sum(map(operator.mul, counts, counts))
+    if squares == 0:
+        return (0.0,) * dim
+    # Counted in floats, each count and each partial sum of squares below
+    # 2**53 is exact, so the length is the same float either way.
+    length = math.sqrt(squares) if squares < MAX_INT else norm(list(map(float, counts)))
     # Each distinct count is divided once and its float shared, so the
     # (mostly zero) components of one embedding are a few objects, not dim.
-    unit = {v: v / length for v in set(buckets)}
-    return tuple(map(unit.__getitem__, buckets))
+    unit = {v: v / length for v in set(counts)}
+    return tuple(map(unit.__getitem__, counts))
 
 
 # Texts one DefaultEmbedder remembers; when full, its memo starts over.

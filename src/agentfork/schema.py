@@ -17,10 +17,13 @@ message)`` errors. A ``ValueError`` raised by a constructor becomes an
 error at the path of the object it was building, and a ``FieldError``
 one at the path of the key it names.
 
-``read_json`` opens every input file, and ``parse_file`` parses its
-value in the file format; both raise ``InputError``, whose lines name
-the file and the field path at fault. ``flat_table`` derives the tables
-of ``SimulatorConfig`` and ``GenerateParams`` from their dataclasses.
+``read_json`` decodes a run config or generation params file whole,
+and ``parse_file`` parses its value in the file format; both raise
+``InputError``, whose lines name the file and the field path at fault.
+A workload file is read by ``harness.workload.read_workload``, which
+decodes the memory list of a file larger than one chunk an element at
+a time and parses each element through a ``ListStream``. ``flat_table`` derives the tables of
+``SimulatorConfig`` and ``GenerateParams`` from their dataclasses.
 
 ``package_parts`` writes a package's compact wire text straight from
 the same tables, byte for byte what ``json.dumps`` (``ensure_ascii=False``,
@@ -313,25 +316,16 @@ class ListOf(Type):
 
     def parse(self, value, parent, key, p: _Pass):
         if not isinstance(value, list):
+            if isinstance(value, ListStream):
+                return value.splice(parent, key, p)
             return p.fail("bad_type", parent, key, "expected list")
         if self.nonempty and not value:
             return p.fail("bad_value", parent, key, "must be nonempty")
         if self.strings and all(isinstance(v, str) and v.isascii() for v in value):
             return tuple(value)
-        here, out, seen, ok = (parent, key), [], set(), True
-        for i, element in enumerate(value):
-            if self.unique and isinstance(element, dict):
-                name = element.get(self.unique)
-                if isinstance(name, str):
-                    if name in seen:
-                        p.fail("bad_value", (here, i), self.unique, f"duplicate {name!r}")
-                        ok = False
-                    seen.add(name)
-            parsed = self.item.parse(element, here, i, p)
-            if parsed is _BAD:
-                ok = False
-            out.append(parsed)
-        return tuple(out) if ok else _BAD
+        elements = ListStream(self, (parent, key), p)
+        out = list(map(elements.parse, value))
+        return tuple(out) if elements.ok else _BAD
 
     def encode(self, value, fmt):
         if self.sort:
@@ -348,6 +342,53 @@ class ListOf(Type):
             out.append(b"," if i else b"[")
             write(element, out, floats)
         out.append(b"]" if value else b"[]")
+
+
+class ListStream:
+    """The elements of one ``ListOf``, parsed one at a time in order.
+
+    ``parse(element)`` checks the list's ``unique`` key and parses the
+    element, returning its value, or None when it breaks the schema.
+    ``ListOf.parse`` runs one over a decoded list. A reader that decodes
+    a file's list element by element takes one from ``of``, which keeps
+    the errors, and sets ``value`` to what the list stands for; handed
+    to ``parse`` in the list's place, the stream adds its errors where
+    the list's would be and parses to ``value``.
+    """
+
+    def __init__(self, list_type: ListOf, here, p: _Pass):
+        self.type, self.here, self.p = list_type, here, p
+        self.seen: set[str] = set()
+        self.ok, self.count, self.value = True, 0, None
+
+    @classmethod
+    def of(cls, table: Table, key: str) -> ListStream:
+        """A stream of the list at ``key`` of a file-format ``table``
+        parsed as a whole file (at the root)."""
+        (list_type,) = [type_ for name, _, type_, _ in table.fields[FILE] if name == key]
+        return cls(list_type, ((None, None), key), _Pass(FILE))
+
+    def parse(self, element):
+        i, unique = self.count, self.type.unique
+        self.count += 1
+        if unique and isinstance(element, dict):
+            name = element.get(unique)
+            if isinstance(name, str):
+                if name in self.seen:
+                    self.p.fail("bad_value", (self.here, i), unique, f"duplicate {name!r}")
+                    self.ok = False
+                self.seen.add(name)
+        parsed = self.type.item.parse(element, self.here, i, self.p)
+        if parsed is _BAD:
+            self.ok = False
+            return None
+        return parsed
+
+    def splice(self, parent, key, p: _Pass):
+        if self.type.nonempty and not self.count:
+            return p.fail("bad_value", parent, key, "must be nonempty")
+        p.errors.extend(self.p.errors)
+        return self.value if self.ok else _BAD
 
 
 class MapOf(Type):
@@ -501,9 +542,11 @@ def encode(table: Table, value, fmt: str) -> dict:
 
 
 def read_json(path: str | Path):
-    """The JSON value of the file at ``path``. A file that is missing,
-    cannot be read, is not UTF-8 or is not JSON raises ``InputError``
-    naming the path."""
+    """The JSON value of the file at ``path``, decoded whole: the reader
+    of run config and generation params files, and of each workload file
+    that ``read_workload`` does not stream. A file that is missing, cannot
+    be read, is not UTF-8 or is not JSON raises ``InputError`` naming
+    the path."""
     try:
         return json.loads(Path(path).read_bytes().decode("utf-8"))
     except FileNotFoundError:
@@ -537,6 +580,7 @@ NAMES = ListOf(TEXT, sort=True)
 COUNT = Int(lo=0)
 NONNEG = Num(lo=0.0)
 UNIT = Num(0.0, 1.0)
+EMBEDDING_DIM = Int(lo=1, hi=MAX_EMBEDDING_DIM)
 # The JSON type of each annotation a ``flat_table`` field may have. The
 # annotations are strings: their modules import ``annotations``.
 _FLAT_TYPES = {
@@ -755,13 +799,22 @@ CONFLICTS = Table(
 )
 
 
+def _id_and_step(item) -> tuple[str, int]:
+    # A decoded file's items parse to keyword dicts; a load that streams
+    # the memory list builds each item as it parses it.
+    if isinstance(item, MemoryItem):
+        return item.id, item.created_at_step
+    return item["item_id"], item["created_at_step"]
+
+
 def _check_memory(fields: dict) -> None:
-    for item in fields["memory"]:
-        if ":" in item["item_id"]:
-            raise ValueError(f"id {item['item_id']!r} contains ':', kept for the items a run adds")
+    last = 0
+    for item_id, step in map(_id_and_step, fields["memory"]):
+        if ":" in item_id:
+            raise ValueError(f"id {item_id!r} contains ':', kept for the items a run adds")
+        last = max(last, step)
     # A run's memory step starts at the newest item's and advances once
     # per trajectory step; the items it adds carry it.
-    last = max((item["created_at_step"] for item in fields["memory"]), default=0)
     if last + len(fields["trajectory"]) - 1 > MAX_INT:
         raise ValueError(f"newest created_at_step {last} plus the trajectory's steps passes 2**53")
 
@@ -773,7 +826,7 @@ WORKLOAD = Table(
     [
         Field("version", Int(SCHEMA_VERSION, SCHEMA_VERSION), get=lambda spec: SCHEMA_VERSION),
         Field("name", TEXT),
-        Field("embedding_dim", Int(lo=1, hi=MAX_EMBEDDING_DIM)),
+        Field("embedding_dim", EMBEDDING_DIM),
         Field("task", TASK),
         Field("memory", ListOf(ITEM, unique="id"), default=()),
         Field("skills", ListOf(SKILL, unique="id"), default=()),

@@ -225,6 +225,34 @@ def test_validate_rejects_invalid_json(tmp_path, capsys):
     assert main(["validate", str(bad)]) == 2
 
 
+def test_validate_pins_its_lines_and_exit_codes(tmp_path, capsys):
+    """Exit 1 with one line per schema error, in the table's order, for a
+    file that decodes; exit 2 naming the path for one that does not."""
+    data = json.loads(bundled_workload_path("quiet").read_text(encoding="utf-8"))
+    data["memory"][1].update(tier="bogus", extra=1)
+    data["memory"][2]["id"] = data["memory"][0]["id"]
+    data["trajectory"] = []
+    data["embedding_dim"] = 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data, indent=2), encoding="utf-8")
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"{bad}: embedding_dim: 0 outside [1, 4096]",
+        f"{bad}: memory[1].tier: unknown MemoryTier 'bogus'",
+        f"{bad}: memory[1].extra: unknown key",
+        f"{bad}: memory[2].id: duplicate 'm0000'",
+        f"{bad}: trajectory: must be nonempty",
+    ]
+    for text, line in (
+        (b'{"version": 1, "memory": [{"id": "m0", 12', "invalid JSON (Expecting property name enclosed in double quotes: line 1 column 40 (char 39))"),
+        (b'{"version": 1}\n{}', "invalid JSON (Extra data: line 2 column 1 (char 15))"),
+        (b'{"name": "caf\xe9"}', "not UTF-8 (byte 13)"),
+    ):
+        bad.write_bytes(text)
+        assert main(["validate", str(bad)]) == 2
+        assert capsys.readouterr().err == f"{bad}: {line}\n"
+
+
 @pytest.mark.parametrize(
     "text, key",
     [

@@ -800,6 +800,18 @@ def _reference_embed(text, dim):
 
 @pytest.mark.parametrize("dim", [1, 2, 64, 4096])
 def test_default_embed_is_bit_identical_and_shares_equal_floats(dim):
+    _assert_embeds_as_reference(dim)
+
+
+def test_default_embed_length_over_float_counts_is_bit_identical(monkeypatch):
+    """With the bound at 0 the length is summed over float counts, as it
+    is for a text whose squared counts reach 2**53."""
+    monkeypatch.setattr(memory, "MAX_INT", 0)
+    for dim in (1, 64):
+        _assert_embeds_as_reference(dim)
+
+
+def _assert_embeds_as_reference(dim):
     rng = random.Random(dim)
     texts = ["", "!!", "parser", "parser parser json", " ".join(WORDS * 3)]
     texts += [" ".join(rng.choices(WORDS + _NOISE, k=rng.randint(1, 40))) for _ in range(20)]
