@@ -108,8 +108,9 @@ def read_workload(path: str | Path) -> WorkloadSpec | list[schema.Error]:
     resolved as ``json.loads`` resolves them (the last one wins). A
     smaller file, and one the stream cannot give that result for as it
     goes (the file cannot be read or decoded, its top level is no
-    object, its memory list comes before a valid ``embedding_dim`` or
-    is built with one a later key replaces, or an item fails to build),
+    object, it has no memory list, its memory list comes before a valid
+    ``embedding_dim`` or is built with one a later key replaces, or an
+    item fails to build),
     is decoded whole through ``read_json``, which raises the error of a
     file it cannot read or decode."""
     streamed = _stream(path)
@@ -215,7 +216,9 @@ def _stream(path: str | Path) -> dict | None:
         # Decode errors and an item that fails to build are ValueErrors;
         # decoding the file whole reports each as it always has.
         return None
-    if isinstance(top.get("memory"), schema.ListStream) and built_with != top.get("embedding_dim"):
+    # A file with no streamed memory list is decoded whole, whose build
+    # gives the spec a list where the schema's default is a tuple.
+    if not isinstance(top.get("memory"), schema.ListStream) or built_with != top.get("embedding_dim"):
         return None
     return top
 

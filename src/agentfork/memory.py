@@ -86,8 +86,9 @@ def norm(vector: Sequence[float]) -> float:
     return math.sqrt(sum(map(operator.mul, vector, vector)))
 
 
-# Tokens whose bucket one dim remembers; when full, its memo starts over.
-BUCKET_MEMO = 1 << 14
+# Tokens whose bucket the memo remembers; when full, it starts over. The
+# benchmark workloads use at most 100 distinct tokens.
+BUCKET_MEMO = 1 << 16
 
 
 class _Buckets(dict):
@@ -105,9 +106,10 @@ class _Buckets(dict):
         return bucket
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _buckets_of(dim: int) -> _Buckets:
-    """The bucket memo of ``dim``; the last four dims keep theirs."""
+    """The bucket memo of ``dim``; a run embeds at one dim, so only the
+    last dim asked for keeps its memo."""
     return _Buckets(dim)
 
 
@@ -121,19 +123,16 @@ def default_embed(text: str, dim: int) -> tuple[float, ...]:
     """
     if dim <= 0:
         raise ValueError(f"embedding dim must be positive, got {dim}")
-    counts = [0] * dim
+    buckets = [0.0] * dim
     for bucket in map(_buckets_of(dim).__getitem__, tokenize(text)):
-        counts[bucket] += 1
-    squares = sum(map(operator.mul, counts, counts))
-    if squares == 0:
-        return (0.0,) * dim
-    # Counted in floats, each count and each partial sum of squares below
-    # 2**53 is exact, so the length is the same float either way.
-    length = math.sqrt(squares) if squares < MAX_INT else norm(list(map(float, counts)))
+        buckets[bucket] += 1.0
+    length = norm(buckets)
+    if length == 0.0:
+        return tuple(buckets)
     # Each distinct count is divided once and its float shared, so the
     # (mostly zero) components of one embedding are a few objects, not dim.
-    unit = {v: v / length for v in set(counts)}
-    return tuple(map(unit.__getitem__, counts))
+    unit = {v: v / length for v in set(buckets)}
+    return tuple(map(unit.__getitem__, buckets))
 
 
 # Texts one DefaultEmbedder remembers; when full, its memo starts over.

@@ -708,6 +708,7 @@ _NUMBER_ITEM = {"id": "n1", "tier": "semantic", "content": "split number", "crea
         _probe_text() + b" {}",
         _probe_text()[:-1] + b"\xff}",
         b"[" + _probe_text() + b"]",
+        _object_text([(k, v) for k, v in PROBE_BASE.items() if k != "memory"], None).encode(),
     ],
     ids=[
         "number_straddles_chunks",
@@ -721,6 +722,7 @@ _NUMBER_ITEM = {"id": "n1", "tier": "semantic", "content": "split number", "crea
         "trailing_data",
         "non_utf8_byte",
         "top_level_list",
+        "no_memory",
     ],
 )
 def test_streamed_read_matches_the_file_decoded_whole_at_every_small_chunk(tmp_path, monkeypatch, text):

@@ -800,18 +800,6 @@ def _reference_embed(text, dim):
 
 @pytest.mark.parametrize("dim", [1, 2, 64, 4096])
 def test_default_embed_is_bit_identical_and_shares_equal_floats(dim):
-    _assert_embeds_as_reference(dim)
-
-
-def test_default_embed_length_over_float_counts_is_bit_identical(monkeypatch):
-    """With the bound at 0 the length is summed over float counts, as it
-    is for a text whose squared counts reach 2**53."""
-    monkeypatch.setattr(memory, "MAX_INT", 0)
-    for dim in (1, 64):
-        _assert_embeds_as_reference(dim)
-
-
-def _assert_embeds_as_reference(dim):
     rng = random.Random(dim)
     texts = ["", "!!", "parser", "parser parser json", " ".join(WORDS * 3)]
     texts += [" ".join(rng.choices(WORDS + _NOISE, k=rng.randint(1, 40))) for _ in range(20)]
@@ -820,6 +808,14 @@ def _assert_embeds_as_reference(dim):
         expected = _reference_embed(text, dim)
         assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in expected]
         assert len({id(v) for v in got}) == len(set(got))
+
+
+def test_bucket_memo_is_bounded_and_embeds_the_same_after_it_starts_over(monkeypatch):
+    monkeypatch.setattr(memory, "BUCKET_MEMO", 3)
+    text = " ".join(WORDS)
+    for dim in (8, 16, 8):
+        assert default_embed(text, dim) == _reference_embed(text, dim)
+        assert len(memory._buckets_of(dim)) <= 3
 
 
 def test_default_embedder_memo_is_per_instance_and_bounded():
