@@ -22,8 +22,9 @@ and ``parse_file`` parses its value in the file format; both raise
 ``InputError``, whose lines name the file and the field path at fault.
 A workload file is read by ``harness.workload.read_workload``, which
 decodes the memory list of a file larger than one chunk an element at
-a time and parses each element through a ``ListStream``. ``flat_table`` derives the tables of
-``SimulatorConfig`` and ``GenerateParams`` from their dataclasses.
+a time and parses each element through a ``ListStream``.
+``flat_table`` derives the tables of ``SimulatorConfig`` and
+``GenerateParams`` from their dataclasses.
 
 ``package_parts`` writes a package's compact wire text straight from
 the same tables, byte for byte what ``json.dumps`` (``ensure_ascii=False``,
