@@ -340,18 +340,19 @@ class MemoryStore:
 
     def _indexed(
         self, keywords: frozenset[str], refs: frozenset[str], hits_only: bool
-    ) -> Iterator[tuple[MemoryItem, float, int, int]]:
-        """``(item, embedding norm, keyword hits, reference hits)`` in
-        store order, the hits counted from the postings: for every item,
-        or with ``hits_only`` for the items with at least one hit.
-        Keyword hits are counted once per group and read per item through
-        its group id."""
+    ) -> Iterator[tuple[MemoryItem, int, float, int, int]]:
+        """``(item, group id, embedding norm, keyword hits, reference
+        hits)`` in store order, the hits counted from the postings: for
+        every item, or with ``hits_only`` for the items with at least one
+        hit. Keyword hits are counted once per group and read per item
+        through its group id."""
         group_hits = _hits(self._keyword_postings, keywords, len(self._group_norms))
         for tier in TIER_ORDER:
             items = self._tiers[tier]
-            keyword_hits = list(map(group_hits.__getitem__, self._tier_groups[tier]))
+            groups = self._tier_groups[tier]
+            keyword_hits = list(map(group_hits.__getitem__, groups))
             ref_hits = _hits(self._ref_postings[tier], refs, len(items))
-            rows = zip(items, self._tier_norms[tier], keyword_hits, ref_hits)
+            rows = zip(items, groups, self._tier_norms[tier], keyword_hits, ref_hits)
             yield from compress(rows, map(operator.or_, keyword_hits, ref_hits)) if hits_only else rows
 
     def items(self) -> Iterator[MemoryItem]:
@@ -427,9 +428,11 @@ def _hits(postings: defaultdict[str, array], terms: Iterable[str], size: int) ->
 
 @dataclass(frozen=True)
 class MemorySlice:
-    """Immutable subset of a parent store chosen for one child spawn."""
+    """Immutable subset of a parent store chosen for one child spawn,
+    with ``tokens``, the whitespace word count of its items' contents."""
 
     items: tuple[MemoryItem, ...]
+    tokens: int
 
     def by_tier(self, tier: MemoryTier) -> tuple[MemoryItem, ...]:
         return tuple(it for it in self.items if it.tier is tier)
@@ -561,7 +564,16 @@ def slice_memory(
     per group of items that share content and embedding, from the store's
     keyword postings, and reference hits per item from its reference
     postings; the dot product comes from :func:`dot_with`, exact here
-    because item embeddings are finite.
+    because item embeddings are finite. The slice's ``tokens`` sums the
+    kept items' word counts, read per item through its group.
+
+    The semantic term ``delta * max(0, cosine)`` is never negative, and
+    adding a nonnegative float to a sum never lowers it under
+    round-to-nearest. So an item whose keyword, reference and recency
+    terms alone clear the threshold is kept without its dot product; only
+    the others are scored in full. The one exception, ``delta = 0`` times
+    an infinite cosine, which is NaN, needs an embedding norm off
+    ``_SCALE``; then the shortcut is taken only when ``delta > 0``.
 
     An item with no keyword and no reference hit scores
     ``gamma * recency + delta * cosine``, at most ``gamma + delta``
@@ -582,17 +594,19 @@ def slice_memory(
     task_norm = norm(task_embedding)
     score = _relevance_scorer(keywords, refs, task_norm, config, store.current_step)
     dot = dot_with(task_embedding)
-    hits_only = (
-        threshold >= config.gamma + config.delta + _SLACK
-        and not store._off_scale_groups
-        and not _off_scale(task_norm)
-    )
-    kept = tuple(
-        item
-        for item, item_norm, keyword_hits, ref_hits in store._indexed(keywords, refs, hits_only)
-        if score(keyword_hits, ref_hits, item.created_at_step, dot(item.embedding), item_norm) > threshold
-    )
-    return MemorySlice(items=kept)
+    in_scale = not store._off_scale_groups and not _off_scale(task_norm)
+    hits_only = threshold >= config.gamma + config.delta + _SLACK and in_scale
+    settle = in_scale or config.delta > 0.0
+    group_words = store._group_words
+    kept: list[MemoryItem] = []
+    tokens = 0
+    for item, group, item_norm, keyword_hits, ref_hits in store._indexed(keywords, refs, hits_only):
+        step = item.created_at_step
+        settled = settle and score(keyword_hits, ref_hits, step, 0.0, 0.0) > threshold
+        if settled or score(keyword_hits, ref_hits, step, dot(item.embedding), item_norm) > threshold:
+            kept.append(item)
+            tokens += group_words[group]
+    return MemorySlice(items=tuple(kept), tokens=tokens)
 
 
 def count_tokens(items: Iterable[MemoryItem]) -> int:

@@ -33,6 +33,9 @@ from .memory import (
     MemorySlice,
     MemoryStore,
     MemoryTier,
+    # Not called here: each slice carries its word count. The benchmark's
+    # tracer (bench/tracer.py) wraps ``runtime.count_tokens``, so the name
+    # stays bound until the tracer drops that target.
     count_tokens,
     make_item,
     reduction_percent,
@@ -482,7 +485,7 @@ class ChildScheduler:
         return completed
 
 
-_EMPTY_SLICE = MemorySlice(items=())
+_EMPTY_SLICE = MemorySlice(items=(), tokens=0)
 
 
 def handle_child_failure(
@@ -664,7 +667,7 @@ def run_parent_loop(
                 id_source=scheduler.next_id,
             )
             tokens_parent = state.memory.token_count
-            tokens_slice = count_tokens(memory_slice.items)
+            tokens_slice = memory_slice.tokens
             record = SpawnRecord(
                 spawn_id=package.spawn_id,
                 specialization=decision.specialization.value,

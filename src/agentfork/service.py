@@ -7,7 +7,9 @@ HTTP stack (``urllib.request`` pulls in ``http.client``, ``email`` and
 
 from __future__ import annotations
 
+import http.client
 import os
+import socket
 import time
 import urllib.request
 from typing import Callable
@@ -24,18 +26,57 @@ MAX_RESPONSE_BYTES = 16 * 2**20
 READ_CHUNK = 64 * 2**10
 
 
+class _DeadlineSocket(socket.socket):
+    """A connected socket whose every read ends by ``deadline``, a
+    ``time.monotonic()`` instant: each waits at most the time left, and
+    one past the deadline raises ``TimeoutError``."""
+
+    deadline = 0.0
+
+    def recv_into(self, buffer, nbytes=0, flags=0):
+        remaining = self.deadline - time.monotonic()
+        if remaining <= 0.0:
+            raise TimeoutError("timed out")
+        self.settimeout(remaining)
+        return super().recv_into(buffer, nbytes, flags)
+
+
+class _DeadlineConnection(http.client.HTTPConnection):
+    """An HTTP connection that reads its whole response, status line and
+    headers included, within ``timeout`` seconds of being made."""
+
+    def __init__(self, host, timeout, **kwargs):
+        super().__init__(host, timeout=timeout, **kwargs)
+        self.deadline = time.monotonic() + timeout
+
+    def connect(self):
+        super().connect()
+        plain = self.sock
+        self.sock = _DeadlineSocket(plain.family, plain.type, plain.proto, plain.detach())
+        self.sock.deadline = self.deadline
+        # Sends keep the per-operation timeout.
+        self.sock.settimeout(self.timeout)
+
+
+class _DeadlineHandler(urllib.request.HTTPHandler):
+    def http_open(self, req):
+        return self.do_open(_DeadlineConnection, req)
+
+
 def http_transport(endpoint: str, token: str | None, timeout: float) -> Callable[[bytes], bytes]:
     """POST encoded spawn packages to a model service, return its bytes.
 
     ``timeout`` bounds the whole request, not only each socket
-    operation: the body is read in chunks, and after each one the call
-    raises once the body has passed ``MAX_RESPONSE_BYTES`` or the request
-    has run past ``timeout`` seconds. The scheduler records either as an
-    invalid child. Each read waits at most ``timeout`` seconds for data,
-    so a service that keeps sending ends the call within ``timeout`` plus
-    the gap between its sends, and one that stalls within twice
-    ``timeout``. The status line and headers are read by ``urlopen``,
-    under its per-operation ``timeout`` only."""
+    operation. Over ``http``, every read of the response, status line
+    and headers included, waits at most until ``timeout`` seconds after
+    the request began, so a service that drips its headers or its body
+    ends the call within ``timeout``. The body is read in chunks, and
+    after each one the call also raises once the body has passed
+    ``MAX_RESPONSE_BYTES`` or the request has run past ``timeout``
+    seconds; over ``https``, whose reads only the per-operation
+    ``timeout`` bounds, that check is the deadline. The scheduler records
+    each of these as an invalid child."""
+    opener = urllib.request.build_opener(_DeadlineHandler)
 
     def send(payload: bytes) -> bytes:
         deadline = time.monotonic() + timeout
@@ -46,7 +87,7 @@ def http_transport(endpoint: str, token: str | None, timeout: float) -> Callable
             request.add_header("Authorization", f"Bearer {token}")
         chunks: list[bytes] = []
         received = 0
-        with urllib.request.urlopen(request, timeout=timeout) as response:
+        with opener.open(request, timeout=timeout) as response:
             while chunk := response.read1(READ_CHUNK):
                 received += len(chunk)
                 if received > MAX_RESPONSE_BYTES:

@@ -228,17 +228,22 @@ def test_slice_strict_threshold_and_order(embedder):
 def test_slice_above_gamma_plus_delta_scores_only_the_items_its_postings_reach(embedder, monkeypatch):
     """With the default config (gamma + delta = 0.4), a slice at 0.5
     takes the dot product of exactly the items that share a keyword or a
-    reference with the task, in store order; at 0.3, of every item."""
+    reference with the task and whose other three terms do not clear the
+    cut, in store order; at 0.3, of every item whose other three terms
+    do not clear it."""
     store = MemoryStore(DIM, current_step=3)
-    contents = ["parser cache", "queue worker", "json header", "retry budget", "schema lock", "parser json"]
+    contents = [
+        "parser cache", "queue worker", "json header", "retry budget", "schema lock", "parser json", "fix json parser",
+    ]
     for n, content in enumerate(contents):
         store.add(
             make_item(
                 f"m{n}", list(MemoryTier)[n % 3], content, embedder,
-                referenced_files=["src/config.py"] if n == 4 else (), created_at_step=n % 4,
+                referenced_files=["src/config.py"] if n in (4, 6) else (), created_at_step=3 if n == 6 else n % 4,
             )
         )
     task = TaskSpec(description="fix the parser for json", referenced_files=frozenset({"src/config.py"}))
+    by_id = {i.id: i for i in store.items()}
     seen = []
     dot_with = memory.dot_with
 
@@ -252,15 +257,68 @@ def test_slice_above_gamma_plus_delta_scores_only_the_items_its_postings_reach(e
         return counted
 
     monkeypatch.setattr(memory, "dot_with", counting_dot_with)
-    reached = {"m0", "m2", "m4", "m5"}
-    for threshold, scored in ((0.5, [i for i in store.items() if i.id in reached]), (0.3, list(store.items()))):
+    # Without its semantic term m6 scores 0.8, m4 0.448, m5 0.364 and every
+    # other item at most 0.281; m1 and m3 hold no task keyword or reference.
+    for threshold, scored in ((0.5, ["m0", "m4", "m2", "m5"]), (0.3, ["m0", "m3", "m1", "m2"])):
         seen.clear()
         sliced = slice_memory(store, task, at_threshold(SimulatorConfig(), threshold), embedder)
-        assert [id(e) for e in seen] == [id(i.embedding) for i in scored]
+        assert [id(e) for e in seen] == [id(by_id[i].embedding) for i in scored]
         assert list(sliced.items) == [
             i for i in store.items()
             if compute_relevance(i, task, SimulatorConfig(), store.current_step, embedder) > threshold
         ]
+        assert sliced.tokens == count_tokens(sliced.items)
+
+
+def test_slice_at_a_threshold_equal_to_the_other_terms_keeps_only_a_positive_semantic_term():
+    """Items whose keyword, reference and recency terms sum to exactly
+    the threshold: the cut is strict, so only a positive cosine keeps one."""
+    task = TaskSpec(description="parser json", referenced_files=frozenset({"src/a.py"}))
+    embedder = _FixedEmbedder((1.0, 0.0, 0.0, 0.0))
+    config = SimulatorConfig()
+    rows = {
+        "parallel": (1.0, 0.0, 0.0, 0.0),
+        "acute": (1.0, 1.0, 0.0, 0.0),
+        "orthogonal": (0.0, 1.0, 0.0, 0.0),
+        "opposite": (-1.0, 0.0, 0.0, 0.0),
+        "zero": (0.0, 0.0, 0.0, 0.0),
+    }
+    store = MemoryStore(4, current_step=2)
+    for item_id, embedding in rows.items():
+        store.add(
+            MemoryItem(
+                id=item_id, tier=MemoryTier.SEMANTIC, content="parser notes", embedding=embedding,
+                referenced_files=frozenset({"src/a.py"}), created_at_step=1,
+            )
+        )
+    partial = config.alpha * 0.5 + config.beta * 1.0 + config.gamma * math.exp(-config.lambda_decay)
+    scores = {item.id: compute_relevance(item, task, config, 2, embedder) for item in store.items()}
+    assert [k for k, score in scores.items() if score == partial] == ["orthogonal", "opposite", "zero"]
+    sliced = slice_memory(store, task, at_threshold(config, partial), embedder)
+    assert [i.id for i in sliced.items] == ["parallel", "acute"]
+    assert sliced.tokens == 4
+    # With delta = 0 no item has a semantic term to add.
+    zero_delta = SimulatorConfig(alpha=0.4, beta=0.3, gamma=0.3, delta=0.0)
+    partial = zero_delta.alpha * 0.5 + zero_delta.beta * 1.0 + zero_delta.gamma * math.exp(-zero_delta.lambda_decay)
+    assert slice_memory(store, task, at_threshold(zero_delta, partial), embedder).items == ()
+    assert len(slice_memory(store, task, at_threshold(zero_delta, math.nextafter(partial, 0.0)), embedder)) == 5
+
+
+def test_slice_at_delta_zero_scores_an_item_whose_cosine_overflows_in_full():
+    """Near the top of the float range a dot product can overflow while
+    the product of the norms does not. The cosine is then infinite, and
+    at delta = 0 the semantic term is NaN, so the item is never kept,
+    however far its other terms clear the threshold."""
+    item = MemoryItem(
+        id="edge", tier=MemoryTier.SEMANTIC, content="parser",
+        embedding=(8.823278287241527e153, 1.0095497697098633e154),
+    )
+    embedder = _FixedEmbedder((8.823278287241524e153, 1.0095497697098636e154))
+    config = SimulatorConfig(alpha=0.4, beta=0.3, gamma=0.3, delta=0.0)
+    task = TaskSpec(description="parser")
+    assert math.isnan(compute_relevance(item, task, config, 0, embedder))
+    sliced = slice_memory(MemoryStore(2, items=[item]), task, at_threshold(config, 0.0), embedder)
+    assert (sliced.items, sliced.tokens) == ((), 0)
 
 
 def test_slice_is_read_only(embedder):
@@ -629,7 +687,7 @@ _TASK_VECTOR = st.one_of(
 _CONTENT = st.lists(st.sampled_from(WORDS[:6] + _NOISE), max_size=6).map(" ".join)
 _REFS = st.lists(st.sampled_from(FILES + SYMBOLS), max_size=3)
 # The default split (gamma + delta = 0.4), gamma + delta = 1 (no cut
-# can prune), alpha = 0, beta = 0, and splits drawn freely.
+# can prune), alpha = 0, beta = 0, delta = 0, and splits drawn freely.
 _CONFIGS = st.one_of(
     st.sampled_from(
         [
@@ -638,6 +696,7 @@ _CONFIGS = st.one_of(
             SimulatorConfig(alpha=0.0, beta=0.0, gamma=0.5, delta=0.5),
             SimulatorConfig(alpha=0.0, beta=0.6, gamma=0.2, delta=0.2),
             SimulatorConfig(alpha=0.6, beta=0.0, gamma=0.3, delta=0.1),
+            SimulatorConfig(alpha=0.4, beta=0.3, gamma=0.3, delta=0.0),
         ]
     ),
     st.builds(
@@ -664,13 +723,13 @@ _SUBNORMAL_TASK = (0.72 * _TINY, 0.72 * _TINY, _TINY, 0.0)
 # (modulo the pool's size), either that very tuple object or, with the
 # flag, a distinct tuple of equal value. So one tuple object appears with
 # different contents, and one content with different tuple objects.
-_POOL = st.lists(_VECTOR, min_size=1, max_size=3)
+_POOL = st.lists(st.one_of(st.just((0.0,) * _PDIM), _VECTOR), min_size=1, max_size=3)
 _EMBEDDING = st.tuples(st.integers(0, 2), st.booleans())
 _OPS = st.lists(
     st.one_of(
         st.tuples(
             st.just("add"), st.sampled_from(list(MemoryTier)),
-            st.one_of(st.sampled_from(["", "parser json", "cache"]), _CONTENT),
+            st.one_of(st.sampled_from(["", "  ", " \t\n", "parser json", "cache"]), _CONTENT),
             _REFS, _REFS, _EMBEDDING, st.integers(0, 3),
         ),
         st.tuples(st.just("advance"), st.integers(0, 3)),
@@ -742,9 +801,11 @@ def test_indexed_slice_keeps_what_the_per_item_reference_keeps(
     through slices exactly as the literal reference scores it, with a
     custom embedder whose vectors have negative and zero components, at
     cuts on both sides of gamma + delta, above which the slice scores
-    only the items its postings reach. Items share embedding tuples and
-    contents in every combination, so the store's groups of items with
-    one content and one tuple are exercised."""
+    only the items its postings reach, and each slice's word count is a
+    recount of its items. Items share embedding tuples and contents in
+    every combination, so the store's groups of items with one content
+    and one tuple are exercised; contents may be empty or whitespace
+    only, and embeddings zero."""
     embedder = _FixedEmbedder(task_vector)
     task = TaskSpec(
         description=description,
@@ -785,6 +846,7 @@ def test_indexed_slice_keeps_what_the_per_item_reference_keeps(
         for cut in (0.0, 0.25, 0.5, bound, math.nextafter(bound, 1.0), 1.0, threshold):
             sliced = slice_memory(store, task, at_threshold(config, cut), embedder)
             assert [i.id for i in sliced.items] == [i.id for i in store.items() if expected[i.id] > cut]
+            assert sliced.tokens == count_tokens(sliced.items)
 
 
 def _reference_embed(text, dim):

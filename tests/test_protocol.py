@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from agentfork import protocol, schema
 from agentfork.coherence import Diff, DiffError, Hunk
-from agentfork.memory import MemoryError, MemoryItem, MemorySlice, MemoryStore, MemoryTier, make_item
+from agentfork.memory import MemoryError, MemoryItem, MemorySlice, MemoryStore, MemoryTier, count_tokens, make_item
 from agentfork.policy import ComplexityMetrics, PolicyError
 from agentfork.protocol import (
     Action,
@@ -54,7 +54,7 @@ CHILD_METRIC_KEYS = ("tokens_used", "api_calls", "test_pass_rate")
 
 
 def _package(embedder, spawn_id="spawn-0001", slice_items=()):
-    memory_slice = MemorySlice(items=tuple(slice_items))
+    memory_slice = MemorySlice(items=tuple(slice_items), tokens=count_tokens(slice_items))
     return build_spawn_package(
         parent_id="parent",
         task=TaskSpec(description="fix the parser"),
@@ -103,11 +103,11 @@ def test_build_spawn_package_empty_slice_is_legal(embedder):
 def test_spawn_ids_unique_within_run(embedder):
     ids = sequential_ids()
     first = build_spawn_package(
-        "p", TaskSpec(description="t"), MemorySlice(items=()), (),
+        "p", TaskSpec(description="t"), MemorySlice(items=(), tokens=0), (),
         ExecutionContext(repo_path="r"), METRICS, 0.5, timestamp=0.0, id_source=lambda: next(ids),
     )
     second = build_spawn_package(
-        "p", TaskSpec(description="t"), MemorySlice(items=()), (),
+        "p", TaskSpec(description="t"), MemorySlice(items=(), tokens=0), (),
         ExecutionContext(repo_path="r"), METRICS, 0.5, timestamp=0.0, id_source=lambda: next(ids),
     )
     assert first.spawn_id != second.spawn_id
@@ -116,7 +116,7 @@ def test_spawn_ids_unique_within_run(embedder):
 def test_build_rejects_out_of_range_score(embedder):
     with pytest.raises(ProtocolError):
         build_spawn_package(
-            "p", TaskSpec(description="t"), MemorySlice(items=()), (),
+            "p", TaskSpec(description="t"), MemorySlice(items=(), tokens=0), (),
             ExecutionContext(repo_path="r"), METRICS, 1.5, timestamp=0.0, id_source=lambda: "spawn-0001",
         )
 

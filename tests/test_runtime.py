@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import http.server
+import itertools
 import json
+import socketserver
 import sys
 import threading
 import time
@@ -17,7 +19,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from agentfork import runtime, service
+from agentfork import memory, runtime, service
 from agentfork.coherence import Diff, Hunk
 from agentfork.config import SimulatorConfig
 from agentfork.harness import (
@@ -72,7 +74,7 @@ def _package(spawn_id, parent_id="parent"):
     return build_spawn_package(
         parent_id,
         TaskSpec(description="do the work"),
-        MemorySlice(items=()),
+        MemorySlice(items=(), tokens=0),
         (),
         ExecutionContext(repo_path="repo"),
         QUIET,
@@ -619,18 +621,20 @@ def test_blocking_loop_accepts_child_that_advances_parent_to_its_own_step():
 
 
 def test_blocking_fork_path_neither_hashes_nor_recounts_the_parent_store(monkeypatch):
-    def refuse(self):
-        raise AssertionError("content_digest is O(N) and has no place on the fork path")
+    def refuse(*args):
+        raise AssertionError("the fork path neither hashes the store nor counts words")
 
-    counted = []
+    slices = []
+    slice_memory = runtime.slice_memory
 
-    def counting(items):
-        items = list(items)
-        counted.append(len(items))
-        return count_tokens(items)
+    def recording(*args):
+        slices.append(slice_memory(*args))
+        return slices[-1]
 
     monkeypatch.setattr(MemoryStore, "content_digest", refuse)
-    monkeypatch.setattr(runtime, "count_tokens", counting)
+    monkeypatch.setattr(runtime, "count_tokens", refuse)
+    monkeypatch.setattr(memory, "count_tokens", refuse)
+    monkeypatch.setattr(runtime, "slice_memory", recording)
     outcomes = {"context_compression": ScriptedOutcome(execution_time=2.0)}
     trajectory = [SPIKE, QUIET, QUIET, QUIET, QUIET] * 2 + [SPIKE]
     workload, config = _loop_setup(trajectory, outcomes)
@@ -638,8 +642,11 @@ def test_blocking_fork_path_neither_hashes_nor_recounts_the_parent_store(monkeyp
     result = run_parent_loop(config, 0, ScriptedBackend(outcomes), workload)
     assert result.status == "completed"
     assert [r.outcome for r in result.spawn_records] == ["success"] * 3
-    # Only the slices are counted; the parent's total is the store's running count.
-    assert counted == [r.items_slice for r in result.spawn_records]
+    # Each slice's word count is its own; the parent's total is the
+    # store's running count.
+    assert [r.tokens_slice for r in result.spawn_records] == [count_tokens(s.items) for s in slices]
+    assert [r.items_slice for r in result.spawn_records] == [len(s) for s in slices]
+    assert all(r.tokens_slice > 0 for r in result.spawn_records)
     assert result.spawn_records[0].tokens_parent == initial_tokens
     assert result.state.memory.token_count == count_tokens(result.state.memory.items())
 
@@ -781,11 +788,11 @@ def test_service_backend_from_env(monkeypatch):
     monkeypatch.setenv("AGENTFORK_SERVICE_TOKEN", "secret")
     seen = {}
 
-    def fake_urlopen(request, timeout):
-        seen.update(auth=request.get_header("Authorization"), timeout=timeout)
+    def fake_open(handler, request):
+        seen.update(auth=request.get_header("Authorization"), timeout=request.timeout)
         raise OSError("no service")
 
-    monkeypatch.setattr(service.urllib.request, "urlopen", fake_urlopen)
+    monkeypatch.setattr(service._DeadlineHandler, "http_open", fake_open)
     backend = ServiceBackend.from_env(timeout=SimulatorConfig().child_timeout_secs)
     with pytest.raises(OSError):
         backend.transport(b"{}")
@@ -919,6 +926,36 @@ def test_http_transport_deadline_ends_a_dripping_service_as_an_invalid_child():
     assert [r.outcome for r in result.spawn_records] == ["invalid"]
     [invalid] = [e for e in result.events if e.kind == "child_invalid"]
     assert "backend error: TimeoutError: " in invalid.detail and "timed out" in invalid.detail
+
+
+def test_http_transport_deadline_ends_a_service_that_drips_its_headers_as_an_invalid_child():
+    # The status line and an endless header arrive one byte every 0.05 s,
+    # so no socket read waits out the timeout; only a deadline over the
+    # reads of the headers ends the call. Without one, the call lasts
+    # until the service stops, STREAM_LIMIT_S later. Slack as above.
+    timeout, slack = 0.5, 1.0
+    stop = threading.Event()
+
+    class DrippingHeaders(socketserver.BaseRequestHandler):
+        def handle(self):
+            self.request.recv(2**16)
+            head = itertools.chain(b"HTTP/1.1 200 OK\r\nX-Drip: ", itertools.repeat(ord("a")))
+            until = time.monotonic() + STREAM_LIMIT_S
+            try:
+                for byte in head:
+                    if stop.wait(0.05) or time.monotonic() > until:
+                        break
+                    self.request.sendall(bytes((byte,)))
+            except OSError:
+                pass  # the client gave up
+
+    server = socketserver.TCPServer(("127.0.0.1", 0), DrippingHeaders)
+    result, elapsed = _run_against(server, stop, timeout)
+    assert elapsed < timeout + slack
+    assert result.status == "completed"
+    assert [r.outcome for r in result.spawn_records] == ["invalid"]
+    [invalid] = [e for e in result.events if e.kind == "child_invalid"]
+    assert "backend error: TimeoutError: timed out" in invalid.detail
 
 
 def test_http_transport_over_the_byte_cap_is_an_invalid_child():
