@@ -63,13 +63,6 @@ class MemoryError(ValueError):
 MAX_INT = 2**53
 # The reference set of every item without references.
 _NO_REFS: frozenset[str] = frozenset()
-# Slack on the bound gamma + delta at which a slice prunes. With both
-# embedding norms zero or inside _SCALE, a cosine rounds above 1 by about
-# 2*dim ulps at most, under 2**-20 for any dim below 2**32. Outside it,
-# squares and products fall among the subnormals and a cosine can round
-# to 1.5, so a slice prunes only inside it.
-_SLACK = 1e-6
-_SCALE = (2.0**-400, 2.0**400)
 
 
 def tokenize(text: str) -> list[str]:
@@ -84,6 +77,16 @@ def extract_keywords(task_description: str) -> frozenset[str]:
 
 def norm(vector: Sequence[float]) -> float:
     return math.sqrt(sum(map(operator.mul, vector, vector)))
+
+
+def clamped_cosine(dot: float, a_norm: float, b_norm: float) -> float:
+    """``dot / (a_norm * b_norm)``, the cosine of two embeddings, clamped
+    to [0, 1]: 0 when either norm is 0 or the quotient is NaN (from an
+    overflowed dot product or norm), 1 when it rounds above 1. Memory
+    relevance and skill inheritance both score similarity with it."""
+    if a_norm == 0.0 or b_norm == 0.0:
+        return 0.0
+    return min(1.0, max(0.0, dot / (a_norm * b_norm)))
 
 
 # Tokens whose bucket the memo remembers; when full, it starts over. The
@@ -244,8 +247,6 @@ class MemoryStore:
     every keyword, the ids of the groups whose content holds it, and per
     tier, parallel to its items, each item's group id and embedding norm
     and, for every reference, the positions of the items that hold it.
-    It also counts the groups whose embedding norm is off scale (see
-    :func:`_off_scale`).
 
     ``items``, if given, are added in order, as by ``add``.
     """
@@ -276,7 +277,6 @@ class MemoryStore:
         self._group_norms = array("d")
         self._group_words: list[int] = []
         self._keyword_postings: defaultdict[str, array] = defaultdict(_positions)
-        self._off_scale_groups = 0
         self._ids: set[str] = set()
         self._add_all(items)
 
@@ -324,7 +324,6 @@ class MemoryStore:
                 self._group_embeddings.append(embedding)
                 self._group_norms.append(length)
                 self._group_words.append(n_words)
-                self._off_scale_groups += _off_scale(length)
                 _post(self._keyword_postings, keywords, group)
             tier = item.tier
             tier_items = self._tiers[tier]
@@ -412,11 +411,6 @@ def _post(postings: defaultdict[str, array], terms: Iterable[str], position: int
         postings[term].append(position)
 
 
-def _off_scale(length: float) -> bool:
-    """Whether an embedding norm is nonzero and outside ``_SCALE``."""
-    return length != 0.0 and not _SCALE[0] <= length <= _SCALE[1]
-
-
 def _hits(postings: defaultdict[str, array], terms: Iterable[str], size: int) -> list[int]:
     """How many of ``terms`` each of ``size`` positions holds."""
     hits = [0] * size
@@ -482,7 +476,7 @@ def compute_relevance(
     keywords present in the item, fraction of task code references the
     item also references, exponential recency decay (rate
     ``lambda_decay``) over item age in steps, and embedding cosine
-    similarity clamped at zero.
+    similarity clamped to [0, 1] (:func:`clamped_cosine`).
     """
     if now_step < item.created_at_step:
         raise MemoryError(
@@ -494,60 +488,43 @@ def compute_relevance(
             f"item {item.id}: embedding dim {len(item.embedding)} != embedder dim {len(task_embedding)}"
         )
     keywords, refs = _task_terms(task)
-    score = _relevance_scorer(keywords, refs, norm(task_embedding), config, now_step)
-    return score(
-        len(keywords & extract_keywords(item.content)),
-        len(refs & item.references),
-        item.created_at_step,
-        sum(map(operator.mul, item.embedding, task_embedding)),
-        norm(item.embedding),
-    )
+    partial = _partial_scorer(keywords, refs, config, now_step)
+    dot = sum(map(operator.mul, item.embedding, task_embedding))
+    return partial(
+        len(keywords & extract_keywords(item.content)), len(refs & item.references), item.created_at_step
+    ) + config.delta * clamped_cosine(dot, norm(item.embedding), norm(task_embedding))
 
 
-def _relevance_scorer(
+def _partial_scorer(
     keywords: frozenset[str],
     refs: frozenset[str],
-    task_norm: float,
     config: "SimulatorConfig",
     now_step: int,
-) -> Callable[[int, int, int, float, float], float]:
-    """The one weighted relevance sum, for a fixed task.
+) -> Callable[[int, int, int], float]:
+    """The relevance score without its semantic term, for a fixed task.
 
-    The returned ``score(keyword_hits, ref_hits, created_at_step, dot,
-    item_norm)`` forms the four components from an item's terms: how
-    many task keywords and references the item holds, its step, the dot
-    product of its embedding with the task's, and its embedding norm.
-    The recency term ``exp(-lambda_decay * age)`` is computed once per
-    age. The semantic term is ``max(0, dot / (item_norm * task_norm))``,
-    or 0 when either norm is 0, and the score is ``alpha * keyword_match
-    + beta * dep_score + gamma * recency + delta * semantic``, with the
-    config's knobs, summed in that order, so scores are bit-identical
-    however the terms were found. The item's age is not checked here;
-    callers guarantee ``created_at_step <= now_step``.
+    The returned ``partial(keyword_hits, ref_hits, created_at_step)``
+    takes how many task keywords and references an item holds, and its
+    step, and returns ``alpha * keyword_match + beta * dep_score + gamma
+    * recency``, summed in that order, with ``exp(-lambda_decay * age)``
+    computed once per age. The full score adds ``delta * cosine`` to it,
+    so scores are bit-identical however the terms were found. The age is
+    not checked here; callers guarantee ``created_at_step <= now_step``.
     """
     n_keywords = len(keywords)
     n_refs = len(refs)
     recency: dict[int, float] = {}
 
-    def score(keyword_hits: int, ref_hits: int, created_at_step: int, dot: float, item_norm: float) -> float:
+    def partial(keyword_hits: int, ref_hits: int, created_at_step: int) -> float:
         keyword_match = keyword_hits / n_keywords if n_keywords else 0.0
         dep_score = ref_hits / n_refs if n_refs else 0.0
         age = now_step - created_at_step
         temporal = recency.get(age)
         if temporal is None:
             temporal = recency[age] = math.exp(-config.lambda_decay * age)
-        if item_norm == 0.0 or task_norm == 0.0:
-            semantic = 0.0
-        else:
-            semantic = max(0.0, dot / (item_norm * task_norm))
-        return (
-            config.alpha * keyword_match
-            + config.beta * dep_score
-            + config.gamma * temporal
-            + config.delta * semantic
-        )
+        return config.alpha * keyword_match + config.beta * dep_score + config.gamma * temporal
 
-    return score
+    return partial
 
 
 def slice_memory(
@@ -557,7 +534,7 @@ def slice_memory(
     embedder: Embedder,
 ) -> MemorySlice:
     """Select items with relevance strictly above the config's
-    ``memory_threshold``, scored under its relevance knobs.
+    ``memory_threshold``, scored as by :func:`compute_relevance`.
 
     Order is preserved from the store; items at exactly the threshold are
     excluded. The store is not modified. Keyword hits are counted once
@@ -567,22 +544,14 @@ def slice_memory(
     because item embeddings are finite. The slice's ``tokens`` sums the
     kept items' word counts, read per item through its group.
 
-    The semantic term ``delta * max(0, cosine)`` is never negative, and
-    adding a nonnegative float to a sum never lowers it under
-    round-to-nearest. So an item whose keyword, reference and recency
-    terms alone clear the threshold is kept without its dot product; only
-    the others are scored in full. The one exception, ``delta = 0`` times
-    an infinite cosine, which is NaN, needs an embedding norm off
-    ``_SCALE``; then the shortcut is taken only when ``delta > 0``.
-
-    An item with no keyword and no reference hit scores
-    ``gamma * recency + delta * cosine``, at most ``gamma + delta``
-    up to the cosine's rounding above 1, which ``_SLACK`` covers while
-    the task's and every item's embedding norm is zero or inside
-    ``_SCALE``. So when ``memory_threshold >= gamma + delta + _SLACK``
-    and those norms are in scale, only the items that hold a task keyword
-    or reference are scored; otherwise every item is. The kept
-    items are the same either way.
+    The cosine lies in [0, 1] and rounding is monotone, so two shortcuts
+    keep exactly the items a full scan keeps. ``delta * cosine`` is never
+    negative, so an item whose partial score alone clears the threshold
+    is kept without its dot product. An item with no keyword and no
+    reference hit scores ``gamma * recency + delta * cosine``, at most
+    ``gamma + delta`` as rounded, so when ``memory_threshold >= gamma +
+    delta`` only the items that hold a task keyword or reference are
+    scored.
     """
     task_embedding = embedder(task.description)
     if len(task_embedding) != store.embedding_dim:
@@ -590,20 +559,18 @@ def slice_memory(
             f"embedder dim {len(task_embedding)} != store dim {store.embedding_dim}"
         )
     threshold = config.memory_threshold
+    delta = config.delta
     keywords, refs = _task_terms(task)
     task_norm = norm(task_embedding)
-    score = _relevance_scorer(keywords, refs, task_norm, config, store.current_step)
+    partial = _partial_scorer(keywords, refs, config, store.current_step)
     dot = dot_with(task_embedding)
-    in_scale = not store._off_scale_groups and not _off_scale(task_norm)
-    hits_only = threshold >= config.gamma + config.delta + _SLACK and in_scale
-    settle = in_scale or config.delta > 0.0
+    hits_only = threshold >= config.gamma + delta
     group_words = store._group_words
     kept: list[MemoryItem] = []
     tokens = 0
     for item, group, item_norm, keyword_hits, ref_hits in store._indexed(keywords, refs, hits_only):
-        step = item.created_at_step
-        settled = settle and score(keyword_hits, ref_hits, step, 0.0, 0.0) > threshold
-        if settled or score(keyword_hits, ref_hits, step, dot(item.embedding), item_norm) > threshold:
+        score = partial(keyword_hits, ref_hits, item.created_at_step)
+        if score > threshold or score + delta * clamped_cosine(dot(item.embedding), item_norm, task_norm) > threshold:
             kept.append(item)
             tokens += group_words[group]
     return MemorySlice(items=tuple(kept), tokens=tokens)

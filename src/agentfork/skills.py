@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence, TYPE_CHECKING
 
-from .memory import Embedder, MemoryError, norm, dot_with
+from .memory import Embedder, MemoryError, clamped_cosine, dot_with, norm
 
 if TYPE_CHECKING:
     from .protocol import TaskSpec
@@ -126,14 +126,13 @@ class SkillLibrary:
 
 
 def _task_similarity(task_embedding: Sequence[float]) -> Callable[[Sequence[float]], float]:
-    """``similarity(template_embedding)``: the cosine of a template's
-    embedding with the task's, clamped to [0, 1].
+    """``similarity(template_embedding)``: the :func:`clamped_cosine` of
+    a template's embedding with the task's, in [0, 1].
 
-    The result is ``min(1, max(0, dot / (template_norm * task_norm)))``,
-    or 0 when either norm is 0. The task's norm and nonzero components
-    are taken once: a finite template gets the same dot product from
-    :func:`dot_with` as over every component, and a non-finite one has
-    an infinite or NaN norm, so it clamps to 0.
+    The task's norm and nonzero components are taken once: a finite
+    template gets the same dot product from :func:`dot_with` as over
+    every component, and a non-finite one has an infinite or NaN norm,
+    so it clamps to 0.
     """
     dot = dot_with(task_embedding)
     task_norm = norm(task_embedding)
@@ -141,10 +140,7 @@ def _task_similarity(task_embedding: Sequence[float]) -> Callable[[Sequence[floa
     def similarity(template_embedding: Sequence[float]) -> float:
         if len(template_embedding) != len(task_embedding):
             raise MemoryError(f"vector dim mismatch: {len(template_embedding)} vs {len(task_embedding)}")
-        template_norm = norm(template_embedding)
-        if template_norm == 0.0 or task_norm == 0.0:
-            return 0.0
-        return min(1.0, max(0.0, dot(template_embedding) / (template_norm * task_norm)))
+        return clamped_cosine(dot(template_embedding), norm(template_embedding), task_norm)
 
     return similarity
 

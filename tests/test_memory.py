@@ -225,6 +225,24 @@ def test_slice_strict_threshold_and_order(embedder):
     assert list(sliced.items) == oracle
 
 
+def _count_dot_products(monkeypatch):
+    """The embeddings that slices take a dot product of, in call order."""
+    seen = []
+    dot_with = memory.dot_with
+
+    def counting_dot_with(vector):
+        dot = dot_with(vector)
+
+        def counted(embedding):
+            seen.append(embedding)
+            return dot(embedding)
+
+        return counted
+
+    monkeypatch.setattr(memory, "dot_with", counting_dot_with)
+    return seen
+
+
 def test_slice_above_gamma_plus_delta_scores_only_the_items_its_postings_reach(embedder, monkeypatch):
     """With the default config (gamma + delta = 0.4), a slice at 0.5
     takes the dot product of exactly the items that share a keyword or a
@@ -244,19 +262,7 @@ def test_slice_above_gamma_plus_delta_scores_only_the_items_its_postings_reach(e
         )
     task = TaskSpec(description="fix the parser for json", referenced_files=frozenset({"src/config.py"}))
     by_id = {i.id: i for i in store.items()}
-    seen = []
-    dot_with = memory.dot_with
-
-    def counting_dot_with(vector):
-        dot = dot_with(vector)
-
-        def counted(embedding):
-            seen.append(embedding)
-            return dot(embedding)
-
-        return counted
-
-    monkeypatch.setattr(memory, "dot_with", counting_dot_with)
+    seen = _count_dot_products(monkeypatch)
     # Without its semantic term m6 scores 0.8, m4 0.448, m5 0.364 and every
     # other item at most 0.281; m1 and m3 hold no task keyword or reference.
     for threshold, scored in ((0.5, ["m0", "m4", "m2", "m5"]), (0.3, ["m0", "m3", "m1", "m2"])):
@@ -268,6 +274,39 @@ def test_slice_above_gamma_plus_delta_scores_only_the_items_its_postings_reach(e
             if compute_relevance(i, task, SimulatorConfig(), store.current_step, embedder) > threshold
         ]
         assert sliced.tokens == count_tokens(sliced.items)
+
+
+def test_slice_at_gamma_plus_delta_takes_no_dot_product_of_an_item_without_a_hit(embedder, monkeypatch):
+    """An item with no task keyword or reference scores at most gamma +
+    delta whatever its embedding's scale, so a slice at or above that cut
+    takes no dot product of it: here of one item whose squares fall among
+    the subnormals, parallel to the task at age 0, so it scores exactly
+    the cut, and one whose norm is near the top of the float range."""
+    task = TaskSpec(description="parser json", referenced_files=frozenset({"src/a.py"}))
+    task_embedding = embedder(task.description)
+    tiny = tuple(v * 1e-161 for v in task_embedding)
+    huge = tuple(v * 1e154 for v in task_embedding)
+    hit = make_item("hit", MemoryTier.EPISODIC, "parser json", embedder, created_at_step=1)
+    tiny_item = MemoryItem(
+        id="tiny", tier=MemoryTier.SEMANTIC, content="queue worker", embedding=tiny, created_at_step=2
+    )
+    store = MemoryStore(DIM, current_step=2, items=[hit, tiny_item])
+    store.add(MemoryItem(id="huge", tier=MemoryTier.WORKING, content="retry budget", embedding=huge))
+    store.add(make_item("ref", MemoryTier.WORKING, "schema lock", embedder, referenced_files=["src/a.py"]))
+    seen = _count_dot_products(monkeypatch)
+    config = SimulatorConfig()
+    cut = config.gamma + config.delta
+    assert compute_relevance(hit, task, config, 2, embedder) > cut
+    assert compute_relevance(tiny_item, task, config, 2, embedder) == cut
+    # Without its semantic term "hit" scores 0.48, "ref" 0.46 and the others
+    # at most 0.2. Just below the cut, every item is a candidate.
+    for threshold, scored in ((math.nextafter(cut, 0.0), ["tiny", "huge"]), (cut, []), (0.5, ["hit", "ref"])):
+        seen.clear()
+        sliced = slice_memory(store, task, at_threshold(config, threshold), embedder)
+        assert [id(e) for e in seen] == [id(i.embedding) for i in store.items() if i.id in scored]
+        assert [i.id for i in sliced.items] == [
+            i.id for i in store.items() if compute_relevance(i, task, config, 2, embedder) > threshold
+        ]
 
 
 def test_slice_at_a_threshold_equal_to_the_other_terms_keeps_only_a_positive_semantic_term():
@@ -304,21 +343,68 @@ def test_slice_at_a_threshold_equal_to_the_other_terms_keeps_only_a_positive_sem
     assert len(slice_memory(store, task, at_threshold(zero_delta, math.nextafter(partial, 0.0)), embedder)) == 5
 
 
-def test_slice_at_delta_zero_scores_an_item_whose_cosine_overflows_in_full():
-    """Near the top of the float range a dot product can overflow while
-    the product of the norms does not. The cosine is then infinite, and
-    at delta = 0 the semantic term is NaN, so the item is never kept,
-    however far its other terms clear the threshold."""
-    item = MemoryItem(
-        id="edge", tier=MemoryTier.SEMANTIC, content="parser",
-        embedding=(8.823278287241527e153, 1.0095497697098633e154),
-    )
-    embedder = _FixedEmbedder((8.823278287241524e153, 1.0095497697098636e154))
-    config = SimulatorConfig(alpha=0.4, beta=0.3, gamma=0.3, delta=0.0)
+# Near the top of the float range the dot product of these two overflows
+# while the product of their norms does not, so their quotient is infinite.
+_OVERFLOW_ITEM = (8.823278287241527e153, 1.0095497697098633e154)
+_OVERFLOW_TASK = (8.823278287241524e153, 1.0095497697098636e154)
+
+
+def test_an_item_whose_dot_product_overflows_scores_in_range_and_is_kept():
+    """An infinite cosine clamps to 1, so the score is finite and in
+    [0, 1] at delta = 0 and at the default config, and a slice keeps the
+    item as its score says."""
+    item = MemoryItem(id="edge", tier=MemoryTier.SEMANTIC, content="parser", embedding=_OVERFLOW_ITEM)
+    embedder = _FixedEmbedder(_OVERFLOW_TASK)
     task = TaskSpec(description="parser")
-    assert math.isnan(compute_relevance(item, task, config, 0, embedder))
-    sliced = slice_memory(MemoryStore(2, items=[item]), task, at_threshold(config, 0.0), embedder)
-    assert (sliced.items, sliced.tokens) == ((), 0)
+    store = MemoryStore(2, items=[item])
+    for config in (SimulatorConfig(alpha=0.4, beta=0.3, gamma=0.3, delta=0.0), SimulatorConfig()):
+        score = compute_relevance(item, task, config, 0, embedder)
+        assert score == config.alpha * 1.0 + config.beta * 0.0 + config.gamma * 1.0 + config.delta * 1.0
+        assert 0.0 <= score <= 1.0
+        for threshold in (0.0, 0.5):
+            sliced = slice_memory(store, task, at_threshold(config, threshold), embedder)
+            assert (sliced.items, sliced.tokens) == ((item,), 1)
+
+
+# Finite components from zero and the subnormals up to about 1e154, where
+# squares and dot products overflow.
+_EXTREME = st.one_of(
+    st.just(0.0),
+    st.builds(
+        lambda mantissa, exponent, sign: sign * math.ldexp(mantissa, exponent),
+        st.floats(0.5, 1.0), st.integers(-1074, 512), st.sampled_from([1.0, -1.0]),
+    ),
+    st.floats(-1e154, 1e154),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@example(item_vector=_OVERFLOW_ITEM, task_vector=_OVERFLOW_TASK, content="parser", step=0, config=SimulatorConfig())
+@given(
+    item_vector=st.lists(_EXTREME, min_size=2, max_size=2).map(tuple),
+    task_vector=st.lists(_EXTREME, min_size=2, max_size=2).map(tuple),
+    content=st.sampled_from(["", "parser", "parser json", "cache"]),
+    step=st.integers(0, 3),
+    config=st.sampled_from(
+        [
+            SimulatorConfig(),
+            SimulatorConfig(alpha=0.4, beta=0.3, gamma=0.3, delta=0.0),
+            SimulatorConfig(alpha=0.0, beta=0.0, gamma=0.5, delta=0.5),
+        ]
+    ),
+)
+def test_relevance_is_in_unit_range_for_embeddings_of_extreme_magnitude(
+    item_vector, task_vector, content, step, config
+):
+    item = MemoryItem(id="m", tier=MemoryTier.WORKING, content=content, embedding=item_vector, created_at_step=step)
+    embedder = _FixedEmbedder(task_vector)
+    task = TaskSpec(description="parser json")
+    score = compute_relevance(item, task, config, 3, embedder)
+    assert 0.0 <= score <= 1.0
+    store = MemoryStore(2, current_step=3, items=[item])
+    for cut in (0.0, 0.25, config.gamma + config.delta, 0.5):
+        sliced = slice_memory(store, task, at_threshold(config, cut), embedder)
+        assert sliced.items == ((item,) if score > cut else ())
 
 
 def test_slice_is_read_only(embedder):
@@ -469,7 +555,7 @@ def _reference_relevance(item, keywords, refs, task_embedding, config, now_step)
     keyword_match = len(keywords & item_tokens) / len(keywords) if keywords else 0.0
     dep_score = len(refs & item.references) / len(refs) if refs else 0.0
     temporal = math.exp(-config.lambda_decay * (now_step - item.created_at_step))
-    semantic = max(0.0, _reference_cosine(item.embedding, task_embedding))
+    semantic = min(1.0, max(0.0, _reference_cosine(item.embedding, task_embedding)))
     return (
         config.alpha * keyword_match
         + config.beta * dep_score
@@ -711,11 +797,11 @@ _CONFIGS = st.one_of(
         st.sampled_from([0.001, 0.3, 5.0]),
     ),
 )
-# A parallel embedding whose cosine rounds above 1: 3 / (sqrt(3) * sqrt(3))
-# is 1.0000000000000002.
+# A parallel embedding whose cosine quotient rounds above 1, to be clamped:
+# 3 / (sqrt(3) * sqrt(3)) is 1.0000000000000002.
 _PARALLEL = (1.0, 1.0, 1.0, 0.0)
 # Two embeddings whose squares and products fall among the subnormals,
-# where rounding carries their cosine to 1.5.
+# where rounding carries their cosine quotient to 1.5.
 _TINY = math.sqrt(5e-324)
 _SUBNORMAL_ITEM = (0.7 * _TINY, 0.7 * _TINY, _TINY, 0.0)
 _SUBNORMAL_TASK = (0.72 * _TINY, 0.72 * _TINY, _TINY, 0.0)
@@ -763,7 +849,8 @@ _OPS = st.lists(
     pool=[(1.0, 0.0, -0.5, 0.0)], description="parser json", task_vector=(1.0, 0.0, 0.0, 0.0), task_refs=[],
     threshold=0.5, config=SimulatorConfig(),
 )
-# One content with two tuple objects of different values, one off scale.
+# One content with two tuple objects of different values, one whose squares
+# fall among the subnormals.
 @example(
     ops=[
         ("add", MemoryTier.SEMANTIC, "parser json", [], [], (0, False), 0),
@@ -843,7 +930,7 @@ def test_indexed_slice_keeps_what_the_per_item_reference_keeps(
         for item in store.items():
             assert compute_relevance(item, task, config, now, embedder) == expected[item.id]
         bound = min(1.0, config.gamma + config.delta)
-        for cut in (0.0, 0.25, 0.5, bound, math.nextafter(bound, 1.0), 1.0, threshold):
+        for cut in (0.0, 0.25, 0.5, math.nextafter(bound, 0.0), bound, math.nextafter(bound, 1.0), 1.0, threshold):
             sliced = slice_memory(store, task, at_threshold(config, cut), embedder)
             assert [i.id for i in sliced.items] == [i.id for i in store.items() if expected[i.id] > cut]
             assert sliced.tokens == count_tokens(sliced.items)

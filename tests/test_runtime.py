@@ -799,6 +799,11 @@ def test_service_backend_from_env(monkeypatch):
     assert seen == {"auth": "Bearer secret", "timeout": 600.0}
 
 
+# How often a test server's loop checks for shutdown: ``shutdown`` waits
+# up to one interval, and the default, 0.5 s, dwarfs a test's request.
+SERVE_POLL_S = 0.02
+
+
 def test_http_transport_posts_package_and_reads_resume():
     received = {}
 
@@ -819,7 +824,7 @@ def test_http_transport_posts_package_and_reads_resume():
             pass
 
     server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(SERVE_POLL_S,), daemon=True)
     thread.start()
     try:
         endpoint = f"http://127.0.0.1:{server.server_address[1]}/run"
@@ -837,7 +842,7 @@ def _run_against(server, stop, timeout):
     """Run one spawning loop against ``server``, then set ``stop`` (which
     releases its handler) and shut it down; the loop's result and wall
     seconds."""
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(SERVE_POLL_S,), daemon=True)
     thread.start()
     try:
         endpoint = f"http://127.0.0.1:{server.server_address[1]}/run"
