@@ -476,7 +476,8 @@ def compute_relevance(
     keywords present in the item, fraction of task code references the
     item also references, exponential recency decay (rate
     ``lambda_decay``) over item age in steps, and embedding cosine
-    similarity clamped to [0, 1] (:func:`clamped_cosine`).
+    similarity clamped to [0, 1] (:func:`clamped_cosine`). Valid weights
+    sum to 1 only within 1e-9, so the sum is capped at 1.
     """
     if now_step < item.created_at_step:
         raise MemoryError(
@@ -490,9 +491,10 @@ def compute_relevance(
     keywords, refs = _task_terms(task)
     partial = _partial_scorer(keywords, refs, config, now_step)
     dot = sum(map(operator.mul, item.embedding, task_embedding))
-    return partial(
+    score = partial(
         len(keywords & extract_keywords(item.content)), len(refs & item.references), item.created_at_step
     ) + config.delta * clamped_cosine(dot, norm(item.embedding), norm(task_embedding))
+    return min(1.0, score)
 
 
 def _partial_scorer(
@@ -551,7 +553,8 @@ def slice_memory(
     reference hit scores ``gamma * recency + delta * cosine``, at most
     ``gamma + delta`` as rounded, so when ``memory_threshold >= gamma +
     delta`` only the items that hold a task keyword or reference are
-    scored.
+    scored. A score is capped at 1, which changes no strict ``>`` below
+    1, and no item clears a threshold of 1.
     """
     task_embedding = embedder(task.description)
     if len(task_embedding) != store.embedding_dim:
@@ -559,6 +562,8 @@ def slice_memory(
             f"embedder dim {len(task_embedding)} != store dim {store.embedding_dim}"
         )
     threshold = config.memory_threshold
+    if threshold >= 1.0:
+        return MemorySlice(items=(), tokens=0)
     delta = config.delta
     keywords, refs = _task_terms(task)
     task_norm = norm(task_embedding)

@@ -154,13 +154,14 @@ class SpawnDecision:
 def spawn_score(normalized: tuple[float, ...], weights: tuple[float, ...]) -> float:
     """Weighted sum of normalized metrics; in [0, 1] for valid inputs.
     A left fold, since ``sum`` of floats compensates its rounding from
-    Python 3.12 on, and the score must print alike on every version."""
+    Python 3.12 on, and the score must print alike on every version.
+    Capped at 1, since valid weights sum to 1 only within 1e-9."""
     if len(normalized) != 5 or len(weights) != 5:
         raise PolicyError("five normalized values and five weights required")
     score = 0.0
     for w, v in zip(weights, normalized):
         score += w * v
-    return score
+    return min(1.0, score)
 
 
 def dominant_specialization(normalized: tuple[float, ...]) -> Specialization:

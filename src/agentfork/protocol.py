@@ -278,14 +278,9 @@ def check_trace_order(trace: Sequence[Action]) -> None:
 
 def summarize_trace(trace: Sequence[Action]) -> tuple[Action, ...]:
     """Compress a trace to its key actions: every decision plus the
-    first and last action, deduplicated, in step order."""
-    trace = tuple(trace)
-    if not trace:
-        return ()
-    keep = {id(a) for a in trace if a.kind is ActionKind.DECISION}
-    keep.add(id(trace[0]))
-    keep.add(id(trace[-1]))
-    return tuple(a for a in trace if id(a) in keep)
+    first and last action, each once, in trace order."""
+    last = len(trace) - 1
+    return tuple(a for n, a in enumerate(trace) if n in (0, last) or a.kind is ActionKind.DECISION)
 
 
 def validate_resume(resume: ResumePackage, spawn: SpawnPackage) -> list[str]:
@@ -310,7 +305,8 @@ def validate_resume(resume: ResumePackage, spawn: SpawnPackage) -> list[str]:
 @dataclass
 class ParentState:
     """Everything the parent resumes into: memory, skills, working tree,
-    plus the staging area the coherence merge drains at the join point."""
+    the staging area the coherence merge drains at the join point, and
+    follow-ups (escalated conflicts, diffs that did not apply)."""
 
     memory: MemoryStore
     skills: SkillLibrary
@@ -319,62 +315,37 @@ class ParentState:
     followups: list[str] = field(default_factory=list)
 
 
-@dataclass
-class ReplayReport:
-    spawn_id: str
-    status: ChildStatus
-    summary_actions: int = 0
-    memory_items_added: int = 0
-    skills_promoted: int = 0
-    skill_warnings: tuple[str, ...] = ()
-    diffs_staged: int = 0
-    diffs_rejected: tuple[str, ...] = ()
-
-
 def replay_resume(
     state: ParentState, resume: ResumePackage, embedder: Embedder, promote_threshold: float
-) -> ReplayReport:
+) -> None:
     """Integrate a validated child result into the parent, in four steps:
     summarize the trace, fold summary and output into episodic memory,
     promote learned skills, and stage diffs for the coherence merge.
 
     A failed child contributes memory only. A partial child stages only
-    the diffs that apply cleanly; rejected diffs are recorded, never
-    silently dropped.
+    the diffs that apply cleanly; a diff that does not apply becomes a
+    follow-up for the parent.
     """
-    report = ReplayReport(spawn_id=resume.spawn_id, status=resume.status)
     now = state.memory.current_step
-
-    summary = summarize_trace(resume.trace)
-    report.summary_actions = len(summary)
-
-    for n, action in enumerate(summary):
+    for n, action in enumerate(summarize_trace(resume.trace)):
         content = f"child {resume.spawn_id} {action.kind.value} at step {action.step}: {action.summary}"
         item_id = f"{resume.spawn_id}:trace:{n}"
         state.memory.add(make_item(item_id, MemoryTier.EPISODIC, content, embedder, created_at_step=now))
     output = f"child {resume.spawn_id} finished {resume.status.value}: {resume.result.output}"
     state.memory.add(make_item(f"{resume.spawn_id}:output", MemoryTier.EPISODIC, output, embedder, created_at_step=now))
-    report.memory_items_added = len(summary) + 1
 
-    if resume.status is not ChildStatus.FAILURE:
-        stamped = [
-            s if s.success_stat is not None else replace(s, success_stat=resume.metrics.test_pass_rate)
-            for s in resume.skills_learned
-        ]
-        promotion = promote_skills(state.skills, stamped, promote_threshold)
-        report.skills_promoted = promotion.promoted
-        report.skill_warnings = tuple(promotion.warnings)
-
-        staged: list[Diff] = []
-        rejected: list[str] = []
-        for diff in resume.result.code_diff:
-            if diff_applies(state.files.get(diff.file, []), diff):
-                staged.append(diff)
-            else:
-                rejected.append(f"{diff.file}: diff does not apply to parent snapshot")
-        if staged:
-            state.staged.append((resume.spawn_id, staged))
-        report.diffs_staged = len(staged)
-        report.diffs_rejected = tuple(rejected)
-
-    return report
+    if resume.status is ChildStatus.FAILURE:
+        return
+    stamped = [
+        s if s.success_stat is not None else replace(s, success_stat=resume.metrics.test_pass_rate)
+        for s in resume.skills_learned
+    ]
+    promote_skills(state.skills, stamped, promote_threshold)
+    staged: list[Diff] = []
+    for diff in resume.result.code_diff:
+        if diff_applies(state.files.get(diff.file, []), diff):
+            staged.append(diff)
+        else:
+            state.followups.append(f"rework {resume.spawn_id}'s diff to {diff.file}, which does not apply")
+    if staged:
+        state.staged.append((resume.spawn_id, staged))

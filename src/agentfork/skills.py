@@ -11,7 +11,7 @@ a bar.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence, TYPE_CHECKING
 
@@ -166,33 +166,18 @@ def select_inherited_skills(
     return [library._inherited_copy(skill) for skill in skills if passes[skill.template]]
 
 
-@dataclass
-class PromotionResult:
-    promoted: int = 0
-    dropped: int = 0
-    warnings: list[str] = field(default_factory=list)
-
-
 def promote_skills(
     library: SkillLibrary, learned: Iterable[Skill], promote_threshold: float = 0.8
-) -> PromotionResult:
+) -> None:
     """Append learned skills whose success_stat clears the threshold.
 
     A skill colliding with an existing id gets ``f"{id}.{n}"`` with the
-    smallest n >= 2 that no skill holds. Skills
-    missing a success_stat are skipped with a warning record rather than
-    promoted on faith. Pre-existing skills are never touched.
+    smallest n >= 2 that no skill holds. Skills missing a success_stat
+    are skipped rather than promoted on faith. Pre-existing skills are
+    never touched.
     """
-    result = PromotionResult()
     for skill in learned:
-        if skill.success_stat is None:
-            result.warnings.append(f"skill {skill.id!r} has no success_stat, skipped")
-            result.dropped += 1
-            continue
-        if skill.success_stat < promote_threshold:
-            result.dropped += 1
+        if skill.success_stat is None or skill.success_stat < promote_threshold:
             continue
         new_id = library._derived_id(skill.id) if skill.id in library else skill.id
         library.add(replace(skill, id=new_id))
-        result.promoted += 1
-    return result

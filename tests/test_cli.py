@@ -145,6 +145,27 @@ def test_workload_embedding_dim_sets_the_embedder(tmp_path, capsys):
     assert summary["spawn_count"] == 1
 
 
+def test_run_spawns_at_a_score_of_one_when_the_weights_sum_just_over_one(tmp_path, capsys):
+    """Valid weights sum to 1 within 1e-9; at every metric's prior maximum
+    the spawn score is capped at 1 instead of failing the package check."""
+    data = json.loads(bundled_workload_path("single_spike").read_text(encoding="utf-8"))
+    data["trajectory"] = [{"I_f": 20, "C_c": 50, "F_c": 100, "O_c": 1.0, "U_c": 10}]
+    workload_path = tmp_path / "peak.json"
+    workload_path.write_text(json.dumps(data))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"w1": 0.3000000004}))
+    assert main(["validate", str(workload_path)]) == 0
+    report_path = tmp_path / "r.txt"
+    code = main(
+        ["run", "--workload", str(workload_path), "--config", str(config_path),
+         "--report", str(report_path), "--format", "machine"]
+    )
+    assert code == 0
+    summary = parse_machine_report(report_path.read_text())
+    assert summary["spawn_count"] == 1
+    assert summary["spawn.1.score"] == 1.0
+
+
 def test_python_m_agentfork_exits_with_the_cli_code(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     listed = subprocess.run(

@@ -170,6 +170,18 @@ def test_compute_relevance_age_zero_temporal_is_one(embedder):
     assert compute_relevance(item, task, config, 7, embedder) == pytest.approx(1.0)
 
 
+def test_relevance_is_at_most_one_when_the_weights_sum_just_over_one(embedder):
+    """Valid weights sum to 1 within 1e-9; an item that matches on every
+    term still scores at most 1, and no item clears a threshold of 1."""
+    config = SimulatorConfig(alpha=0.25 + 4e-10, beta=0.25, gamma=0.25, delta=0.25)
+    task = TaskSpec(description="parser", referenced_files=frozenset({"src/a.py"}))
+    item = make_item("m", MemoryTier.WORKING, "parser", embedder, referenced_files={"src/a.py"})
+    assert compute_relevance(item, task, config, 0, embedder) == 1.0
+    store = MemoryStore(DIM, items=[item])
+    assert slice_memory(store, task, at_threshold(config, 1.0), embedder).items == ()
+    assert slice_memory(store, task, at_threshold(config, math.nextafter(1.0, 0)), embedder).items == (item,)
+
+
 def test_make_item_without_references_shares_one_empty_set(embedder):
     # A run adds episodic items without references, and a workload file
     # lists empty ones; fresh empty frozensets would cost two
@@ -556,11 +568,12 @@ def _reference_relevance(item, keywords, refs, task_embedding, config, now_step)
     dep_score = len(refs & item.references) / len(refs) if refs else 0.0
     temporal = math.exp(-config.lambda_decay * (now_step - item.created_at_step))
     semantic = min(1.0, max(0.0, _reference_cosine(item.embedding, task_embedding)))
-    return (
+    return min(
+        1.0,
         config.alpha * keyword_match
         + config.beta * dep_score
         + config.gamma * temporal
-        + config.delta * semantic
+        + config.delta * semantic,
     )
 
 

@@ -868,11 +868,10 @@ def test_replay_success_promotes_skill_and_stages_diff(embedder):
         skills_learned=(learned,),
         result=ResultPayload(output="done", code_diff=(diff,), files_modified=frozenset({"src/a.py"})),
     )
-    report = replay_resume(state, resume, embedder, 0.8)
-    assert report.skills_promoted == 1
-    assert "fresh" in state.skills
-    assert report.diffs_staged == 1
+    replay_resume(state, resume, embedder, 0.8)
+    assert [s.id for s in state.skills.skills()] == ["base", "fresh"]
     assert state.staged == [("spawn-0001", [diff])]
+    assert state.followups == []
 
 
 def test_replay_failure_grows_memory_only(embedder):
@@ -885,12 +884,11 @@ def test_replay_failure_grows_memory_only(embedder):
         result=ResultPayload(output="broke", code_diff=(diff,), files_modified=frozenset({"src/a.py"})),
     )
     episodic_before = len(tier_items(state.memory, MemoryTier.EPISODIC))
-    report = replay_resume(state, resume, embedder, 0.8)
+    replay_resume(state, resume, embedder, 0.8)
     assert len(tier_items(state.memory, MemoryTier.EPISODIC)) > episodic_before
-    assert report.skills_promoted == 0
-    assert report.diffs_staged == 0
+    assert [s.id for s in state.skills.skills()] == ["base"]
     assert state.staged == []
-    assert "fresh" not in state.skills
+    assert state.followups == []
 
 
 def test_replay_episodic_grows_by_summary_plus_output(embedder):
@@ -898,9 +896,11 @@ def test_replay_episodic_grows_by_summary_plus_output(embedder):
     resume = _resume()
     summary = summarize_trace(resume.trace)
     before = len(tier_items(state.memory, MemoryTier.EPISODIC))
-    report = replay_resume(state, resume, embedder, 0.8)
+    replay_resume(state, resume, embedder, 0.8)
     after = len(tier_items(state.memory, MemoryTier.EPISODIC))
-    assert after - before == len(summary) + 1 == report.memory_items_added
+    assert after - before == len(summary) + 1
+    fresh = [i.id for i in tier_items(state.memory, MemoryTier.EPISODIC)]
+    assert sorted(fresh) == ["spawn-0001:output"] + [f"spawn-0001:trace:{n}" for n in range(len(summary))]
 
 
 def test_replay_touches_only_episodic_tier(embedder):
@@ -929,17 +929,16 @@ def test_replay_partial_stages_only_clean_diffs(embedder):
             output="half", code_diff=(good, bad), files_modified=frozenset({"src/a.py"})
         ),
     )
-    report = replay_resume(state, resume, embedder, 0.8)
-    assert report.diffs_staged == 1
-    assert len(report.diffs_rejected) == 1
+    replay_resume(state, resume, embedder, 0.8)
     assert state.staged == [("spawn-0001", [good])]
+    assert state.followups == ["rework spawn-0001's diff to src/a.py, which does not apply"]
 
 
 def test_replay_stamps_missing_success_stat_from_pass_rate(embedder):
     state = _parent_state(embedder)
     unstamped = Skill(id="fresh", template="new trick", provenance=Provenance.LEARNED)
     resume = _resume(skills_learned=(unstamped,), metrics=ChildMetrics(10, 1, 0.95))
-    report = replay_resume(state, resume, embedder, 0.9)
-    assert report.skills_promoted == 1
+    replay_resume(state, resume, embedder, 0.9)
+    assert len(state.skills) == 2
     promoted = [s for s in state.skills.skills() if s.id == "fresh"]
     assert promoted and promoted[0].success_stat == pytest.approx(0.95)

@@ -237,6 +237,19 @@ def test_fifth_request_queues_and_starts_after_completion():
     assert len(started_after) == 1
 
 
+def test_queued_requests_count_toward_the_tree_cap(monkeypatch):
+    monkeypatch.setattr(runtime, "MAX_TREE_NODES", 3)
+    scheduler, root, tree, clock, events = _scheduler({"k": ScriptedOutcome()}, concurrent_limit=1)
+    outcomes = [scheduler.spawn_child(root, _package(f"spawn-{n:04d}"), "k") for n in range(1, 4)]
+    assert [o.state for o in outcomes] == ["started", "queued", "rejected"]
+    assert outcomes[2].reason == "tree holds its cap of 3 nodes"
+    assert [e.line() for e in events if e.kind == "spawn_rejected"] == [
+        "t=0.000 spawn_rejected spawn-0003 tree holds its cap of 3 nodes"
+    ]
+    assert len(scheduler.await_children()) == 2
+    assert len(tree.nodes) == 3
+
+
 # Scripted children for the scheduler property: "slow" outlives the
 # 600 s timeout, "nest" asks for two children of its own and "loop" asks
 # for another "loop", so its chain grows until the depth limit rejects it.
@@ -490,6 +503,43 @@ def test_nested_spawns_do_not_depend_on_the_callers_stack():
     finally:
         sys.setrecursionlimit(limit)
     assert lowered == machine
+
+
+@pytest.mark.parametrize(
+    "spawns, depth",
+    [
+        (1, 2**53),
+        (2, 2**53),
+        # Without the cap this tree holds 16,387 nodes and ends in about a second.
+        (2, 17),
+    ],
+)
+def test_a_child_that_spawns_itself_ends_at_the_tree_cap(spawns, depth):
+    """A child that spawns itself once grows a chain, and one that spawns
+    itself twice a tree that doubles per level; both stop at
+    ``MAX_TREE_NODES``, rejecting with a reason that names the cap. Past
+    the depth limit's reach, the cap rejects every request it ends."""
+    data = json.loads(bundled_workload_path("adversarial_depth").read_text(encoding="utf-8"))
+    data["child_outcomes"]["nest-d4"]["spawns"] = [{"outcome": "nest-d4", "specialization": "refactoring"}] * spawns
+    report = run_simulation(workload_from_data(data), SimulatorConfig(max_spawn_depth=depth), 0)
+    assert len(report.tree_edges) == runtime.MAX_TREE_NODES - 1
+    rejections = [line for line in report.events if " spawn_rejected " in line]
+    assert len(rejections) == report.rejected_spawns
+    at_cap = [line for line in rejections if line.endswith(f" tree holds its cap of {runtime.MAX_TREE_NODES} nodes")]
+    assert at_cap
+    if depth == 2**53:
+        assert at_cap == rejections
+
+
+def test_a_diff_that_does_not_apply_is_a_followup_the_report_counts():
+    data = json.loads(bundled_workload_path("single_spike").read_text(encoding="utf-8"))
+    hunk = data["child_outcomes"]["context_compression"]["diffs"][0]["hunks"][0]
+    hunk["old_lines"] = ["NOT IN THE PARENT'S FILE"]
+    report = run_simulation(workload_from_data(data), SimulatorConfig(), 0)
+    assert [record.outcome for record in report.spawns] == ["success"]
+    assert report.followups == 1
+    assert "followups=1" in emit_report(report, "machine").splitlines()
+    assert "Follow-ups for the parent: 1" in emit_report(report, "human")
 
 
 def test_handle_child_failure_records_episodic_items(embedder):

@@ -200,32 +200,31 @@ def test_success_stat_only_for_learned():
 def test_promote_above_threshold():
     library = SkillLibrary()
     learned = Skill(id="new", template="t", provenance=Provenance.LEARNED, success_stat=0.9)
-    result = promote_skills(library, [learned], promote_threshold=0.8)
-    assert result.promoted == 1 and result.dropped == 0
-    assert "new" in library
+    assert promote_skills(library, [learned], promote_threshold=0.8) is None
+    assert library.skills() == (learned,)
 
 
 def test_promote_below_threshold_dropped():
     library = SkillLibrary()
     learned = Skill(id="new", template="t", provenance=Provenance.LEARNED, success_stat=0.5)
-    result = promote_skills(library, [learned], promote_threshold=0.8)
-    assert result.promoted == 0 and result.dropped == 1
+    promote_skills(library, [learned], promote_threshold=0.8)
+    assert "new" not in library
     assert len(library) == 0
 
 
 def test_promote_empty_list_changes_nothing():
     library = SkillLibrary([Skill(id="keep", template="t")])
-    result = promote_skills(library, [], promote_threshold=0.8)
-    assert result.promoted == 0
-    assert len(library) == 1
+    before = library.skills()
+    promote_skills(library, [], promote_threshold=0.8)
+    assert library.skills() == before
 
 
-def test_promote_missing_stat_warns_and_skips():
+def test_promote_missing_stat_skips():
     library = SkillLibrary()
     learned = Skill(id="new", template="t", provenance=Provenance.LEARNED)
-    result = promote_skills(library, [learned], promote_threshold=0.0)
-    assert result.promoted == 0
-    assert result.warnings and "new" in result.warnings[0]
+    promote_skills(library, [learned], promote_threshold=0.0)
+    assert "new" not in library
+    assert len(library) == 0
 
 
 def test_promote_renames_on_id_collision():
@@ -298,7 +297,8 @@ def test_promote_grows_by_exactly_promoted_count():
         before = len(library)
         learned = [random_skill(rng, learned=True) for _ in range(rng.randint(0, 5))]
         threshold = rng.random()
-        expected = sum(1 for s in learned if s.success_stat >= threshold)
-        result = promote_skills(library, learned, threshold)
-        assert result.promoted == expected
-        assert len(library) == before + expected
+        passing = [s for s in learned if s.success_stat >= threshold]
+        promote_skills(library, learned, threshold)
+        assert len(library) == before + len(passing)
+        added = library.skills()[before:]
+        assert [(s.template, s.success_stat) for s in added] == [(s.template, s.success_stat) for s in passing]
