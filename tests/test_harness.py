@@ -797,6 +797,19 @@ def test_bundled_machine_reports_match_pins():
     assert digests == pins
 
 
+HUMAN_PINS = Path(__file__).resolve().parent / "human_report_pins.json"
+
+
+def test_bundled_human_reports_match_pins():
+    digests = {}
+    for name in list_bundled_workloads():
+        spec = load_workload(bundled_workload_path(name))
+        for seed in (0, 7):
+            text = emit_report(run_simulation(spec, SimulatorConfig(), seed), "human")
+            digests[f"{name}:{seed}"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digests == json.loads(HUMAN_PINS.read_text(encoding="utf-8"))
+
+
 CHECKPOINT_PINS = Path(__file__).resolve().parent / "checkpoint_pins.json"
 
 
