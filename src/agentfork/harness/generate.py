@@ -54,6 +54,7 @@ class GenerateParams:
             ("conflict_count", 0 <= self.conflict_count <= schema.MAX_CONFLICTS, f"in [0, {schema.MAX_CONFLICTS}]"),
             ("spike_step", self.spike_step >= 0, ">= 0"),
             ("embedding_dim", 1 <= self.embedding_dim <= schema.MAX_EMBEDDING_DIM, f"in [1, {schema.MAX_EMBEDDING_DIM}]"),
+            ("name", schema.is_one_line(self.name), "one line"),
         ):
             if not ok:
                 raise schema.FieldError(key, f"{key} must be {rule}")

@@ -1,174 +1,64 @@
 """Run reports: machine (line-oriented key=value) and human (tabular) text.
 
-The machine format is stable and documented: fixed key order, floats via
-repr, one ``key=value`` pair per line. Identical runs emit byte-identical
-machine reports, which is the determinism contract the CLI exposes.
+A run report is the ordered mapping ``run_simulation`` returns. The
+machine format is stable and documented: one ``key=value`` line per
+entry in the mapping's order, floats via repr and ``None`` as ``n/a``.
+Identical runs emit byte-identical machine reports, which is the
+determinism contract the CLI exposes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..runtime import SpawnRecord
-
 MACHINE_SCHEMA = "run-report-v1"
 
 
-@dataclass
-class RunReport:
-    workload: str
-    seed: int
-    status: str
-    spawn_count: int = 0
-    rejected_spawns: int = 0
-    queued_spawns: int = 0
-    tree_max_depth: int = 0
-    tree_edges: tuple[str, ...] = ()
-    spawns: list[SpawnRecord] = field(default_factory=list)
-    avg_memory_tokens: float = 0.0
-    sliced_memory_tokens: float = 0.0
-    memory_reduction_pct: float = 0.0
-    conflict_total: int = 0
-    conflict_auto: int = 0
-    conflict_semantic: int = 0
-    conflict_escalated: int = 0
-    semantic_attempts: int = 0
-    semantic_successes: int = 0
-    escalation_leaks: int = 0
-    total_tokens: int = 0
-    total_api_calls: int = 0
-    successes: int = 0
-    total_cost: float = 0.0
-    cost_per_success: float | None = None
-    followups: int = 0
-    event_count: int = 0
-    event_digest: str = ""
-    events: tuple[str, ...] = ()
-
-    def conflict_rates(self) -> tuple[float, float, float]:
-        if self.conflict_total == 0:
-            return (0.0, 0.0, 0.0)
-        total = float(self.conflict_total)
-        return (
-            self.conflict_auto / total,
-            self.conflict_semantic / total,
-            self.conflict_escalated / total,
-        )
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def emit_report(report: RunReport, format: str = "human") -> str:
+def emit_report(report: dict, format: str = "human") -> str:
     if format == "machine":
-        return _emit_machine(report)
+        return "".join(f"{key}={'n/a' if value is None else value}\n" for key, value in report.items())
     if format == "human":
         return _emit_human(report)
     raise ValueError(f"unknown report format {format!r}")
 
 
-def _emit_machine(report: RunReport) -> str:
-    auto_rate, semantic_rate, escalated_rate = report.conflict_rates()
-    lines = [
-        f"schema={MACHINE_SCHEMA}",
-        f"workload={report.workload}",
-        f"seed={report.seed}",
-        f"status={report.status}",
-        f"spawn_count={report.spawn_count}",
-        f"rejected_spawns={report.rejected_spawns}",
-        f"queued_spawns={report.queued_spawns}",
-        f"tree_max_depth={report.tree_max_depth}",
-        "tree_edges=" + ",".join(report.tree_edges),
-    ]
-    for n, record in enumerate(report.spawns, start=1):
-        prefix = f"spawn.{n}"
-        lines.extend(
-            [
-                f"{prefix}.id={record.spawn_id}",
-                f"{prefix}.specialization={record.specialization}",
-                f"{prefix}.step={record.step}",
-                f"{prefix}.score={_fmt(record.score)}",
-                f"{prefix}.outcome={record.outcome}",
-                f"{prefix}.tokens_parent={record.tokens_parent}",
-                f"{prefix}.tokens_slice={record.tokens_slice}",
-                f"{prefix}.reduction_pct={_fmt(record.reduction_pct)}",
-                f"{prefix}.items_parent={record.items_parent}",
-                f"{prefix}.items_slice={record.items_slice}",
-                f"{prefix}.execution_time={_fmt(record.execution_time)}",
-                f"{prefix}.tokens_used={record.tokens_used}",
-                f"{prefix}.api_calls={record.api_calls}",
-                f"{prefix}.test_pass_rate={_fmt(record.test_pass_rate)}",
-            ]
-        )
-    lines.extend(
-        [
-            f"memory.avg_tokens={_fmt(report.avg_memory_tokens)}",
-            f"memory.sliced_tokens={_fmt(report.sliced_memory_tokens)}",
-            f"memory.reduction_pct={_fmt(report.memory_reduction_pct)}",
-            f"conflicts.total={report.conflict_total}",
-            f"conflicts.auto={report.conflict_auto}",
-            f"conflicts.semantic={report.conflict_semantic}",
-            f"conflicts.escalated={report.conflict_escalated}",
-            f"conflicts.auto_rate={_fmt(auto_rate)}",
-            f"conflicts.semantic_rate={_fmt(semantic_rate)}",
-            f"conflicts.escalated_rate={_fmt(escalated_rate)}",
-            f"semantic.attempts={report.semantic_attempts}",
-            f"semantic.successes={report.semantic_successes}",
-            f"escalation_leaks={report.escalation_leaks}",
-            f"cost.total_tokens={report.total_tokens}",
-            f"cost.total_api_calls={report.total_api_calls}",
-            f"cost.successes={report.successes}",
-            f"cost.total={_fmt(report.total_cost)}",
-            "cost.per_success="
-            + ("n/a" if report.cost_per_success is None else _fmt(report.cost_per_success)),
-            f"followups={report.followups}",
-            f"events.count={report.event_count}",
-            f"events.digest={report.event_digest}",
-        ]
-    )
-    return "\n".join(lines) + "\n"
-
-
-def _emit_human(report: RunReport) -> str:
-    auto_rate, semantic_rate, escalated_rate = report.conflict_rates()
+def _emit_human(report: dict) -> str:
     out = [
-        f"Run: {report.workload} (seed {report.seed})  status: {report.status}",
-        f"Spawns: {report.spawn_count} started, {report.queued_spawns} queued, "
-        f"{report.rejected_spawns} rejected; tree depth {report.tree_max_depth}",
+        f"Run: {report['workload']} (seed {report['seed']})  status: {report['status']}",
+        f"Spawns: {report['spawn_count']} started, {report['queued_spawns']} queued, "
+        f"{report['rejected_spawns']} rejected; tree depth {report['tree_max_depth']}",
     ]
-    if report.spawns:
+    if report["spawn_count"]:
         header = f"{'#':>2}  {'spawn':<12} {'specialization':<20} {'step':>4} {'outcome':<9} " \
                  f"{'Avg Memory':>10} {'Sliced Memory':>13} {'Reduction':>9}"
         out.append(header)
         out.append("-" * len(header))
-        for n, r in enumerate(report.spawns, start=1):
+        for n in range(1, report["spawn_count"] + 1):
+            spawn = f"spawn.{n}."
             out.append(
-                f"{n:>2}  {r.spawn_id:<12} {r.specialization:<20} {r.step:>4} {r.outcome:<9} "
-                f"{r.tokens_parent:>10} {r.tokens_slice:>13} {r.reduction_pct:>8.1f}%"
+                f"{n:>2}  {report[spawn + 'id']:<12} {report[spawn + 'specialization']:<20} "
+                f"{report[spawn + 'step']:>4} {report[spawn + 'outcome']:<9} "
+                f"{report[spawn + 'tokens_parent']:>10} {report[spawn + 'tokens_slice']:>13} "
+                f"{report[spawn + 'reduction_pct']:>8.1f}%"
             )
         out.append(
-            f"Memory totals: Avg Memory {report.avg_memory_tokens:.0f} tokens, "
-            f"Sliced Memory {report.sliced_memory_tokens:.0f} tokens, "
-            f"Reduction {report.memory_reduction_pct:.1f}%"
+            f"Memory totals: Avg Memory {report['memory.avg_tokens']:.0f} tokens, "
+            f"Sliced Memory {report['memory.sliced_tokens']:.0f} tokens, "
+            f"Reduction {report['memory.reduction_pct']:.1f}%"
         )
-    if report.conflict_total:
+    if report["conflicts.total"]:
         out.append(
-            f"Conflicts: {report.conflict_total} total | "
-            f"auto {report.conflict_auto} ({100 * auto_rate:.1f}%) | "
-            f"semantic {report.conflict_semantic} ({100 * semantic_rate:.1f}%) | "
-            f"escalated {report.conflict_escalated} ({100 * escalated_rate:.1f}%)"
+            f"Conflicts: {report['conflicts.total']} total | "
+            f"auto {report['conflicts.auto']} ({100 * report['conflicts.auto_rate']:.1f}%) | "
+            f"semantic {report['conflicts.semantic']} ({100 * report['conflicts.semantic_rate']:.1f}%) | "
+            f"escalated {report['conflicts.escalated']} ({100 * report['conflicts.escalated_rate']:.1f}%)"
         )
-    per_success = "n/a" if report.cost_per_success is None else f"${report.cost_per_success:.4f}"
+    per_success = "n/a" if report["cost.per_success"] is None else f"${report['cost.per_success']:.4f}"
     out.append(
-        f"Cost: {report.total_tokens} tokens, {report.total_api_calls} api calls, "
-        f"total ${report.total_cost:.4f}, per success {per_success}"
+        f"Cost: {report['cost.total_tokens']} tokens, {report['cost.total_api_calls']} api calls, "
+        f"total ${report['cost.total']:.4f}, per success {per_success}"
     )
-    if report.followups:
-        out.append(f"Follow-ups for the parent: {report.followups}")
-    out.append(f"Events: {report.event_count} (digest {report.event_digest[:12]})")
+    if report["followups"]:
+        out.append(f"Follow-ups for the parent: {report['followups']}")
+    out.append(f"Events: {report['events.count']} (digest {report['events.digest'][:12]})")
     return "\n".join(out) + "\n"
 
 

@@ -17,7 +17,7 @@ from ..coherence import merge_diff_sets as merge_results
 from ..config import SimulatorConfig
 from ..memory import reduction_percent
 from ..runtime import ScriptedBackend, run_parent_loop
-from .report import RunReport
+from .report import MACHINE_SCHEMA
 from .workload import ConflictScenarioParams, WorkloadSpec
 
 
@@ -81,15 +81,26 @@ def run_conflict_phase(params: ConflictScenarioParams, seed: int) -> ConflictPha
     return stats
 
 
-def run_simulation(spec: WorkloadSpec, config: SimulatorConfig, seed: int) -> RunReport:
-    """Execute the workload under the config and assemble the run report."""
+# The ``spawn.<n>.<key>`` entries of a run report, in order: each reads
+# the SpawnRecord attribute of its name, and ``id`` reads ``spawn_id``.
+SPAWN_KEYS = (
+    "id", "specialization", "step", "score", "outcome", "tokens_parent", "tokens_slice",
+    "reduction_pct", "items_parent", "items_slice", "execution_time", "tokens_used",
+    "api_calls", "test_pass_rate",
+)
+
+
+def run_simulation(spec: WorkloadSpec, config: SimulatorConfig, seed: int) -> dict:
+    """Execute the workload under the config and return the run report:
+    one mapping in machine key order, which ``emit_report`` prints and
+    ``parse_machine_report`` reads back. ``cost.per_success`` is ``None``
+    when no child succeeded."""
     backend = ScriptedBackend(spec.child_outcomes)
     loop_result = run_parent_loop(config, seed, backend, spec.loop_workload())
 
     records = loop_result.spawn_records
     tokens_parent_total = sum(r.tokens_parent for r in records)
     tokens_slice_total = sum(r.tokens_slice for r in records)
-    reduction = reduction_percent(tokens_parent_total, tokens_slice_total)
 
     conflict_auto = conflict_semantic = conflict_escalated = 0
     semantic_attempts = semantic_successes = 0
@@ -124,41 +135,45 @@ def run_simulation(spec: WorkloadSpec, config: SimulatorConfig, seed: int) -> Ru
         total_tokens / 1000.0 * config.price_per_1k_tokens
         + total_calls * config.price_per_api_call
     )
-    cost_per_success = total_cost / successes if successes else None
 
     event_lines = loop_result.event_lines()
     digest_input = "\n".join(event_lines + [phase_summary])
-    event_digest = hashlib.sha256(digest_input.encode("utf-8")).hexdigest()
 
-    edges = tuple(f"{parent}>{child}" for parent, child in loop_result.tree.edges())
-
-    return RunReport(
-        workload=spec.name,
-        seed=seed,
-        status=loop_result.status,
-        spawn_count=len(records),
-        rejected_spawns=loop_result.rejected_spawns,
-        queued_spawns=loop_result.queued_spawns,
-        tree_max_depth=loop_result.tree.max_observed_depth(),
-        tree_edges=edges,
-        spawns=records,
-        avg_memory_tokens=tokens_parent_total / len(records) if records else 0.0,
-        sliced_memory_tokens=tokens_slice_total / len(records) if records else 0.0,
-        memory_reduction_pct=reduction,
-        conflict_total=conflict_total,
-        conflict_auto=conflict_auto,
-        conflict_semantic=conflict_semantic,
-        conflict_escalated=conflict_escalated,
-        semantic_attempts=semantic_attempts,
-        semantic_successes=semantic_successes,
-        escalation_leaks=escalation_leaks,
-        total_tokens=total_tokens,
-        total_api_calls=total_calls,
-        successes=successes,
-        total_cost=total_cost,
-        cost_per_success=cost_per_success,
-        followups=len(loop_result.state.followups),
-        event_count=len(event_lines),
-        event_digest=event_digest,
-        events=tuple(event_lines),
-    )
+    report = {
+        "schema": MACHINE_SCHEMA,
+        "workload": spec.name,
+        "seed": seed,
+        "status": loop_result.status,
+        "spawn_count": len(records),
+        "rejected_spawns": loop_result.rejected_spawns,
+        "queued_spawns": loop_result.queued_spawns,
+        "tree_max_depth": loop_result.tree.max_observed_depth(),
+        "tree_edges": ",".join(f"{parent}>{child}" for parent, child in loop_result.tree.edges()),
+    }
+    for n, record in enumerate(records, start=1):
+        for key in SPAWN_KEYS:
+            report[f"spawn.{n}.{key}"] = getattr(record, "spawn_id" if key == "id" else key)
+    report |= {
+        "memory.avg_tokens": tokens_parent_total / len(records) if records else 0.0,
+        "memory.sliced_tokens": tokens_slice_total / len(records) if records else 0.0,
+        "memory.reduction_pct": reduction_percent(tokens_parent_total, tokens_slice_total),
+        "conflicts.total": conflict_total,
+        "conflicts.auto": conflict_auto,
+        "conflicts.semantic": conflict_semantic,
+        "conflicts.escalated": conflict_escalated,
+        "conflicts.auto_rate": conflict_auto / conflict_total if conflict_total else 0.0,
+        "conflicts.semantic_rate": conflict_semantic / conflict_total if conflict_total else 0.0,
+        "conflicts.escalated_rate": conflict_escalated / conflict_total if conflict_total else 0.0,
+        "semantic.attempts": semantic_attempts,
+        "semantic.successes": semantic_successes,
+        "escalation_leaks": escalation_leaks,
+        "cost.total_tokens": total_tokens,
+        "cost.total_api_calls": total_calls,
+        "cost.successes": successes,
+        "cost.total": total_cost,
+        "cost.per_success": total_cost / successes if successes else None,
+        "followups": len(loop_result.state.followups),
+        "events.count": len(event_lines),
+        "events.digest": hashlib.sha256(digest_input.encode("utf-8")).hexdigest(),
+    }
+    return report

@@ -187,9 +187,15 @@ class Type:
         return value
 
 
+def is_one_line(text: str) -> bool:
+    """Whether ``str.splitlines`` leaves the text whole: a name that holds
+    a line break would end its ``key=value`` line of a machine report."""
+    return "".join(text.splitlines()) == text
+
+
 class Str(Type):
-    def __init__(self, nonempty: bool = False):
-        self.nonempty = nonempty
+    def __init__(self, nonempty: bool = False, one_line: bool = False):
+        self.nonempty, self.one_line = nonempty, one_line
 
     def write(self, value, out, floats):
         out.append(encode_basestring(value).encode())
@@ -199,6 +205,8 @@ class Str(Type):
             return p.fail("bad_type", parent, key, "expected string")
         if self.nonempty and not value:
             return p.fail("bad_value", parent, key, "must be nonempty")
+        if self.one_line and not is_one_line(value):
+            return p.fail("bad_value", parent, key, "must be one line")
         # JSON can spell a lone surrogate ("\ud800"), which no UTF-8 file
         # or report can hold. ``isascii`` is O(1): most strings skip the encode.
         if not value.isascii():
@@ -826,7 +834,7 @@ WORKLOAD = Table(
     dict,
     [
         Field("version", Int(SCHEMA_VERSION, SCHEMA_VERSION), get=lambda spec: SCHEMA_VERSION),
-        Field("name", TEXT),
+        Field("name", Str(one_line=True)),
         Field("embedding_dim", EMBEDDING_DIM),
         Field("task", TASK),
         Field("memory", ListOf(ITEM, unique="id"), default=()),

@@ -33,6 +33,7 @@ from agentfork.protocol import (
     TaskSpec,
     decode_package,
 )
+from agentfork.runtime import ScriptedBackend, run_parent_loop
 from agentfork.skills import Provenance, Skill, _task_similarity
 
 DIM = 16
@@ -91,6 +92,11 @@ def tier_items(store: MemoryStore, tier: MemoryTier) -> tuple[MemoryItem, ...]:
 def read_checkpoint(path: str | Path) -> SpawnPackage | ResumePackage:
     """The package a ``write_checkpoint`` file holds."""
     return decode_package(Path(path).read_bytes())
+
+
+def run_event_lines(spec, config: SimulatorConfig, seed: int) -> list[str]:
+    """The event lines of the loop ``run_simulation`` runs on these inputs."""
+    return run_parent_loop(config, seed, ScriptedBackend(spec.child_outcomes), spec.loop_workload()).event_lines()
 
 
 def random_task(rng: random.Random) -> TaskSpec:

@@ -44,6 +44,7 @@ from conftest import (
     random_spawn_package,
     random_store,
     random_task,
+    run_event_lines,
 )
 
 
@@ -240,12 +241,11 @@ def test_criterion_07_tier_distribution_calibration():
         spec = load_workload(bundled_workload_path("tier_calibration"))
         assert spec.conflicts is not None and spec.conflicts.count == 10_000
         report = run_simulation(spec, SimulatorConfig(), seed=7)
-        assert report.conflict_total == 10_000
-        auto_rate, semantic_rate, escalated_rate = report.conflict_rates()
-        assert auto_rate == pytest.approx(0.15, abs=0.02)
-        assert semantic_rate == pytest.approx(0.73, abs=0.02)
-        assert escalated_rate == pytest.approx(0.12, abs=0.02)
-        assert report.escalation_leaks == 0
+        assert report["conflicts.total"] == 10_000
+        assert report["conflicts.auto_rate"] == pytest.approx(0.15, abs=0.02)
+        assert report["conflicts.semantic_rate"] == pytest.approx(0.73, abs=0.02)
+        assert report["conflicts.escalated_rate"] == pytest.approx(0.12, abs=0.02)
+        assert report["escalation_leaks"] == 0
 
 
 def test_criterion_08_memory_reduction_calibration():
@@ -254,45 +254,46 @@ def test_criterion_08_memory_reduction_calibration():
         config = SimulatorConfig()
         assert config.memory_threshold == 0.5
         report = run_simulation(spec, config, seed=8)
-        assert report.spawn_count == 1
-        assert report.memory_reduction_pct == pytest.approx(42.0, abs=5.0)
+        assert report["spawn_count"] == 1
+        assert report["memory.reduction_pct"] == pytest.approx(42.0, abs=5.0)
 
         # independent recomputation from the workload data
         embedder = DefaultEmbedder(spec.embedding_dim)
         base_step = max(item.created_at_step for item in spec.memory)
-        now = base_step + report.spawns[0].step
+        now = base_step + report["spawn.1.step"]
         kept = [
             item
             for item in spec.memory
             if compute_relevance(item, spec.task, config, now, embedder) > 0.5
         ]
         brute = 100.0 * (1.0 - count_tokens(kept) / count_tokens(spec.memory))
-        assert report.memory_reduction_pct == pytest.approx(brute, abs=1e-9)
+        assert report["memory.reduction_pct"] == pytest.approx(brute, abs=1e-9)
 
 
 def test_criterion_09_runtime_limits():
     with criterion(9, "depth and concurrency limits, timeout handling"):
         config = SimulatorConfig()
 
-        depth = run_simulation(load_workload(bundled_workload_path("adversarial_depth")), config, seed=9)
-        assert depth.status == "completed"
-        assert depth.rejected_spawns == 1
-        assert depth.tree_max_depth == 3
-        assert any("spawn_rejected" in e and "depth 4" in e for e in depth.events)
+        depth_spec = load_workload(bundled_workload_path("adversarial_depth"))
+        depth = run_simulation(depth_spec, config, seed=9)
+        assert depth["status"] == "completed"
+        assert depth["rejected_spawns"] == 1
+        assert depth["tree_max_depth"] == 3
+        assert any("spawn_rejected" in e and "depth 4" in e for e in run_event_lines(depth_spec, config, 9))
 
-        burst = run_simulation(
-            load_workload(bundled_workload_path("adversarial_concurrency")), config, seed=9
-        )
-        assert burst.status == "completed"
-        assert burst.queued_spawns == 2
-        assert sum(1 for e in burst.events if "queue_admitted" in e) == 2
-        assert burst.tree_max_depth <= 3
-        assert len(burst.tree_edges) == 7  # all six siblings eventually ran
+        burst_spec = load_workload(bundled_workload_path("adversarial_concurrency"))
+        burst = run_simulation(burst_spec, config, seed=9)
+        assert burst["status"] == "completed"
+        assert burst["queued_spawns"] == 2
+        assert sum(1 for e in run_event_lines(burst_spec, config, 9) if "queue_admitted" in e) == 2
+        assert burst["tree_max_depth"] <= 3
+        assert len(burst["tree_edges"].split(",")) == 7  # all six siblings eventually ran
 
-        timeout = run_simulation(load_workload(bundled_workload_path("timeout_child")), config, seed=9)
-        assert timeout.status == "completed"
-        assert timeout.spawns[0].outcome == "timed_out"
-        assert any("child_timed_out" in e for e in timeout.events)
+        timeout_spec = load_workload(bundled_workload_path("timeout_child"))
+        timeout = run_simulation(timeout_spec, config, seed=9)
+        assert timeout["status"] == "completed"
+        assert timeout["spawn.1.outcome"] == "timed_out"
+        assert any("child_timed_out" in e for e in run_event_lines(timeout_spec, config, 9))
 
 
 def test_criterion_10_deterministic_machine_reports(tmp_path):

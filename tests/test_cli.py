@@ -417,6 +417,38 @@ def test_validate_rejects_a_lone_surrogate_and_run_exits_2(tmp_path, capsys, edi
     assert path in capsys.readouterr().err
 
 
+# Each character that ``str.splitlines`` splits at.
+_LINE_BREAKS = ["\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize(
+    "name", ["x\nschema=run-report-v0", "a\r\nb", "ends\n"] + [f"a{brk}b" for brk in _LINE_BREAKS]
+)
+def test_a_name_with_a_line_break_fails_validate_run_and_generate(tmp_path, capsys, name):
+    """A machine report holds the workload's name on one ``key=value``
+    line, so a name that a line break would split is rejected at the
+    ``name`` key of a workload file and of generation params."""
+    workload = tmp_path / "w.json"
+    workload.write_text(json.dumps(_quiet_with(lambda d: d.update(name=name))))
+    assert main(["validate", str(workload)]) == 1
+    assert capsys.readouterr().err == f"{workload}: name: must be one line\n"
+    assert main(["run", "--workload", str(workload), "--format", "machine"]) == 2
+    assert capsys.readouterr() == ("", f"{workload}: name: must be one line\n")
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"item_count": 2, "name": name}))
+    assert main(["generate", "--seed", "0", "--params", str(params), "--out", str(tmp_path / "g.json")]) == 2
+    assert capsys.readouterr().err == f"{params}: name: name must be one line\n"
+
+
+@pytest.mark.parametrize("name", ["a=b", "x=schema=run-report-v0", "a\tb", "\t", ""])
+def test_a_one_line_name_round_trips_through_the_machine_report(tmp_path, capsys, name):
+    workload = tmp_path / "w.json"
+    workload.write_text(json.dumps(_quiet_with(lambda d: d.update(name=name))))
+    assert main(["run", "--workload", str(workload), "--format", "machine"]) == 0
+    summary = parse_machine_report(capsys.readouterr().out)
+    assert (summary["schema"], summary["workload"]) == ("run-report-v1", name)
+
+
 def _tier_calibration_with_count(tmp_path: Path, count: int) -> Path:
     data = json.loads(bundled_workload_path("tier_calibration").read_text(encoding="utf-8"))
     data["conflicts"]["count"] = count

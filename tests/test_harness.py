@@ -16,11 +16,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from agentfork import schema
+from agentfork import runtime, schema
 from agentfork.cli import main
 from agentfork.config import CONFIG, SimulatorConfig
 from agentfork.harness.generate import PARAMS, GenerateParams, generate_synthetic
-from agentfork.harness.report import RunReport, emit_report, parse_machine_report
+from agentfork.harness.report import emit_report, parse_machine_report
 from agentfork.coherence import merge_diff_sets
 from agentfork.harness import simulate
 from agentfork.harness.simulate import run_conflict_phase, run_simulation
@@ -36,6 +36,8 @@ from agentfork.harness.workload import (
 )
 from agentfork.harness import workload as workload_module
 from agentfork.memory import DefaultEmbedder, MemoryError, compute_relevance, default_embed
+
+from conftest import run_event_lines
 
 
 def test_bundled_workloads_parse():
@@ -289,48 +291,47 @@ def test_conflict_phase_deterministic():
 def test_run_simulation_no_spawn_workload():
     spec = load_workload(bundled_workload_path("quiet"))
     report = run_simulation(spec, SimulatorConfig(), seed=0)
-    assert report.spawn_count == 0
-    assert report.conflict_total == 0
-    assert report.status == "completed"
-    assert report.cost_per_success is None
+    assert report["spawn_count"] == 0
+    assert report["conflicts.total"] == 0
+    assert report["status"] == "completed"
+    assert report["cost.per_success"] is None
 
 
 def test_run_simulation_demo_spawns_and_merges():
     spec = load_workload(bundled_workload_path("demo"))
     report = run_simulation(spec, SimulatorConfig(), seed=3)
-    assert report.spawn_count == 1
-    assert report.spawns[0].outcome == "success"
-    assert report.conflict_total == 400
-    rates = report.conflict_rates()
+    assert report["spawn_count"] == 1
+    assert report["spawn.1.outcome"] == "success"
+    assert report["conflicts.total"] == 400
+    rates = [report[f"conflicts.{tier}_rate"] for tier in ("auto", "semantic", "escalated")]
     assert sum(rates) == pytest.approx(1.0)
-    assert report.successes == 1
-    assert report.cost_per_success == pytest.approx(report.total_cost)
+    assert report["cost.successes"] == 1
+    assert report["cost.per_success"] == pytest.approx(report["cost.total"])
 
 
 def test_report_reduction_consistent_with_records():
     spec = load_workload(bundled_workload_path("single_spike"))
     report = run_simulation(spec, SimulatorConfig(), seed=0)
-    record = report.spawns[0]
-    expected = 100.0 * (1.0 - record.tokens_slice / record.tokens_parent)
-    assert record.reduction_pct == pytest.approx(expected)
-    assert report.memory_reduction_pct == pytest.approx(expected)
+    expected = 100.0 * (1.0 - report["spawn.1.tokens_slice"] / report["spawn.1.tokens_parent"])
+    assert report["spawn.1.reduction_pct"] == pytest.approx(expected)
+    assert report["memory.reduction_pct"] == pytest.approx(expected)
 
 
 def test_machine_report_parses_back():
     spec = load_workload(bundled_workload_path("demo"))
-    report = run_simulation(spec, SimulatorConfig(), seed=1)
-    text = emit_report(report, "machine")
-    summary = parse_machine_report(text)
+    summary = parse_machine_report(emit_report(run_simulation(spec, SimulatorConfig(), seed=1), "machine"))
     assert summary["workload"] == "demo"
     assert summary["seed"] == 1
-    assert summary["spawn_count"] == report.spawn_count
-    assert summary["conflicts.total"] == report.conflict_total
     assert summary["spawn.1.outcome"] == "success"
-    assert summary["memory.reduction_pct"] == pytest.approx(report.memory_reduction_pct)
+    for name in list_bundled_workloads():
+        report = run_simulation(load_workload(bundled_workload_path(name)), SimulatorConfig(), seed=1)
+        summary = parse_machine_report(emit_report(report, "machine"))
+        assert list(summary) == list(report), name
+        assert summary == {key: "n/a" if value is None else value for key, value in report.items()}, name
 
 
 def test_machine_report_cost_na_when_no_successes():
-    report = RunReport(workload="w", seed=0, status="completed")
+    report = run_simulation(load_workload(bundled_workload_path("quiet")), SimulatorConfig(), seed=0)
     text = emit_report(report, "machine")
     assert "cost.per_success=n/a" in text
     assert parse_machine_report(text)["cost.per_success"] == "n/a"
@@ -347,7 +348,7 @@ def test_human_report_uses_reduction_column_names():
 
 def test_emit_report_rejects_unknown_format():
     with pytest.raises(ValueError):
-        emit_report(RunReport(workload="w", seed=0, status="completed"), "xml")
+        emit_report(run_simulation(load_workload(bundled_workload_path("quiet")), SimulatorConfig(), 0), "xml")
 
 
 def test_simulator_config_round_trip(tmp_path):
@@ -367,7 +368,7 @@ def test_simulator_config_is_frozen():
 def test_cooldown_does_not_delay_the_first_spawn():
     spec = load_workload(bundled_workload_path("single_spike"))
     report = run_simulation(spec, SimulatorConfig(cooldown_steps=2**53), seed=0)
-    assert report.spawn_count == 1
+    assert report["spawn_count"] == 1
 
 
 def test_simulator_config_rejects_unknown_and_invalid_keys(tmp_path):
@@ -409,7 +410,7 @@ def test_float_knob_spelled_as_an_integer_runs_as_its_float():
         assert type(config.child_timeout_secs) is float
         reports.append(run_simulation(spec, config, seed=0))
     assert emit_report(reports[0], "machine") == emit_report(reports[1], "machine")
-    assert any(e.endswith("after 5.0s") for e in reports[0].events)
+    assert any(e.endswith("after 5.0s") for e in run_event_lines(spec, config, 0))
 
 
 def test_workload_semantic_p_drives_conflict_phase():
@@ -421,8 +422,8 @@ def test_workload_semantic_p_drives_conflict_phase():
         ),
     )
     report = run_simulation(spec, SimulatorConfig(), seed=9)
-    assert report.conflict_semantic == 200
-    assert report.conflict_escalated == 0
+    assert report["conflicts.semantic"] == 200
+    assert report["conflicts.escalated"] == 0
 
 
 def test_generator_calibration_holds_across_twenty_seeds():
@@ -541,7 +542,7 @@ def test_validator_rejects_probe_at_field_path(mutate, path):
 def test_probe_base_is_valid_and_runs():
     assert validate_workload_data(PROBE_BASE) == []
     report = run_simulation(workload_from_data(PROBE_BASE), SimulatorConfig(), seed=0)
-    assert report.spawn_count == 1 and report.tree_max_depth == 2
+    assert report["spawn_count"] == 1 and report["tree_max_depth"] == 2
 
 
 _JUNK = [None, True, -1, 0, 1, 2.5, 2**60, float("nan"), float("inf"), "", "x", [], {}, ["x"], {"x": 1}]
@@ -560,7 +561,7 @@ def _locations(node, path=()):
 @st.composite
 def _mutated_workloads(draw):
     data = copy.deepcopy(PROBE_BASE)
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(0, 3))):
         path = draw(st.sampled_from(list(_locations(data))))
         parent = data
         for key in path[:-1]:
@@ -577,22 +578,52 @@ def _mutated_workloads(draw):
     return data
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(_mutated_workloads())
-def test_validate_is_total_and_accepted_workloads_run(data):
+# Run-config values: the bounds of the knobs' ranges, a step past them,
+# and values of the wrong type. The weights are left out, since each set
+# must sum to 1 and one changed alone is always rejected; so is
+# ``checkpoint_dir``, so that a run writes no files.
+_CONFIG_VALUES = [-1, 0, 1, 2, 1e-9, 0.5, 1.0, 2**53, 2**53 + 1, False, True, "x"]
+_CONFIG_KEYS = sorted(
+    CONFIG.keys[schema.FILE] - {"checkpoint_dir", "alpha", "beta", "gamma", "delta", "w1", "w2", "w3", "w4", "w5"}
+)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(
+    data=_mutated_workloads(),
+    config=st.dictionaries(st.sampled_from(_CONFIG_KEYS), st.sampled_from(_CONFIG_VALUES), max_size=3),
+)
+def test_validate_is_total_and_accepted_workloads_run(monkeypatch, data, config):
+    """A workload ``validate`` accepts runs to completion through the CLI,
+    in both formats, under any config the config parser accepts."""
+    # The run's cost grows with its tree; a small cap keeps each run short.
+    monkeypatch.setattr(runtime, "MAX_TREE_NODES", 16)
     errors = validate_workload_data(data)
     assert isinstance(errors, list)
     if errors:
         with pytest.raises(schema.InputError):
             workload_from_data(data)
         return
+    try:
+        schema.parse_file(CONFIG, config)
+    except schema.InputError:
+        return
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "w.json"
-        path.write_text(json.dumps(data), encoding="utf-8")
-        spec = load_workload(path)
-    report = run_simulation(spec, SimulatorConfig(), seed=0)
-    assert report.status == "completed"
-    assert parse_machine_report(emit_report(report, "machine"))["workload"] == spec.name
+        workload_path, config_path = Path(tmp) / "w.json", Path(tmp) / "config.json"
+        workload_path.write_text(json.dumps(data), encoding="utf-8")
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        for fmt in ("human", "machine"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["run", "--workload", str(workload_path), "--config", str(config_path), "--format", fmt])
+            assert (code, err.getvalue()) == (0, "")
+    summary = parse_machine_report(out.getvalue())
+    assert summary["status"] == "completed"
+    assert summary["workload"] == data["name"]
 
 
 def _reference_load(path):

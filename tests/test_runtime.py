@@ -64,7 +64,7 @@ from agentfork.runtime import (
 from agentfork.service import ServiceBackend, http_transport
 from agentfork.skills import SkillLibrary
 
-from conftest import DIM, tier_items
+from conftest import DIM, run_event_lines, tier_items
 
 QUIET = ComplexityMetrics(2, 6, 1, 0.2, 0.5)
 SPIKE = ComplexityMetrics(17, 40, 85, 0.97, 8)
@@ -491,9 +491,9 @@ def test_nested_spawns_do_not_depend_on_the_callers_stack():
         return run_simulation(workload_from_data(data), config, 0)
 
     report = run()
-    assert report.tree_max_depth == 500
-    assert report.rejected_spawns == 1
-    assert not [line for line in report.events if " child_invalid " in line]
+    assert report["tree_max_depth"] == 500
+    assert report["rejected_spawns"] == 1
+    assert not [line for line in run_event_lines(workload_from_data(data), config, 0) if " child_invalid " in line]
     machine = emit_report(report, "machine")
     assert emit_report(run(500), "machine") == machine
     limit = sys.getrecursionlimit()
@@ -521,10 +521,12 @@ def test_a_child_that_spawns_itself_ends_at_the_tree_cap(spawns, depth):
     the depth limit's reach, the cap rejects every request it ends."""
     data = json.loads(bundled_workload_path("adversarial_depth").read_text(encoding="utf-8"))
     data["child_outcomes"]["nest-d4"]["spawns"] = [{"outcome": "nest-d4", "specialization": "refactoring"}] * spawns
-    report = run_simulation(workload_from_data(data), SimulatorConfig(max_spawn_depth=depth), 0)
-    assert len(report.tree_edges) == runtime.MAX_TREE_NODES - 1
-    rejections = [line for line in report.events if " spawn_rejected " in line]
-    assert len(rejections) == report.rejected_spawns
+    spec = workload_from_data(data)
+    config = SimulatorConfig(max_spawn_depth=depth)
+    result = run_parent_loop(config, 0, ScriptedBackend(spec.child_outcomes), spec.loop_workload())
+    assert len(result.tree.edges()) == runtime.MAX_TREE_NODES - 1
+    rejections = [line for line in result.event_lines() if " spawn_rejected " in line]
+    assert len(rejections) == result.rejected_spawns
     at_cap = [line for line in rejections if line.endswith(f" tree holds its cap of {runtime.MAX_TREE_NODES} nodes")]
     assert at_cap
     if depth == 2**53:
@@ -536,8 +538,8 @@ def test_a_diff_that_does_not_apply_is_a_followup_the_report_counts():
     hunk = data["child_outcomes"]["context_compression"]["diffs"][0]["hunks"][0]
     hunk["old_lines"] = ["NOT IN THE PARENT'S FILE"]
     report = run_simulation(workload_from_data(data), SimulatorConfig(), 0)
-    assert [record.outcome for record in report.spawns] == ["success"]
-    assert report.followups == 1
+    assert (report["spawn_count"], report["spawn.1.outcome"]) == (1, "success")
+    assert report["followups"] == 1
     assert "followups=1" in emit_report(report, "machine").splitlines()
     assert "Follow-ups for the parent: 1" in emit_report(report, "human")
 

@@ -59,8 +59,8 @@ def test_tracer_counts_nested_spawn_requests(name, requests):
     with tracing.Tracer().install() as tracer:
         load = tracer.span("harness.load", load_workload)
         run = tracer.span("harness.run", run_simulation)
-        report = run(load(bundled_workload_path(name)), SimulatorConfig(), 0)
-    kinds = Counter(line.split()[1] for line in report.events)
+        run(load(bundled_workload_path(name)), SimulatorConfig(), 0)
+    kinds = Counter(line.split()[1] for line in tracer.loop_result.event_lines())
     from_events = (
         kinds["child_started"] - kinds["queue_admitted"] + kinds["spawn_queued"] + kinds["spawn_rejected"]
     )
