@@ -62,8 +62,17 @@ def _emit_human(report: dict) -> str:
     return "\n".join(out) + "\n"
 
 
+# Keys whose values are text, read back as text even when they look like
+# numbers (a workload named "1e3", say); ``spawn.N.<field>`` for each field
+# in ``_TEXT_SPAWN_FIELDS``.
+_TEXT_KEYS = frozenset({"schema", "workload", "status", "events.digest", "tree_edges"})
+_TEXT_SPAWN_FIELDS = frozenset({"id", "specialization", "outcome"})
+
+
 def parse_machine_report(text: str) -> dict[str, int | float | str]:
-    """Parse machine-format text back into a flat summary mapping."""
+    """Parse machine-format text back into a flat summary mapping. Text
+    keys stay text; any other value that ``int()`` or ``float()`` reads
+    becomes that number."""
     summary: dict[str, int | float | str] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -71,10 +80,15 @@ def parse_machine_report(text: str) -> dict[str, int | float | str]:
         if "=" not in line:
             raise ValueError(f"line {line_no}: expected key=value, got {line!r}")
         key, raw = line.split("=", 1)
-        summary[key] = _parse_value(raw)
+        summary[key] = raw if _is_text(key) else _parse_value(raw)
     if summary.get("schema") != MACHINE_SCHEMA:
         raise ValueError(f"not a {MACHINE_SCHEMA} report")
     return summary
+
+
+def _is_text(key: str) -> bool:
+    parts = key.split(".")
+    return key in _TEXT_KEYS or (len(parts) == 3 and parts[0] == "spawn" and parts[2] in _TEXT_SPAWN_FIELDS)
 
 
 def _parse_value(raw: str) -> int | float | str:

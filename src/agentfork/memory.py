@@ -14,12 +14,12 @@ import math
 import operator
 import re
 from array import array
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import compress
-from typing import Callable, ClassVar, Iterable, Iterator, Sequence, TYPE_CHECKING
+from typing import Callable, Iterable, Iterator, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .config import SimulatorConfig
@@ -89,31 +89,38 @@ def clamped_cosine(dot: float, a_norm: float, b_norm: float) -> float:
     return min(1.0, max(0.0, dot / (a_norm * b_norm)))
 
 
-# Tokens whose bucket the memo remembers; when full, it starts over. The
-# benchmark workloads use at most 100 distinct tokens.
-BUCKET_MEMO = 1 << 16
+# Keys a memo below remembers; when full, it starts over. The benchmark
+# workloads use at most 100 distinct tokens and about 420 distinct
+# embedding values.
+MEMO_CAP = 1 << 16
 
 
-class _Buckets(dict):
-    """The embedding bucket of each token for one dim, kept because md5
-    dominates embedding."""
+class _Memo(dict):
+    """``compute(key)`` of each key asked for, remembered while the memo
+    holds fewer than ``MEMO_CAP`` keys."""
 
-    def __init__(self, dim: int):
+    def __init__(self, compute: Callable):
         super().__init__()
-        self.dim = dim
+        self.compute = compute
 
-    def __missing__(self, token: str) -> int:
-        if len(self) >= BUCKET_MEMO:
+    def __missing__(self, key):
+        if len(self) >= MEMO_CAP:
             self.clear()
-        bucket = self[token] = int.from_bytes(hashlib.md5(token.encode("utf-8")).digest()[:8], "big") % self.dim
-        return bucket
+        value = self[key] = self.compute(key)
+        return value
 
 
 @lru_cache(maxsize=1)
-def _buckets_of(dim: int) -> _Buckets:
-    """The bucket memo of ``dim``; a run embeds at one dim, so only the
-    last dim asked for keeps its memo."""
-    return _Buckets(dim)
+def _buckets_of(dim: int) -> _Memo:
+    """The embedding bucket of each token for ``dim``, kept because md5
+    dominates embedding; a run embeds at one dim, so only the last dim
+    asked for keeps its memo."""
+    return _Memo(lambda token: int.from_bytes(hashlib.md5(token.encode("utf-8")).digest()[:8], "big") % dim)
+
+
+# ``count / sqrt(squares)`` of each ``(count, squares)``: one float object
+# per value, shared by every embedding that holds it.
+_UNITS = _Memo(lambda key: key[0] / math.sqrt(key[1]))
 
 
 def default_embed(text: str, dim: int) -> tuple[float, ...]:
@@ -122,20 +129,27 @@ def default_embed(text: str, dim: int) -> tuple[float, ...]:
     Each token is hashed (md5, so the bucket is stable across processes
     and runs) into one of ``dim`` buckets with weight +1. Texts with no
     tokens map to the zero vector, which downstream cosine treats as
-    zero similarity. Entries are nonnegative by construction.
+    zero similarity. Entries are nonnegative by construction, never
+    -0.0.
+
+    Each entry is its bucket's token count over the vector's norm. The
+    norm is taken from the integer counts, exact as the sum of squared
+    float counts was, and each value comes from a memo, so the zeros of
+    every embedding are one float and each other value is one float
+    across embeddings while the memo holds it.
     """
     if dim <= 0:
         raise ValueError(f"embedding dim must be positive, got {dim}")
-    buckets = [0.0] * dim
-    for bucket in map(_buckets_of(dim).__getitem__, tokenize(text)):
-        buckets[bucket] += 1.0
-    length = norm(buckets)
-    if length == 0.0:
-        return tuple(buckets)
-    # Each distinct count is divided once and its float shared, so the
-    # (mostly zero) components of one embedding are a few objects, not dim.
-    unit = {v: v / length for v in set(buckets)}
-    return tuple(map(unit.__getitem__, buckets))
+    counts = Counter(map(_buckets_of(dim).__getitem__, tokenize(text)))
+    embedding = [0.0] * dim
+    if counts:
+        squares = sum(count * count for count in counts.values())
+        # One lookup per distinct count, so a memo that starts over midway
+        # cannot split one value of this embedding into two objects.
+        unit = {count: _UNITS[count, squares] for count in set(counts.values())}
+        for bucket, count in counts.items():
+            embedding[bucket] = unit[count]
+    return tuple(embedding)
 
 
 # Texts one DefaultEmbedder remembers; when full, its memo starts over.
@@ -184,17 +198,26 @@ def dot_with(vector: Sequence[float]) -> Callable[[Sequence[float]], float]:
     return lambda e: sum(map(mul, [e[i] for i in nonzero], values))
 
 
-@dataclass(frozen=True)
-class MemoryItem:
-    """One remembered fact/event. Immutable so stores and slices can share items."""
+class _Wired:
+    """Base of :class:`MemoryItem` holding its ``_wire`` slot.
 
-    # The item's compact wire text (UTF-8), stored on the instance by the
-    # package writer (``schema.package_parts``) once the whole item has
-    # encoded, so every later package reuses it. It is not a field:
-    # equality, hash, repr and ``dataclasses.replace`` ignore it, and it
-    # lives exactly as long as the item. It is keyed by identity because
-    # equal items can differ on the wire (0.0 and -0.0 are equal).
-    _wire: ClassVar[bytes | None] = None
+    ``_wire`` is the item's compact wire text (UTF-8), stored on the
+    instance by the package writer (``schema.package_parts``) once the
+    whole item has encoded, so every later package reuses it. It is a
+    slot of this base, not a field: equality, hash, repr and
+    ``dataclasses.replace`` ignore it, and it lives exactly as long as the
+    item. It is keyed by identity because equal items can differ on the
+    wire (0.0 and -0.0 are equal).
+    """
+
+    __slots__ = ("_wire",)
+
+
+@dataclass(frozen=True, slots=True)
+class MemoryItem(_Wired):
+    """One remembered fact/event. Immutable so stores and slices can share
+    items. Slotted, so an item holds no ``__dict__``; ``_wire`` starts as
+    ``None`` on every item, one made by ``replace`` included."""
 
     id: str
     tier: MemoryTier
@@ -205,6 +228,7 @@ class MemoryItem:
     embedding: tuple[float, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "_wire", None)
         if not self.id:
             raise MemoryError("item id must be nonempty")
         if not 0 <= self.created_at_step <= MAX_INT:
@@ -277,7 +301,9 @@ class MemoryStore:
         self._group_norms = array("d")
         self._group_words: list[int] = []
         self._keyword_postings: defaultdict[str, array] = defaultdict(_positions)
-        self._ids: set[str] = set()
+        # A dict, not a set: a set built by insertion takes about five
+        # times the memory of a dict of the same ids.
+        self._ids: dict[str, None] = {}
         self._add_all(items)
 
     @property
@@ -333,7 +359,7 @@ class MemoryStore:
             tier_items.append(item)
             self._tier_groups[tier].append(group)
             self._tier_norms[tier].append(self._group_norms[group])
-            self._ids.add(item.id)
+            self._ids[item.id] = None
             self._token_count += self._group_words[group]
             self._version += 1
 

@@ -362,15 +362,9 @@ class ChildScheduler:
         """Validate limits and start or queue the child. Never drops a
         request silently: the outcome is started, queued, or rejected."""
         child = AgentId(id=package.spawn_id, depth=parent.depth + 1)
-        reason = None
-        if child.depth > self.tree.max_depth:
-            reason = f"depth {child.depth} exceeds max depth {self.tree.max_depth}"
-        elif self.admitted >= MAX_TREE_NODES:
-            reason = f"tree holds its cap of {MAX_TREE_NODES} nodes"
+        reason = self._rejection(child.depth)
         if reason is not None:
-            self.rejected_count += 1
-            self.events.append(Event(self.clock.now, "spawn_rejected", f"{package.spawn_id} {reason}"))
-            return SpawnRequestOutcome(state="rejected", reason=reason)
+            return self._reject(package.spawn_id, reason)
         self.admitted += 1
         handle = ChildHandle(
             spawn_id=package.spawn_id, agent=child, parent=parent, package=package, outcome_key=outcome_key
@@ -384,6 +378,20 @@ class ChildScheduler:
             return SpawnRequestOutcome(state="queued")
         self._start(handle)
         return SpawnRequestOutcome(state="started")
+
+    def _rejection(self, depth: int) -> str | None:
+        """Why a request for a child at ``depth`` is rejected now, or
+        None: the depth limit is checked before the tree cap."""
+        if depth > self.tree.max_depth:
+            return f"depth {depth} exceeds max depth {self.tree.max_depth}"
+        if self.admitted >= MAX_TREE_NODES:
+            return f"tree holds its cap of {MAX_TREE_NODES} nodes"
+        return None
+
+    def _reject(self, spawn_id: str, reason: str) -> SpawnRequestOutcome:
+        self.rejected_count += 1
+        self.events.append(Event(self.clock.now, "spawn_rejected", f"{spawn_id} {reason}"))
+        return SpawnRequestOutcome(state="rejected", reason=reason)
 
     def _start(self, handle: ChildHandle) -> None:
         """Start one child and push its nested requests. The outermost
@@ -421,9 +429,14 @@ class ChildScheduler:
 
     def _nested_requests(self, handle: ChildHandle) -> Iterator[tuple[AgentId, SpawnPackage, str]]:
         """The spawns ``handle``'s child makes, each package built (and its
-        id taken) only when its turn comes."""
+        id taken) only when its turn comes. Once the tree is at its cap,
+        every request is rejected here: it takes its id and gets the
+        event ``spawn_child`` would record, but no package."""
         nested_for = getattr(self.backend, "nested_requests", lambda outcome_key: ())
         for nested in nested_for(handle.outcome_key):
+            if self.admitted >= MAX_TREE_NODES:
+                self._reject(self.next_id(), self._rejection(handle.agent.depth + 1))
+                continue
             package = build_spawn_package(
                 parent_id=handle.spawn_id,
                 task=handle.package.task,

@@ -330,6 +330,24 @@ def test_machine_report_parses_back():
         assert summary == {key: "n/a" if value is None else value for key, value in report.items()}, name
 
 
+@pytest.mark.parametrize("name", ["1e3", "1", "-0", "NaN", "infinity"])
+def test_machine_report_reads_text_keys_as_text(name):
+    data = json.loads(bundled_workload_path("demo").read_text(encoding="utf-8"))
+    data["name"] = name
+    report = run_simulation(workload_from_data(data), SimulatorConfig(), seed=0)
+    assert report["workload"] == name
+    summary = parse_machine_report(emit_report(report, "machine"))
+    assert summary["workload"] == name
+    assert summary == {key: "n/a" if value is None else value for key, value in report.items()}
+    numeric_text = {
+        "status": "3", "events.digest": "1234e5", "tree_edges": "12",
+        "spawn.1.id": "0001", "spawn.1.specialization": "1.5", "spawn.1.outcome": "7",
+    }
+    summary = parse_machine_report(emit_report({**report, **numeric_text}, "machine"))
+    assert {key: summary[key] for key in numeric_text} == numeric_text
+    assert summary["seed"] == 0 and summary["spawn.1.step"] == report["spawn.1.step"]
+
+
 def test_machine_report_cost_na_when_no_successes():
     report = run_simulation(load_workload(bundled_workload_path("quiet")), SimulatorConfig(), seed=0)
     text = emit_report(report, "machine")

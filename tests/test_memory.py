@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import operator
 import random
 import re
 import struct
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from agentfork import memory, schema
 from agentfork.config import SimulatorConfig
+from agentfork.harness.generate import GenerateParams, generate_synthetic
 from agentfork.memory import (
     EMBED_MEMO,
     DefaultEmbedder,
@@ -949,31 +952,96 @@ def test_indexed_slice_keeps_what_the_per_item_reference_keeps(
             assert sliced.tokens == count_tokens(sliced.items)
 
 
+@lru_cache(maxsize=None)
+def _reference_bucket(token, dim):
+    return int.from_bytes(hashlib.md5(token.encode("utf-8")).digest()[:8], "big") % dim
+
+
 def _reference_embed(text, dim):
-    """``default_embed`` as it stood before it shared its floats."""
+    """``default_embed`` as it stood before it counted bucket hits: float
+    bucket sums, their float norm, and each distinct value divided once
+    per embedding."""
     buckets = [0.0] * dim
     for token in _reference_tokenize(text):
-        buckets[int.from_bytes(hashlib.md5(token.encode("utf-8")).digest()[:8], "big") % dim] += 1.0
+        buckets[_reference_bucket(token, dim)] += 1.0
     norm = math.sqrt(sum(map(operator.mul, buckets, buckets)))
     if norm == 0.0:
         return tuple(buckets)
-    return tuple(v / norm for v in buckets)
+    unit = {v: v / norm for v in set(buckets)}
+    return tuple(map(unit.__getitem__, buckets))
 
 
-@pytest.mark.parametrize("dim", [1, 2, 64, 4096])
+def _bits(vector):
+    return [struct.pack("<d", v) for v in vector]
+
+
+@pytest.fixture(scope="module")
+def fork_20k_texts():
+    """The distinct item texts of the benchmark's fork_20k workload, from
+    the generator with that workload's parameters."""
+    params = GenerateParams(
+        item_count=20_000,
+        relevance_target_quantile=0.5,
+        conflict_mix=None,
+        trajectory_steps=24,
+        spike_step=2,
+        name="fork_20k",
+    )
+    return sorted({item.content for item in generate_synthetic(0, params).memory})
+
+
+@pytest.mark.parametrize("dim", [1, 8, 64])
+def test_default_embed_is_bit_identical_to_the_reference_on_fork_20k(dim, fork_20k_texts):
+    assert len(fork_20k_texts) == 13_285
+    for text in fork_20k_texts:
+        assert _bits(default_embed(text, dim)) == _bits(_reference_embed(text, dim)), text
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8, 64, 4096])
 def test_default_embed_is_bit_identical_and_shares_equal_floats(dim):
     rng = random.Random(dim)
-    texts = ["", "!!", "parser", "parser parser json", " ".join(WORDS * 3)]
+    texts = ["", "!!", "parser", "parser parser json", "json json json json", " ".join(WORDS * 3)]
+    texts += ["café naïve über 数据 données", "ÀÉ ÀÉ"]
     texts += [" ".join(rng.choices(WORDS + _NOISE, k=rng.randint(1, 40))) for _ in range(20)]
     for text in texts:
         got = default_embed(text, dim)
-        expected = _reference_embed(text, dim)
-        assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in expected]
+        assert _bits(got) == _bits(_reference_embed(text, dim))
         assert len({id(v) for v in got}) == len(set(got))
 
 
+def test_embeddings_with_one_count_and_norm_share_their_floats():
+    dim = 4096
+    first, second = default_embed("parser json", dim), default_embed("cache header", dim)
+    assert len(set(first) | set(second)) == 2 and 0.0 in first
+    shared = {id(v) for v in first + second if v}
+    assert len(shared) == 1 and len({id(v) for v in first + second if not v}) == 1
+    assert default_embed("parser", 1)[0] is default_embed("json", 1)[0] == 1.0
+
+
+def test_embedding_value_memo_starts_over_when_full(monkeypatch):
+    monkeypatch.setattr(memory, "MEMO_CAP", 3)
+    monkeypatch.setattr(memory, "_UNITS", memory._Memo(memory._UNITS.compute))
+    sizes = []
+    for n in range(1, 9):
+        text = " ".join(f"w{i}" for i in range(n))
+        assert _bits(default_embed(text, 4096)) == _bits(_reference_embed(text, 4096))
+        sizes.append(len(memory._UNITS))
+    assert max(sizes) == 3 and 1 in sizes[3:]
+
+
+def test_memory_item_is_slotted_and_its_wire_starts_empty():
+    item = MemoryItem("a", MemoryTier.EPISODIC, "parser json", embedding=(0.5,))
+    assert not hasattr(item, "__dict__")
+    assert "_wire" not in {f.name for f in dataclasses.fields(MemoryItem)}
+    object.__setattr__(item, "_wire", b"{}")
+    copy = dataclasses.replace(item, id="b")
+    assert copy._wire is None and item._wire == b"{}"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        item.content = "other"
+
+
 def test_bucket_memo_is_bounded_and_embeds_the_same_after_it_starts_over(monkeypatch):
-    monkeypatch.setattr(memory, "BUCKET_MEMO", 3)
+    monkeypatch.setattr(memory, "MEMO_CAP", 3)
     text = " ".join(WORDS)
     for dim in (8, 16, 8):
         assert default_embed(text, dim) == _reference_embed(text, dim)

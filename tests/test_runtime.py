@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import http.server
 import itertools
 import json
@@ -531,6 +532,27 @@ def test_a_child_that_spawns_itself_ends_at_the_tree_cap(spawns, depth):
     assert at_cap
     if depth == 2**53:
         assert at_cap == rejections
+
+
+def test_no_package_is_built_for_a_request_past_the_tree_cap(monkeypatch):
+    """The doubling probe: once the tree is at its cap, each remaining
+    nested request takes its id and is rejected without a package, so
+    every package built is a node of the tree. Its event lines and its
+    report's event digest are those of a run that built every package."""
+    data = json.loads(bundled_workload_path("adversarial_depth").read_text(encoding="utf-8"))
+    data["child_outcomes"]["nest-d4"]["spawns"] = [{"outcome": "nest-d4", "specialization": "refactoring"}] * 2
+    spec = workload_from_data(data)
+    config = SimulatorConfig(max_spawn_depth=2**53)
+    built = []
+    build = runtime.build_spawn_package
+    monkeypatch.setattr(runtime, "build_spawn_package", lambda **fields: built.append(1) or build(**fields))
+    result = run_parent_loop(config, 0, ScriptedBackend(spec.child_outcomes), spec.loop_workload())
+    assert len(built) == len(result.tree.edges()) == runtime.MAX_TREE_NODES - 1
+    assert result.rejected_spawns == 9_997
+    lines = "\n".join(result.event_lines()).encode("utf-8")
+    assert hashlib.sha256(lines).hexdigest() == "ca5e899ae74e4be0109a0324324f7f79fc8867f815df5fa766f9de9e4c9e6718"
+    report = run_simulation(workload_from_data(data), config, 0)
+    assert report["events.digest"] == "87e61ad48488a5dd1a6a8d06f6a2004f5b3f3a151df52f466921ead86cf837e4"
 
 
 def test_a_diff_that_does_not_apply_is_a_followup_the_report_counts():
