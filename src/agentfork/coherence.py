@@ -11,6 +11,7 @@ merged result.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import ClassVar, Iterable, Protocol, Sequence
@@ -60,6 +61,10 @@ class Hunk:
         return self._span
 
 
+# Sort key for hunks: the span stored on the instance, read without a call.
+_by_span = operator.attrgetter("_span")
+
+
 @dataclass(frozen=True)
 class Diff:
     """All of one child's hunks for one file, sorted and non-overlapping."""
@@ -90,7 +95,7 @@ _TIERS = tuple(ResolutionTier)
 _AUTO, _SEMANTIC, _ESCALATED = range(len(_TIERS))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Resolution:
     """Two children whose diffs touch at least one common file, and the
     worst tier their shared files' folds landed on."""
@@ -101,7 +106,7 @@ class Resolution:
     tier: ResolutionTier
 
 
-@dataclass
+@dataclass(slots=True)
 class MergeOutcome:
     merged_diffs: list[Diff]
     resolutions: list[Resolution]
@@ -111,31 +116,40 @@ class MergeOutcome:
         return sum(r.tier == tier for r in self.resolutions)
 
 
+def _check_applies(base: Sequence[str], diff: Diff) -> None:
+    """Raise the ApplyError that ``apply_diff(base, diff)`` would, for the
+    same hunk, without building the file. Hunks are checked back to front
+    as ``apply_diff`` splices them; since a diff's hunks are sorted and
+    disjoint, the lines a hunk reads lie below every later splice, so each
+    hunk is checked against ``base`` itself. The cost is per hunk line,
+    not per file line."""
+    for hunk in reversed(diff.hunks):
+        idx = hunk.start_line - 1
+        old = hunk.old_lines
+        if old:
+            if tuple(base[idx : idx + len(old)]) != old:
+                raise ApplyError(f"{diff.file}: hunk at line {hunk.start_line} does not match base")
+        elif idx > len(base):
+            raise ApplyError(f"{diff.file}: insertion at line {hunk.start_line} beyond end of file")
+
+
 def apply_diff(base: Sequence[str], diff: Diff) -> list[str]:
-    """Apply hunks back-to-front; raises ApplyError on any context mismatch."""
+    """Apply hunks back-to-front; raises ApplyError on any context mismatch.
+    The one function here that builds a file."""
+    _check_applies(base, diff)
     result = list(base)
     for hunk in reversed(diff.hunks):
         idx = hunk.start_line - 1
-        if hunk.old_lines:
-            window = result[idx : idx + len(hunk.old_lines)]
-            if idx + len(hunk.old_lines) > len(result) or tuple(window) != hunk.old_lines:
-                raise ApplyError(
-                    f"{diff.file}: hunk at line {hunk.start_line} does not match base"
-                )
-        elif idx > len(result):
-            raise ApplyError(
-                f"{diff.file}: insertion at line {hunk.start_line} beyond end of file"
-            )
-        result[idx : idx + len(hunk.old_lines)] = list(hunk.new_lines)
+        result[idx : idx + len(hunk.old_lines)] = hunk.new_lines
     return result
 
 
 def diff_applies(base: Sequence[str], diff: Diff) -> bool:
     try:
-        apply_diff(base, diff)
-        return True
+        _check_applies(base, diff)
     except ApplyError:
         return False
+    return True
 
 
 def combine_diffs(diffs: Iterable[Diff]) -> dict[str, Diff]:
@@ -149,7 +163,7 @@ def combine_diffs(diffs: Iterable[Diff]) -> dict[str, Diff]:
     return {
         path: group[0]
         if len(group) == 1
-        else Diff(file=path, hunks=tuple(sorted((h for d in group for h in d.hunks), key=Hunk.span)))
+        else Diff(file=path, hunks=tuple(sorted((h for d in group for h in d.hunks), key=_by_span)))
         for path, group in per_file.items()
     }
 
@@ -158,12 +172,20 @@ def line_disjoint(d_i: Diff, d_j: Diff) -> bool:
     """True when no hunk span from one diff intersects a span from the other."""
     if d_i.file != d_j.file:
         raise DiffError(f"line_disjoint compares diffs on one file: {d_i.file} vs {d_j.file}")
-    return not any(_spans_touch(a, b) for a in d_i.hunks for b in d_j.hunks)
+    for hunk in d_j.hunks:
+        if not _clear_of(hunk, d_i.hunks):
+            return False
+    return True
 
 
-def _spans_touch(a: Hunk, b: Hunk) -> bool:
-    (a0, a1), (b0, b1) = a._span, b._span
-    return a0 < b1 and b0 < a1
+def _clear_of(hunk: Hunk, hunks: tuple[Hunk, ...]) -> bool:
+    """True when ``hunk``'s span intersects no span of ``hunks``."""
+    b0, b1 = hunk._span
+    for other in hunks:
+        a0, a1 = other._span
+        if a0 < b1 and b0 < a1:
+            return False
+    return True
 
 
 def auto_merge(d_i: Diff, d_j: Diff, base: Sequence[str]) -> Diff | None:
@@ -175,11 +197,8 @@ def auto_merge(d_i: Diff, d_j: Diff, base: Sequence[str]) -> Diff | None:
     """
     if not line_disjoint(d_i, d_j):
         return None
-    merged = Diff(
-        file=d_i.file,
-        hunks=tuple(sorted(d_i.hunks + d_j.hunks, key=Hunk.span)),
-    )
-    apply_diff(base, merged)  # surface context mismatches now, not at replay
+    merged = Diff(file=d_i.file, hunks=tuple(sorted(d_i.hunks + d_j.hunks, key=_by_span)))
+    _check_applies(base, merged)  # surface context mismatches now, not at replay
     return merged
 
 
@@ -215,14 +234,11 @@ class StochasticMergeBackend:
         if self.rng.random() >= self.p:
             return None
         self.successes += 1
-        keep = [h for h in d_j.hunks if all(not _spans_touch(h, other) for other in d_i.hunks)]
-        return Diff(
-            file=d_i.file,
-            hunks=tuple(sorted(d_i.hunks + tuple(keep), key=Hunk.span)),
-        )
+        keep = [h for h in d_j.hunks if _clear_of(h, d_i.hunks)]
+        return Diff(file=d_i.file, hunks=tuple(sorted(d_i.hunks + tuple(keep), key=_by_span)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SemanticMergeResult:
     diff: Diff | None = None
     reason: str | None = None
@@ -293,9 +309,12 @@ def merge_diff_sets(
                 acc = semantic_merge(acc, diff, base, merge_backend).diff
                 rank = _ESCALATED if acc is None else _SEMANTIC
             for i, _ in contributors[:m]:
-                pair = pairs.setdefault((i, j), [rank, []])
-                pair[0] = max(pair[0], rank)
-                pair[1].append(path)
+                pair = pairs.get((i, j))
+                if pair is None:
+                    pairs[i, j] = [rank, [path]]
+                else:
+                    pair[0] = max(pair[0], rank)
+                    pair[1].append(path)
         if acc is None:
             escalated_files.add(path)
         else:

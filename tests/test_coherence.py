@@ -22,6 +22,7 @@ from agentfork.coherence import (
     apply_diff,
     auto_merge,
     combine_diffs,
+    diff_applies,
     line_disjoint,
     merge_diff_sets,
     semantic_merge,
@@ -66,6 +67,103 @@ def test_apply_multiple_hunks_back_to_front():
 def test_diff_rejects_overlapping_hunks():
     with pytest.raises(DiffError):
         Diff(file="f", hunks=(Hunk(1, ("a", "b"), ()), Hunk(2, ("b",), ())))
+
+
+def _apply_by_copy(base, diff):
+    """Reference: copy the base and splice every hunk into the copy, back
+    to front, checking each against the copy as it is at that point.
+    Returns the result, or the ApplyError message."""
+    result = list(base)
+    for hunk in reversed(diff.hunks):
+        idx = hunk.start_line - 1
+        if hunk.old_lines:
+            window = result[idx : idx + len(hunk.old_lines)]
+            if idx + len(hunk.old_lines) > len(result) or tuple(window) != hunk.old_lines:
+                return f"{diff.file}: hunk at line {hunk.start_line} does not match base"
+        elif idx > len(result):
+            return f"{diff.file}: insertion at line {hunk.start_line} beyond end of file"
+        result[idx : idx + len(hunk.old_lines)] = list(hunk.new_lines)
+    return result
+
+
+def _random_hunks(rng, base, stale_p=0.0):
+    """Zero to four sorted, disjoint hunks on ``base``: replacements,
+    deletions and insertions, some at ``len(base) + 1`` or past it, and
+    with probability ``stale_p`` each a hunk whose old lines do not match
+    the base."""
+    hunks = []
+    line = 1
+    for _ in range(rng.randint(0, 4)):
+        if line > len(base) + 3:
+            break
+        start = rng.randint(line, len(base) + 3)
+        n_old = rng.randint(0, 3)
+        if rng.random() < stale_p:
+            old = ("stale",) * max(1, n_old)
+        else:
+            old = tuple(base[start - 1 : start - 1 + n_old]) if start <= len(base) else ()
+        new = tuple(f"new {start}.{k}" for k in range(rng.randint(0, 2)))
+        hunks.append(Hunk(start, old, new))
+        line = start + max(1, len(old))
+    return tuple(hunks)
+
+
+def test_merge_checks_match_apply_on_a_copy():
+    """diff_applies and auto_merge check a diff against the base in place;
+    their verdict and ApplyError text equal those of applying the diff to
+    a copy of the base, and apply_diff's result equals the copy's."""
+    rng = random.Random(33)
+    seen = set()
+    for _ in range(3000):
+        base = [f"l{k}" for k in range(rng.randint(0, 8))]
+        hunks = _random_hunks(rng, base, stale_p=0.15)
+        diff = Diff("f", hunks)
+        expected = _apply_by_copy(base, diff)
+        applies = isinstance(expected, list)
+        seen.add("applies" if applies else re.sub(r" at line \d+", "", expected))
+        assert diff_applies(base, diff) is applies
+        left, right = Diff("f", hunks[::2]), Diff("f", hunks[1::2])
+        if applies:
+            assert apply_diff(base, diff) == expected
+            assert auto_merge(left, right, base) == diff
+        else:
+            for check in (lambda: apply_diff(base, diff), lambda: auto_merge(left, right, base)):
+                with pytest.raises(ApplyError) as raised:
+                    check()
+                assert str(raised.value) == expected
+    assert seen == {
+        "applies",
+        "f: hunk does not match base",
+        "f: insertion beyond end of file",
+    }
+
+
+class _UncopiableBase(list):
+    """A base file that fails the test if anything iterates it, as
+    ``list(base)`` does."""
+
+    def __iter__(self):
+        raise AssertionError("the base file was iterated")
+
+
+def test_merge_checks_do_not_copy_the_base():
+    base = _UncopiableBase(f"line {k}" for k in range(1, 9))
+    left = Diff("f", (Hunk(2, (base[1],), ("L",)),))
+    right = Diff("f", (Hunk(6, (base[5],), ("R",)), Hunk(9, (), ("tail",))))
+    stale = Diff("f", (Hunk(4, ("stale",), ("S",)),))
+    beyond = Diff("f", (Hunk(10, (), ("past the end",)),))
+    assert diff_applies(base, right)
+    assert not diff_applies(base, stale)
+    assert not diff_applies(base, beyond)
+    assert auto_merge(left, right, base) == Diff("f", left.hunks + right.hunks)
+    with pytest.raises(ApplyError, match=re.escape("f: hunk at line 4 does not match base")):
+        auto_merge(left, stale, base)
+    with pytest.raises(ApplyError, match=re.escape("f: insertion at line 10 beyond end of file")):
+        auto_merge(left, beyond, base)
+    overlapping = Diff("f", (Hunk(2, (base[1], base[2]), ("O",)),))
+    assert semantic_merge(left, overlapping, base, _AlwaysBackend(diff=right)).diff == right
+    rejected = semantic_merge(left, overlapping, base, _AlwaysBackend(diff=stale))
+    assert not rejected.accepted and rejected.reason == "proposal failed validation"
 
 
 _F_EARLY = Diff(file="f", hunks=(Hunk(1, ("a",), ("A",)),))
@@ -151,16 +249,14 @@ def test_line_disjoint_insertions_at_same_point_collide():
 
 def test_line_disjoint_matches_interval_oracle():
     rng = random.Random(5)
-    for _ in range(200):
-        def one(start, n):
-            return Diff(file="f", hunks=(Hunk(start, tuple(f"l{start + k}" for k in range(n)), ("e",)),))
-
-        a_start, a_len = rng.randint(1, 20), rng.randint(0, 4)
-        b_start, b_len = rng.randint(1, 20), rng.randint(0, 4)
-        a0, a1 = a_start, a_start + max(1, a_len)
-        b0, b1 = b_start, b_start + max(1, b_len)
-        expected = a1 <= b0 or b1 <= a0
-        assert line_disjoint(one(a_start, a_len), one(b_start, b_len)) == expected
+    base = [f"l{k}" for k in range(1, 21)]
+    for _ in range(500):
+        a, b = _random_hunks(rng, base), _random_hunks(rng, base)
+        a_spans = [(h.start_line, h.start_line + max(1, len(h.old_lines))) for h in a]
+        b_spans = [(h.start_line, h.start_line + max(1, len(h.old_lines))) for h in b]
+        expected = all(a1 <= b0 or b1 <= a0 for a0, a1 in a_spans for b0, b1 in b_spans)
+        assert line_disjoint(Diff("f", a), Diff("f", b)) == expected
+        assert line_disjoint(Diff("f", b), Diff("f", a)) == expected
 
 
 def test_auto_merge_contains_both_edits_and_matches_sequential_apply():
@@ -279,6 +375,30 @@ def test_stochastic_backend_union_prefers_left():
     proposal = backend.propose(left, right, base)
     applied = apply_diff(base, proposal)
     assert "L" in applied and "R2" in applied and "R" not in applied
+
+    # On random multi-hunk diffs the proposal equals the filter that keeps
+    # a right hunk only if it touches no left hunk's span, and each call
+    # draws exactly one number from the RNG, accepted or not.
+    def touch(a, b):
+        (a0, a1), (b0, b1) = a.span(), b.span()
+        return a0 < b1 and b0 < a1
+
+    pick = random.Random(6)
+    base = [f"l{k}" for k in range(1, 13)]
+    for p in (1.0, 0.5):
+        rng = random.Random(7)
+        twin = random.Random(7)
+        backend = StochasticMergeBackend(p, rng)
+        for _ in range(300):
+            left, right = Diff("f", _random_hunks(pick, base)), Diff("f", _random_hunks(pick, base))
+            accepted = twin.random() < p
+            proposal = backend.propose(left, right, base)
+            assert rng.getstate() == twin.getstate()
+            if not accepted:
+                assert proposal is None
+                continue
+            keep = [h for h in right.hunks if all(not touch(h, other) for other in left.hunks)]
+            assert proposal == Diff("f", tuple(sorted(left.hunks + tuple(keep), key=Hunk.span)))
 
 
 def test_merge_results_no_conflicts_pass_through():
