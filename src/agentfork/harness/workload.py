@@ -306,7 +306,7 @@ def _spec(fields: dict) -> WorkloadSpec:
 
 def workload_to_data(spec: WorkloadSpec) -> dict:
     """Inverse of parsing; embeddings are derived, so they are not stored."""
-    return schema.encode(schema.WORKLOAD, spec, schema.FILE)
+    return schema.WORKLOAD.encode(spec, schema.FILE)
 
 
 def save_workload(spec: WorkloadSpec, path: str | Path) -> Path:

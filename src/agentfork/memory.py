@@ -17,7 +17,6 @@ from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import compress
 from typing import Callable, Iterable, Iterator, Sequence, TYPE_CHECKING
 
@@ -89,7 +88,7 @@ def clamped_cosine(dot: float, a_norm: float, b_norm: float) -> float:
     return min(1.0, max(0.0, dot / (a_norm * b_norm)))
 
 
-# Keys a memo below remembers; when full, it starts over. The benchmark
+# Keys a memo remembers unless it is built with another cap. The benchmark
 # workloads use at most 100 distinct tokens and about 420 distinct
 # embedding values.
 MEMO_CAP = 1 << 16
@@ -97,26 +96,29 @@ MEMO_CAP = 1 << 16
 
 class _Memo(dict):
     """``compute(key)`` of each key asked for, remembered while the memo
-    holds fewer than ``MEMO_CAP`` keys."""
+    holds fewer than ``cap`` keys; a miss at the cap starts it over. It is
+    the one cache of the package."""
 
-    def __init__(self, compute: Callable):
+    __slots__ = ("compute", "cap")
+
+    def __init__(self, compute: Callable, cap: int = MEMO_CAP):
         super().__init__()
         self.compute = compute
+        self.cap = cap
 
     def __missing__(self, key):
-        if len(self) >= MEMO_CAP:
+        if len(self) >= self.cap:
             self.clear()
         value = self[key] = self.compute(key)
         return value
 
 
-@lru_cache(maxsize=1)
-def _buckets_of(dim: int) -> _Memo:
-    """The embedding bucket of each token for ``dim``, kept because md5
-    dominates embedding; a run embeds at one dim, so only the last dim
-    asked for keeps its memo."""
-    return _Memo(lambda token: int.from_bytes(hashlib.md5(token.encode("utf-8")).digest()[:8], "big") % dim)
-
+# The embedding bucket of each token, in a memo kept for the last dim
+# asked for because md5 dominates embedding; a run embeds at one dim.
+_buckets_of = _Memo(
+    lambda dim: _Memo(lambda token: int.from_bytes(hashlib.md5(token.encode("utf-8")).digest()[:8], "big") % dim),
+    cap=1,
+)
 
 # ``count / sqrt(squares)`` of each ``(count, squares)``: one float object
 # per value, shared by every embedding that holds it.
@@ -140,7 +142,7 @@ def default_embed(text: str, dim: int) -> tuple[float, ...]:
     """
     if dim <= 0:
         raise ValueError(f"embedding dim must be positive, got {dim}")
-    counts = Counter(map(_buckets_of(dim).__getitem__, tokenize(text)))
+    counts = Counter(map(_buckets_of[dim].__getitem__, tokenize(text)))
     embedding = [0.0] * dim
     if counts:
         squares = sum(count * count for count in counts.values())
@@ -168,15 +170,10 @@ class DefaultEmbedder:
         if dim <= 0:
             raise ValueError(f"embedding dim must be positive, got {dim}")
         self.dim = dim
-        self._memo: dict[str, tuple[float, ...]] = {}
+        self._memo = _Memo(lambda text: default_embed(text, dim), EMBED_MEMO)
 
     def __call__(self, text: str) -> tuple[float, ...]:
-        embedding = self._memo.get(text)
-        if embedding is None:
-            if len(self._memo) >= EMBED_MEMO:
-                self._memo.clear()
-            embedding = self._memo[text] = default_embed(text, self.dim)
-        return embedding
+        return self._memo[text]
 
 
 def dot_with(vector: Sequence[float]) -> Callable[[Sequence[float]], float]:
@@ -480,12 +477,10 @@ def task_references(task: "TaskSpec") -> frozenset[str]:
     return task.referenced_files | task.referenced_symbols | pathlike_tokens(task.description)
 
 
-@lru_cache(maxsize=256)
-def _task_terms(task: "TaskSpec") -> tuple[frozenset[str], frozenset[str]]:
-    """A task's keywords and references, computed once per distinct task
-    while it stays among the last 256 scored. ``TaskSpec`` is frozen,
-    hashable and holds no floats, so equal tasks have equal terms."""
-    return extract_keywords(task.description), task_references(task)
+# A task's keywords and references, computed once per distinct task
+# among the last 256 scored. ``TaskSpec`` is frozen, hashable and holds
+# no floats, so equal tasks have equal terms.
+_task_terms = _Memo(lambda task: (extract_keywords(task.description), task_references(task)), 256)
 
 
 def compute_relevance(
@@ -514,7 +509,7 @@ def compute_relevance(
         raise MemoryError(
             f"item {item.id}: embedding dim {len(item.embedding)} != embedder dim {len(task_embedding)}"
         )
-    keywords, refs = _task_terms(task)
+    keywords, refs = _task_terms[task]
     partial = _partial_scorer(keywords, refs, config, now_step)
     dot = sum(map(operator.mul, item.embedding, task_embedding))
     score = partial(
@@ -541,15 +536,12 @@ def _partial_scorer(
     """
     n_keywords = len(keywords)
     n_refs = len(refs)
-    recency: dict[int, float] = {}
+    recency = _Memo(lambda age: math.exp(-config.lambda_decay * age))
 
     def partial(keyword_hits: int, ref_hits: int, created_at_step: int) -> float:
         keyword_match = keyword_hits / n_keywords if n_keywords else 0.0
         dep_score = ref_hits / n_refs if n_refs else 0.0
-        age = now_step - created_at_step
-        temporal = recency.get(age)
-        if temporal is None:
-            temporal = recency[age] = math.exp(-config.lambda_decay * age)
+        temporal = recency[now_step - created_at_step]
         return config.alpha * keyword_match + config.beta * dep_score + config.gamma * temporal
 
     return partial
@@ -591,7 +583,7 @@ def slice_memory(
     if threshold >= 1.0:
         return MemorySlice(items=(), tokens=0)
     delta = config.delta
-    keywords, refs = _task_terms(task)
+    keywords, refs = _task_terms[task]
     task_norm = norm(task_embedding)
     partial = _partial_scorer(keywords, refs, config, store.current_step)
     dot = dot_with(task_embedding)

@@ -10,8 +10,8 @@ Two formats share one field table per type:
   parsing collects every error.
 
 In both, unknown keys are errors, integers must be JSON integers,
-numbers must be finite and strings must be encodable as UTF-8. ``encode``
-builds the JSON object of a value from its table; ``parse`` checks and
+numbers must be finite and strings must be encodable as UTF-8. A table's
+``encode`` builds the JSON object of a value; ``parse`` checks and
 builds in one pass and returns the value or a list of ``(kind, path,
 message)`` errors. A ``ValueError`` raised by a constructor becomes an
 error at the path of the object it was building, and a ``FieldError``
@@ -32,14 +32,13 @@ the same tables, byte for byte what ``json.dumps`` (``ensure_ascii=False``,
 building that object: one ``write`` per type appends a value's UTF-8
 parts to a list, which ``encode_package`` joins and a checkpoint
 writes a slice at a time. Each distinct float is formatted once per
-call, up to ``FLOAT_MEMO`` of them, and each memory item once per item:
+call while its memo holds it, and each memory item once per item:
 its bytes are kept on the item and reused by every later package.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 import struct
@@ -52,7 +51,7 @@ from types import SimpleNamespace
 from typing import Any, Callable
 
 from .coherence import Diff, Hunk, combine_diffs
-from .memory import MAX_INT, TIER_ORDER, MemoryItem, MemoryTier
+from .memory import MAX_INT, TIER_ORDER, MemoryItem, MemoryTier, _Memo
 from .policy import ComplexityMetrics, Specialization
 from .protocol import (
     Action,
@@ -82,9 +81,8 @@ MAX_EMBEDDING_DIM = 4096
 # its time grows with the count: about 20 s at this bound on a 2-vCPU Xeon
 # under Python 3.11. A count near 2**53 would never finish.
 MAX_CONFLICTS = 10**6
-# Distinct floats whose wire text one ``package_parts`` call keeps. Past
-# this many the rest are formatted directly: a memo of every distinct
-# float of a large package costs more than it saves.
+# Distinct floats whose wire text one ``package_parts`` call keeps; past
+# this many its memo starts over.
 FLOAT_MEMO = 4096
 
 Error = tuple[str, str, str]
@@ -138,24 +136,15 @@ def _path_text(parent, key) -> str:
     return text[1:] if text.startswith(".") else text or "$"
 
 
-class _FloatTexts(dict):
-    """The wire text of each float one ``package_parts`` call has
-    formatted, at most ``FLOAT_MEMO`` of them. The only float list on
-    the wire is an embedding, which ``MemoryItem`` holds as exact
-    floats, so ``repr`` is ``float.__repr__`` without the slot call."""
-
-    def __missing__(self, value):
-        text = repr(value)
-        if len(self) < FLOAT_MEMO:
-            self[value] = text
-        return text
-
-    def join(self, values) -> str:
-        """The comma-separated wire texts of ``values``."""
-        # A dict key holds -0.0 as 0.0, so a list that may hold -0.0
-        # skips the memo, as does every list once the memo is full.
-        direct = len(self) >= FLOAT_MEMO or _maybe_negative_zero(values)
-        return _finite(",".join(map(repr if direct else self.__getitem__, values)))
+def _join_floats(values, texts: _Memo) -> str:
+    """The comma-separated wire texts of ``values``, read through
+    ``texts``, the float memo of one ``package_parts`` call. The only
+    float list on the wire is an embedding, which ``MemoryItem`` holds
+    as exact floats, so ``repr`` is ``float.__repr__``."""
+    # A dict key holds -0.0 as 0.0, so a list that may hold -0.0 skips
+    # the memo.
+    text = repr if _maybe_negative_zero(values) else texts.__getitem__
+    return _finite(",".join(map(text, values)))
 
 
 def _finite(text: str) -> str:
@@ -165,15 +154,13 @@ def _finite(text: str) -> str:
     return text
 
 
-@functools.lru_cache(maxsize=64)
-def _packer(length: int):
-    return struct.Struct(f"<{length}d").pack
+_packer = _Memo(lambda length: struct.Struct(f"<{length}d").pack, 64)
 
 
 def _maybe_negative_zero(values) -> bool:
     """False when no value is -0.0. The high byte of -0.0 is 0x80; so
     is that of a few tiny negatives."""
-    return 0x80 in _packer(len(values))(*values)[7::8]
+    return 0x80 in _packer[len(values)](*values)[7::8]
 
 
 class Type:
@@ -344,7 +331,7 @@ class ListOf(Type):
     def write(self, value, out, floats):
         if self.numbers:
             # An embedding: one part, its floats formatted through the memo.
-            out.append(b"[" + floats.join(value).encode() + b"]")
+            out.append(b"[" + _join_floats(value, floats).encode() + b"]")
             return
         write = self.item.write
         for i, element in enumerate(sorted(value) if self.sort else value):
@@ -543,11 +530,6 @@ def parse(table: Table, data, fmt: str, root: str | None = None):
     p = _Pass(fmt)
     value = table.parse(data, None, root, p)
     return p.errors if value is _BAD else value
-
-
-def encode(table: Table, value, fmt: str) -> dict:
-    """The JSON object of ``value``, keys in table order."""
-    return table.encode(value, fmt)
 
 
 def read_json(path: str | Path):
@@ -859,7 +841,7 @@ def package_parts(package: SpawnPackage | ResumePackage) -> list[bytes]:
     else:
         raise ProtocolError(f"cannot encode {type(package).__name__}")
     parts: list[bytes] = []
-    table.write(package, parts, _FloatTexts())
+    table.write(package, parts, _Memo(float.__repr__, FLOAT_MEMO))
     return parts
 
 

@@ -15,12 +15,14 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence, TYPE_CHECKING
 
-from .memory import Embedder, MemoryError, clamped_cosine, dot_with, norm
+from .memory import Embedder, MemoryError, _Memo, clamped_cosine, dot_with, norm
 
 if TYPE_CHECKING:
     from .protocol import TaskSpec
 
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
+# A child inherits the skills whose relevance to its task is above this.
+INHERIT_THRESHOLD = 0.5
 
 
 class SkillError(ValueError):
@@ -73,17 +75,15 @@ class SkillLibrary:
     """Per-agent skill collection. Single-writer, unique ids.
 
     The library only appends and skills are frozen, so each skill's
-    inherited copy is built once, on its first selection, and handed
-    out again on every later one.
+    inherited copy, marked inherited and without a success statistic,
+    is built once, on its first selection, and handed out again on
+    every later one.
     """
 
-    def __init__(self, skills: Iterable[Skill] = (), inherit_threshold: float = 0.5):
-        if not 0.0 <= inherit_threshold <= 1.0:
-            raise SkillError("inherit_threshold must be in [0, 1]")
-        self.inherit_threshold = inherit_threshold
+    def __init__(self, skills: Iterable[Skill] = ()):
         self._skills: list[Skill] = []
         self._ids: set[str] = set()
-        self._inherited: dict[str, Skill] = {}
+        self._inherited = _Memo(lambda skill: replace(skill, provenance=Provenance.INHERITED, success_stat=None))
         self._next_suffix: dict[str, int] = {}
         for s in skills:
             self.add(s)
@@ -108,15 +108,6 @@ class SkillLibrary:
 
     def skills(self) -> tuple[Skill, ...]:
         return tuple(self._skills)
-
-    def _inherited_copy(self, skill: Skill) -> Skill:
-        """``skill``, one of the library's, marked inherited and without
-        a success statistic."""
-        copy = self._inherited.get(skill.id)
-        if copy is None:
-            copy = replace(skill, provenance=Provenance.INHERITED, success_stat=None)
-            self._inherited[skill.id] = copy
-        return copy
 
     def __len__(self) -> int:
         return len(self._skills)
@@ -148,8 +139,8 @@ def _task_similarity(task_embedding: Sequence[float]) -> Callable[[Sequence[floa
 def select_inherited_skills(
     library: SkillLibrary, task: "TaskSpec", embedder: Embedder
 ) -> list[Skill]:
-    """Copies of library skills whose relevance strictly exceeds the
-    library's inherit threshold, in library order, marked inherited.
+    """Copies of library skills whose relevance strictly exceeds
+    ``INHERIT_THRESHOLD``, in library order, marked inherited.
 
     The task is embedded once per call, and each distinct template is
     embedded and scored once per call, in order of first appearance;
@@ -160,15 +151,13 @@ def select_inherited_skills(
     similarity = _task_similarity(embedder(task.description))
     skills = library.skills()
     passes = {
-        template: similarity(embedder(template)) > library.inherit_threshold
+        template: similarity(embedder(template)) > INHERIT_THRESHOLD
         for template in dict.fromkeys(skill.template for skill in skills)
     }
-    return [library._inherited_copy(skill) for skill in skills if passes[skill.template]]
+    return [library._inherited[skill] for skill in skills if passes[skill.template]]
 
 
-def promote_skills(
-    library: SkillLibrary, learned: Iterable[Skill], promote_threshold: float = 0.8
-) -> None:
+def promote_skills(library: SkillLibrary, learned: Iterable[Skill], promote_threshold: float) -> None:
     """Append learned skills whose success_stat clears the threshold.
 
     A skill colliding with an existing id gets ``f"{id}.{n}"`` with the

@@ -1019,14 +1019,32 @@ def test_embeddings_with_one_count_and_norm_share_their_floats():
 
 
 def test_embedding_value_memo_starts_over_when_full(monkeypatch):
-    monkeypatch.setattr(memory, "MEMO_CAP", 3)
-    monkeypatch.setattr(memory, "_UNITS", memory._Memo(memory._UNITS.compute))
+    monkeypatch.setattr(memory, "_UNITS", memory._Memo(memory._UNITS.compute, cap=3))
     sizes = []
     for n in range(1, 9):
         text = " ".join(f"w{i}" for i in range(n))
         assert _bits(default_embed(text, 4096)) == _bits(_reference_embed(text, 4096))
         sizes.append(len(memory._UNITS))
     assert max(sizes) == 3 and 1 in sizes[3:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cap=st.integers(1, 6), keys=st.lists(st.integers(0, 9), max_size=60))
+def test_memo_holds_compute_of_each_key_and_starts_over_at_its_cap(cap, keys):
+    """A hit returns the value it holds and changes nothing, a miss below
+    the cap adds one key, and a miss at the cap leaves only its own."""
+    memo = memory._Memo(lambda key: (key, str(key)), cap=cap)
+    for key in keys:
+        before = dict(memo)
+        value = memo[key]
+        assert value == (key, str(key))
+        if key in before:
+            assert value is before[key] and memo == before
+        elif len(before) >= cap:
+            assert memo == {key: value}
+        else:
+            assert memo == {**before, key: value}
+        assert len(memo) <= cap
 
 
 def test_memory_item_is_slotted_and_its_wire_starts_empty():
@@ -1041,11 +1059,13 @@ def test_memory_item_is_slotted_and_its_wire_starts_empty():
 
 
 def test_bucket_memo_is_bounded_and_embeds_the_same_after_it_starts_over(monkeypatch):
-    monkeypatch.setattr(memory, "MEMO_CAP", 3)
+    buckets_of = memory._buckets_of
+    small = memory._Memo(lambda dim: memory._Memo(buckets_of.compute(dim).compute, cap=3), cap=1)
+    monkeypatch.setattr(memory, "_buckets_of", small)
     text = " ".join(WORDS)
     for dim in (8, 16, 8):
         assert default_embed(text, dim) == _reference_embed(text, dim)
-        assert len(memory._buckets_of(dim)) <= 3
+        assert list(small) == [dim] and 0 < len(small[dim]) <= 3
 
 
 def test_default_embedder_memo_is_per_instance_and_bounded():
@@ -1055,8 +1075,11 @@ def test_default_embedder_memo_is_per_instance_and_bounded():
             first(text)
             assert len(second(text)) == second.dim
             assert first(text) == default_embed(text, first.dim)
-    assert other._memo == {}
-    for n in range(EMBED_MEMO + 10):
-        small(f"text {n}")
-        assert len(small._memo) <= EMBED_MEMO
-    assert small("text 3") == default_embed("text 3", 8)
+    assert other._memo == {} and small._memo.cap == EMBED_MEMO
+    small._memo = memory._Memo(small._memo.compute, cap=3)
+    sizes = []
+    for n in range(10):
+        assert small(f"text {n}") == default_embed(f"text {n}", 8)
+        sizes.append(len(small._memo))
+    assert sizes == [1, 2, 3, 1, 2, 3, 1, 2, 3, 1]
+    assert small("text 9") is small("text 9")

@@ -3,6 +3,7 @@ on its own, and the run path leaves the HTTP stack unloaded."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -71,3 +72,27 @@ def test_run_path_leaves_the_http_stack_unloaded(name):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == []
+
+
+
+def _cache_uses(path: Path) -> list[str]:
+    """Each use in the module at ``path`` of ``functools.lru_cache`` or
+    ``functools.cache``, and each class that defines ``__missing__``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [f"imports functools.{a.name}" for a in node.names if a.name in ("lru_cache", "cache")]
+        elif isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache"):
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                found.append(f"uses functools.{node.attr}")
+        elif isinstance(node, ast.ClassDef):
+            found += [f"defines {node.name}.__missing__" for f in node.body if getattr(f, "name", "") == "__missing__"]
+    return [f"{path.relative_to(SRC).as_posix()}: {use}" for use in found]
+
+
+def test_every_cache_is_the_one_memo_type():
+    """``memory._Memo`` is the only cache in ``src/``: no module imports
+    ``functools.lru_cache`` or ``functools.cache``, and no other class
+    defines ``__missing__``."""
+    found = [use for path in sorted(SRC.rglob("*.py")) for use in _cache_uses(path)]
+    assert found == ["agentfork/memory.py: defines _Memo.__missing__"]

@@ -175,7 +175,7 @@ def test_round_trip_and_fixpoint_on_randomized_packages(embedder):
 
 def _reference_bytes(package) -> bytes:
     table = schema.SPAWN if isinstance(package, SpawnPackage) else schema.RESUME
-    data = schema.encode(table, package, schema.WIRE)
+    data = table.encode(package, schema.WIRE)
     return json.dumps(data, ensure_ascii=False, separators=(",", ":"), allow_nan=False).encode()
 
 
@@ -394,7 +394,7 @@ def test_an_encoded_item_keeps_its_value_semantics():
     assert changed._wire is None
     package = _spawn_with([changed])
     assert encode_package(package) == _reference_bytes(package)
-    assert schema.encode(schema.ITEM, item, schema.WIRE) == schema.encode(schema.ITEM, twin, schema.WIRE)
+    assert schema.ITEM.encode(item, schema.WIRE) == schema.ITEM.encode(twin, schema.WIRE)
 
 
 def test_items_sharing_one_embedding_tuple_keep_their_own_text():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from agentfork import skills as skills_module
 from agentfork.memory import DefaultEmbedder, MemoryError, default_embed
 from agentfork.protocol import TaskSpec
 from agentfork.skills import (
@@ -41,19 +42,20 @@ def test_select_inherited_empty_library(embedder):
     assert select_inherited_skills(library, random_task(random.Random(0)), embedder) == []
 
 
-def test_select_inherited_threshold_zero_takes_everything(embedder):
+def test_select_inherited_threshold_zero_takes_everything(embedder, monkeypatch):
+    monkeypatch.setattr(skills_module, "INHERIT_THRESHOLD", 0.0)
     task = TaskSpec(description="parser json fix")
     skills = [
         Skill(id="a", template="fix the parser"),
         Skill(id="b", template="adjust json handling"),
     ]
-    library = SkillLibrary(skills, inherit_threshold=0.0)
+    library = SkillLibrary(skills)
     chosen = select_inherited_skills(library, task, embedder)
     assert [s.id for s in chosen] == ["a", "b"]
     assert all(s.provenance is Provenance.INHERITED for s in chosen)
 
 
-def test_select_inherited_matches_brute_force_filter(embedder):
+def test_select_inherited_matches_brute_force_filter(embedder, monkeypatch):
     """Skills draw their templates from a small pool, so most libraries
     hold skills that share a template and must share its verdict."""
     rng = random.Random(11)
@@ -63,16 +65,14 @@ def test_select_inherited_matches_brute_force_filter(embedder):
             " ".join(rng.choices(WORDS, k=rng.randint(1, 6))) + rng.choice(["", " {slot}"])
             for _ in range(3)
         ]
-        library = SkillLibrary(
-            [Skill(id=f"s{n}", template=rng.choice(pool)) for n in range(rng.randint(0, 8))],
-            inherit_threshold=rng.random(),
-        )
+        library = SkillLibrary([Skill(id=f"s{n}", template=rng.choice(pool)) for n in range(rng.randint(0, 8))])
+        monkeypatch.setattr(skills_module, "INHERIT_THRESHOLD", rng.random())
         task = random_task(rng)
         chosen = select_inherited_skills(library, task, embedder)
         oracle = [
             s.id
             for s in library.skills()
-            if skill_relevance(s, task, embedder) > library.inherit_threshold
+            if skill_relevance(s, task, embedder) > skills_module.INHERIT_THRESHOLD
         ]
         assert [s.id for s in chosen] == oracle
         shared += len({s.template for s in library.skills()}) < len(library)
@@ -101,7 +101,8 @@ def test_inherited_copies_are_built_once_per_library(embedder, monkeypatch):
         )
         for n in range(10)
     ]
-    library = SkillLibrary(skills, inherit_threshold=0.0)
+    monkeypatch.setattr(skills_module, "INHERIT_THRESHOLD", 0.0)
+    library = SkillLibrary(skills)
     validated = []
     post_init = Skill.__post_init__
 
@@ -116,7 +117,7 @@ def test_inherited_copies_are_built_once_per_library(embedder, monkeypatch):
     assert len(validated) == len(first)
     assert all(a is b for a, b in zip(first, second, strict=True))
     assert first == [Skill(s.id, s.template, s.params, Provenance.INHERITED) for s in skills]
-    other = select_inherited_skills(SkillLibrary(skills, inherit_threshold=0.0), task, embedder)
+    other = select_inherited_skills(SkillLibrary(skills), task, embedder)
     assert other == first and all(a is not b for a, b in zip(first, other))
 
 
@@ -133,11 +134,12 @@ class _CountingEmbedder:
 
 
 @pytest.mark.parametrize("templates", [12, 3], ids=["distinct_templates", "repeated_templates"])
-def test_custom_embedder_embeds_each_distinct_template_once_per_selection(templates):
+def test_custom_embedder_embeds_each_distinct_template_once_per_selection(templates, monkeypatch):
     rng = random.Random(5)
     pool = [" ".join(rng.choices(WORDS, k=4)) + f" n{n}" for n in range(templates)]
     skills = [Skill(id=f"s{n}", template=pool[n % templates]) for n in range(12)]
-    library = SkillLibrary(skills, inherit_threshold=0.2)
+    monkeypatch.setattr(skills_module, "INHERIT_THRESHOLD", 0.2)
+    library = SkillLibrary(skills)
     task = random_task(rng)
     embedder = _CountingEmbedder()
     first = select_inherited_skills(library, task, embedder)
