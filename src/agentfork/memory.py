@@ -17,7 +17,7 @@ from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
+from itertools import chain, compress
 from typing import Callable, Iterable, Iterator, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -64,16 +64,6 @@ MAX_INT = 2**53
 _NO_REFS: frozenset[str] = frozenset()
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercase alphanumeric tokens of length >= 2, in order."""
-    return _TOKEN_RE.findall(text.lower())
-
-
-def extract_keywords(task_description: str) -> frozenset[str]:
-    """Keyword set for a task: tokens minus stopwords. Deterministic."""
-    return frozenset(tokenize(task_description)) - STOPWORDS
-
-
 def norm(vector: Sequence[float]) -> float:
     return math.sqrt(sum(map(operator.mul, vector, vector)))
 
@@ -88,9 +78,9 @@ def clamped_cosine(dot: float, a_norm: float, b_norm: float) -> float:
     return min(1.0, max(0.0, dot / (a_norm * b_norm)))
 
 
-# Keys a memo remembers unless it is built with another cap. The benchmark
-# workloads use at most 100 distinct tokens and about 420 distinct
-# embedding values.
+# Keys a memo remembers unless it is built with another cap. A benchmark
+# workload run uses at most 261 distinct words, 257 distinct tokens and
+# about 420 distinct embedding values.
 MEMO_CAP = 1 << 16
 
 
@@ -111,6 +101,44 @@ class _Memo(dict):
             self.clear()
         value = self[key] = self.compute(key)
         return value
+
+
+def _analyse_word(word: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """``(tokens, keywords)`` of one whitespace word: ``_TOKEN_RE`` run on
+    the lowered word, and those tokens that are not stopwords.
+
+    A text's tokens are its words' tokens in order: no character
+    ``_TOKEN_RE`` matches is whitespace to ``str.split``, ``str.lower``
+    maps no character to or from whitespace, and its one context rule,
+    the final sigma, stops at whitespace and yields no ASCII. A word that
+    is its own one token is kept as that token, and a word without
+    stopwords keeps one tuple for both."""
+    tokens = _TOKEN_RE.findall(word.lower())
+    tokens = (word,) if tokens == [word] else tuple(tokens)
+    keywords = tuple(token for token in tokens if token not in STOPWORDS)
+    return tokens, tokens if keywords == tokens else keywords
+
+
+# The analysis of each distinct word, so the regex runs once per word,
+# not once per text.
+_WORDS = _Memo(_analyse_word)
+_first = operator.itemgetter(0)
+_second = operator.itemgetter(1)
+
+
+def tokenize(text: str) -> list[str]:
+    """Lowercase alphanumeric tokens of length >= 2, in order."""
+    return list(chain.from_iterable(map(_first, map(_WORDS.__getitem__, text.split()))))
+
+
+def _keywords_of(words: Iterable[str]) -> frozenset[str]:
+    """The keywords of a text given as its whitespace words."""
+    return frozenset(chain.from_iterable(map(_second, map(_WORDS.__getitem__, words))))
+
+
+def extract_keywords(task_description: str) -> frozenset[str]:
+    """Keyword set for a task: tokens minus stopwords. Deterministic."""
+    return _keywords_of(task_description.split())
 
 
 # The embedding bucket of each token, in a memo kept for the last dim
@@ -340,13 +368,13 @@ class MemoryStore:
                 key = (content, id(embedding))
                 group = self._groups.get(key)
             if group is None:
-                keywords = extract_keywords(content)
+                words = content.split()
+                keywords = _keywords_of(words)
                 length = norm(embedding)
-                n_words = len(content.split())
                 group = self._groups[key] = len(self._group_norms)
                 self._group_embeddings.append(embedding)
                 self._group_norms.append(length)
-                self._group_words.append(n_words)
+                self._group_words.append(len(words))
                 _post(self._keyword_postings, keywords, group)
             tier = item.tier
             tier_items = self._tiers[tier]

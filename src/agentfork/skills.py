@@ -77,13 +77,17 @@ class SkillLibrary:
     The library only appends and skills are frozen, so each skill's
     inherited copy, marked inherited and without a success statistic,
     is built once, on its first selection, and handed out again on
-    every later one.
+    every later one. Copies are keyed by skill id, unique in a library,
+    so a lookup hashes a string, not a skill's fields.
     """
 
     def __init__(self, skills: Iterable[Skill] = ()):
-        self._skills: list[Skill] = []
+        # Each skill by id, in library order.
+        self._skills: dict[str, Skill] = {}
         self._ids: set[str] = set()
-        self._inherited = _Memo(lambda skill: replace(skill, provenance=Provenance.INHERITED, success_stat=None))
+        self._inherited = _Memo(
+            lambda skill_id: replace(self._skills[skill_id], provenance=Provenance.INHERITED, success_stat=None)
+        )
         self._next_suffix: dict[str, int] = {}
         for s in skills:
             self.add(s)
@@ -91,7 +95,7 @@ class SkillLibrary:
     def add(self, skill: Skill) -> None:
         if skill.id in self._ids:
             raise SkillError(f"duplicate skill id {skill.id!r}")
-        self._skills.append(skill)
+        self._skills[skill.id] = skill
         self._ids.add(skill.id)
 
     def _derived_id(self, base: str) -> str:
@@ -107,7 +111,7 @@ class SkillLibrary:
         return f"{base}.{n}"
 
     def skills(self) -> tuple[Skill, ...]:
-        return tuple(self._skills)
+        return tuple(self._skills.values())
 
     def __len__(self) -> int:
         return len(self._skills)
@@ -154,7 +158,7 @@ def select_inherited_skills(
         template: similarity(embedder(template)) > INHERIT_THRESHOLD
         for template in dict.fromkeys(skill.template for skill in skills)
     }
-    return [library._inherited[skill] for skill in skills if passes[skill.template]]
+    return [library._inherited[skill.id] for skill in skills if passes[skill.template]]
 
 
 def promote_skills(library: SkillLibrary, learned: Iterable[Skill], promote_threshold: float) -> None:

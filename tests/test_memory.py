@@ -7,6 +7,7 @@ import operator
 import random
 import re
 import struct
+import sys
 from functools import lru_cache
 
 import pytest
@@ -49,6 +50,48 @@ def test_extract_keywords_empty_text():
 
 def test_extract_keywords_length_filter():
     assert extract_keywords("a b") == frozenset()
+
+
+# Every character ``str.split()`` splits on; characters whose lowering
+# changes length or yields ASCII (U+0130, the Kelvin sign U+212A) or
+# depends on context (the capital sigma); combining marks; and words,
+# stopwords among them.
+_SPLIT_ON = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+    + "".join(map(chr, range(0x2000, 0x200B)))
+    + "\u2028\u2029\u202f\u205f\u3000"
+)
+_WORD_PIECES = [
+    *_SPLIT_ON, *"aZk09_-./", "\u0130", "\u212a", "\u03a3", "\u03c3", "\u0301", "\u0307", "the", "OF", "Is", "parser",
+]
+
+
+def test_the_word_alphabet_holds_every_character_split_splits_on():
+    splits = {c for c in map(chr, range(sys.maxunicode + 1)) if len(f"a{c}a".split()) == 2}
+    assert splits == set(_SPLIT_ON)
+
+
+@pytest.mark.parametrize("cap", [None, 3], ids=["module_memo", "cap_3"])
+@settings(max_examples=300, deadline=None)
+@given(text=st.lists(st.sampled_from(_WORD_PIECES), max_size=40).map("".join))
+def test_tokens_keywords_and_word_counts_by_word_equal_those_of_the_whole_text(cap, text):
+    """A text analysed word by word through the word memo gets the tokens
+    and keywords the regex finds in the whole lowered text, the embedding
+    of those tokens and ``str.split``'s word count, also when the memo
+    starts over midway."""
+    with pytest.MonkeyPatch.context() as patch:
+        if cap is not None:
+            patch.setattr(memory, "_WORDS", memory._Memo(memory._analyse_word, cap))
+        tokens = memory._TOKEN_RE.findall(text.lower())
+        keywords = frozenset(tokens) - memory.STOPWORDS
+        assert memory.tokenize(text) == tokens
+        assert extract_keywords(text) == keywords
+        embedding = default_embed(text, DIM)
+        assert _bits(embedding) == _bits(_reference_embed(text, DIM))
+        store = MemoryStore(DIM, 0, [MemoryItem("t", MemoryTier.EPISODIC, text, embedding=embedding)])
+        assert set(store._keyword_postings) == keywords
+        assert store.token_count == len(text.split())
+        assert len(memory._WORDS) <= (cap or memory.MEMO_CAP)
 
 
 def test_default_embed_deterministic_and_unit_norm():
@@ -730,7 +773,7 @@ def test_store_analyses_each_distinct_content_and_tuple_once(monkeypatch):
         MemoryItem(id=f"m{n}", tier=rng.choice(list(MemoryTier)), content=content, embedding=embedding)
         for n, (content, embedding) in enumerate(rng.choices(pairs, k=60) + pairs)
     ]
-    keyword_calls = _count_calls(monkeypatch, "extract_keywords")
+    keyword_calls = _count_calls(monkeypatch, "_keywords_of")
     norm_calls = _count_calls(monkeypatch, "norm")
     store = MemoryStore(DIM, 0, items)
     assert len(store) == len(items)
@@ -741,6 +784,34 @@ def test_store_analyses_each_distinct_content_and_tuple_once(monkeypatch):
     store.add(MemoryItem(id="equal", tier=MemoryTier.WORKING, content=contents[0], embedding=tuple(list(tuples[0]))))
     assert len(keyword_calls) == len(norm_calls) == len(pairs) + 1
     assert store.token_count == count_tokens(store.items())
+
+
+class _CountingRegex:
+    def __init__(self, regex):
+        self.regex = regex
+        self.calls = []
+
+    def findall(self, text):
+        self.calls.append(text)
+        return self.regex.findall(text)
+
+
+def test_embedding_items_and_building_their_store_run_the_regex_once_per_distinct_word(monkeypatch):
+    """Items over repeated texts are embedded and indexed with one regex
+    run per distinct whitespace word: the store's keywords reuse the
+    words the embedder analysed."""
+    regex = _CountingRegex(memory._TOKEN_RE)
+    monkeypatch.setattr(memory, "_TOKEN_RE", regex)
+    monkeypatch.setattr(memory, "_WORDS", memory._Memo(memory._analyse_word))
+    rng = random.Random(4)
+    texts = [" ".join(rng.choices(WORDS + ["The", "PARSER", "src/a.py"], k=rng.randint(0, 9))) for _ in range(30)]
+    embedder = DefaultEmbedder(DIM)
+    items = [make_item(f"m{n}", rng.choice(list(MemoryTier)), rng.choice(texts), embedder) for n in range(300)]
+    words = {word for item in items for word in item.content.split()}
+    assert sorted(regex.calls) == sorted(word.lower() for word in words)
+    store = MemoryStore(DIM, 0, items)
+    assert len(regex.calls) == len(words)
+    assert store.token_count == count_tokens(items)
 
 
 def test_rejected_add_leaves_the_store_unchanged(embedder):

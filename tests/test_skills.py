@@ -116,6 +116,7 @@ def test_inherited_copies_are_built_once_per_library(embedder, monkeypatch):
     second = select_inherited_skills(library, task, embedder)
     assert len(validated) == len(first)
     assert all(a is b for a, b in zip(first, second, strict=True))
+    assert list(library._inherited) == [s.id for s in skills]
     assert first == [Skill(s.id, s.template, s.params, Provenance.INHERITED) for s in skills]
     other = select_inherited_skills(SkillLibrary(skills), task, embedder)
     assert other == first and all(a is not b for a, b in zip(first, other))
